@@ -16,9 +16,11 @@
 //! * **Dedup + caching** ([`cache`]): queries are keyed by the canonical
 //!   [`SystemConfig::fingerprint`](cenju4_sim::SystemConfig::fingerprint)
 //!   plus workload knobs. Identical in-flight queries coalesce onto one
-//!   simulation; completed results are cached. Exactly one simulation
-//!   runs per distinct key at any concurrency, and a cached response is
-//!   byte-identical to a fresh one (responses carry no cache metadata).
+//!   simulation; completed results are cached within a constant byte
+//!   budget. Exactly one simulation runs per resident key at any
+//!   concurrency, and a cached response is byte-identical to a fresh one
+//!   (responses carry no cache metadata); an evicted key re-simulates to
+//!   the same bytes.
 //! * **Steerable runs** ([`server`]): `run_start`/`run_step` advance a
 //!   live simulation event by event; `run_checkpoint`/`run_resume` use
 //!   the engine's replay-based

@@ -8,7 +8,7 @@
 //! ```
 
 use cenju4_serve::Server;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::sync::Arc;
 
 fn main() {
@@ -48,25 +48,8 @@ fn main() {
             }
         }
         None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let reply = server.handle_full(&line);
-                {
-                    let mut out = stdout.lock();
-                    if writeln!(out, "{}", reply.line).is_err() {
-                        break;
-                    }
-                    let _ = out.flush();
-                }
-                if reply.shutdown {
-                    break;
-                }
-            }
+            // A read or write error ends the session, as EOF does.
+            let _ = server.serve_lines(std::io::stdin().lock(), std::io::stdout().lock());
         }
     }
 }

@@ -3,8 +3,9 @@
 //! session gets its own thread (sessions are rare, long-lived, and
 //! mostly blocked on the socket, so a fixed pool would starve the
 //! (N+1)-th client). `handle` maps one request line to one response
-//! line; the stdio and TCP front ends in `main.rs`, the scenario
-//! harness, and the stress test all drive this same entry point.
+//! line; the scenario harness and the stress test drive it directly,
+//! and the stdio and TCP front ends through one session loop,
+//! [`Server::serve_lines`].
 //!
 //! # Threading model
 //!
@@ -24,9 +25,19 @@ use cenju4_obs::summary_to_json;
 use cenju4_sim::{AccessClass, Driver, RunReport};
 use cenju4_workloads::{runner, AppKind, KernelProgram};
 use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+
+/// The longest request line a session reads, newline excluded.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Sequential baselines memoized before the memo is cleared. One entry
+/// per distinct (app, scale), so a stream of fresh scales would
+/// otherwise grow it without bound; a cleared entry is recomputed to the
+/// same value.
+const SEQ_MEMO_ENTRIES: usize = 4096;
 
 /// Shared (Sync) server state; everything the stateless commands touch.
 pub struct State {
@@ -212,32 +223,82 @@ impl Server {
             .unwrap_or_else(|_| proto::err_line(id, "run actor dropped the request"))
     }
 
+    /// Serves one session: reads request lines from `reader` until EOF
+    /// or a `shutdown` request, and answers each with one response line,
+    /// sent as a single write of the line and its newline. Both front
+    /// ends run this loop.
+    ///
+    /// A request line longer than [`MAX_REQUEST_BYTES`] is answered with
+    /// one typed error line (id 0); the rest of it is discarded unread
+    /// into memory, and the session continues with the next line.
+    pub fn serve_lines<R: BufRead, W: Write>(
+        &self,
+        mut reader: R,
+        mut writer: W,
+    ) -> io::Result<()> {
+        let mut request = Vec::new();
+        let mut response = Vec::new();
+        loop {
+            request.clear();
+            let n = reader
+                .by_ref()
+                .take(MAX_REQUEST_BYTES as u64 + 1)
+                .read_until(b'\n', &mut request)?;
+            if n == 0 {
+                return Ok(());
+            }
+            let reply = if request.last() != Some(&b'\n') && n > MAX_REQUEST_BYTES {
+                reader.skip_until(b'\n')?;
+                Reply {
+                    line: proto::err_line(
+                        0,
+                        &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+                    ),
+                    shutdown: false,
+                }
+            } else {
+                match std::str::from_utf8(&request) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => self.handle_full(line.trim_end_matches(['\n', '\r'])),
+                    Err(_) => Reply {
+                        line: proto::err_line(0, "request line is not valid UTF-8"),
+                        shutdown: false,
+                    },
+                }
+            };
+            // One write per reply: a reply and its newline sent as two
+            // writes leave the newline to Nagle's algorithm, which holds
+            // it until the client's delayed ACK (~40 ms) of the first.
+            response.clear();
+            response.extend_from_slice(reply.line.as_bytes());
+            response.push(b'\n');
+            writer.write_all(&response)?;
+            writer.flush()?;
+            if reply.shutdown {
+                return Ok(());
+            }
+        }
+    }
+
     /// Serves TCP clients until the listener errors. Each connection
     /// gets a dedicated session thread — sessions block on the socket
     /// for most of their life, so pooling them would leave the
     /// (pool+1)-th client accepted but never serviced. The thread exits
     /// with its connection; `shutdown` ends that session only.
-    pub fn serve_tcp(self: &Arc<Self>, listener: std::net::TcpListener) -> std::io::Result<()> {
-        use std::io::{BufRead, BufReader, Write};
+    pub fn serve_tcp(self: &Arc<Self>, listener: std::net::TcpListener) -> io::Result<()> {
         loop {
             let (stream, _) = listener.accept()?;
             let server = Arc::clone(self);
             let session = move || {
-                let reader = BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                });
-                let mut writer = stream;
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let reply = server.handle_full(&line);
-                    if writeln!(writer, "{}", reply.line).is_err() || reply.shutdown {
-                        break;
-                    }
-                }
+                // Every reply is one complete write, so Nagle's algorithm
+                // has nothing to coalesce and could only delay a reply
+                // queued behind an unacknowledged one (a pipelining
+                // client). Failing to set it costs speed, not bytes.
+                let _ = stream.set_nodelay(true);
+                let Ok(read_half) = stream.try_clone() else {
+                    return;
+                };
+                let _ = server.serve_lines(BufReader::new(read_half), stream);
             };
             if std::thread::Builder::new()
                 .name("serve-session".into())
@@ -273,7 +334,11 @@ impl State {
         }
         let ns = runner::sequential_time(q.workload.app, q.workload.scale)
             .map_err(|e| format!("sequential baseline failed: {e}"))?;
-        self.seq_ns.lock().unwrap().insert(key, ns);
+        let mut memo = self.seq_ns.lock().unwrap();
+        if memo.len() >= SEQ_MEMO_ENTRIES {
+            memo.clear();
+        }
+        memo.insert(key, ns);
         Ok(ns)
     }
 }
@@ -475,14 +540,14 @@ fn step_run(state: &Arc<State>, run: u64, live: &mut LiveRun, id: u64, steps: u6
 /// coalesced waiter (and all future requests for the key) parked on the
 /// cache condvar forever.
 struct ClaimGuard<'a> {
-    cache: &'a ResultCache,
+    state: &'a State,
     key: Option<crate::proto::SimKey>,
 }
 
 impl<'a> ClaimGuard<'a> {
-    fn new(cache: &'a ResultCache, key: crate::proto::SimKey) -> Self {
+    fn new(state: &'a State, key: crate::proto::SimKey) -> Self {
         ClaimGuard {
-            cache,
+            state,
             key: Some(key),
         }
     }
@@ -496,7 +561,10 @@ impl<'a> ClaimGuard<'a> {
 impl Drop for ClaimGuard<'_> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
-            self.cache.fail(key, "simulation panicked".into());
+            let State {
+                cache, counters, ..
+            } = self.state;
+            cache.fail(key, "simulation panicked".into(), counters);
         }
     }
 }
@@ -512,7 +580,7 @@ fn simulate(state: &Arc<State>, q: &Query) -> Result<Arc<String>, String> {
         Claim::Served(r) => Ok(r),
         Claim::Failed(e) => Err(e.as_ref().clone()),
         Claim::Run => {
-            let mut guard = ClaimGuard::new(&state.cache, q.key());
+            let mut guard = ClaimGuard::new(state, q.key());
             let outcome = runner::run_workload_on(
                 &q.cfg,
                 q.workload.app,
@@ -525,10 +593,12 @@ fn simulate(state: &Arc<State>, q: &Query) -> Result<Arc<String>, String> {
             guard.disarm();
             match outcome {
                 Ok((report, t_seq)) => {
-                    Ok(state.cache.fill(q.key(), result_json(q, &report, t_seq)))
+                    Ok(state
+                        .cache
+                        .fill(q.key(), result_json(q, &report, t_seq), &state.counters))
                 }
                 Err(e) => {
-                    state.cache.fail(q.key(), e.clone());
+                    state.cache.fail(q.key(), e.clone(), &state.counters);
                     Err(e)
                 }
             }
@@ -599,4 +669,71 @@ fn result_json(q: &Query, report: &RunReport, seq_ns: u64) -> String {
     }
     out.push_str("}}");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    const TOO_LONG: &str =
+        "{\"id\":0,\"ok\":false,\"error\":\"request line exceeds 1048576 bytes\"}";
+    const PONG: &str = "{\"id\":7,\"ok\":true,\"result\":{\"pong\":true}}";
+
+    /// An over-long request line followed by `ping`: the line is one
+    /// JSON-looking request padded past the cap, so only the cap rejects
+    /// it.
+    fn over_long_then_ping() -> Vec<u8> {
+        let mut input = b"{\"id\":3,\"cmd\":\"ping\",\"pad\":\"".to_vec();
+        input.resize(MAX_REQUEST_BYTES + 4096, b'x');
+        input.extend_from_slice(b"\"}\n{\"id\":7,\"cmd\":\"ping\"}\n");
+        input
+    }
+
+    #[test]
+    fn over_long_line_is_one_error_and_the_session_continues() {
+        let server = Server::new(1);
+        let mut out = Vec::new();
+        server
+            .serve_lines(Cursor::new(over_long_then_ping()), &mut out)
+            .expect("in-memory session");
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            format!("{TOO_LONG}\n{PONG}\n")
+        );
+    }
+
+    /// The cap counts the line without its newline: a line of exactly
+    /// `MAX_REQUEST_BYTES` is read and handled.
+    #[test]
+    fn line_at_the_cap_is_handled() {
+        let server = Server::new(1);
+        let mut input = b"{\"id\":7,\"cmd\":\"ping\"}".to_vec();
+        input.resize(MAX_REQUEST_BYTES, b' ');
+        input.push(b'\n');
+        let mut out = Vec::new();
+        server
+            .serve_lines(Cursor::new(input), &mut out)
+            .expect("in-memory session");
+        assert_eq!(String::from_utf8(out).unwrap(), format!("{PONG}\n"));
+    }
+
+    #[test]
+    fn over_long_line_over_tcp() {
+        use std::net::{TcpListener, TcpStream};
+        let server = Arc::new(Server::new(1));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound");
+        // The acceptor blocks forever; it dies with the test process.
+        std::thread::spawn(move || server.serve_tcp(listener));
+
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        stream.write_all(&over_long_then_ping()).expect("send");
+        for want in [TOO_LONG, PONG] {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("reply");
+            assert_eq!(line.trim_end(), want);
+        }
+    }
 }

@@ -184,6 +184,9 @@ serve_smoke() {
     timeout 600 cargo test -q --release --offline \
         --test serve_scenarios --test serve_stress \
         --test snapshot_resume --test config_fingerprint
+    # The crate's own tests: the byte-bounded CLOCK cache and the
+    # request-line cap over an in-memory session and over TCP.
+    timeout 600 cargo test -q --release --offline -p cenju4-serve
     # The binary end to end over stdin: a ping, a cached pair of what-if
     # queries, and the dedup counter pinned through the real front end.
     cargo build --release --offline -p cenju4-serve

@@ -154,3 +154,40 @@ fn tcp_clients_get_ground_truth_responses() {
     assert_eq!(c.sims.load(Ordering::SeqCst) as usize, points.len());
     assert_eq!(c.deduped() as usize, 3 * points.len() - points.len());
 }
+
+/// Cached round trips over TCP cost microseconds, not a delayed-ACK
+/// timer: a reply sent as two writes (line, then newline) leaves the
+/// newline to Nagle's algorithm, which holds it until the client ACKs
+/// the first segment, ~40 ms later on Linux. The client does what a
+/// latency-sensitive client should — NODELAY, one write per request —
+/// so any stall is the server's.
+#[test]
+fn tcp_cached_round_trips_do_not_wait_for_delayed_acks() {
+    let server = Arc::new(Server::new(1));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound");
+    // The acceptor blocks forever; it dies with the test process.
+    std::thread::spawn(move || server.serve_tcp(listener));
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let req = format!("{}\n", sweep_points()[0]);
+    let mut round_trip = || {
+        let t = std::time::Instant::now();
+        writer.write_all(req.as_bytes()).expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        assert!(line.contains("\"ok\":true"), "{line}");
+        t.elapsed()
+    };
+    round_trip(); // prime the key
+    let mut times: Vec<_> = (0..50).map(|_| round_trip()).collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(10),
+        "median cached round trip {median:?}"
+    );
+}
