@@ -113,12 +113,52 @@ impl BitPattern {
         }
     }
 
+    /// The number of represented nodes numbered below `n` — the count
+    /// clipped to an `n`-node machine. Closed form: whole 32-node
+    /// prefixes below the edge contribute `|d|` each, and the prefix the
+    /// edge cuts contributes its `d` bits below the cut.
+    pub fn count_below(&self, n: u16) -> u32 {
+        let n = u32::from(n.min(MAX_NODES));
+        let (whole, cut) = (n >> 5, n & 31);
+        let prefixes = self.prefixes();
+        let below = prefixes & 1u32.checked_shl(whole).map_or(u32::MAX, |b| b - 1);
+        let mut count = below.count_ones() * self.d.count_ones();
+        if cut != 0 && prefixes & (1 << whole) != 0 {
+            count += (self.d & ((1 << cut) - 1)).count_ones();
+        }
+        count
+    }
+
     /// Iterates over every represented node, in ascending node-number order.
+    /// Each step jumps straight to the next set bit, so a full walk costs
+    /// O(represented) rather than a scan of all 1024 node numbers.
     pub fn iter(&self) -> Iter {
         Iter {
-            pattern: *self,
-            next: 0,
+            prefixes: if self.d == 0 { 0 } else { self.prefixes() },
+            d: self.d,
+            base: 0,
+            left: 0,
         }
+    }
+
+    /// The represented `(a, b, c)` prefixes — node bits \[9:5\] — as a
+    /// 32-bit set: bit `p` stands for nodes `32p .. 32p + 32`. It is the
+    /// cross product of the three high fields, built by shifting copies of
+    /// the lower field into place.
+    fn prefixes(&self) -> u32 {
+        let mut bc = 0u32;
+        for b in 0..4 {
+            if self.b & (1 << b) != 0 {
+                bc |= (self.c as u32) << (2 * b);
+            }
+        }
+        let mut abc = 0u32;
+        for a in 0..4 {
+            if self.a & (1 << a) != 0 {
+                abc |= bc << (8 * a);
+            }
+        }
+        abc
     }
 
     /// Packs the pattern into the low 42 bits of a `u64`:
@@ -212,22 +252,31 @@ impl FromIterator<NodeId> for BitPattern {
 /// [`BitPattern::iter`]. Yields nodes in ascending order.
 #[derive(Clone, Debug)]
 pub struct Iter {
-    pattern: BitPattern,
-    next: u16,
+    /// Prefixes not yet entered (see [`BitPattern::prefixes`]).
+    prefixes: u32,
+    /// The pattern's `d` field: the low five bits every prefix pairs with.
+    d: u32,
+    /// First node number of the prefix being walked.
+    base: u16,
+    /// `d` bits of that prefix not yet yielded.
+    left: u32,
 }
 
 impl Iterator for Iter {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        while self.next < MAX_NODES {
-            let candidate = NodeId::new(self.next);
-            self.next += 1;
-            if self.pattern.contains(candidate) {
-                return Some(candidate);
+        if self.left == 0 {
+            if self.prefixes == 0 {
+                return None;
             }
+            self.base = (self.prefixes.trailing_zeros() << 5) as u16;
+            self.prefixes &= self.prefixes - 1;
+            self.left = self.d;
         }
-        None
+        let low = self.left.trailing_zeros() as u16;
+        self.left &= self.left - 1;
+        Some(NodeId::new(self.base + low))
     }
 }
 
@@ -248,6 +297,16 @@ mod tests {
         let expected: Vec<u16> = vec![0, 4, 5, 32, 36, 37, 128, 132, 133, 160, 164, 165];
         let got: Vec<u16> = p.iter().map(|n| n.index()).collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn count_below_clips_figure3_example() {
+        let p = pattern_of(&[0, 4, 5, 32, 164]);
+        assert_eq!(p.count_below(1024), 12);
+        assert_eq!(p.count_below(160), 9); // 160, 164, 165 lie at or above
+        assert_eq!(p.count_below(133), 8); // 133 itself is excluded
+        assert_eq!(p.count_below(1), 1);
+        assert_eq!(BitPattern::new().count_below(1024), 0);
     }
 
     #[test]

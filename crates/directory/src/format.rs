@@ -385,13 +385,14 @@ impl SharerSet {
         }
     }
 
-    /// The precise single holder, when one is known: the `set_only` hint
-    /// if it is still valid, else the represented set if it is a
-    /// singleton. This is how a home finds a dirty block's true owner
-    /// under imprecise representations (a coarse vector's represented
-    /// set covers the owner's whole group).
+    /// The `set_only` hint if it is still valid, else the *lowest*
+    /// represented node of any non-empty set (`None` when empty). A home
+    /// relies on it only for Dirty entries, whose set is a singleton, so
+    /// it names a dirty block's true owner even under imprecise
+    /// representations (a coarse vector's represented set covers the
+    /// owner's whole group). Never allocates.
     pub fn solo(&self) -> Option<NodeId> {
-        self.only.or_else(|| self.represented().first().copied())
+        self.only.or_else(|| self.lowest())
     }
 
     /// Scrubs a quarantined node from the set, as precisely as the
@@ -432,9 +433,7 @@ impl SharerSet {
                 }
                 None => m.to_dest_spec(),
             },
-            SharerInner::FullMap(m) => {
-                DestSpec::mask(m.represented().into_iter().filter(|&n| n != exclude))
-            }
+            SharerInner::FullMap(m) => DestSpec::mask(m.iter().filter(|&n| n != exclude)),
             SharerInner::Limited(m) => {
                 if m.is_broadcast() {
                     DestSpec::mask(sys.iter())
@@ -448,7 +447,7 @@ impl SharerSet {
                     DestSpec::Pointers(q)
                 }
             }
-            SharerInner::Coarse(m) => DestSpec::mask(m.represented()),
+            SharerInner::Coarse(m) => DestSpec::mask(m.iter()),
         }
     }
 }
@@ -498,6 +497,15 @@ impl NodeMap for SharerSet {
             SharerInner::FullMap(m) => m.represented(),
             SharerInner::Limited(m) => m.represented(),
             SharerInner::Coarse(m) => m.represented(),
+        }
+    }
+
+    fn lowest(&self) -> Option<NodeId> {
+        match &self.inner {
+            SharerInner::Cenju4(m) => m.lowest(),
+            SharerInner::FullMap(m) => m.lowest(),
+            SharerInner::Limited(m) => m.lowest(),
+            SharerInner::Coarse(m) => m.lowest(),
         }
     }
 
@@ -609,6 +617,21 @@ mod tests {
         assert!(s.count() > 1);
         s.clear();
         assert_eq!(s.solo(), None);
+    }
+
+    #[test]
+    fn solo_returns_the_lowest_of_a_wider_set() {
+        // Five sharers force the bit pattern; with no set_only hint, solo
+        // names the lowest *represented* node rather than refusing. Here
+        // that is node 0, a false sharer the cross product admits (every
+        // field holds a zero digit).
+        let mut s = SharerSet::cenju4(sys(128));
+        for n in [100u16, 37, 64, 5, 90] {
+            s.add(NodeId::new(n));
+        }
+        assert!(s.count() > 1);
+        assert_eq!(s.solo(), Some(NodeId::new(0)));
+        assert_eq!(s.solo(), s.represented().first().copied());
     }
 
     #[test]

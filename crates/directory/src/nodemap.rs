@@ -34,6 +34,12 @@ pub trait NodeMap: fmt::Debug {
     /// Every represented node, ascending.
     fn represented(&self) -> Vec<NodeId>;
 
+    /// The lowest represented node, if any: `represented().first()`.
+    /// Schemes override it with a closed form that does not allocate.
+    fn lowest(&self) -> Option<NodeId> {
+        self.represented().first().copied()
+    }
+
     /// Records that *only* `node` holds a copy.
     fn set_only(&mut self, node: NodeId) {
         self.clear();
@@ -222,14 +228,8 @@ impl NodeMap for Cenju4NodeMap {
     fn count(&self) -> u32 {
         match &self.inner {
             Inner::Pointers(p) => p.len() as u32,
-            Inner::Pattern(p) => {
-                if self.sys.nodes() == crate::node::MAX_NODES {
-                    p.count()
-                } else {
-                    // Clip the cross product to nodes that exist.
-                    p.iter().filter(|n| self.sys.contains(*n)).count() as u32
-                }
-            }
+            // Clip the cross product to nodes that exist.
+            Inner::Pattern(p) => p.count_below(self.sys.nodes()),
         }
     }
 
@@ -240,7 +240,14 @@ impl NodeMap for Cenju4NodeMap {
                 v.sort_unstable();
                 v
             }
-            Inner::Pattern(p) => p.iter().filter(|n| self.sys.contains(*n)).collect(),
+            Inner::Pattern(p) => p.iter().take_while(|n| self.sys.contains(*n)).collect(),
+        }
+    }
+
+    fn lowest(&self) -> Option<NodeId> {
+        match &self.inner {
+            Inner::Pointers(p) => p.iter().min(),
+            Inner::Pattern(p) => p.iter().next().filter(|n| self.sys.contains(*n)),
         }
     }
 
@@ -361,19 +368,33 @@ impl DestSpec {
                 v.sort_unstable();
                 v
             }
-            DestSpec::Pattern(p) => p.iter().filter(|n| sys.contains(*n)).collect(),
-            DestSpec::Mask(w) => mask_iter(w).filter(|n| sys.contains(*n)).collect(),
+            DestSpec::Pattern(p) => p.iter().take_while(|n| sys.contains(*n)).collect(),
+            DestSpec::Mask(w) => mask_iter(w).take_while(|n| sys.contains(*n)).collect(),
         }
     }
 
-    /// The number of destinations within the machine.
+    /// The number of destinations within the machine:
+    /// `destinations(sys).len()`, counted without building the list.
     pub fn fanout(&self, sys: SystemSize) -> u32 {
-        self.destinations(sys).len() as u32
+        match self {
+            DestSpec::Pointers(p) => p.iter().filter(|n| sys.contains(*n)).count() as u32,
+            DestSpec::Pattern(p) => p.count_below(sys.nodes()),
+            DestSpec::Mask(w) => {
+                let n = sys.nodes() as usize;
+                let whole: u32 = w[..n / 64].iter().map(|x| x.count_ones()).sum();
+                let cut = match n % 64 {
+                    0 => 0,
+                    r => (w[n / 64] & ((1 << r) - 1)).count_ones(),
+                };
+                whole + cut
+            }
+        }
     }
 }
 
-/// Iterates a destination bitmap's set bits, ascending.
-fn mask_iter(words: &[u64; 16]) -> impl Iterator<Item = NodeId> + '_ {
+/// Iterates a node bitmap's set bits, ascending (a destination mask, or
+/// a full map's words).
+pub(crate) fn mask_iter(words: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
         let mut bits = w;
         core::iter::from_fn(move || {

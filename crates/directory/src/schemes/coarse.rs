@@ -57,6 +57,23 @@ impl CoarseVector {
         node.index() as u32 / self.group
     }
 
+    /// Iterates the represented nodes in ascending order: each set group
+    /// bit expands to its node range, clipped to the machine.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let nodes = self.sys.nodes() as u32;
+        let mut bits = self.bits;
+        core::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let g = bits.trailing_zeros();
+            bits &= bits - 1;
+            Some(g)
+        })
+        .flat_map(move |g| (g * self.group).min(nodes)..((g + 1) * self.group).min(nodes))
+        .map(|n| NodeId::new(n as u16))
+    }
+
     /// Best-effort removal for node quarantine: a group bit can only be
     /// cleared when it stands for `node` alone (group size 1). Wider
     /// groups keep the bit — surviving groupmates may still share the
@@ -94,7 +111,11 @@ impl NodeMap for CoarseVector {
     }
 
     fn represented(&self) -> Vec<NodeId> {
-        self.sys.iter().filter(|&n| self.contains(n)).collect()
+        self.iter().collect()
+    }
+
+    fn lowest(&self) -> Option<NodeId> {
+        self.iter().next()
     }
 
     fn scheme_name(&self) -> &'static str {

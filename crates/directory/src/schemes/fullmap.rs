@@ -1,7 +1,7 @@
 //! The full-map directory: one presence bit per node.
 
 use crate::node::{NodeId, SystemSize};
-use crate::nodemap::NodeMap;
+use crate::nodemap::{mask_iter, NodeMap};
 
 /// A precise full bit-vector directory (Censier & Feautrier).
 ///
@@ -44,6 +44,12 @@ impl FullMap {
         self.words[w] &= !(1 << b);
         had
     }
+
+    /// Iterates the present nodes in ascending order, jumping between set
+    /// bits and stopping at the machine edge.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        mask_iter(&self.words).take_while(|n| self.sys.contains(*n))
+    }
 }
 
 impl NodeMap for FullMap {
@@ -67,7 +73,11 @@ impl NodeMap for FullMap {
     }
 
     fn represented(&self) -> Vec<NodeId> {
-        self.sys.iter().filter(|&n| self.contains(n)).collect()
+        self.iter().collect()
+    }
+
+    fn lowest(&self) -> Option<NodeId> {
+        self.iter().next()
     }
 
     fn scheme_name(&self) -> &'static str {

@@ -93,6 +93,14 @@ impl NodeMap for LimitedPointerBroadcast {
         }
     }
 
+    fn lowest(&self) -> Option<NodeId> {
+        if self.broadcast {
+            Some(NodeId::new(0))
+        } else {
+            self.pointers.iter().min()
+        }
+    }
+
     fn scheme_name(&self) -> &'static str {
         "limited-pointer-broadcast"
     }

@@ -977,7 +977,7 @@ impl MessageBus {
             .gather_retries
             .iter()
             .filter(|(_, r)| {
-                r.msg.addr().home() == node || r.spec.destinations(sys).contains(&node)
+                r.msg.addr().home() == node || (sys.contains(node) && r.spec.contains(node))
             })
             .map(|(id, _)| *id)
             .collect();

@@ -140,12 +140,11 @@ impl HomeModule {
                     // ack will never come, so contribute it here. Any
                     // real combined reply still in flight is tolerated
                     // by the reply path's clamp/stale-ack handling.
-                    let in_fan = self.directory.get(&addr).is_some_and(|e| {
-                        e.map()
-                            .push_spec(p.master, sys)
-                            .destinations(sys)
-                            .contains(&dead)
-                    });
+                    let in_fan = sys.contains(dead)
+                        && self
+                            .directory
+                            .get(&addr)
+                            .is_some_and(|e| e.map().push_spec(p.master, sys).contains(dead));
                     if in_fan {
                         replies.push(ProtoMsg::InvAck {
                             addr,
@@ -349,7 +348,12 @@ impl HomeModule {
             let master_in = m.contains(master);
             let only_master = count == 0 || (count == 1 && master_in);
             let others = count > if master_in { 1 } else { 0 };
-            let owner = m.solo();
+            // Only the forwarding branches, taken on Dirty blocks, use it.
+            let owner = if e.state() == MemState::Dirty {
+                m.solo()
+            } else {
+                None
+            };
             (e.state(), only_master, others, master_in, owner)
         };
         debug_assert!(!state.is_pending());

@@ -3,7 +3,7 @@
 # schedule-exploring protocol checker's smoke tier.
 # Everything runs offline — the workspace has no external dependencies.
 #
-# Usage: scripts/ci.sh [check-smoke|fault-smoke|perf-smoke|obs-smoke|scaling-smoke|bakeoff-smoke|chaos-smoke|serve-smoke]
+# Usage: scripts/ci.sh [check-smoke|fault-smoke|perf-smoke|obs-smoke|scaling-smoke|bakeoff-smoke|chaos-smoke|serve-smoke|bench-smoke]
 #   (no arg)       run the full gate
 #   check-smoke    run only the time-capped protocol-checker tier
 #   fault-smoke    run only the time-capped unreliable-fabric recovery tier
@@ -13,6 +13,7 @@
 #   bakeoff-smoke  run only the cross-protocol (MESI/Dragon x directory) tier
 #   chaos-smoke    run only the node-failure containment tier
 #   serve-smoke    run only the capacity-planning service tier
+#   bench-smoke    run only the end-to-end benchmark's digest/count-pin tier
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -205,6 +206,15 @@ serve_smoke() {
         || { echo "FAIL: dedup counters wrong through the binary"; exit 1; }
 }
 
+bench_smoke() {
+    echo "==> end-to-end benchmark smoke tier (time-capped)"
+    # Every BENCHMARK.json workload at about 1/20 size with every
+    # correctness gate: the dsm result digests and the checker's count
+    # pins must match benchmark/pins.json. Exits non-zero on any drift.
+    timeout 600 cargo run --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml -- --smoke
+}
+
 if [[ "${1:-}" == "check-smoke" ]]; then
     check_smoke
     echo "CI OK (check-smoke)"
@@ -253,6 +263,12 @@ if [[ "${1:-}" == "serve-smoke" ]]; then
     exit 0
 fi
 
+if [[ "${1:-}" == "bench-smoke" ]]; then
+    bench_smoke
+    echo "CI OK (bench-smoke)"
+    exit 0
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -281,5 +297,7 @@ bakeoff_smoke
 chaos_smoke
 
 serve_smoke
+
+bench_smoke
 
 echo "CI OK"
