@@ -261,12 +261,14 @@ fn main() -> ExitCode {
             let out = explore_reduced_with(&args.cfg, &args.limits, threads, args.dpor);
             println!(
                 "reduced: {}: {} unique states, {} transitions, {} sleep-set \
-                 skips, {} dedup hits over {} jobs x {} threads (reduction {})",
+                 skips, {} dedup hits, {} replayed over {} jobs x {} threads \
+                 (reduction {})",
                 args.cfg,
                 out.unique_states,
                 out.transitions,
                 out.sleep_skipped,
                 out.dedup_hits,
+                out.replayed,
                 out.jobs,
                 threads,
                 if out.reduced { "on" } else { "off" }

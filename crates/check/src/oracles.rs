@@ -50,6 +50,7 @@ impl fmt::Display for Violation {
 
 /// Running oracle state: the workload's blocks plus the store/load
 /// history needed by the data-freshness check.
+#[derive(Clone)]
 pub struct OracleState {
     blocks: Vec<Addr>,
     nodes: u16,

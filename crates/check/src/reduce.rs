@@ -137,6 +137,10 @@ pub struct ReducedOutcome {
     pub reduced: bool,
     /// Subtree jobs the frontier pass produced.
     pub jobs: usize,
+    /// Dispatches re-executed to rebuild a state: a backtrack restores a
+    /// forked copy instead, so only the prefixes that move parallel jobs
+    /// to their subtree roots count (0 for a reduced run).
+    pub replayed: u64,
 }
 
 /// Reduced bounded-exhaustive exploration with [`dpor_eligible`]
@@ -212,6 +216,7 @@ pub fn explore_reduced_with(
         dedup_hits: agg.dedup_hits,
         reduced: reduce,
         jobs: job_count,
+        replayed: agg.replayed,
     }
 }
 
@@ -276,6 +281,7 @@ struct DfsStats {
     unique_states: u64,
     sleep_skipped: u64,
     dedup_hits: u64,
+    replayed: u64,
     budget_hit: bool,
 }
 
@@ -286,6 +292,7 @@ impl DfsStats {
         self.unique_states += other.unique_states;
         self.sleep_skipped += other.sleep_skipped;
         self.dedup_hits += other.dedup_hits;
+        self.replayed += other.replayed;
         self.budget_hit |= other.budget_hit;
     }
 }
@@ -307,9 +314,9 @@ struct Job {
     prefix: Vec<usize>,
 }
 
-/// A replayable engine position: the engine, its oracles, and the step
-/// count, rebuilt from scratch on every backtrack (the engine is not
-/// cloneable — observers are boxed trait objects).
+/// An engine position: the engine and its oracles. Backtracking restores
+/// a [`Stepper::fork`]ed copy; only a parallel job (engines cannot cross
+/// threads) or a counterexample is rebuilt by replay from the root.
 struct Stepper {
     cfg: CheckConfig,
     blocks: Vec<cenju4_protocol::Addr>,
@@ -329,9 +336,18 @@ impl Stepper {
         }
     }
 
-    fn reset(&mut self) {
-        self.eng = self.cfg.engine();
-        self.oracle = OracleState::new(&self.cfg);
+    /// A copy of this position (see [`Engine::fork`]).
+    fn fork(&self) -> Self {
+        Stepper {
+            cfg: self.cfg,
+            blocks: self.blocks.clone(),
+            issued: self.issued,
+            eng: self
+                .eng
+                .fork()
+                .expect("checker engines carry forkable observers"),
+            oracle: self.oracle.clone(),
+        }
     }
 
     /// The ready events, as (index into `pending_events`, event).
@@ -359,7 +375,7 @@ impl Stepper {
     /// Fires the ready event at ready-position `pick`, running the
     /// step oracles. `Err` carries the violation (protocol panics are
     /// converted, like `run_one`); after an `Err` the engine may be
-    /// poisoned — `reset` before reuse.
+    /// poisoned — restore or replay before reuse.
     fn fire(&mut self, pick: usize) -> Result<(), (Violation, String)> {
         let result = catch_unwind(AssertUnwindSafe(|| {
             let ready = self.ready();
@@ -415,13 +431,25 @@ impl Stepper {
             })
     }
 
-    /// Replays a known-green pick prefix from the initial state.
-    fn replay_green(&mut self, picks: &[usize]) {
-        self.reset();
+    /// Rebuilds the position a known-green pick prefix reaches from the
+    /// initial state.
+    fn replay_green(cfg: &CheckConfig, picks: &[usize]) -> Self {
+        let mut st = Stepper::new(cfg);
         for &p in picks {
-            self.fire(p)
+            st.fire(p)
                 .expect("a previously green prefix replayed with a violation");
         }
+        st
+    }
+}
+
+/// The position held in `snap`: a fork of it while `keep` (a later
+/// sibling still needs it), else the snapshot itself.
+fn restore(snap: &mut Option<Stepper>, keep: bool) -> Stepper {
+    if keep {
+        snap.as_ref().expect("held snapshot").fork()
+    } else {
+        snap.take().expect("held snapshot")
     }
 }
 
@@ -450,10 +478,13 @@ struct Frame {
     next: usize,
     /// Virtual clock at this state, for the commute time condition.
     now: SimTime,
+    /// A copy of this state, held while a later sibling is still to
+    /// fire: the backtrack to that sibling restores it.
+    snap: Option<Stepper>,
 }
 
 /// Explores the subtree rooted at `prefix` depth-first. Backtracking
-/// rebuilds the engine by replay; with `params.reduce`, maintains a
+/// restores the frame's forked snapshot; with `params.reduce`, maintains a
 /// fingerprint table (subset rule), sleep sets, and on-path cycle
 /// detection.
 fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
@@ -464,15 +495,15 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
         oracles: BTreeSet::new(),
     };
     let mut table: FxHashMap<u64, Vec<Box<[u64]>>> = FxHashMap::default();
-    let mut st = Stepper::new(cfg);
-    st.replay_green(prefix);
+    let mut st = Stepper::replay_green(cfg, prefix);
+    out.stats.replayed += prefix.len() as u64;
     let mut stack: Vec<Frame> = Vec::new();
     // Fingerprints of the states on `stack`, for livelock detection.
     let mut on_path: Vec<u64> = Vec::new();
     // Picks from the subtree root to the engine's current state.
     let mut path: Vec<usize> = Vec::new();
     // Whether the engine has drifted off the top-of-stack state (after
-    // any backtrack) and must be rebuilt by replay before firing.
+    // any backtrack) and must be restored from its snapshot before firing.
     let mut dirty = false;
     // Sleep set to attach to the state the engine currently sits on.
     let mut incoming_sleep: FxHashSet<u64> = FxHashSet::default();
@@ -583,6 +614,7 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
                 sleep: std::mem::take(&mut incoming_sleep),
                 next: 0,
                 now: st.now(),
+                snap: None,
             });
             continue;
         }
@@ -623,11 +655,16 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
         if params.reduce {
             frame.sleep.insert(chosen.content);
         }
+        // Snapshot the state only while a later sibling will need it:
+        // the last sibling to fire takes the snapshot over.
+        let later = frame.ready[b + 1..]
+            .iter()
+            .any(|(_, e)| !(params.reduce && frame.sleep.contains(&e.content)));
         if dirty {
-            let mut picks = prefix.to_vec();
-            picks.extend_from_slice(&path);
-            st.replay_green(&picks);
+            st = restore(&mut frame.snap, later);
             dirty = false;
+        } else if later {
+            frame.snap = Some(st.fork());
         }
         path.push(b);
         out.stats.transitions += 1;
@@ -639,10 +676,9 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
             Err((v, trace)) => {
                 record_violation!(v, trace);
                 path.pop();
-                dirty = true;
                 // The engine may be poisoned after a panic; the dirty
-                // replay rebuilds it from scratch.
-                st.reset();
+                // restore replaces it.
+                dirty = true;
             }
         }
     }
@@ -668,8 +704,7 @@ fn unroll_lasso(
     picks.extend_from_slice(&path[..entry]);
     // The repeating transitions, by content: re-walk the cycle once to
     // record what fired (the DFS only kept pick indices).
-    let mut st = Stepper::new(cfg);
-    st.replay_green(&picks);
+    let mut st = Stepper::replay_green(cfg, &picks);
     let mut cycle: Vec<u64> = Vec::new();
     for &p in &path[entry..] {
         let ready = st.ready();
@@ -745,19 +780,19 @@ fn expand_frontier(
 ) -> (DfsStats, Option<(Vec<usize>, Violation, String)>, Vec<Job>) {
     let cfg = params.cfg();
     let mut stats = DfsStats::default();
-    let mut queue: std::collections::VecDeque<Job> = std::collections::VecDeque::new();
-    queue.push_back(Job { prefix: Vec::new() });
-    let mut st = Stepper::new(cfg);
+    // Each queued job keeps its base position, so expanding it forks
+    // rather than replays.
+    let mut queue: std::collections::VecDeque<(Job, Stepper)> = std::collections::VecDeque::new();
+    queue.push_back((Job { prefix: Vec::new() }, Stepper::new(cfg)));
     while queue.len() < FRONTIER_JOBS {
-        let Some(job) = queue.pop_front() else {
+        let Some((job, mut st)) = queue.pop_front() else {
             break;
         };
         if Instant::now() >= params.deadline {
             stats.budget_hit = true;
-            queue.push_front(job);
+            queue.push_front((job, st));
             break;
         }
-        st.replay_green(&job.prefix);
         if st.quiescent() {
             stats.leaves += 1;
             if let Some((v, trace)) = st.check_quiescent() {
@@ -770,22 +805,25 @@ fn expand_frontier(
             continue;
         }
         let arity = st.ready().len();
+        let mut base = Some(st);
         for b in 0..arity {
             // Fire the branch to validate it (a violation one step below
             // the frontier must surface here, not silently become a job
             // whose prefix fails to replay green).
-            st.replay_green(&job.prefix);
+            let mut st = restore(&mut base, b + 1 < arity);
             stats.transitions += 1;
             let mut child_prefix = job.prefix.clone();
             child_prefix.push(b);
             match st.fire(b) {
-                Ok(()) => queue.push_back(Job {
-                    prefix: child_prefix,
-                }),
+                Ok(()) => queue.push_back((
+                    Job {
+                        prefix: child_prefix,
+                    },
+                    st,
+                )),
                 Err((v, trace)) => {
                     if params.collect_all {
                         params.frontier_oracles.lock().unwrap().insert(v.oracle);
-                        st.reset();
                     } else {
                         return (stats, Some((child_prefix, v, trace)), Vec::new());
                     }
@@ -793,7 +831,7 @@ fn expand_frontier(
             }
         }
     }
-    (stats, None, queue.into_iter().collect())
+    (stats, None, queue.into_iter().map(|(job, _)| job).collect())
 }
 
 /// Runs the jobs across a worker pool, `sweep`-style: scoped threads

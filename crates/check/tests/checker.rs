@@ -348,9 +348,64 @@ fn reduced_schedule_space_is_pinned() {
         other => panic!("expected all-green reduced run, got {other:?}"),
     }
     assert_eq!(
-        (red.unique_states, red.leaves),
-        (105, 4),
+        (
+            red.unique_states,
+            red.transitions,
+            red.dedup_hits,
+            red.leaves
+        ),
+        (105, 201, 93, 4),
         "the reduced state space moved"
+    );
+    assert_eq!(red.replayed, 0, "a sequential reduced walk never replays");
+}
+
+/// The full walk counts — states, transitions, dedup hits, leaves —
+/// pinned for the 3-node reduced scenario and the unreduced lossy one,
+/// so a backtracking change that alters the walk cannot hide behind an
+/// unchanged state count. Backtracking restores forks, so only the
+/// parallel jobs' prefixes are ever replayed.
+#[test]
+fn backtracking_walk_counts_are_pinned() {
+    let three = CheckConfig {
+        nodes: 3,
+        blocks: 1,
+        ops_per_node: 2,
+        ..CheckConfig::default()
+    };
+    let red = explore_reduced(&three, &limits(), 2);
+    assert!(matches!(
+        red.exploration,
+        Exploration::AllGreen { schedules: 18 }
+    ));
+    assert_eq!(
+        (
+            red.unique_states,
+            red.transitions,
+            red.dedup_hits,
+            red.leaves
+        ),
+        (2376, 5920, 3527, 18),
+        "the 3-node reduced walk moved"
+    );
+    assert_eq!(red.replayed, 0);
+
+    let lossy = CheckConfig {
+        recovery: true,
+        drop_permille: 100,
+        fault_seed: 1,
+        ..CheckConfig::default()
+    };
+    let full = explore_reduced(&lossy, &limits(), 2);
+    assert!(!full.reduced);
+    assert!(matches!(
+        full.exploration,
+        Exploration::AllGreen { schedules: 2036 }
+    ));
+    assert_eq!(
+        (full.leaves, full.transitions, full.replayed),
+        (2036, 28809, 188),
+        "the unreduced lossy walk moved"
     );
 }
 

@@ -6,6 +6,7 @@ use std::collections::BinaryHeap;
 
 /// A pending event together with its scheduled time and a tie-breaking
 /// sequence number.
+#[derive(Clone)]
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
@@ -55,7 +56,7 @@ impl<E> Ord for Scheduled<E> {
 /// }
 /// assert_eq!(order, vec![(1, 'a'), (5, 'b')]);
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,

@@ -153,7 +153,7 @@ struct GatherState<P> {
 /// See the crate docs for the modeling approach. All methods take the
 /// current simulation time `now`; calls must be made in nondecreasing
 /// `now` order (the discrete-event loop guarantees this).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Fabric<P: Payload> {
     topo: Topology,
     params: NetParams,

@@ -46,10 +46,16 @@ impl MetricsRegistry {
 
     /// Adds one latency sample to the named class histogram.
     pub fn record_latency(&mut self, class: &str, ns: u64) {
-        self.histograms
-            .entry(class.to_owned())
-            .or_insert_with(|| Histogram::new(LATENCY_BUCKET_NS, LATENCY_BUCKETS))
-            .record(ns);
+        // Look up before inserting: `entry` would allocate the key on
+        // every sample.
+        match self.histograms.get_mut(class) {
+            Some(h) => h.record(ns),
+            None => {
+                let mut h = Histogram::new(LATENCY_BUCKET_NS, LATENCY_BUCKETS);
+                h.record(ns);
+                self.histograms.insert(class.to_owned(), h);
+            }
+        }
     }
 
     /// Increments a counter by one.
@@ -59,7 +65,12 @@ impl MetricsRegistry {
 
     /// Adds `n` to a counter.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.counters.entry(key.to_owned()).or_default() += n;
+        match self.counters.get_mut(key) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(key.to_owned(), n);
+            }
+        }
     }
 
     /// The current value of a counter (0 if never touched).

@@ -134,6 +134,7 @@ impl Span {
 /// by quiescence — [`SpanCollector::open_span_count`] doubles as a
 /// transaction-leak / starvation detector (the checker's quiescence
 /// oracle asserts it is zero).
+#[derive(Clone)]
 pub struct SpanCollector {
     topo: Topology,
     spans: Vec<Span>,
@@ -290,6 +291,10 @@ impl SpanCollector {
 }
 
 impl Observer for SpanCollector {
+    fn fork(&self) -> Option<Box<dyn Observer>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn on_access(&mut self, at: SimTime, node: NodeId, op: MemOp, addr: Addr, txn: TxnId) {
         self.last_dispatch.insert(node, txn);
         if let Some(&idx) = self.open.get(&txn) {

@@ -1,6 +1,7 @@
 //! The per-node secondary cache: MESI states over 128-byte lines.
 
 use crate::addr::Addr;
+use cenju4_des::FxHashMap;
 use core::fmt;
 
 /// State of a cache line: the paper's MESI states (`M^c`, `E^c`, `S^c`,
@@ -49,13 +50,21 @@ impl fmt::Display for CacheState {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Line {
     key: u64,
     state: CacheState,
     stamp: u64,
     value: u64,
 }
+
+/// Filler for the unused ways of a pooled set.
+const EMPTY: Line = Line {
+    key: 0,
+    state: CacheState::Invalid,
+    stamp: 0,
+    value: 0,
+};
 
 /// An eviction produced by a cache fill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,6 +85,11 @@ pub struct Victim {
 /// Cenju-4 pairs each R10000 with a 1 MB secondary cache; the default
 /// geometry is 1 MB / 128 B lines / 4-way (8192 lines, 2048 sets).
 ///
+/// Storage follows the lines actually resident, not the geometry: a set
+/// gets a pooled chunk of `assoc` line slots the first time a block maps
+/// to it, so building, cloning, and dropping a cache costs O(filled
+/// sets) — a checker scenario touches a handful of the 2048.
+///
 /// # Examples
 ///
 /// ```
@@ -90,9 +104,14 @@ pub struct Victim {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    nsets: usize,
     assoc: usize,
     tick: u64,
+    /// The chunk of every set that has held a line.
+    chunk_of: FxHashMap<u32, u32>,
+    /// `assoc` line slots per chunk; the first `fill[chunk]` are resident.
+    lines: Vec<Line>,
+    fill: Vec<u32>,
 }
 
 impl Cache {
@@ -108,57 +127,78 @@ impl Cache {
             lines >= assoc && lines.is_multiple_of(assoc),
             "bad cache geometry"
         );
-        let nsets = lines / assoc;
         Cache {
-            sets: vec![Vec::with_capacity(assoc); nsets],
+            nsets: lines / assoc,
             assoc,
             tick: 0,
+            chunk_of: FxHashMap::default(),
+            lines: Vec::new(),
+            fill: Vec::new(),
         }
     }
 
     /// Total capacity in lines.
     pub fn lines(&self) -> usize {
-        self.sets.len() * self.assoc
+        self.nsets * self.assoc
     }
 
     /// Drops every line (no writebacks — the power-loss reset of a
     /// quarantined node, not an orderly flush).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.chunk_of.clear();
+        self.lines.clear();
+        self.fill.clear();
     }
 
     /// Every block currently resident, in no particular order.
     pub fn resident(&self) -> Vec<Addr> {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|l| key_to_addr(l.key)))
+        (0..self.fill.len())
+            .flat_map(|c| self.chunk(c))
+            .map(|l| key_to_addr(l.key))
             .collect()
     }
 
-    fn set_of(&self, addr: Addr) -> usize {
+    fn set_of(&self, addr: Addr) -> u32 {
         // Mix the home bits in so blocks of different homes spread out.
         let k = addr.key();
         let h = k ^ (k >> 21) ^ (k >> 43);
-        (h as usize) % self.sets.len()
+        ((h as usize) % self.nsets) as u32
+    }
+
+    /// The resident lines of chunk `c`.
+    fn chunk(&self, c: usize) -> &[Line] {
+        let base = c * self.assoc;
+        &self.lines[base..base + self.fill[c] as usize]
+    }
+
+    fn line(&self, addr: Addr) -> Option<&Line> {
+        let c = *self.chunk_of.get(&self.set_of(addr))?;
+        self.chunk(c as usize).iter().find(|l| l.key == addr.key())
+    }
+
+    /// The resident lines of `addr`'s set, and its chunk index.
+    fn set_mut(&mut self, addr: Addr) -> Option<(&mut [Line], usize)> {
+        let c = *self.chunk_of.get(&self.set_of(addr))? as usize;
+        let base = c * self.assoc;
+        let len = self.fill[c] as usize;
+        Some((&mut self.lines[base..base + len], c))
+    }
+
+    fn line_mut(&mut self, addr: Addr) -> Option<&mut Line> {
+        let (set, _) = self.set_mut(addr)?;
+        set.iter_mut().find(|l| l.key == addr.key())
     }
 
     /// The MESI state of `addr` (Invalid if absent). Does not touch LRU.
     pub fn state(&self, addr: Addr) -> CacheState {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter()
-            .find(|l| l.key == addr.key())
-            .map_or(CacheState::Invalid, |l| l.state)
+        self.line(addr).map_or(CacheState::Invalid, |l| l.state)
     }
 
     /// Looks up `addr` for an access, updating LRU. Returns its state.
     pub fn touch(&mut self, addr: Addr) -> CacheState {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
-        match set.iter_mut().find(|l| l.key == addr.key()) {
+        match self.line_mut(addr) {
             Some(l) => {
                 l.stamp = tick;
                 l.state
@@ -177,36 +217,43 @@ impl Cache {
     pub fn fill_value(&mut self, addr: Addr, state: CacheState, value: u64) -> Option<Victim> {
         assert_ne!(state, CacheState::Invalid, "cannot fill Invalid");
         self.tick += 1;
-        let tick = self.tick;
+        let line = Line {
+            key: addr.key(),
+            state,
+            stamp: self.tick,
+            value,
+        };
         let set_idx = self.set_of(addr);
         let assoc = self.assoc;
-        let set = &mut self.sets[set_idx];
+        let c = *self.chunk_of.entry(set_idx).or_insert_with(|| {
+            self.lines.extend(std::iter::repeat_n(EMPTY, assoc));
+            self.fill.push(0);
+            (self.fill.len() - 1) as u32
+        }) as usize;
+        let base = c * assoc;
+        let len = self.fill[c] as usize;
+        let set = &mut self.lines[base..base + len];
         assert!(
             set.iter().all(|l| l.key != addr.key()),
             "line already present"
         );
-        let victim = if set.len() == assoc {
-            let (i, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.stamp)
-                .expect("full set is nonempty");
-            let old = set.swap_remove(i);
-            Some(Victim {
-                addr: key_to_addr(old.key),
-                dirty: old.state == CacheState::Modified,
-                value: old.value,
-            })
-        } else {
-            None
+        if len < assoc {
+            self.lines[base + len] = line;
+            self.fill[c] += 1;
+            return None;
+        }
+        // Stamps are unique, so the LRU line is the unique minimum.
+        let old = set
+            .iter_mut()
+            .min_by_key(|l| l.stamp)
+            .expect("full set is nonempty");
+        let victim = Victim {
+            addr: key_to_addr(old.key),
+            dirty: old.state == CacheState::Modified,
+            value: old.value,
         };
-        set.push(Line {
-            key: addr.key(),
-            state,
-            stamp: tick,
-            value,
-        });
-        victim
+        *old = line;
+        Some(victim)
     }
 
     /// Installs `addr` with `state` and a zero value (convenience).
@@ -220,10 +267,7 @@ impl Cache {
 
     /// The data held for `addr` (0 if absent).
     pub fn value(&self, addr: Addr) -> u64 {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter()
-            .find(|l| l.key == addr.key())
-            .map_or(0, |l| l.value)
+        self.line(addr).map_or(0, |l| l.value)
     }
 
     /// Overwrites the data of a present line.
@@ -232,12 +276,7 @@ impl Cache {
     ///
     /// Panics if the line is absent.
     pub fn set_value(&mut self, addr: Addr, value: u64) {
-        let set_idx = self.set_of(addr);
-        self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.key == addr.key())
-            .expect("line absent")
-            .value = value;
+        self.line_mut(addr).expect("line absent").value = value;
     }
 
     /// Changes the state of a present line.
@@ -248,27 +287,28 @@ impl Cache {
     /// (use [`Cache::invalidate`] to drop a line).
     pub fn set_state(&mut self, addr: Addr, state: CacheState) {
         assert_ne!(state, CacheState::Invalid, "use invalidate()");
-        let set_idx = self.set_of(addr);
-        let line = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.key == addr.key())
-            .expect("line absent");
-        line.state = state;
+        self.line_mut(addr).expect("line absent").state = state;
     }
 
     /// Drops `addr` from the cache if present. Returns the state it had.
     pub fn invalidate(&mut self, addr: Addr) -> CacheState {
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
+        let Some((set, c)) = self.set_mut(addr) else {
+            return CacheState::Invalid;
+        };
         match set.iter().position(|l| l.key == addr.key()) {
-            Some(i) => set.swap_remove(i).state,
+            Some(i) => {
+                let state = set[i].state;
+                set.swap(i, set.len() - 1);
+                self.fill[c] -= 1;
+                state
+            }
             None => CacheState::Invalid,
         }
     }
 
     /// Number of resident (non-invalid) lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 }
 
@@ -380,5 +420,204 @@ mod tests {
     fn default_geometry_is_1mb_4way() {
         let c = Cache::new(1 << 20, 4);
         assert_eq!(c.lines(), 8192);
+    }
+}
+
+/// The pooled cache against the per-set `Vec` layout it replaced, kept
+/// here as the model: seeded operation sequences must agree on every
+/// returned state, value, and victim, on occupancy, and on the resident
+/// set.
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use cenju4_des::SplitMix64;
+    use cenju4_directory::NodeId;
+
+    /// One `Vec` per set, swap-removed on eviction and invalidation.
+    struct VecCache {
+        sets: Vec<Vec<Line>>,
+        assoc: usize,
+        tick: u64,
+    }
+
+    impl VecCache {
+        fn new(capacity_bytes: u32, assoc: usize) -> Self {
+            let nsets = (capacity_bytes / crate::addr::BLOCK_BYTES) as usize / assoc;
+            VecCache {
+                sets: vec![Vec::with_capacity(assoc); nsets],
+                assoc,
+                tick: 0,
+            }
+        }
+
+        fn set_of(&self, addr: Addr) -> usize {
+            let k = addr.key();
+            let h = k ^ (k >> 21) ^ (k >> 43);
+            (h as usize) % self.sets.len()
+        }
+
+        fn line(&self, addr: Addr) -> Option<&Line> {
+            self.sets[self.set_of(addr)]
+                .iter()
+                .find(|l| l.key == addr.key())
+        }
+
+        fn line_mut(&mut self, addr: Addr) -> Option<&mut Line> {
+            let s = self.set_of(addr);
+            self.sets[s].iter_mut().find(|l| l.key == addr.key())
+        }
+
+        fn state(&self, addr: Addr) -> CacheState {
+            self.line(addr).map_or(CacheState::Invalid, |l| l.state)
+        }
+
+        fn value(&self, addr: Addr) -> u64 {
+            self.line(addr).map_or(0, |l| l.value)
+        }
+
+        fn touch(&mut self, addr: Addr) -> CacheState {
+            self.tick += 1;
+            let tick = self.tick;
+            match self.line_mut(addr) {
+                Some(l) => {
+                    l.stamp = tick;
+                    l.state
+                }
+                None => CacheState::Invalid,
+            }
+        }
+
+        fn fill_value(&mut self, addr: Addr, state: CacheState, value: u64) -> Option<Victim> {
+            self.tick += 1;
+            let (tick, assoc, s) = (self.tick, self.assoc, self.set_of(addr));
+            let set = &mut self.sets[s];
+            let victim = (set.len() == assoc).then(|| {
+                let (i, _) = set.iter().enumerate().min_by_key(|(_, l)| l.stamp).unwrap();
+                let old = set.swap_remove(i);
+                Victim {
+                    addr: key_to_addr(old.key),
+                    dirty: old.state == CacheState::Modified,
+                    value: old.value,
+                }
+            });
+            set.push(Line {
+                key: addr.key(),
+                state,
+                stamp: tick,
+                value,
+            });
+            victim
+        }
+
+        fn invalidate(&mut self, addr: Addr) -> CacheState {
+            let s = self.set_of(addr);
+            let set = &mut self.sets[s];
+            match set.iter().position(|l| l.key == addr.key()) {
+                Some(i) => set.swap_remove(i).state,
+                None => CacheState::Invalid,
+            }
+        }
+
+        fn clear(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
+
+        fn occupancy(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+
+        fn resident(&self) -> Vec<Addr> {
+            self.sets
+                .iter()
+                .flatten()
+                .map(|l| key_to_addr(l.key))
+                .collect()
+        }
+    }
+
+    const STATES: [CacheState; 4] = [
+        CacheState::Modified,
+        CacheState::Exclusive,
+        CacheState::Shared,
+        CacheState::SharedModified,
+    ];
+
+    /// Drives `ops` seeded operations through both caches over a block
+    /// universe that maps to at most `hot_sets` sets, so sets fill and
+    /// evict.
+    fn agree(capacity_bytes: u32, assoc: usize, hot_sets: usize, seed: u64, ops: usize) {
+        let mut model = VecCache::new(capacity_bytes, assoc);
+        let mut cache = Cache::new(capacity_bytes, assoc);
+        assert_eq!(cache.lines(), model.sets.len() * assoc);
+        let universe: Vec<Addr> = (0..u32::MAX)
+            .flat_map(|b| (0..4).map(move |h| Addr::new(NodeId::new(h), b)))
+            .filter(|&a| model.set_of(a) < hot_sets)
+            .take(hot_sets * (assoc + 2))
+            .collect();
+        let mut rng = SplitMix64::new(seed);
+        let mut evictions = 0;
+        for step in 0..ops {
+            let addr = universe[rng.next_below(universe.len() as u64) as usize];
+            let present = model.state(addr) != CacheState::Invalid;
+            let state = STATES[rng.next_below(4) as usize];
+            let value = rng.next_below(1_000);
+            let ctx = format!("seed {seed} step {step} {addr:?}");
+            // A power-loss reset every 500 operations.
+            let op = if step % 500 == 499 {
+                8
+            } else {
+                rng.next_below(8)
+            };
+            match op {
+                0 | 1 if !present => {
+                    let victim = model.fill_value(addr, state, value);
+                    evictions += usize::from(victim.is_some());
+                    assert_eq!(cache.fill_value(addr, state, value), victim, "{ctx}");
+                }
+                0..=2 => assert_eq!(cache.touch(addr), model.touch(addr), "{ctx}"),
+                3 => assert_eq!(cache.state(addr), model.state(addr), "{ctx}"),
+                4 => assert_eq!(cache.value(addr), model.value(addr), "{ctx}"),
+                5 if present => {
+                    model.line_mut(addr).unwrap().state = state;
+                    cache.set_state(addr, state);
+                }
+                6 if present => {
+                    model.line_mut(addr).unwrap().value = value;
+                    cache.set_value(addr, value);
+                }
+                5..=7 => assert_eq!(cache.invalidate(addr), model.invalidate(addr), "{ctx}"),
+                _ => {
+                    model.clear();
+                    cache.clear();
+                }
+            }
+            assert_eq!(cache.occupancy(), model.occupancy(), "{ctx}");
+            let (mut got, mut want) = (cache.resident(), model.resident());
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{ctx}");
+        }
+        assert!(evictions > 0, "the sequence never evicted");
+    }
+
+    #[test]
+    fn default_geometry_agrees_with_the_vec_model() {
+        for seed in 0..4 {
+            agree(1 << 20, 4, 6, seed, 3_000);
+        }
+    }
+
+    #[test]
+    fn three_set_geometry_agrees_with_the_vec_model() {
+        for seed in 0..4 {
+            agree(3 * 4 * 128, 4, 3, seed, 3_000);
+        }
+    }
+
+    #[test]
+    fn direct_mapped_geometry_agrees_with_the_vec_model() {
+        for seed in 0..4 {
+            agree(8 * 128, 1, 8, seed, 3_000);
+        }
     }
 }

@@ -258,6 +258,41 @@ impl Engine {
         }
     }
 
+    /// A full copy of the engine at its current position: driving the
+    /// copy and the original with the same inputs and choices produces
+    /// identical notifications, statistics, traces, and fingerprints.
+    /// Backtracking searches (the `cenju4-check` reduced explorer) fork
+    /// a state once instead of replaying its pick path from the root.
+    /// Message payloads are shared copy-on-write between the two.
+    ///
+    /// Returns `None` when a registered user observer does not
+    /// implement [`Observer::fork`]. Unlike an [`EngineSnapshot`], a
+    /// fork is a live same-thread engine, not portable data.
+    pub fn fork(&self) -> Option<Engine> {
+        Some(Engine {
+            sys: self.sys,
+            params: self.params,
+            kind: self.kind,
+            coherence: self.coherence,
+            bus: self.bus.clone(),
+            shards: self.shards.clone(),
+            parallel: self.parallel,
+            next_txn: self.next_txn,
+            notifications: self.notifications.clone(),
+            update_blocks: self.update_blocks.clone(),
+            observers: self.observers.fork()?,
+            fault: self.fault,
+            last_completed: self.last_completed,
+            last_progress: self.last_progress,
+            stalled: self.stalled,
+            ever_down: self.ever_down.clone(),
+            lost_blocks: self.lost_blocks.clone(),
+            journal: self.journal.clone(),
+            steps: self.steps,
+            ran_parallel: self.ran_parallel,
+        })
+    }
+
     /// Selects the coherence protocol's decision logic (the
     /// [`CoherenceProtocol`](crate::coherence::CoherenceProtocol) seam).
     /// Select protocols before issuing work, not mid-run.

@@ -19,6 +19,13 @@
 //! use case) is milliseconds. The benefit is that the snapshot format
 //! cannot drift out of sync with the engine's internals: any state the
 //! engine grows next PR is covered automatically.
+//!
+//! A snapshot is portable data: small, `Send`, and independent of the
+//! engine it came from, so a service can keep it by id and resume it on
+//! any thread. Its counterpart [`Engine::fork`] is the opposite trade:
+//! a full live copy on the same thread, with no replay, for searches
+//! that backtrack (the checker's DFS restores forks instead of replaying
+//! its pick path from the root).
 
 use super::{Engine, MemOp, Notification};
 use crate::addr::Addr;

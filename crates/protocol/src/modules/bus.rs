@@ -403,6 +403,7 @@ impl PendingEvent {
 /// The held event set of a bus in controlled-schedule mode. Events are
 /// parked here instead of the time-ordered queue; the checker picks which
 /// ready event fires next.
+#[derive(Clone)]
 struct HeldQueue {
     /// Parked events as (scheduled time, insertion sequence, event). The
     /// sequence breaks time ties exactly like the event queue's tie-break,
@@ -445,6 +446,7 @@ struct LinkSend {
 }
 
 /// Everything needed to idempotently re-issue a gathered multicast.
+#[derive(Clone)]
 struct GatherRetry {
     spec: DestSpec,
     data: bool,
@@ -490,6 +492,7 @@ pub(crate) enum GatherTimerOutcome {
 /// The fabric plus the event queue, with optional deterministic delivery
 /// jitter and the optional link-level recovery layer. See the module
 /// docs.
+#[derive(Clone)]
 pub struct MessageBus {
     fabric: Fabric<Shared<ProtoMsg>>,
     queue: EventQueue<BusMsg>,

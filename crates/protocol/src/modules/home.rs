@@ -40,6 +40,7 @@ pub(crate) struct PendingTxn {
 /// [`HomeModule::scrub_node`]): replies the engine feeds back through
 /// [`HomeModule::reply_recv`], and the blocks whose data died with the
 /// node.
+#[derive(Clone)]
 pub(crate) struct NodeScrub {
     /// The dead node's outstanding contributions, synthesized as if it
     /// had answered just before dying. Fed through the normal reply
@@ -62,6 +63,7 @@ pub(crate) struct QueuedReq {
 }
 
 /// The memory-side protocol module of one node.
+#[derive(Clone)]
 pub struct HomeModule {
     pub(crate) node: NodeId,
     /// The directory format fresh entries are created in (the

@@ -34,6 +34,7 @@ pub(crate) struct MasterTxn {
 }
 
 /// The processor-side protocol module of one node.
+#[derive(Clone)]
 pub struct MasterModule {
     pub(crate) node: NodeId,
     pub(crate) cache: Cache,

@@ -53,6 +53,7 @@ use cenju4_directory::{MemState, NodeId, SystemSize};
 /// slave modules. The engine owns a dense `Vec<NodeShard>` indexed by
 /// node; under the parallel executor each shard is advanced by exactly
 /// one worker, and cross-shard traffic flows only through the bus.
+#[derive(Clone)]
 pub(crate) struct NodeShard {
     pub master: MasterModule,
     pub home: HomeModule,

@@ -16,6 +16,7 @@ use cenju4_directory::NodeId;
 use cenju4_network::fabric::GatherId;
 
 /// The intervention-side protocol module of one node.
+#[derive(Clone)]
 pub struct SlaveModule {
     pub(crate) node: NodeId,
     pub(crate) input_q: ServiceQueue,

@@ -238,6 +238,12 @@ pub trait Observer: AsAny {
     fn on_gather_scrub(&mut self, at: SimTime, home: NodeId, addr: Addr) {}
     /// A quarantined node revived and rejoined cold.
     fn on_node_rejoined(&mut self, at: SimTime, node: NodeId) {}
+    /// A copy of this observer for a forked engine ([`crate::Engine::fork`]),
+    /// carrying everything it has accumulated so far. `None` (the
+    /// default) declines, and the engine then refuses to fork.
+    fn fork(&self) -> Option<Box<dyn Observer>> {
+        None
+    }
 }
 
 /// The engine's observer slots: the always-on statistics and trace
@@ -247,6 +253,18 @@ pub(crate) struct ObserverSet {
     pub stats: StatsObserver,
     pub trace: TraceObserver,
     pub user: Vec<Box<dyn Observer>>,
+}
+
+impl ObserverSet {
+    /// A copy of every slot, or `None` if a user observer declines to
+    /// fork.
+    pub(crate) fn fork(&self) -> Option<ObserverSet> {
+        Some(ObserverSet {
+            stats: self.stats.clone(),
+            trace: self.trace.clone(),
+            user: self.user.iter().map(|o| o.fork()).collect::<Option<_>>()?,
+        })
+    }
 }
 
 macro_rules! fan_out {
@@ -296,7 +314,7 @@ fan_out! {
 
 /// Maintains [`EngineStats`] from observer callbacks — the counters the
 /// monolithic engine used to increment inline.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct StatsObserver {
     stats: EngineStats,
 }
@@ -414,7 +432,7 @@ impl Observer for StatsObserver {
 /// Maintains the per-block event timeline ([`Trace`]) from observer
 /// callbacks, producing records identical to the pre-refactor inline
 /// tracing (same labels, same dispatch-time stamps).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct TraceObserver {
     trace: Trace,
 }

@@ -40,8 +40,26 @@ check_smoke() {
         echo "FAIL: 4-node reduced state count drifted from pin (480)"
         exit 1
     }
+    echo "$reduced_out" | grep -q "1357 transitions" || {
+        echo "FAIL: 4-node reduced transition count drifted from pin (1357)"
+        exit 1
+    }
+    echo "$reduced_out" | grep -q "791 dedup hits" || {
+        echo "FAIL: 4-node reduced dedup-hit count drifted from pin (791)"
+        exit 1
+    }
     echo "$reduced_out" | grep -q "all oracles green over 8 schedules" || {
         echo "FAIL: 4-node reduced exploration not green over 8 schedules"
+        exit 1
+    }
+    # The unreduced lossy 2-node space (recovery on, one drop in ten):
+    # the parallel DFS over frontier jobs, pinned by its leaf count.
+    local lossy_out
+    lossy_out="$("$check" reduced --nodes 2 --blocks 1 --ops 2 --recovery on \
+        --drop-rate 100 --fault-seed 1 --max-seconds 120)"
+    echo "$lossy_out"
+    echo "$lossy_out" | grep -q "all oracles green over 2036 schedules" || {
+        echo "FAIL: unreduced lossy exploration not green over 2036 schedules"
         exit 1
     }
     # The mutant gauntlet again, through the reduced/parallel explorers.
