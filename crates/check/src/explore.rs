@@ -207,21 +207,18 @@ pub fn run_one(
                     render_trace(&eng, cfg),
                 );
             }
-            let ready: Vec<usize> = pend
+            let arity = pend.iter().filter(|e| e.ready).count();
+            debug_assert!(arity > 0, "non-empty event set with nothing ready");
+            let picked = pick(arity).min(arity - 1);
+            choices.push(Choice { arity, picked });
+            let idx = pend
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.ready)
+                .nth(picked)
                 .map(|(i, _)| i)
-                .collect();
-            debug_assert!(!ready.is_empty(), "non-empty event set with nothing ready");
-            let picked = pick(ready.len()).min(ready.len() - 1);
-            choices.push(Choice {
-                arity: ready.len(),
-                picked,
-            });
-            let notes = eng
-                .run_pending(ready[picked])
-                .expect("ready event vanished");
+                .expect("picked ready event exists");
+            let notes = eng.run_pending(idx).expect("ready event vanished");
             steps += 1;
             if let Some(v) = oracle.note(&notes, &eng) {
                 return (Some(v), render_trace(&eng, cfg));

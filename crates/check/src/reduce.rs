@@ -372,14 +372,19 @@ impl Stepper {
         self.eng.state_fingerprint(&self.blocks)
     }
 
-    /// Fires the ready event at ready-position `pick`, running the
-    /// step oracles. `Err` carries the violation (protocol panics are
-    /// converted, like `run_one`); after an `Err` the engine may be
-    /// poisoned — restore or replay before reuse.
+    /// Fires the ready event at ready-position `pick` (clamped to the
+    /// last ready event); see [`Stepper::fire_pending`].
     fn fire(&mut self, pick: usize) -> Result<(), (Violation, String)> {
+        let ready = self.ready();
+        self.fire_pending(ready[pick.min(ready.len() - 1)].0)
+    }
+
+    /// Fires the ready event at index `idx` into `pending_events`,
+    /// running the step oracles. `Err` carries the violation (protocol
+    /// panics are converted, like `run_one`); after an `Err` the engine
+    /// may be poisoned — restore or replay before reuse.
+    fn fire_pending(&mut self, idx: usize) -> Result<(), (Violation, String)> {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let ready = self.ready();
-            let idx = ready[pick.min(ready.len() - 1)].0;
             let notes = self.eng.run_pending(idx).expect("ready event vanished");
             if let Some(v) = self.oracle.note(&notes, &self.eng) {
                 return Some(v);
@@ -668,7 +673,7 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
         }
         path.push(b);
         out.stats.transitions += 1;
-        match st.fire(b) {
+        match st.fire_pending(frame.ready[b].0) {
             Ok(()) => {
                 incoming_sleep = child_sleep;
                 entering = true;
@@ -804,9 +809,10 @@ fn expand_frontier(
             }
             continue;
         }
-        let arity = st.ready().len();
+        let ready = st.ready();
+        let arity = ready.len();
         let mut base = Some(st);
-        for b in 0..arity {
+        for (b, &(idx, _)) in ready.iter().enumerate() {
             // Fire the branch to validate it (a violation one step below
             // the frontier must surface here, not silently become a job
             // whose prefix fails to replay green).
@@ -814,7 +820,7 @@ fn expand_frontier(
             stats.transitions += 1;
             let mut child_prefix = job.prefix.clone();
             child_prefix.push(b);
-            match st.fire(b) {
+            match st.fire_pending(idx) {
                 Ok(()) => queue.push_back((
                     Job {
                         prefix: child_prefix,

@@ -566,6 +566,17 @@ impl Engine {
             .unwrap_or_default()
     }
 
+    /// Whether the directory's represented set for `addr` includes
+    /// `node` — [`Engine::directory_sharers`]`(addr).contains(&node)`
+    /// without materializing the set.
+    pub fn directory_represents(&self, addr: Addr, node: NodeId) -> bool {
+        self.shards[addr.home().as_usize()]
+            .home
+            .directory
+            .get(&addr)
+            .is_some_and(|e| e.map().contains(node))
+    }
+
     /// The directory state of `addr` at its home (Clean if never touched).
     pub fn memory_state(&self, addr: Addr) -> MemState {
         self.shards[addr.home().as_usize()]

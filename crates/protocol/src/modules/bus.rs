@@ -400,18 +400,31 @@ impl PendingEvent {
     }
 }
 
+/// One event parked in a controlled bus, with the facts the scheduler
+/// reads every step computed once, when the event is parked.
+#[derive(Clone)]
+struct Held {
+    /// Scheduled firing time in the uncontrolled simulation.
+    at: SimTime,
+    /// The ordering channel ([`BusMsg::channel`]).
+    chan: Option<Channel>,
+    /// Whether this is a recovery-layer timer ([`BusMsg::is_timer`]).
+    timer: bool,
+    /// The content digest exposed as [`PendingEvent::content`].
+    content: u64,
+    msg: BusMsg,
+}
+
 /// The held event set of a bus in controlled-schedule mode. Events are
 /// parked here instead of the time-ordered queue; the checker picks which
 /// ready event fires next.
 #[derive(Clone)]
 struct HeldQueue {
-    /// Parked events as (scheduled time, insertion sequence, event). The
-    /// sequence breaks time ties exactly like the event queue's tie-break,
-    /// so choosing the minimal (at, seq) event reproduces the natural
-    /// schedule.
-    events: Vec<(SimTime, u64, BusMsg)>,
-    /// Next insertion sequence number.
-    seq: u64,
+    /// Parked events, kept sorted by scheduled time with ties in
+    /// insertion order — the event queue's tie-break, so position 0 is
+    /// the event the uncontrolled simulation fires next. Position `i` is
+    /// choice index `i`.
+    events: Vec<Held>,
     /// Monotonic virtual clock: the maximum scheduled time of any event
     /// fired so far. Events chosen "early" are clamped up to this so the
     /// per-module service queues still see nondecreasing arrival times.
@@ -579,7 +592,6 @@ impl MessageBus {
         );
         self.held = Some(HeldQueue {
             events: Vec::new(),
-            seq: 0,
             now: self.queue.now(),
         });
     }
@@ -605,25 +617,27 @@ impl MessageBus {
             .held
             .as_ref()
             .expect("pending() requires controlled mode");
-        let order = Self::sorted_order(h);
-        let only_timers = h.events.iter().all(|(_, _, m)| m.is_timer());
-        order
+        let only_timers = h.events.iter().all(|e| e.timer);
+        // One pass in firing order: a channel's first event is its
+        // earliest, so it alone is ready.
+        let mut seen: Vec<Channel> = Vec::new();
+        h.events
             .iter()
-            .map(|&i| {
-                let (at, seq, msg) = &h.events[i];
-                let ready = match msg.channel() {
-                    None if msg.is_timer() => {
-                        // Timers fire in deadline order: ready only when
-                        // nothing but timers remains AND this is the
-                        // earliest one.
-                        only_timers && h.events.iter().all(|(a, s, _)| (*a, *s) >= (*at, *seq))
-                    }
+            .enumerate()
+            .map(|(i, e)| {
+                let ready = match e.chan {
+                    // Timers fire in deadline order: ready only when
+                    // nothing but timers remains AND this is the
+                    // earliest one.
+                    None if e.timer => only_timers && i == 0,
                     None => true,
-                    Some(ch) => h
-                        .events
-                        .iter()
-                        .all(|(a, s, m)| m.channel() != Some(ch) || (*a, *s) >= (*at, *seq)),
+                    Some(ch) if seen.contains(&ch) => false,
+                    Some(ch) => {
+                        seen.push(ch);
+                        true
+                    }
                 };
+                let msg = &e.msg;
                 let (node, src) = match msg {
                     BusMsg::Access { node, .. }
                     | BusMsg::Retry { node, .. }
@@ -651,22 +665,18 @@ impl MessageBus {
                     BusMsg::Recv { gather, .. } => *gather,
                     _ => None,
                 };
-                let chan = msg.channel();
-                let mut hasher = FxHasher::default();
-                chan.hash(&mut hasher);
-                msg.fold_content(&mut hasher);
                 PendingEvent {
-                    at: *at,
+                    at: e.at,
                     ready,
                     node,
                     src,
                     label: msg.label(),
                     addr,
                     txn,
-                    chan,
-                    timer: msg.is_timer(),
+                    chan: e.chan,
+                    timer: e.timer,
                     gather,
-                    content: hasher.finish(),
+                    content: e.content,
                 }
             })
             .collect()
@@ -687,39 +697,26 @@ impl MessageBus {
             .held
             .as_mut()
             .expect("pop_held() requires controlled mode");
-        if choice >= h.events.len() {
-            return None;
-        }
-        let order = Self::sorted_order(h);
-        let idx = order[choice];
-        let (at, seq) = (h.events[idx].0, h.events[idx].1);
-        if let Some(ch) = h.events[idx].2.channel() {
+        let chosen = h.events.get(choice)?;
+        // The events ahead of `choice` are exactly the earlier ones.
+        let earlier = &h.events[..choice];
+        if let Some(ch) = chosen.chan {
             assert!(
-                h.events
-                    .iter()
-                    .all(|(a, s, m)| m.channel() != Some(ch) || (*a, *s) >= (at, seq)),
+                earlier.iter().all(|e| e.chan != Some(ch)),
                 "schedule choice {choice} is not ready: an earlier event \
                  exists on its ordering channel"
             );
-        } else if h.events[idx].2.is_timer() {
+        } else if chosen.timer {
             assert!(
-                h.events
-                    .iter()
-                    .all(|(a, s, m)| m.is_timer() && (*a, *s) >= (at, seq)),
+                earlier.is_empty() && h.events.iter().all(|e| e.timer),
                 "schedule choice {choice} is not ready: timers fire in \
                  deadline order, after every deliverable event"
             );
         }
-        let (at, _, msg) = h.events.remove(idx);
+        let Held { at, msg, .. } = h.events.remove(choice);
         let fire = at.max(h.now);
         h.now = fire;
         Some((fire, msg))
-    }
-
-    fn sorted_order(h: &HeldQueue) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..h.events.len()).collect();
-        order.sort_by_key(|&i| (h.events[i].0, h.events[i].1));
-        order
     }
 
     /// Folds the held event set into a hasher in a canonical,
@@ -735,28 +732,26 @@ impl MessageBus {
             .held
             .as_ref()
             .expect("fold_held() requires controlled mode");
-        // (channel sort key, at, seq, index): groups events by channel
-        // and keeps the in-channel delivery order.
-        type ChannelRank = ((u8, u16, u16), SimTime, u64, usize);
-        let mut order: Vec<ChannelRank> = held
+        // (channel sort key, index): groups events by channel; the held
+        // set is in firing order, so the index keeps each channel's
+        // delivery order.
+        let mut order: Vec<((u8, u16, u16), usize)> = held
             .events
             .iter()
             .enumerate()
-            .map(|(i, (at, seq, msg))| {
-                let key = msg.channel().map_or((3, 0, 0), |c| c.sort_key());
-                (key, *at, *seq, i)
-            })
+            .map(|(i, e)| (e.chan.map_or((3, 0, 0), |c| c.sort_key()), i))
             .collect();
-        order.sort();
+        order.sort_unstable();
         held.events.len().hash(h);
         let mut timers = Vec::new();
         let mut unordered = Vec::new();
-        for (key, _, _, i) in order {
-            let msg = &held.events[i].2;
+        for (key, i) in order {
+            let e = &held.events[i];
+            let msg = &e.msg;
             if key.0 == 3 {
                 let mut hh = FxHasher::default();
                 msg.fold_content(&mut hh);
-                if msg.is_timer() {
+                if e.timer {
                     // Timers fire in deadline order: their (at, seq) rank
                     // is behavior, keep it.
                     timers.push(hh.finish());
@@ -1022,9 +1017,23 @@ impl MessageBus {
     fn enqueue(&mut self, at: SimTime, msg: BusMsg) {
         match &mut self.held {
             Some(h) => {
-                let seq = h.seq;
-                h.seq += 1;
-                h.events.push((at, seq, msg));
+                let chan = msg.channel();
+                let mut hasher = FxHasher::default();
+                chan.hash(&mut hasher);
+                msg.fold_content(&mut hasher);
+                // After every event due at or before `at`: ties keep
+                // insertion order.
+                let pos = h.events.partition_point(|e| e.at <= at);
+                h.events.insert(
+                    pos,
+                    Held {
+                        at,
+                        chan,
+                        timer: msg.is_timer(),
+                        content: hasher.finish(),
+                        msg,
+                    },
+                );
             }
             None => self.queue.schedule_at(at, msg),
         }
@@ -1411,5 +1420,295 @@ impl MessageBus {
                 seq,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::ReqKind;
+
+    /// The scheduler the sorted held queue replaced, kept as the
+    /// reference it must match: events in insertion order, re-sorted on
+    /// every call, readiness decided by an all-pairs scan.
+    #[derive(Default)]
+    struct Reference {
+        events: Vec<(SimTime, u64, BusMsg)>,
+        seq: u64,
+        now: SimTime,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, at: SimTime, msg: BusMsg) {
+            self.events.push((at, self.seq, msg));
+            self.seq += 1;
+        }
+
+        fn sorted_order(&self) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..self.events.len()).collect();
+            order.sort_by_key(|&i| (self.events[i].0, self.events[i].1));
+            order
+        }
+
+        /// (scheduled time, ready, content digest) per choice index.
+        fn pending(&self) -> Vec<(SimTime, bool, u64)> {
+            let only_timers = self.events.iter().all(|(_, _, m)| m.is_timer());
+            self.sorted_order()
+                .into_iter()
+                .map(|i| {
+                    let (at, seq, msg) = &self.events[i];
+                    let ready = match msg.channel() {
+                        None if msg.is_timer() => {
+                            only_timers
+                                && self.events.iter().all(|(a, s, _)| (*a, *s) >= (*at, *seq))
+                        }
+                        None => true,
+                        Some(ch) => self
+                            .events
+                            .iter()
+                            .all(|(a, s, m)| m.channel() != Some(ch) || (*a, *s) >= (*at, *seq)),
+                    };
+                    let mut hasher = FxHasher::default();
+                    msg.channel().hash(&mut hasher);
+                    msg.fold_content(&mut hasher);
+                    (*at, ready, hasher.finish())
+                })
+                .collect()
+        }
+
+        fn pop(&mut self, choice: usize) -> (SimTime, BusMsg) {
+            let idx = self.sorted_order()[choice];
+            let (at, _, msg) = self.events.remove(idx);
+            let fire = at.max(self.now);
+            self.now = fire;
+            (fire, msg)
+        }
+
+        /// The held-set part of `MessageBus::fold_held`, over the
+        /// insertion-ordered events, followed by the same fabric and
+        /// gather tail.
+        fn fold_held(&self, bus: &MessageBus, h: &mut impl Hasher) {
+            type ChannelRank = ((u8, u16, u16), SimTime, u64, usize);
+            let mut order: Vec<ChannelRank> = self
+                .events
+                .iter()
+                .enumerate()
+                .map(|(i, (at, seq, msg))| {
+                    let key = msg.channel().map_or((3, 0, 0), |c| c.sort_key());
+                    (key, *at, *seq, i)
+                })
+                .collect();
+            order.sort();
+            self.events.len().hash(h);
+            let mut timers = Vec::new();
+            let mut unordered = Vec::new();
+            for (key, _, _, i) in order {
+                let msg = &self.events[i].2;
+                if key.0 == 3 {
+                    let mut hh = FxHasher::default();
+                    msg.fold_content(&mut hh);
+                    if msg.is_timer() {
+                        timers.push(hh.finish());
+                    } else {
+                        unordered.push(hh.finish());
+                    }
+                } else {
+                    key.hash(h);
+                    msg.fold_content(h);
+                }
+            }
+            unordered.sort_unstable();
+            for d in unordered {
+                d.hash(h);
+            }
+            for (rank, d) in timers.iter().enumerate() {
+                (rank, d).hash(h);
+            }
+            bus.fabric.fold_gathers(h, |p, h| (**p).hash(h));
+            Vec::<(GatherId, Vec<NodeId>)>::new().hash(h);
+        }
+    }
+
+    fn controlled_bus(nodes: u16) -> MessageBus {
+        let mut bus = MessageBus::new(
+            SystemSize::new(nodes).expect("valid size"),
+            NetParams::default(),
+        );
+        bus.enable_controlled();
+        bus
+    }
+
+    /// A random event over three nodes: every channel kind (wire, local,
+    /// processor), every timer kind, and the always-ready retries,
+    /// markers and bulk deliveries.
+    fn random_msg(rng: &mut SplitMix64) -> BusMsg {
+        let mut node = || NodeId::new(rng.next_below(3) as u16);
+        let (a, b) = (node(), node());
+        let txn = rng.next_below(4);
+        let addr = Addr::new(NodeId::new(rng.next_below(2) as u16), 0);
+        match rng.next_below(11) {
+            0 => BusMsg::Access {
+                node: a,
+                op: if txn.is_multiple_of(2) {
+                    MemOp::Load
+                } else {
+                    MemOp::Store
+                },
+                addr,
+                txn,
+            },
+            // Recv with src == dst rides the local channel.
+            1 | 2 => BusMsg::Recv {
+                dst: a,
+                src: b,
+                msg: ProtoMsg::Request {
+                    kind: ReqKind::ReadShared,
+                    addr,
+                    master: b,
+                    txn,
+                    value: 0,
+                },
+                gather: None,
+                seq: Some(txn),
+            },
+            3 => BusMsg::Recv {
+                dst: a,
+                src: b,
+                msg: ProtoMsg::WriteBack {
+                    addr,
+                    from: b,
+                    value: txn,
+                },
+                gather: Some(txn),
+                seq: None,
+            },
+            4 => BusMsg::Retry { node: a, txn },
+            5 => BusMsg::Marker(txn),
+            6 => BusMsg::MpDeliver {
+                to: a,
+                from: b,
+                tag: txn,
+                bytes: 64,
+                sent: SimTime::ZERO,
+            },
+            7 => BusMsg::LinkTimer { src: a, dst: b },
+            8 => BusMsg::GatherTimer { home: a, id: txn },
+            9 => BusMsg::TxnTimer { node: a, txn },
+            _ => {
+                if txn.is_multiple_of(2) {
+                    BusMsg::ProbeTimer { node: a }
+                } else {
+                    BusMsg::RejoinTimer { node: a }
+                }
+            }
+        }
+    }
+
+    fn fingerprint(fold: impl FnOnce(&mut FxHasher)) -> u64 {
+        let mut h = FxHasher::default();
+        fold(&mut h);
+        h.finish()
+    }
+
+    /// Asserts the bus and the reference agree on the whole held set.
+    fn assert_agree(bus: &MessageBus, reference: &Reference) {
+        let got: Vec<(SimTime, bool, u64)> = bus
+            .pending()
+            .iter()
+            .map(|e| (e.at, e.ready, e.content))
+            .collect();
+        assert_eq!(got, reference.pending());
+        assert_eq!(
+            fingerprint(|h| bus.fold_held(h)),
+            fingerprint(|h| reference.fold_held(bus, h))
+        );
+    }
+
+    #[test]
+    fn sorted_held_queue_matches_the_all_pairs_reference() {
+        for seed in 0..64u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut bus = controlled_bus(3);
+            let mut reference = Reference::default();
+            let mut fired = 0;
+            // Mixed scheduling and firing, then a full drain (which
+            // passes through timer-only held sets).
+            for step in 0..400 {
+                let schedule = step < 250 && (reference.events.is_empty() || rng.next_below(5) < 3);
+                if schedule {
+                    // Few distinct times, so ties in `at` are common.
+                    let at = SimTime::from_ns(rng.next_below(6) * 100);
+                    let msg = random_msg(&mut rng);
+                    bus.schedule(at, msg.clone());
+                    reference.schedule(at, msg);
+                } else if reference.events.is_empty() {
+                    break;
+                } else {
+                    let pend = reference.pending();
+                    let ready: Vec<usize> = (0..pend.len()).filter(|&i| pend[i].1).collect();
+                    assert!(!ready.is_empty(), "a non-empty held set has a ready event");
+                    let choice = ready[rng.next_below(ready.len() as u64) as usize];
+                    let (at, msg) = bus.pop_held(choice).expect("choice in range");
+                    let (want_at, want_msg) = reference.pop(choice);
+                    assert_eq!(at, want_at);
+                    assert_eq!(format!("{msg:?}"), format!("{want_msg:?}"));
+                    fired += 1;
+                }
+                assert_agree(&bus, &reference);
+            }
+            assert!(reference.events.is_empty(), "seed {seed} did not drain");
+            assert!(fired > 100, "seed {seed} fired only {fired} events");
+            assert!(bus.pop_held(0).is_none());
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "schedule choice 2 is not ready: an earlier event exists on its ordering channel"
+    )]
+    fn firing_behind_an_earlier_channel_event_panics() {
+        let mut bus = controlled_bus(2);
+        // An always-ready retry, then two accesses on node 1's processor
+        // channel: the later access is not ready.
+        bus.schedule(
+            SimTime::ZERO,
+            BusMsg::Retry {
+                node: NodeId::new(0),
+                txn: 0,
+            },
+        );
+        let access = |txn| BusMsg::Access {
+            node: NodeId::new(1),
+            op: MemOp::Load,
+            addr: Addr::new(NodeId::new(0), 0),
+            txn,
+        };
+        bus.schedule(SimTime::from_ns(10), access(1));
+        bus.schedule(SimTime::from_ns(10), access(2));
+        assert!(!bus.pending()[2].ready);
+        bus.pop_held(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "timers fire in deadline order, after every deliverable event")]
+    fn firing_a_timer_while_a_deliverable_event_is_parked_panics() {
+        let mut bus = controlled_bus(2);
+        // The timer is the earliest event, but a retry is still parked.
+        bus.schedule(
+            SimTime::ZERO,
+            BusMsg::TxnTimer {
+                node: NodeId::new(0),
+                txn: 0,
+            },
+        );
+        bus.schedule(
+            SimTime::from_ns(100),
+            BusMsg::Retry {
+                node: NodeId::new(1),
+                txn: 1,
+            },
+        );
+        assert!(!bus.pending()[0].ready);
+        bus.pop_held(0);
     }
 }

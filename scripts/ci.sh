@@ -26,8 +26,25 @@ check_smoke() {
     # A capped random walk over a larger scenario.
     "$check" random --nodes 3 --blocks 2 --ops 2 --seed 1 --walks 200 \
         --max-seconds 30
-    # Every fault-injection mutant must be killed (counterexample found).
-    "$check" mutants --nodes 2 --blocks 1 --ops 2 --max-seconds 120
+    # The check-walks benchmark scenario: seeded walks over the lossy
+    # recovery configuration, timers and retransmissions included.
+    local walks_out
+    walks_out="$("$check" random --nodes 3 --blocks 2 --ops 2 --recovery on \
+        --drop-rate 100 --fault-seed 1 --seed 1 --walks 4000 --max-seconds 120)"
+    echo "$walks_out"
+    echo "$walks_out" | grep -q "all oracles green over 4000 schedules" || {
+        echo "FAIL: lossy recovery walks not green over 4000 schedules"
+        exit 1
+    }
+    # Every fault-injection mutant must be killed (counterexample found),
+    # byte-identically to the committed golden: the shrunk schedules pin
+    # the controlled scheduler's choice-index order.
+    local golden=crates/check/tests/golden mutants_out
+    mutants_out="$("$check" mutants --nodes 2 --blocks 1 --ops 2 --max-seconds 120)"
+    diff -u "$golden/mutants.txt" <(printf '%s\n' "$mutants_out") || {
+        echo "FAIL: mutant gauntlet output drifted from $golden/mutants.txt"
+        exit 1
+    }
     # Reduced-exhaustive at 4 nodes: DPOR + state dedup make the 4-node
     # space tractable. The unique-state count is pinned like the 9298
     # schedule pin in crates/check/tests/checker.rs — a drift means the
@@ -63,8 +80,12 @@ check_smoke() {
         exit 1
     }
     # The mutant gauntlet again, through the reduced/parallel explorers.
-    "$check" mutants --nodes 2 --blocks 1 --ops 2 --explorer reduced \
-        --max-seconds 120
+    mutants_out="$("$check" mutants --nodes 2 --blocks 1 --ops 2 \
+        --explorer reduced --max-seconds 120)"
+    diff -u "$golden/mutants_reduced.txt" <(printf '%s\n' "$mutants_out") || {
+        echo "FAIL: reduced mutant gauntlet drifted from $golden/mutants_reduced.txt"
+        exit 1
+    }
     # DPOR soundness: reduction preserves the falsifiable-oracle set for
     # every (protocol, directory) pair, green and mutated.
     cargo test --release --offline -q -p cenju4-check --test dpor_soundness
