@@ -6,9 +6,7 @@
 //!
 //! `--trace-out trace.json` additionally replays the figure's golden
 //! scenario with span tracing and writes a Chrome `trace_event` file;
-//! `--metrics-out metrics.txt` dumps its latency histograms and counters;
-//! `--workers N` runs every engine on N parallel workers (results are
-//! identical — only wall-clock changes).
+//! `--metrics-out metrics.txt` dumps its latency histograms and counters.
 
 use cenju4::prelude::*;
 use cenju4_bench::paper::{FIG10_MULTICAST_1024, FIG10_SINGLECAST_1024};
@@ -17,16 +15,8 @@ use cenju4_bench::ObsArgs;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs = ObsArgs::parse();
     for nodes in [16u16, 128, 1024] {
-        // --workers spreads each probe engine over parallel workers; the
-        // singlecast ablation is ineligible (emulated multicast) and
-        // falls back to the sequential loop with identical results.
-        let with_mc = SystemConfig::builder(nodes)
-            .parallel(obs.parallel())
-            .build()?;
-        let without = SystemConfig::builder(nodes)
-            .parallel(obs.parallel())
-            .without_multicast()
-            .build()?;
+        let with_mc = SystemConfig::new(nodes)?;
+        let without = with_mc.without_multicast();
         println!(
             "store latency on {nodes} nodes ({} stages):",
             with_mc.sys.stages()
@@ -62,13 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    let big = SystemConfig::builder(1024)
-        .parallel(obs.parallel())
-        .build()?;
-    let big_sc = SystemConfig::builder(1024)
-        .parallel(obs.parallel())
-        .without_multicast()
-        .build()?;
+    let big = SystemConfig::new(1024)?;
+    let big_sc = big.without_multicast();
     let a = probes::store_latency(&big, 1024).as_ns() as f64;
     let b = probes::store_latency(&big_sc, 1024).as_ns() as f64;
     println!("paper's 1024-sharer estimates:");
@@ -85,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("them it grows linearly with the sharers (NIC serialization).");
 
     if obs.active() {
-        let run = cenju4_bench::traced::fig10_run(obs.workers);
+        let run = cenju4_bench::traced::fig10_run();
         obs.write(run.collector())?;
     }
     Ok(())

@@ -7,8 +7,7 @@
 //! `--trace-out trace.json` additionally replays the figure's golden
 //! mixed-workload scenario with span tracing and writes a Chrome
 //! `trace_event` file; `--metrics-out metrics.txt` dumps its latency
-//! histograms and counters; `--workers N` runs every engine on N
-//! parallel workers (speedups are identical — only wall-clock changes).
+//! histograms and counters.
 
 use cenju4::prelude::*;
 use cenju4::workloads::runner;
@@ -28,8 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!("{:>4}:", app.name());
         // One sweep worker per machine size; results come back in
         // `counts` order regardless of the thread count.
-        let speedups =
-            runner::speedups_parallel(app, Variant::Dsm2, true, &counts, scale, obs.parallel())?;
+        let speedups = runner::speedups(app, Variant::Dsm2, true, &counts, scale)?;
         for (&n, s) in counts.iter().zip(&speedups) {
             print!("  {n}n={s:.1}x");
         }
@@ -45,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("its node count (the whole-vector re-read pattern of Section 4.2.3).");
 
     if obs.active() {
-        let run = cenju4_bench::traced::fig12_run(obs.workers);
+        let run = cenju4_bench::traced::fig12_run();
         obs.write(run.collector())?;
     }
     Ok(())

@@ -59,14 +59,14 @@ fn check(name: &str, run: &TracedRun) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs = ObsArgs::parse();
 
-    let f10 = fig10_run(obs.workers);
+    let f10 = fig10_run();
     check("fig10", &f10);
 
-    let f12 = fig12_run(obs.workers);
+    let f12 = fig12_run();
     check("fig12", &f12);
 
     // Percentiles are a pure function of the deterministic schedule.
-    let again = fig12_run(obs.workers);
+    let again = fig12_run();
     for class in ["hit", "load-miss", "store-miss", "upgrade"] {
         assert_eq!(
             f12.collector().metrics().latency_summary(class),

@@ -25,33 +25,17 @@
 //! a shared (virtualized) host a steal-time burst can slow an entire
 //! sample batch while a real code regression reproduces immediately.
 //!
-//! A fourth scenario, **scaling**, measures the conservative-parallel
-//! executor: every node issues an independent burst of accesses at
-//! t = 0 on a 256- and a 1024-node machine, and the same run is timed at
-//! workers = 1, 2, 4, 8. The simulated results are bit-identical at
-//! every worker count (guarded by `tests/parallel_determinism.rs`); the
-//! figure of merit is wall-clock speedup over the one-worker run.
-//!
 //! Modes:
 //!
 //! * default — run all scenarios, print a table, and write
 //!   `BENCH_hotpath.json` with the pre-optimization baseline medians
 //!   (captured on the same machine before the hot path was flattened)
-//!   alongside the fresh numbers and the scaling sweep.
+//!   alongside the fresh numbers.
 //! * `--check <baseline.json>` — re-run and exit non-zero if any
 //!   scenario's median regresses more than 25% against the checked-in
-//!   JSON. Used by the `perf-smoke` CI tier. The scaling sweep is
-//!   excluded (speedup depends on the host's core count).
+//!   JSON. Used by the `perf-smoke` CI tier.
 //! * `--quick` — 3 samples instead of 5 (same scenario sizes, so the
 //!   medians stay comparable to the checked-in baseline).
-//! * `--workers N` — run the three hot-path scenarios on N workers
-//!   (default 1; their issue-and-drain shape keeps the event queue
-//!   sparse, so this mostly exercises the sequential fallback).
-//! * `--scaling-smoke` — run only the 256-node scaling scenario at
-//!   workers 1 and 4 and exit non-zero unless 4 workers achieve at
-//!   least 1.5x. Skips (successfully) when the host exposes fewer than
-//!   4 cores, where a wall-clock guard is meaningless. Used by the
-//!   `scaling-smoke` CI tier.
 //!
 //! Run with: `cargo run --release -p cenju4-bench --bin perf`
 
@@ -71,23 +55,12 @@ const BEFORE_MEDIAN_NS: [(&str, u64); 3] = [
 /// fails (25%, per the perf-smoke CI contract).
 const REGRESSION_LIMIT: f64 = 1.25;
 
-/// Worker counts the scaling sweep times.
-const SCALING_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Minimum wall-clock speedup 4 workers must achieve over 1 worker on
-/// the 256-node scaling scenario (the `scaling-smoke` CI contract).
-const SCALING_SMOKE_LIMIT: f64 = 1.5;
-
 /// Runs rounds of mixed loads/stores on a 128-node machine; returns the
 /// number of completed accesses.
-fn protocol_txn(workers: usize) -> u64 {
+fn protocol_txn() -> u64 {
     const NODES: u16 = 128;
     const ROUNDS: u32 = 24;
-    let cfg = SystemConfig::builder(NODES)
-        .parallel(ParallelConfig::with_workers(workers))
-        .build()
-        .expect("valid nodes");
-    let mut eng = cfg.build();
+    let mut eng = SystemConfig::new(NODES).expect("valid nodes").build();
     let mut completed = 0u64;
     for r in 0..ROUNDS {
         for n in 0..NODES {
@@ -114,15 +87,11 @@ fn protocol_txn(workers: usize) -> u64 {
 /// Repeatedly warms a 32-sharer set and stores through it on a 64-node
 /// machine; every store is a 32-way multicast invalidation plus a
 /// combining-tree gather of the acks.
-fn multicast_storm(workers: usize) -> u64 {
+fn multicast_storm() -> u64 {
     const NODES: u16 = 64;
     const SHARERS: u16 = 32;
     const ROUNDS: u32 = 20;
-    let cfg = SystemConfig::builder(NODES)
-        .parallel(ParallelConfig::with_workers(workers))
-        .build()
-        .expect("valid nodes");
-    let mut eng = cfg.build();
+    let mut eng = SystemConfig::new(NODES).expect("valid nodes").build();
     let a = Addr::new(NodeId::new(0), 1);
     let mut completed = 0u64;
     let mut drain = |eng: &mut Engine| {
@@ -153,7 +122,7 @@ fn multicast_storm(workers: usize) -> u64 {
 /// Mixed workload on an 8-node machine with the recovery layer armed
 /// against a lossy fabric; exercises retransmission, gather re-issue and
 /// dedup. Panics if recovery ever gives up.
-fn recovery_soak(workers: usize) -> u64 {
+fn recovery_soak() -> u64 {
     const NODES: u16 = 8;
     const ROUNDS: u32 = 64;
     let plan = FaultPlan {
@@ -164,10 +133,7 @@ fn recovery_soak(workers: usize) -> u64 {
         max_delay_ns: 400,
         ..FaultPlan::default()
     };
-    // Armed runs are ineligible for parallel windows; the workers knob
-    // still flows through so the fallback is what gets measured.
     let cfg = SystemConfig::builder(NODES)
-        .parallel(ParallelConfig::with_workers(workers))
         .recovery(RecoveryParams::default())
         .fault_plan(plan)
         .build()
@@ -202,46 +168,6 @@ fn recovery_soak(workers: usize) -> u64 {
     completed
 }
 
-/// The `scaling` scenario: every node issues an independent burst of
-/// accesses at t = 0 — mostly to blocks homed on the issuing node
-/// (shard-local coherence traffic the workers handle without crossing
-/// shards), with every eighth access hitting the right neighbor's hot
-/// block so windows still carry cross-shard fabric traffic. The event
-/// queue is dense from the first event, so the run executes almost
-/// entirely inside conservative-parallel windows.
-fn scaling_workload(nodes: u16, workers: usize) -> u64 {
-    const OPS_PER_NODE: u32 = 32;
-    let cfg = SystemConfig::builder(nodes)
-        .parallel(ParallelConfig::with_workers(workers))
-        .build()
-        .expect("valid nodes");
-    let mut eng = cfg.build();
-    let mut rng = SplitMix64::new(0x5CA1E + nodes as u64);
-    for n in 0..nodes {
-        for k in 0..OPS_PER_NODE {
-            let a = if k % 8 == 7 {
-                Addr::new(NodeId::new((n + 1) % nodes), 1)
-            } else {
-                Addr::new(NodeId::new(n), 2 + k % 4)
-            };
-            let op = if rng.next_below(3) == 0 {
-                MemOp::Load
-            } else {
-                MemOp::Store
-            };
-            eng.issue(SimTime::ZERO, NodeId::new(n), op, a);
-        }
-    }
-    let mut completed = 0u64;
-    for note in eng.run() {
-        if matches!(note, Notification::Completed { .. }) {
-            completed += 1;
-        }
-    }
-    assert_eq!(eng.outstanding_txn_count(), 0, "accesses left outstanding");
-    completed
-}
-
 /// One measured scenario.
 struct Measured {
     name: &'static str,
@@ -250,14 +176,14 @@ struct Measured {
     throughput: f64,
 }
 
-/// Times `samples` runs of `f(workers)` (after one warmup) and returns
-/// the median wall-clock ns plus the (deterministic) op count.
-fn measure(name: &'static str, samples: usize, f: fn(usize) -> u64, workers: usize) -> Measured {
-    let ops = f(workers); // warmup; also pins the deterministic op count
+/// Times `samples` runs of `f` (after one warmup) and returns the
+/// median wall-clock ns plus the (deterministic) op count.
+fn measure(name: &'static str, samples: usize, f: fn() -> u64) -> Measured {
+    let ops = f(); // warmup; also pins the deterministic op count
     let mut times: Vec<u64> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
-            let got = f(workers);
+            let got = f();
             let dt = t0.elapsed().as_nanos() as u64;
             assert_eq!(got, ops, "{name}: op count varied between samples");
             dt
@@ -273,88 +199,12 @@ fn measure(name: &'static str, samples: usize, f: fn(usize) -> u64, workers: usi
     }
 }
 
-/// One timed worker count of the scaling sweep.
-struct ScalePoint {
-    workers: usize,
-    median_ns: u64,
-    throughput: f64,
-    /// Wall-clock speedup over the one-worker median of the same sweep.
-    speedup: f64,
-}
-
-/// Times the scaling scenario on `nodes` nodes at each worker count in
-/// [`SCALING_WORKERS`]; median of `samples` runs per point. Also asserts
-/// the completed-op count never varies with the worker count.
-fn measure_scaling(nodes: u16, samples: usize) -> (u64, Vec<ScalePoint>) {
-    let ops = scaling_workload(nodes, 1); // warmup; pins the op count
-    let mut base_ns = 0u64;
-    let points = SCALING_WORKERS
-        .iter()
-        .map(|&w| {
-            let mut times: Vec<u64> = (0..samples)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let got = scaling_workload(nodes, w);
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    assert_eq!(got, ops, "scaling({nodes}): ops varied at workers={w}");
-                    dt
-                })
-                .collect();
-            times.sort_unstable();
-            let median_ns = times[times.len() / 2];
-            if w == 1 {
-                base_ns = median_ns;
-            }
-            ScalePoint {
-                workers: w,
-                median_ns,
-                throughput: ops as f64 / (median_ns as f64 / 1e9),
-                speedup: base_ns as f64 / median_ns as f64,
-            }
-        })
-        .collect();
-    (ops, points)
-}
-
-/// CPUs the host actually exposes to this process. Speedup numbers are
-/// only meaningful up to this count; the scaling-smoke guard skips
-/// entirely below 4.
+/// CPUs the host actually exposes to this process, recorded next to
+/// the wall-clock medians.
 fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Runs the scaling sweep at both machine sizes, prints the table, and
-/// returns the rows for the JSON export.
-fn run_scaling(samples: usize) -> Vec<(u16, u64, Vec<ScalePoint>)> {
-    println!(
-        "\nscaling: dense t=0 burst, speedup vs one worker ({samples} samples, median, \
-         host exposes {} core(s)):",
-        host_cores()
-    );
-    println!(
-        "{:>8}  {:>8}  {:>8}  {:>12}  {:>14}  {:>8}",
-        "nodes", "ops", "workers", "median (ms)", "ops/sec", "speedup"
-    );
-    [256u16, 1024]
-        .into_iter()
-        .map(|nodes| {
-            let (ops, points) = measure_scaling(nodes, samples);
-            for p in &points {
-                println!(
-                    "{:>8}  {:>8}  {:>8}  {:>12.2}  {:>14.0}  {:>7.2}x",
-                    nodes,
-                    ops,
-                    p.workers,
-                    p.median_ns as f64 / 1e6,
-                    p.throughput,
-                    p.speedup
-                );
-            }
-            (nodes, ops, points)
-        })
-        .collect()
 }
 
 /// Extracts `"median_ns": <n>` for scenario `name` from a baseline JSON
@@ -375,41 +225,24 @@ fn baseline_median(json: &str, name: &str) -> Option<u64> {
 fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let mut samples = 9usize;
     let mut check: Option<String> = None;
-    let mut workers = 1usize;
-    let mut scaling_smoke = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => samples = 3,
             "--check" => check = Some(args.next().expect("--check needs a path")),
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers needs a number");
-                assert!(workers > 0, "--workers must be >= 1");
-            }
-            "--scaling-smoke" => scaling_smoke = true,
             other => {
-                panic!(
-                    "unknown argument {other}; usage: perf [--quick] [--workers N] \
-                     [--check <baseline.json>] [--scaling-smoke]"
-                )
+                panic!("unknown argument {other}; usage: perf [--quick] [--check <baseline.json>]")
             }
         }
     }
 
-    if scaling_smoke {
-        return run_scaling_smoke();
-    }
-
-    type Scenario = (&'static str, fn(usize) -> u64);
+    type Scenario = (&'static str, fn() -> u64);
     let scenarios: [Scenario; 3] = [
         ("protocol-txn", protocol_txn),
         ("multicast-storm", multicast_storm),
         ("recovery-soak", recovery_soak),
     ];
-    let scenario_fn = |name: &str| -> fn(usize) -> u64 {
+    let scenario_fn = |name: &str| -> fn() -> u64 {
         scenarios
             .iter()
             .find(|&&(n, _)| n == name)
@@ -417,7 +250,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
             .expect("unknown scenario")
     };
 
-    println!("hot-path perf suite ({samples} samples, median, {workers} worker(s)):");
+    println!("hot-path perf suite ({samples} samples, median):");
     println!(
         "{:>16}  {:>8}  {:>12}  {:>14}",
         "scenario", "ops", "median (ms)", "ops/sec"
@@ -425,7 +258,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let results: Vec<Measured> = scenarios
         .iter()
         .map(|&(name, f)| {
-            let r = measure(name, samples, f, workers);
+            let r = measure(name, samples, f);
             println!(
                 "{:>16}  {:>8}  {:>12.2}  {:>14.0}",
                 r.name,
@@ -451,7 +284,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
                 // One re-measure before failing: on shared CI hosts a
                 // noisy-neighbor burst can inflate a whole sample batch,
                 // and a genuine code regression reproduces immediately.
-                let again = measure(r.name, samples, scenario_fn(r.name), workers);
+                let again = measure(r.name, samples, scenario_fn(r.name));
                 median_ns = median_ns.min(again.median_ns);
                 ratio = median_ns as f64 / base as f64;
             }
@@ -474,10 +307,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    // Full mode: run the scaling sweep, then write BENCH_hotpath.json
-    // with before/after medians plus the speedup-vs-workers table.
-    let scaling = run_scaling(samples.min(3));
-
+    // Full mode: write BENCH_hotpath.json with before/after medians.
     let mut json = String::from("{\n  \"bench\": \"hotpath\",\n");
     json.push_str(&format!("  \"samples\": {samples},\n  \"scenarios\": [\n"));
     for (i, r) in results.iter().enumerate() {
@@ -503,85 +333,8 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
             if i + 1 == results.len() { "" } else { "," },
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"host_cores\": {},\n  \"scaling\": [\n",
-        host_cores()
-    ));
-    for (i, (nodes, ops, points)) in scaling.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"nodes\": {nodes}, \"ops\": {ops}, \"points\": ["
-        ));
-        for (j, p) in points.iter().enumerate() {
-            json.push_str(&format!(
-                "{}{{\"workers\": {}, \"median_ns\": {}, \"throughput_ops_per_s\": {:.0}, \
-                 \"speedup_vs_one_worker\": {:.2}}}",
-                if j == 0 { "" } else { ", " },
-                p.workers,
-                p.median_ns,
-                p.throughput,
-                p.speedup,
-            ));
-        }
-        json.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 == scaling.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    json.push_str(&format!("  ],\n  \"host_cores\": {}\n}}\n", host_cores()));
     std::fs::write("BENCH_hotpath.json", &json)?;
     println!("\nwrote BENCH_hotpath.json");
-    Ok(())
-}
-
-/// The `scaling-smoke` CI guard: 256-node scaling scenario at workers 1
-/// and 4 only, with one re-measure before failing (same noisy-host
-/// rationale as `--check`).
-fn run_scaling_smoke() -> std::result::Result<(), Box<dyn std::error::Error>> {
-    const NODES: u16 = 256;
-    let cores = host_cores();
-    if cores < 4 {
-        // A wall-clock speedup guard is meaningless when the workers
-        // timeslice fewer cores than the worker count; bit-identity at
-        // every worker count is still enforced by the golden check that
-        // runs alongside this guard in the scaling-smoke tier.
-        println!("scaling-smoke: skipped — host exposes {cores} core(s), guard needs >= 4");
-        return Ok(());
-    }
-    let smoke = |samples: usize| -> f64 {
-        let ops = scaling_workload(NODES, 1);
-        let time = |w: usize, samples: usize| -> u64 {
-            let mut times: Vec<u64> = (0..samples)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let got = scaling_workload(NODES, w);
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    assert_eq!(got, ops, "scaling-smoke: ops varied at workers={w}");
-                    dt
-                })
-                .collect();
-            times.sort_unstable();
-            times[times.len() / 2]
-        };
-        let base = time(1, samples);
-        let par = time(4, samples);
-        let speedup = base as f64 / par as f64;
-        println!(
-            "scaling-smoke: {NODES} nodes, {ops} ops — workers=1 {:.2} ms, workers=4 {:.2} ms, \
-             speedup {speedup:.2}x (need >= {SCALING_SMOKE_LIMIT}x)",
-            base as f64 / 1e6,
-            par as f64 / 1e6,
-        );
-        speedup
-    };
-    let mut speedup = smoke(3);
-    if speedup < SCALING_SMOKE_LIMIT {
-        println!("scaling-smoke: below the bar, re-measuring once");
-        speedup = speedup.max(smoke(3));
-    }
-    if speedup < SCALING_SMOKE_LIMIT {
-        eprintln!("scaling-smoke: 4 workers below {SCALING_SMOKE_LIMIT}x over 1 worker");
-        std::process::exit(1);
-    }
-    println!("scaling-smoke: ok");
     Ok(())
 }

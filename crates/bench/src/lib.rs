@@ -11,29 +11,15 @@ pub mod traced;
 /// Flags shared by the figure binaries: `--trace-out PATH` writes a
 /// Chrome `trace_event` JSON of the figure's golden scenario,
 /// `--metrics-out PATH` writes the collected histograms and counters
-/// (JSON when the path ends in `.json`, flat text otherwise), and
-/// `--workers N` runs every engine the binary builds on `N` parallel
-/// workers (simulated results and exported artifacts are worker-count
-/// invariant; only wall-clock changes). All accept `--flag VALUE` and
-/// `--flag=VALUE` forms and coexist with the positional scale argument.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// (JSON when the path ends in `.json`, flat text otherwise). Both
+/// accept `--flag VALUE` and `--flag=VALUE` forms and coexist with the
+/// positional scale argument.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsArgs {
     /// Destination for the Chrome trace, if requested.
     pub trace_out: Option<String>,
     /// Destination for the metrics dump, if requested.
     pub metrics_out: Option<String>,
-    /// Worker count for every engine the binary runs (default 1).
-    pub workers: usize,
-}
-
-impl Default for ObsArgs {
-    fn default() -> Self {
-        ObsArgs {
-            trace_out: None,
-            metrics_out: None,
-            workers: 1,
-        }
-    }
 }
 
 impl ObsArgs {
@@ -41,8 +27,8 @@ impl ObsArgs {
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on a flag without a value, an unknown
-    /// `--` flag, or a non-positive `--workers` count.
+    /// Panics with a usage message on a flag without a value or an
+    /// unknown `--` flag.
     pub fn parse() -> Self {
         let mut out = ObsArgs::default();
         let mut args = std::env::args().skip(1);
@@ -58,21 +44,10 @@ impl ObsArgs {
             match name.as_str() {
                 "trace-out" => out.trace_out = Some(value),
                 "metrics-out" => out.metrics_out = Some(value),
-                "workers" => {
-                    out.workers = value
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--workers needs a number, got {value:?}"));
-                    assert!(out.workers > 0, "--workers must be >= 1");
-                }
-                _ => panic!("unknown flag --{name}; known: --trace-out, --metrics-out, --workers"),
+                _ => panic!("unknown flag --{name}; known: --trace-out, --metrics-out"),
             }
         }
         out
-    }
-
-    /// The parallel-execution configuration the flags request.
-    pub fn parallel(&self) -> cenju4::prelude::ParallelConfig {
-        cenju4::prelude::ParallelConfig::with_workers(self.workers)
     }
 
     /// Whether any artifact was requested.

@@ -29,11 +29,8 @@ impl TracedRun {
     }
 }
 
-fn traced_engine(nodes: u16, workers: usize) -> Engine {
-    let cfg = SystemConfig::builder(nodes)
-        .parallel(ParallelConfig::with_workers(workers))
-        .build()
-        .expect("valid node count");
+fn traced_engine(nodes: u16) -> Engine {
+    let cfg = SystemConfig::new(nodes).expect("valid node count");
     let sys = cfg.sys;
     let mut eng = cfg.build();
     eng.add_observer(Box::new(SpanCollector::new(sys)));
@@ -46,10 +43,9 @@ fn access(eng: &mut Engine, n: u16, op: MemOp, a: Addr) {
 }
 
 /// The Figure 10 golden scenario (16 nodes: four sharers warmed by
-/// loads, then a store from a sharer), traced, on `workers` parallel
-/// workers — the exported artifacts are worker-count invariant.
-pub fn fig10_run(workers: usize) -> TracedRun {
-    let mut eng = traced_engine(16, workers);
+/// loads, then a store from a sharer), traced.
+pub fn fig10_run() -> TracedRun {
+    let mut eng = traced_engine(16);
     let a = Addr::new(NodeId::new(0), 1);
     for s in 1..=4 {
         access(&mut eng, s, MemOp::Load, a);
@@ -59,10 +55,9 @@ pub fn fig10_run(workers: usize) -> TracedRun {
 }
 
 /// The Figure 12 golden scenario (64 nodes, seeded mixed workload of 200
-/// loads/stores over eight blocks on two homes), traced, on `workers`
-/// parallel workers — the exported artifacts are worker-count invariant.
-pub fn fig12_run(workers: usize) -> TracedRun {
-    let mut eng = traced_engine(64, workers);
+/// loads/stores over eight blocks on two homes), traced.
+pub fn fig12_run() -> TracedRun {
+    let mut eng = traced_engine(64);
     let mut rng = SplitMix64::new(0xF1612);
     let blocks: Vec<Addr> = (0..8)
         .map(|b| Addr::new(NodeId::new((b % 2) as u16), 1 + b / 2))
@@ -87,7 +82,7 @@ mod tests {
 
     #[test]
     fn fig10_every_access_has_a_complete_span() {
-        let run = fig10_run(1);
+        let run = fig10_run();
         let col = run.collector();
         assert_eq!(col.open_span_count(), 0);
         assert!(col.completed_span_count() as u64 >= run.issued);
@@ -97,7 +92,7 @@ mod tests {
 
     #[test]
     fn fig12_every_access_has_a_complete_span() {
-        let run = fig12_run(1);
+        let run = fig12_run();
         let col = run.collector();
         assert_eq!(col.open_span_count(), 0);
         assert!(col.completed_span_count() as u64 >= run.issued);
@@ -111,8 +106,8 @@ mod tests {
 
     #[test]
     fn repeated_runs_export_identical_percentiles() {
-        let a = fig12_run(1);
-        let b = fig12_run(1);
+        let a = fig12_run();
+        let b = fig12_run();
         for class in ["hit", "load-miss", "store-miss", "upgrade"] {
             assert_eq!(
                 a.collector().metrics().latency_summary(class),
@@ -123,26 +118,6 @@ mod tests {
         assert_eq!(
             a.collector().event_fingerprint(),
             b.collector().event_fingerprint()
-        );
-    }
-
-    #[test]
-    fn worker_counts_export_identical_artifacts() {
-        // The --workers flag must be invisible in everything a figure
-        // binary exports: span stream, metrics, Chrome trace.
-        let a = fig12_run(1);
-        let b = fig12_run(4);
-        assert_eq!(
-            a.collector().event_fingerprint(),
-            b.collector().event_fingerprint()
-        );
-        assert_eq!(
-            chrome_trace_json(a.collector()),
-            chrome_trace_json(b.collector())
-        );
-        assert_eq!(
-            a.collector().metrics().to_json(),
-            b.collector().metrics().to_json()
         );
     }
 }

@@ -29,14 +29,12 @@
 //! ```
 
 pub mod hash;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use parallel::ParallelConfig;
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use stats::{Histogram, HistogramSummary};

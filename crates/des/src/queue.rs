@@ -136,16 +136,6 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
     }
-
-    /// Advances the clock to `at` without popping (no-op if `at` is not
-    /// in the future). Used by the conservative-parallel executor when
-    /// it commits an event that was processed off-queue inside a
-    /// window, so that `now()` matches the sequential run exactly.
-    pub fn advance_to(&mut self, at: SimTime) {
-        if at > self.now {
-            self.now = at;
-        }
-    }
 }
 
 impl<E> core::fmt::Debug for EventQueue<E> {
@@ -230,18 +220,6 @@ mod tests {
             trace
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn advance_to_never_rewinds() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.advance_to(SimTime::from_ns(40));
-        assert_eq!(q.now(), SimTime::from_ns(40));
-        q.advance_to(SimTime::from_ns(10));
-        assert_eq!(q.now(), SimTime::from_ns(40));
-        // Scheduling respects the advanced clock.
-        q.schedule_in(Duration::from_ns(5), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(45)));
     }
 
     #[test]

@@ -263,26 +263,6 @@ impl<P: Payload> Fabric<P> {
         }
     }
 
-    /// The conservative-parallel lookahead: a lower bound on how long
-    /// *any* cross-node traversal of the fabric takes, i.e. the minimum
-    /// uncontended one-way header latency `inject + stages·hop + eject`.
-    ///
-    /// Every send path is bounded below by it: unicasts and bulk
-    /// transfers pay at least the full route (contention and data
-    /// serialization only add); hardware-multicast copies pay
-    /// `inject + multicast_setup` and then descend the whole tree, so
-    /// each copy — including self-copies — costs at least `one_way`;
-    /// gather replies either travel a full route or are absorbed at a
-    /// switch (no delivery at all). Faults never lower it either:
-    /// `Delay` adds `by_ns` on top of the computed arrival, `Duplicate`
-    /// adds a strictly later copy, and `Drop`/dead-link windows remove
-    /// deliveries — so an armed [`FaultPlan`](crate::FaultPlan) can
-    /// never make a frame arrive *earlier* than this bound (pinned by a
-    /// unit test below).
-    pub fn lookahead(&self) -> Duration {
-        self.params.one_way(self.topo.stages(), false)
-    }
-
     /// Installs a fault plan, resetting all fault decision state (per-link
     /// message counters, one-shot hit counters, pending fault events).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -1574,24 +1554,21 @@ mod tests {
         assert_eq!(f.cancel_gather(id), 3);
     }
 
-    /// The conservative-parallel horizon guard: [`Fabric::lookahead`]
-    /// must lower-bound every cross-node delivery *even with an armed
-    /// fault plan* combining dead-link windows, probabilistic delays,
-    /// duplicates, drops, and targeted one-shot delays. A violation
-    /// would mean a delayed frame could arrive behind a shard's
-    /// committed horizon and be processed out of order.
+    /// No cross-node delivery ever beats the uncontended one-way header
+    /// latency `inject + stages·hop + eject`, *even with an armed fault
+    /// plan* combining dead-link windows, probabilistic delays,
+    /// duplicates, drops, and targeted one-shot delays: unicasts and
+    /// bulk transfers pay at least the full route, hardware-multicast
+    /// copies descend the whole tree, gather replies either travel a
+    /// full route or are absorbed at a switch, and faults only add
+    /// delay or remove deliveries.
     #[test]
-    fn lookahead_bounds_all_deliveries_under_faults() {
+    fn deliveries_never_beat_one_way_latency_under_faults() {
         use cenju4_des::SplitMix64;
 
         for n in [16u16, 128] {
             let mut f = fabric(n);
-            let look = f.lookahead();
-            assert_eq!(
-                look,
-                f.params().one_way(f.topology().stages(), false),
-                "lookahead must be the uncontended one-way header latency"
-            );
+            let look = f.params().one_way(f.topology().stages(), false);
 
             // Arm everything at once: dead links, heavy probabilistic
             // delay/dup/drop, and targeted one-shot delays.
@@ -1626,7 +1603,7 @@ mod tests {
                 if d.node != d.src {
                     assert!(
                         d.at >= now + look,
-                        "delivery {:?}->{:?} at {} beats horizon {} + {look:?}",
+                        "delivery {:?}->{:?} at {} beats {} + one-way {look:?}",
                         d.src,
                         d.node,
                         d.at,
@@ -1664,7 +1641,7 @@ mod tests {
                         dels.iter().for_each(|d| check(now, d));
                         // Replies re-enter the fabric at their arrival
                         // times; any combined delivery must also respect
-                        // the horizon of the *last* contributing reply.
+                        // the one-way bound from the *last* contributing reply.
                         let mut reply_at = SimTime::ZERO;
                         let mut combined = Vec::new();
                         let mut replied: Vec<NodeId> = Vec::new();

@@ -15,17 +15,16 @@ use crate::messages::{ProtoMsg, TxnId};
 use crate::modules::bus::{
     BusMsg, GatherTimerOutcome, LinkTimerOutcome, MessageBus, NodeHealth, PendingEvent,
 };
-use crate::modules::{Ctx, CtxMode, NodeShard};
+use crate::modules::{Ctx, NodeShard};
 use crate::observer::{Observer, ObserverSet, TraceObserver};
 use crate::params::{FaultInjection, ProtoParams, ProtocolKind, RecoveryError, RecoveryParams};
 use crate::stats::EngineStats;
 use cenju4_des::FxHashSet;
-use cenju4_des::{Duration, ParallelConfig, SimTime};
+use cenju4_des::{Duration, SimTime};
 use cenju4_directory::{DirectoryId, MemState, NodeId, NodeMap, SystemSize};
 use cenju4_network::{FaultPlan, NetParams};
 use core::fmt;
 
-pub(crate) mod parallel;
 mod snapshot;
 
 pub use snapshot::{EngineSnapshot, ExternalInput, InputRecord, RestoreError, SnapshotError};
@@ -196,10 +195,8 @@ pub struct Engine {
     /// The coherence protocol's decision logic (MESI by default).
     coherence: ProtocolId,
     bus: MessageBus,
-    /// Per-node protocol state, dense by node id — the unit of ownership
-    /// for the conservative-parallel executor.
+    /// Per-node protocol state, dense by node id.
     shards: Vec<NodeShard>,
-    parallel: ParallelConfig,
     next_txn: TxnId,
     notifications: Vec<Notification>,
     update_blocks: FxHashSet<Addr>,
@@ -224,9 +221,6 @@ pub struct Engine {
     journal: Vec<InputRecord>,
     /// Dispatch steps executed (one per event routed by [`Engine::run_next`]).
     steps: u64,
-    /// Whether a conservative-parallel window has run; its batch commit
-    /// bypasses per-event dispatch, so snapshots are refused afterwards.
-    ran_parallel: bool,
 }
 
 impl Engine {
@@ -241,7 +235,6 @@ impl Engine {
             shards: (0..sys.nodes())
                 .map(|i| NodeShard::new(NodeId::new(i), &params))
                 .collect(),
-            parallel: ParallelConfig::default(),
             next_txn: 0,
             notifications: Vec::new(),
             update_blocks: FxHashSet::default(),
@@ -254,7 +247,6 @@ impl Engine {
             lost_blocks: FxHashSet::default(),
             journal: Vec::new(),
             steps: 0,
-            ran_parallel: false,
         }
     }
 
@@ -276,7 +268,6 @@ impl Engine {
             coherence: self.coherence,
             bus: self.bus.clone(),
             shards: self.shards.clone(),
-            parallel: self.parallel,
             next_txn: self.next_txn,
             notifications: self.notifications.clone(),
             update_blocks: self.update_blocks.clone(),
@@ -289,7 +280,6 @@ impl Engine {
             lost_blocks: self.lost_blocks.clone(),
             journal: self.journal.clone(),
             steps: self.steps,
-            ran_parallel: self.ran_parallel,
         })
     }
 
@@ -357,20 +347,6 @@ impl Engine {
     /// Installs the recovery-layer configuration (see [`RecoveryParams`]).
     pub fn set_recovery(&mut self, rec: RecoveryParams) {
         self.bus.set_recovery(rec);
-    }
-
-    /// Selects the execution strategy for [`Engine::run`]: with
-    /// `workers > 1` (and a configuration the conservative-parallel
-    /// executor supports — see [`Engine::parallel_eligible`]), one run
-    /// executes across that many worker threads with bit-identical
-    /// results; `workers = 1` is the sequential loop.
-    pub fn set_parallel(&mut self, cfg: ParallelConfig) {
-        self.parallel = cfg;
-    }
-
-    /// The configured execution strategy.
-    pub fn parallel_config(&self) -> ParallelConfig {
-        self.parallel
     }
 
     /// The recovery-layer configuration in force.
@@ -906,21 +882,12 @@ impl Engine {
         Some(std::mem::take(&mut self.notifications))
     }
 
-    /// Runs to quiescence, returning every notification produced. With a
-    /// multi-worker [`ParallelConfig`] installed (and an eligible
-    /// configuration — see [`Engine::parallel_eligible`]), the run
-    /// executes across worker threads with bit-identical results.
+    /// Runs to quiescence, returning every notification produced.
     pub fn run(&mut self) -> Vec<Notification> {
-        let out = if self.parallel_eligible() {
-            self.ran_parallel = true;
-            self.run_parallel()
-        } else {
-            let mut out = Vec::new();
-            while let Some(mut n) = self.run_next() {
-                out.append(&mut n);
-            }
-            out
-        };
+        let mut out = Vec::new();
+        while let Some(mut n) = self.run_next() {
+            out.append(&mut n);
+        }
         // On a reliable (or recovered) fabric every gather must have
         // closed by quiescence; an open one is a combining-state leak.
         // With recovery off on a faulty fabric a leak is the *expected*
@@ -1080,11 +1047,9 @@ impl Engine {
             params: self.params,
             kind: self.kind,
             sys: self.sys,
-            mode: CtxMode::Direct {
-                bus: &mut self.bus,
-                obs: &mut self.observers,
-                notes: &mut self.notifications,
-            },
+            bus: &mut self.bus,
+            obs: &mut self.observers,
+            notes: &mut self.notifications,
             protocol: self.coherence.protocol(),
             update_blocks: &self.update_blocks,
             fault: self.fault,
@@ -1228,11 +1193,9 @@ impl Engine {
                 params: self.params,
                 kind: self.kind,
                 sys: self.sys,
-                mode: CtxMode::Direct {
-                    bus: &mut self.bus,
-                    obs: &mut self.observers,
-                    notes: &mut self.notifications,
-                },
+                bus: &mut self.bus,
+                obs: &mut self.observers,
+                notes: &mut self.notifications,
                 protocol: self.coherence.protocol(),
                 update_blocks: &self.update_blocks,
                 fault: self.fault,
@@ -1262,11 +1225,9 @@ impl Engine {
                     params: self.params,
                     kind: self.kind,
                     sys: self.sys,
-                    mode: CtxMode::Direct {
-                        bus: &mut self.bus,
-                        obs: &mut self.observers,
-                        notes: &mut self.notifications,
-                    },
+                    bus: &mut self.bus,
+                    obs: &mut self.observers,
+                    notes: &mut self.notifications,
                     protocol: self.coherence.protocol(),
                     update_blocks: &self.update_blocks,
                     fault: self.fault,

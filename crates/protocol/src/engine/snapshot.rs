@@ -27,7 +27,7 @@
 //! that backtrack (the checker's DFS restores forks instead of replaying
 //! its pick path from the root).
 
-use super::{Engine, MemOp, Notification};
+use super::{Engine, MemOp};
 use crate::addr::Addr;
 use cenju4_des::SimTime;
 use cenju4_directory::NodeId;
@@ -104,10 +104,6 @@ pub enum SnapshotError {
     /// order under external choice; a step count does not determine
     /// their state.
     Controlled,
-    /// A conservative-parallel window has run: its batch commit applies
-    /// whole windows without per-event dispatch, so the step counter no
-    /// longer identifies a unique replay position.
-    ParallelWindowRan,
 }
 
 impl fmt::Display for SnapshotError {
@@ -115,12 +111,6 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Controlled => {
                 write!(f, "cannot snapshot a controlled-schedule engine")
-            }
-            SnapshotError::ParallelWindowRan => {
-                write!(
-                    f,
-                    "cannot snapshot after a parallel execution window (run with workers = 1)"
-                )
             }
         }
     }
@@ -193,9 +183,6 @@ impl Engine {
     pub fn snapshot(&self) -> Result<EngineSnapshot, SnapshotError> {
         if self.is_controlled() {
             return Err(SnapshotError::Controlled);
-        }
-        if self.ran_parallel {
-            return Err(SnapshotError::ParallelWindowRan);
         }
         Ok(EngineSnapshot {
             nodes: self.sys.nodes(),
@@ -271,17 +258,5 @@ impl Engine {
             } => self.mp_send(at, src, dst, bytes, tag),
             ExternalInput::Marker { at, token } => self.schedule_marker(at, token),
         }
-    }
-
-    /// Runs to quiescence like [`Engine::run`], but strictly through the
-    /// sequential per-event loop so the engine stays snapshottable (the
-    /// conservative-parallel executor's batch commit defeats the step
-    /// counter — see [`SnapshotError::ParallelWindowRan`]).
-    pub fn run_sequential(&mut self) -> Vec<Notification> {
-        let mut out = Vec::new();
-        while let Some(mut n) = self.run_next() {
-            out.append(&mut n);
-        }
-        out
     }
 }

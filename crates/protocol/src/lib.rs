@@ -73,7 +73,6 @@ pub mod trace;
 
 pub use addr::{Addr, BLOCK_BYTES};
 pub use cache::{Cache, CacheState, Victim};
-pub use cenju4_des::ParallelConfig;
 pub use coherence::{AccessDecision, CoherenceProtocol, DragonProtocol, MesiProtocol, ProtocolId};
 pub use engine::{
     Engine, EngineSnapshot, ExternalInput, InputRecord, IssueError, MemOp, Notification,

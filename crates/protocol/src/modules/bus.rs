@@ -48,7 +48,6 @@ use cenju4_des::{Duration, EventQueue, FxHashMap, FxHashSet, FxHasher, SimTime, 
 use cenju4_directory::nodemap::DestSpec;
 use cenju4_directory::{NodeId, SystemSize};
 use cenju4_network::fabric::GatherId;
-use cenju4_network::params::MulticastMode;
 use cenju4_network::tables::LinkTable;
 use cenju4_network::{
     Delivery, Fabric, FaultEvent, FaultPlan, NetParams, NetStats, Shared, WireClass,
@@ -800,47 +799,6 @@ impl MessageBus {
     /// Network counters.
     pub fn net_stats(&self) -> &NetStats {
         self.fabric.stats()
-    }
-
-    // ------------------------------------------------------------------
-    // Conservative-parallel executor support
-    // ------------------------------------------------------------------
-
-    /// Number of pending events in the time-ordered queue.
-    pub(crate) fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Advances the clock without popping (never rewinds) — used by the
-    /// window commit so `now()` tracks events processed off-queue.
-    pub(crate) fn advance_now(&mut self, at: SimTime) {
-        self.queue.advance_to(at);
-    }
-
-    /// The fabric's conservative lookahead: the minimum latency of any
-    /// cross-node traversal (see [`Fabric::lookahead`]).
-    pub(crate) fn lookahead(&self) -> Duration {
-        self.fabric.lookahead()
-    }
-
-    /// Whether deterministic timing jitter is enabled. Jitter perturbs
-    /// deliveries in *global pop order*, which a windowed executor does
-    /// not reproduce — jittered runs stay sequential.
-    pub(crate) fn jitter_enabled(&self) -> bool {
-        self.jitter.is_some()
-    }
-
-    /// Whether the fabric replicates multicasts in the switches.
-    /// Emulated singlecast fan-out can hand a combined gather reply to a
-    /// *local* home faster than the lookahead, so only hardware-mode
-    /// runs are eligible for parallel execution.
-    pub(crate) fn hardware_multicast(&self) -> bool {
-        self.fabric.params().multicast == MulticastMode::Hardware
     }
 
     /// Installs a fabric fault plan, re-deriving whether the recovery

@@ -18,12 +18,9 @@
 //! [`MessageBus`](bus::MessageBus) as [`BusMsg`](bus::BusMsg) events, and
 //! all instrumentation is routed to the engine's observers via [`Ctx`].
 //!
-//! One node's three modules live together in a [`NodeShard`] — the unit
-//! of ownership for the conservative-parallel executor: a shard is owned
-//! by exactly one worker, and everything a handler touches beyond it
-//! (bus, observers, notifications) goes through [`Ctx`], which either
-//! acts directly (sequential mode) or logs typed intents for the
-//! commit-time replay (shard mode).
+//! One node's three modules live together in a [`NodeShard`]; everything
+//! a handler touches beyond its own node (bus, observers, notifications)
+//! goes through [`Ctx`].
 
 pub mod bus;
 pub(crate) mod home;
@@ -37,7 +34,6 @@ pub use slave::SlaveModule;
 use crate::addr::Addr;
 use crate::cache::CacheState;
 use crate::coherence::CoherenceProtocol;
-use crate::engine::parallel::{ObsEvent, ShardExec};
 use crate::engine::{MemOp, Notification};
 use crate::messages::{ProtoMsg, ReqKind, TxnId};
 use crate::observer::{ModuleKind, ObserverSet, PhaseKind};
@@ -51,8 +47,7 @@ use cenju4_directory::{MemState, NodeId, SystemSize};
 
 /// One simulated node's complete protocol state: its master, home, and
 /// slave modules. The engine owns a dense `Vec<NodeShard>` indexed by
-/// node; under the parallel executor each shard is advanced by exactly
-/// one worker, and cross-shard traffic flows only through the bus.
+/// node; cross-node traffic flows only through the bus.
 #[derive(Clone)]
 pub(crate) struct NodeShard {
     pub master: MasterModule,
@@ -70,30 +65,17 @@ impl NodeShard {
     }
 }
 
-/// How a [`Ctx`] reaches the world outside the current node's modules.
-pub(crate) enum CtxMode<'a> {
-    /// The sequential engine: act on the bus and observers immediately.
-    Direct {
-        bus: &'a mut MessageBus,
-        obs: &'a mut ObserverSet,
-        notes: &'a mut Vec<Notification>,
-    },
-    /// A parallel-window worker: log every externally visible action as
-    /// a typed intent on the shard executor; the engine replays them in
-    /// exact global event order at the window commit.
-    Shard(&'a mut ShardExec),
-}
-
 /// Per-event handler context: the shared machine configuration plus the
-/// engine seam ([`CtxMode`]). Handed by the dispatcher to every module
-/// handler, so the modules themselves own nothing but their
-/// paper-mandated state — and never observe whether they are running
-/// sequentially or inside a parallel window.
+/// engine seam (bus, observers, driver notifications). Handed by the
+/// dispatcher to every module handler, so the modules themselves own
+/// nothing but their paper-mandated state.
 pub(crate) struct Ctx<'a> {
     pub params: ProtoParams,
     pub kind: ProtocolKind,
     pub sys: SystemSize,
-    pub mode: CtxMode<'a>,
+    pub bus: &'a mut MessageBus,
+    pub obs: &'a mut ObserverSet,
+    pub notes: &'a mut Vec<Notification>,
     /// The coherence protocol's decision logic (the
     /// [`CoherenceProtocol`] seam).
     pub protocol: &'static dyn CoherenceProtocol,
@@ -110,20 +92,15 @@ impl Ctx<'_> {
     /// on the wire — the failure detector already knows nobody is
     /// listening, so no send is observed and no span opens for it.
     pub(crate) fn send(&mut self, now: SimTime, src: NodeId, dst: NodeId, msg: ProtoMsg) {
-        match &mut self.mode {
-            CtxMode::Direct { bus, obs, .. } => {
-                if bus.detector_active()
-                    && dst != src
-                    && bus.node_health(dst) == bus::NodeHealth::Quarantined
-                {
-                    obs.on_link_discard(now, dst, src, "dead-node");
-                    return;
-                }
-                obs.on_send(now, src, dst, &msg);
-                bus.send(now, src, dst, msg);
-            }
-            CtxMode::Shard(ex) => ex.send(now, src, dst, msg),
+        if self.bus.detector_active()
+            && dst != src
+            && self.bus.node_health(dst) == bus::NodeHealth::Quarantined
+        {
+            self.obs.on_link_discard(now, dst, src, "dead-node");
+            return;
         }
+        self.obs.on_send(now, src, dst, &msg);
+        self.bus.send(now, src, dst, msg);
     }
 
     /// Multicasts `msg` (with an in-network reply gather) and notifies
@@ -137,11 +114,17 @@ impl Ctx<'_> {
         data: bool,
         msg: ProtoMsg,
     ) {
-        match &mut self.mode {
-            CtxMode::Direct { bus, obs, .. } => {
-                multicast_direct(bus, obs, at, src, spec, data, msg);
-            }
-            CtxMode::Shard(ex) => ex.multicast(at, src, spec, data, msg),
+        let gather = self.bus.open_gather(src, spec);
+        if self.bus.armed() {
+            self.bus
+                .register_gather_recovery(at, src, gather, spec, data, msg.clone());
+        }
+        let dels = self
+            .bus
+            .send_multicast(at, src, spec, data, msg, Some(gather));
+        for (d, seq) in dels {
+            self.obs.on_send(at, src, d.node, &d.payload);
+            self.bus.schedule_delivery(d, seq);
         }
     }
 
@@ -156,11 +139,13 @@ impl Ctx<'_> {
         id: cenju4_network::fabric::GatherId,
         msg: ProtoMsg,
     ) {
-        match &mut self.mode {
-            CtxMode::Direct { bus, obs, .. } => {
-                gather_reply_direct(bus, obs, at, node, id, msg);
+        match self.bus.send_gather_reply(at, node, id, msg) {
+            Ok(Some(d)) => {
+                self.obs.on_send(at, node, d.node, &d.payload);
+                self.bus.schedule_delivery(d, None);
             }
-            CtxMode::Shard(ex) => ex.gather_reply(at, node, id, msg),
+            Ok(None) => {}
+            Err(reason) => self.obs.on_link_discard(at, node, node, reason),
         }
     }
 
@@ -168,49 +153,30 @@ impl Ctx<'_> {
     /// (retries, backlog wakeups, transaction timers); modules never
     /// schedule work on other nodes directly.
     pub(crate) fn schedule(&mut self, at: SimTime, msg: BusMsg) {
-        match &mut self.mode {
-            CtxMode::Direct { bus, .. } => bus.schedule(at, msg),
-            CtxMode::Shard(ex) => ex.schedule(at, msg),
-        }
+        self.bus.schedule(at, msg);
     }
 
-    /// Whether the link-level recovery layer is armed. Always `false`
-    /// in shard mode: the parallel gate falls back to the sequential
-    /// loop whenever recovery is armed.
+    /// Whether the link-level recovery layer is armed.
     pub(crate) fn armed(&self) -> bool {
-        match &self.mode {
-            CtxMode::Direct { bus, .. } => bus.armed(),
-            CtxMode::Shard(_) => false,
-        }
+        self.bus.armed()
     }
 
     /// The recovery-layer configuration in force.
     pub(crate) fn recovery(&self) -> RecoveryParams {
-        match &self.mode {
-            CtxMode::Direct { bus, .. } => bus.recovery(),
-            CtxMode::Shard(ex) => ex.recovery(),
-        }
+        self.bus.recovery()
     }
 
-    /// Whether the node failure detector is active. Always `false` in
-    /// shard mode: the parallel gate rejects non-trivial fault plans.
+    /// Whether the node failure detector is active.
     pub(crate) fn detector_active(&self) -> bool {
-        match &self.mode {
-            CtxMode::Direct { bus, .. } => bus.detector_active(),
-            CtxMode::Shard(_) => false,
-        }
+        self.bus.detector_active()
     }
 
     /// Whether the failure detector has quarantined `node`. A merely
     /// *suspected* node still counts as alive — suspicion can be
     /// spurious (a lossy link), and must not break a live node's
-    /// protocol traffic. Always `false` when the detector is inactive,
-    /// including shard mode.
+    /// protocol traffic. Always `false` when the detector is inactive.
     pub(crate) fn node_quarantined(&self, node: NodeId) -> bool {
-        match &self.mode {
-            CtxMode::Direct { bus, .. } => bus.node_health(node) == bus::NodeHealth::Quarantined,
-            CtxMode::Shard(_) => false,
-        }
+        self.bus.node_health(node) == bus::NodeHealth::Quarantined
     }
 
     /// Starts service on a module input queue, reporting high-water-mark
@@ -227,12 +193,7 @@ impl Ctx<'_> {
         let done = q.begin(arrival, service);
         let after = q.depth_high_water();
         if after > before {
-            self.obs(ObsEvent::QueueDepth {
-                at: arrival,
-                node,
-                module,
-                depth: after,
-            });
+            self.obs.on_queue_depth(arrival, node, module, after);
         }
         done
     }
@@ -251,15 +212,7 @@ impl Ctx<'_> {
         l3: bool,
         value: u64,
     ) {
-        self.obs(ObsEvent::Complete {
-            at: finished,
-            node,
-            txn,
-            op,
-            addr,
-            hit,
-            l3,
-        });
+        self.obs.on_complete(finished, node, txn, op, addr, hit, l3);
         self.note(Notification::Completed {
             node,
             txn,
@@ -275,8 +228,7 @@ impl Ctx<'_> {
 
     // ---- observer forwarding ------------------------------------------
     //
-    // Modules report through these instead of holding the observer set,
-    // so the same handler code runs under both execution modes.
+    // Modules report through these instead of holding the observer set.
 
     pub(crate) fn on_request_issued(
         &mut self,
@@ -285,12 +237,7 @@ impl Ctx<'_> {
         kind: ReqKind,
         retry: bool,
     ) {
-        self.obs(ObsEvent::RequestIssued {
-            at,
-            node,
-            kind,
-            retry,
-        });
+        self.obs.on_request_issued(at, node, kind, retry);
     }
 
     pub(crate) fn on_request_deferred(
@@ -300,30 +247,15 @@ impl Ctx<'_> {
         addr: Addr,
         depth: Option<usize>,
     ) {
-        self.obs(ObsEvent::RequestDeferred {
-            at,
-            home,
-            addr,
-            depth,
-        });
+        self.obs.on_request_deferred(at, home, addr, depth);
     }
 
     pub(crate) fn on_invalidation(&mut self, at: SimTime, home: NodeId, addr: Addr, copies: u32) {
-        self.obs(ObsEvent::Invalidation {
-            at,
-            home,
-            addr,
-            copies,
-        });
+        self.obs.on_invalidation(at, home, addr, copies);
     }
 
     pub(crate) fn on_phase(&mut self, at: SimTime, node: NodeId, txn: TxnId, phase: PhaseKind) {
-        self.obs(ObsEvent::Phase {
-            at,
-            node,
-            txn,
-            phase,
-        });
+        self.obs.on_phase(at, node, txn, phase);
     }
 
     pub(crate) fn on_cache_transition(
@@ -334,13 +266,7 @@ impl Ctx<'_> {
         from: CacheState,
         to: CacheState,
     ) {
-        self.obs(ObsEvent::CacheTransition {
-            at,
-            node,
-            addr,
-            from,
-            to,
-        });
+        self.obs.on_cache_transition(at, node, addr, from, to);
     }
 
     pub(crate) fn on_mem_transition(
@@ -351,17 +277,11 @@ impl Ctx<'_> {
         from: MemState,
         to: MemState,
     ) {
-        self.obs(ObsEvent::MemTransition {
-            at,
-            home,
-            addr,
-            from,
-            to,
-        });
+        self.obs.on_mem_transition(at, home, addr, from, to);
     }
 
     pub(crate) fn on_l3_fill(&mut self, at: SimTime, node: NodeId, addr: Addr) {
-        self.obs(ObsEvent::L3Fill { at, node, addr });
+        self.obs.on_l3_fill(at, node, addr);
     }
 
     pub(crate) fn on_link_discard(
@@ -371,70 +291,11 @@ impl Ctx<'_> {
         src: NodeId,
         reason: &'static str,
     ) {
-        self.obs(ObsEvent::LinkDiscard {
-            at,
-            node,
-            src,
-            reason,
-        });
-    }
-
-    /// Routes one observer event: immediate fan-out in direct mode, an
-    /// intent in shard mode.
-    pub(crate) fn obs(&mut self, e: ObsEvent) {
-        match &mut self.mode {
-            CtxMode::Direct { obs, .. } => e.replay(obs),
-            CtxMode::Shard(ex) => ex.obs(e),
-        }
+        self.obs.on_link_discard(at, node, src, reason);
     }
 
     /// Routes one driver notification.
     pub(crate) fn note(&mut self, n: Notification) {
-        match &mut self.mode {
-            CtxMode::Direct { notes, .. } => notes.push(n),
-            CtxMode::Shard(ex) => ex.note(n),
-        }
-    }
-}
-
-/// The sequential multicast path, shared by [`Ctx::multicast`] and the
-/// window commit's intent replay.
-pub(crate) fn multicast_direct(
-    bus: &mut MessageBus,
-    obs: &mut ObserverSet,
-    at: SimTime,
-    src: NodeId,
-    spec: DestSpec,
-    data: bool,
-    msg: ProtoMsg,
-) {
-    let gather = bus.open_gather(src, spec);
-    if bus.armed() {
-        bus.register_gather_recovery(at, src, gather, spec, data, msg.clone());
-    }
-    let dels = bus.send_multicast(at, src, spec, data, msg, Some(gather));
-    for (d, seq) in dels {
-        obs.on_send(at, src, d.node, &d.payload);
-        bus.schedule_delivery(d, seq);
-    }
-}
-
-/// The sequential gather-contribution path, shared by
-/// [`Ctx::gather_reply`] and the window commit's intent replay.
-pub(crate) fn gather_reply_direct(
-    bus: &mut MessageBus,
-    obs: &mut ObserverSet,
-    at: SimTime,
-    node: NodeId,
-    id: cenju4_network::fabric::GatherId,
-    msg: ProtoMsg,
-) {
-    match bus.send_gather_reply(at, node, id, msg) {
-        Ok(Some(d)) => {
-            obs.on_send(at, node, d.node, &d.payload);
-            bus.schedule_delivery(d, None);
-        }
-        Ok(None) => {}
-        Err(reason) => obs.on_link_discard(at, node, node, reason),
+        self.notes.push(n);
     }
 }

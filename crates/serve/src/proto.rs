@@ -216,9 +216,6 @@ fn parse_config(v: &Json) -> Result<SystemConfig, String> {
     if let Some(bw) = c.get("mpi_bytes_per_us").and_then(Json::as_u64) {
         b = b.mpi_bandwidth(bw);
     }
-    if let Some(w) = c.get("workers").and_then(Json::as_u64) {
-        b = b.workers(w as usize);
-    }
     b.build()
         .map_err(|e: ConfigError| format!("bad config: {e}"))
 }

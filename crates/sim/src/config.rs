@@ -3,9 +3,7 @@
 use cenju4_des::Duration;
 use cenju4_directory::{DirectoryId, SystemSize, SystemSizeError};
 use cenju4_network::{FaultPlan, MulticastMode, NetParams};
-use cenju4_protocol::{
-    Engine, ParallelConfig, ProtoParams, ProtocolId, ProtocolKind, RecoveryParams,
-};
+use cenju4_protocol::{Engine, ProtoParams, ProtocolId, ProtocolKind, RecoveryParams};
 use core::fmt;
 
 /// Why [`SystemConfigBuilder::build`] rejected a configuration.
@@ -21,9 +19,6 @@ pub enum ConfigError {
     /// The home main-memory request queue has no capacity — the queuing
     /// protocol could not park a single request.
     ZeroHomeQueue,
-    /// The parallel executor was configured with zero worker threads —
-    /// nothing could ever advance the simulation.
-    ZeroWorkers,
     /// The update-based Dragon protocol was combined with the nack
     /// baseline — Dragon's write-through pushes rely on the queuing
     /// home's pending states, so only [`ProtocolKind::Queuing`] can
@@ -50,7 +45,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroHomeQueue => {
                 f.write_str("home request-queue capacity must be non-zero")
             }
-            ConfigError::ZeroWorkers => f.write_str("worker count must be non-zero"),
             ConfigError::DragonNeedsQueuing => {
                 f.write_str("the dragon protocol requires the queuing home (not the nack baseline)")
             }
@@ -154,10 +148,6 @@ pub struct SystemConfig {
     /// non-trivial; with a lossless fabric the layer is elided entirely
     /// and traces are bit-identical to a recovery-less build.
     pub recovery: RecoveryParams,
-    /// Execution strategy: `workers = 1` (the default) is the sequential
-    /// event loop; more workers select the conservative-parallel
-    /// executor, with bit-identical results at any worker count.
-    pub parallel: ParallelConfig,
 }
 
 impl SystemConfig {
@@ -186,7 +176,6 @@ impl SystemConfig {
             mpi_bytes_per_us: 169,
             fault: FaultPlan::none(),
             recovery: RecoveryParams::default(),
-            parallel: ParallelConfig::default(),
         }
     }
 
@@ -228,7 +217,6 @@ impl SystemConfig {
         eng.set_directory(self.directory);
         eng.set_recovery(self.recovery);
         eng.set_fault_plan(self.fault.clone());
-        eng.set_parallel(self.parallel);
         eng
     }
 
@@ -239,7 +227,7 @@ impl SystemConfig {
     /// fingerprint equal iff they are semantically equal: the builder
     /// normalizes as it goes, so call order never matters, and every
     /// knob — sizes, timings, protocol/directory selection, fault plan,
-    /// recovery, parallelism — feeds the digest. `cenju4-serve` keys its
+    /// recovery — feeds the digest. `cenju4-serve` keys its
     /// result cache and request-coalescing map on this value.
     pub fn fingerprint(&self) -> u64 {
         use cenju4_des::FxHasher;
@@ -249,6 +237,9 @@ impl SystemConfig {
         // changes shape, so stale external caches cannot alias.
         (0xC4A6_u64, 1u32).hash(&mut h);
         self.hash(&mut h);
+        // The retired worker configuration's default `(workers, min_batch)`
+        // was the last hashed field; keep it so every fingerprint is unchanged.
+        (1usize, 64usize).hash(&mut h);
         h.finish()
     }
 
@@ -287,7 +278,6 @@ pub struct SystemConfigBuilder {
     mpi_bytes_per_us: u64,
     fault: FaultPlan,
     recovery: RecoveryParams,
-    parallel: ParallelConfig,
 }
 
 impl SystemConfigBuilder {
@@ -558,46 +548,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Selects the number of worker threads for [`SystemConfig::build`]'s
-    /// engine: `1` (the default) is the sequential event loop, more
-    /// workers the conservative-parallel executor. Results are
-    /// bit-identical at any worker count; zero is rejected at build time.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cenju4_sim::SystemConfig;
-    ///
-    /// let cfg = SystemConfig::builder(16).workers(4).build()?;
-    /// assert_eq!(cfg.parallel.workers, 4);
-    /// # Ok::<(), cenju4_sim::ConfigError>(())
-    /// ```
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.parallel.workers = workers;
-        self
-    }
-
-    /// Replaces the full parallel-execution configuration (worker count
-    /// and windowing threshold). See [`SystemConfigBuilder::workers`] for
-    /// the common case.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cenju4_protocol::ParallelConfig;
-    /// use cenju4_sim::SystemConfig;
-    ///
-    /// let cfg = SystemConfig::builder(16)
-    ///     .parallel(ParallelConfig::with_workers(2))
-    ///     .build()?;
-    /// assert_eq!(cfg.parallel, ParallelConfig::with_workers(2));
-    /// # Ok::<(), cenju4_sim::ConfigError>(())
-    /// ```
-    pub fn parallel(mut self, cfg: ParallelConfig) -> Self {
-        self.parallel = cfg;
-        self
-    }
-
     /// Validates the configuration and produces the [`SystemConfig`].
     ///
     /// # Errors
@@ -627,9 +577,6 @@ impl SystemConfigBuilder {
         if self.proto.home_queue_capacity == 0 {
             return Err(ConfigError::ZeroHomeQueue);
         }
-        if self.parallel.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
         if self.coherence == ProtocolId::Dragon && self.kind == ProtocolKind::Nack {
             return Err(ConfigError::DragonNeedsQueuing);
         }
@@ -650,7 +597,6 @@ impl SystemConfigBuilder {
             mpi_bytes_per_us: self.mpi_bytes_per_us,
             fault: self.fault,
             recovery: self.recovery,
-            parallel: self.parallel,
         })
     }
 }
@@ -707,10 +653,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroMpiBandwidth
         );
-        assert_eq!(
-            SystemConfig::builder(16).workers(0).build().unwrap_err(),
-            ConfigError::ZeroWorkers
-        );
     }
 
     #[test]
@@ -745,18 +687,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroSuspectThreshold
         );
-    }
-
-    #[test]
-    fn workers_flow_into_the_engine() {
-        let cfg = SystemConfig::builder(16).workers(4).build().unwrap();
-        assert_eq!(cfg.parallel, ParallelConfig::with_workers(4));
-        let eng = cfg.build();
-        assert_eq!(eng.parallel_config().workers, 4);
-        // Defaults stay sequential.
-        let cfg = SystemConfig::new(16).unwrap();
-        assert_eq!(cfg.parallel.workers, 1);
-        assert!(!cfg.build().parallel_eligible());
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub use cenju4_obs::{chrome_trace_json, MetricsRegistry, SpanClass, SpanCollecto
 pub use cenju4_protocol::observer::{Observer, StarvationProbe};
 pub use cenju4_protocol::{
     AccessDecision, Addr, CacheState, CoherenceProtocol, Engine, EngineStats, FaultInjection,
-    IssueError, MemOp, Notification, ParallelConfig, PendingEvent, ProtoMsg, ProtoParams,
-    ProtocolId, ProtocolKind, RecoveryError, RecoveryParams, ReqKind, TxnId,
+    IssueError, MemOp, Notification, PendingEvent, ProtoMsg, ProtoParams, ProtocolId, ProtocolKind,
+    RecoveryError, RecoveryParams, ReqKind, TxnId,
 };
 
 pub use crate::config::{ConfigError, ProtocolSpec, SystemConfig, SystemConfigBuilder};

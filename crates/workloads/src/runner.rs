@@ -3,8 +3,7 @@
 use crate::apps::{AppKind, Variant};
 use crate::program::KernelProgram;
 use cenju4_directory::SystemSizeError;
-use cenju4_protocol::ParallelConfig;
-use cenju4_sim::{ConfigError, Driver, RunReport, SystemConfig};
+use cenju4_sim::{Driver, RunReport, SystemConfig};
 
 /// Runs `(app, variant, mapping)` on `nodes` nodes at problem-size
 /// multiplier `scale` and returns the run report.
@@ -117,47 +116,9 @@ pub fn speedups(
     nodes: &[u16],
     scale: f64,
 ) -> Result<Vec<f64>, SystemSizeError> {
-    speedups_parallel(
-        app,
-        variant,
-        mapping,
-        nodes,
-        scale,
-        ParallelConfig::default(),
-    )
-}
-
-/// Like [`speedups`], but every per-count engine executes with the given
-/// parallel configuration (the `--workers` flag of the figure binaries).
-/// Simulated times — and therefore the speedups — are identical at any
-/// worker count; only wall-clock changes.
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-///
-/// # Panics
-///
-/// Panics if `parallel.workers` is zero.
-pub fn speedups_parallel(
-    app: AppKind,
-    variant: Variant,
-    mapping: bool,
-    nodes: &[u16],
-    scale: f64,
-    parallel: ParallelConfig,
-) -> Result<Vec<f64>, SystemSizeError> {
-    assert!(parallel.workers > 0, "workers must be >= 1");
     let t_seq = sequential_time(app, scale)? as f64;
     cenju4_sim::sweep(nodes, |&n| {
-        let cfg = SystemConfig::builder(n)
-            .parallel(parallel)
-            .build()
-            .map_err(|e| match e {
-                ConfigError::Size(s) => s,
-                other => unreachable!("default parameters rejected: {other}"),
-            })?;
-        let t_par = run_workload_on(&cfg, app, variant, mapping, scale)?;
+        let t_par = run_workload(app, variant, mapping, n, scale)?;
         Ok(t_seq / t_par.total_time().as_ns() as f64)
     })
     .into_iter()
@@ -257,22 +218,6 @@ mod tests {
             d2.access_fraction(AccessClass::Private) > d1.access_fraction(AccessClass::Private)
         );
         assert!(d2.miss_ratio() < d1.miss_ratio());
-    }
-
-    #[test]
-    fn speedups_are_worker_count_invariant() {
-        // Same simulated times → bit-identical speedup ratios.
-        let seq = speedups(AppKind::Bt, Variant::Dsm2, true, &[4, 8], SCALE).unwrap();
-        let par = speedups_parallel(
-            AppKind::Bt,
-            Variant::Dsm2,
-            true,
-            &[4, 8],
-            SCALE,
-            ParallelConfig::with_workers(4),
-        )
-        .unwrap();
-        assert_eq!(seq, par);
     }
 
     #[test]

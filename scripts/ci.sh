@@ -3,13 +3,12 @@
 # schedule-exploring protocol checker's smoke tier.
 # Everything runs offline — the workspace has no external dependencies.
 #
-# Usage: scripts/ci.sh [check-smoke|fault-smoke|perf-smoke|obs-smoke|scaling-smoke|bakeoff-smoke|chaos-smoke|serve-smoke|bench-smoke]
+# Usage: scripts/ci.sh [check-smoke|fault-smoke|perf-smoke|obs-smoke|bakeoff-smoke|chaos-smoke|serve-smoke|bench-smoke]
 #   (no arg)       run the full gate
 #   check-smoke    run only the time-capped protocol-checker tier
 #   fault-smoke    run only the time-capped unreliable-fabric recovery tier
 #   perf-smoke     run only the hot-path perf regression tier
 #   obs-smoke      run only the observability export/leak-oracle tier
-#   scaling-smoke  run only the parallel-executor bit-identity + speedup tier
 #   bakeoff-smoke  run only the cross-protocol (MESI/Dragon x directory) tier
 #   chaos-smoke    run only the node-failure containment tier
 #   serve-smoke    run only the capacity-planning service tier
@@ -146,20 +145,6 @@ obs_smoke() {
         --max-seconds 120
 }
 
-scaling_smoke() {
-    echo "==> parallel-executor scaling smoke tier (time-capped)"
-    # Bit-identity first: the golden fig10/fig12 scenarios plus the dense
-    # window-stress burst must produce byte-identical artifacts at 2 (and
-    # more) workers. This is the correctness half of the tier and runs on
-    # any host.
-    timeout 600 cargo test -q --offline --test parallel_determinism
-    # Wall-clock half: 4 workers must reach >= 1.5x over 1 worker on the
-    # 256-node scaling scenario. The binary skips (exit 0) on hosts that
-    # expose fewer than 4 cores, where the guard would be meaningless.
-    cargo build --release --offline -p cenju4-bench --bin perf
-    timeout 300 target/release/perf --scaling-smoke
-}
-
 bakeoff_smoke() {
     echo "==> cross-protocol bakeoff smoke tier (time-capped)"
     # Oracle matrix: every (coherence protocol, directory format) pair
@@ -278,12 +263,6 @@ if [[ "${1:-}" == "obs-smoke" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "scaling-smoke" ]]; then
-    scaling_smoke
-    echo "CI OK (scaling-smoke)"
-    exit 0
-fi
-
 if [[ "${1:-}" == "bakeoff-smoke" ]]; then
     bakeoff_smoke
     echo "CI OK (bakeoff-smoke)"
@@ -328,8 +307,6 @@ fault_smoke
 perf_smoke
 
 obs_smoke
-
-scaling_smoke
 
 bakeoff_smoke
 

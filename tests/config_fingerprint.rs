@@ -145,10 +145,6 @@ fn every_knob_change_moves_the_fingerprint() {
                 .build()
                 .unwrap(),
         ),
-        (
-            "workers",
-            SystemConfig::builder(16).workers(4).build().unwrap(),
-        ),
     ];
     for (i, (name_a, a)) in variants.iter().enumerate() {
         for (name_b, b) in variants.iter().skip(i + 1) {

@@ -97,7 +97,7 @@ fn reference(script: &Script) -> String {
     let mut eng = engine(script.nodes);
     for &(n, op, a) in &script.accesses {
         eng.issue(eng.now(), node(n), op, a);
-        eng.run_sequential();
+        eng.run();
     }
     fingerprint(&eng, script)
 }
@@ -110,7 +110,7 @@ fn interrupted(script: &Script, cut: usize, mid_steps: u64) -> String {
     let mut eng = engine(script.nodes);
     for &(n, op, a) in &script.accesses[..cut] {
         eng.issue(eng.now(), node(n), op, a);
-        eng.run_sequential();
+        eng.run();
     }
     if cut < script.accesses.len() {
         let (n, op, a) = script.accesses[cut];
@@ -129,11 +129,11 @@ fn interrupted(script: &Script, cut: usize, mid_steps: u64) -> String {
     resumed.restore(&snap).expect("restore into a fresh engine");
     assert_eq!(resumed.steps(), snap.steps, "replay reached the boundary");
     // Finish the in-flight access, then the rest of the script.
-    resumed.run_sequential();
+    resumed.run();
     if cut < script.accesses.len() {
         for &(n, op, a) in &script.accesses[cut + 1..] {
             resumed.issue(resumed.now(), node(n), op, a);
-            resumed.run_sequential();
+            resumed.run();
         }
     }
     fingerprint(&resumed, script)
@@ -186,7 +186,7 @@ fn double_resume_is_bit_identical() {
     let mut eng = engine(script.nodes);
     for &(n, op, a) in &script.accesses[..60] {
         eng.issue(eng.now(), node(n), op, a);
-        eng.run_sequential();
+        eng.run();
     }
     let snap1 = eng.snapshot().expect("first snapshot");
 
@@ -194,7 +194,7 @@ fn double_resume_is_bit_identical() {
     mid.restore(&snap1).expect("first restore");
     for &(n, op, a) in &script.accesses[60..140] {
         mid.issue(mid.now(), node(n), op, a);
-        mid.run_sequential();
+        mid.run();
     }
     let snap2 = mid.snapshot().expect("second snapshot");
 
@@ -202,7 +202,7 @@ fn double_resume_is_bit_identical() {
     fin.restore(&snap2).expect("second restore");
     for &(n, op, a) in &script.accesses[140..] {
         fin.issue(fin.now(), node(n), op, a);
-        fin.run_sequential();
+        fin.run();
     }
     assert_eq!(fingerprint(&fin, &script), want);
 }
@@ -214,7 +214,7 @@ fn restore_guards_reject_misuse() {
     let mut eng = engine(script.nodes);
     let (n, op, a) = script.accesses[0];
     eng.issue(eng.now(), node(n), op, a);
-    eng.run_sequential();
+    eng.run();
     let snap = eng.snapshot().expect("snapshot");
 
     // Same engine already ran — not fresh.
