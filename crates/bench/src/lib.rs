@@ -4,7 +4,6 @@
 //! and prints the paper's own numbers next to the measured ones, so the
 //! comparison (EXPERIMENTS.md) can be refreshed with a single run.
 
-pub mod micro;
 pub mod paper;
 pub mod traced;
 

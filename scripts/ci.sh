@@ -3,11 +3,10 @@
 # schedule-exploring protocol checker's smoke tier.
 # Everything runs offline — the workspace has no external dependencies.
 #
-# Usage: scripts/ci.sh [check-smoke|fault-smoke|perf-smoke|obs-smoke|bakeoff-smoke|chaos-smoke|serve-smoke|bench-smoke]
+# Usage: scripts/ci.sh [check-smoke|fault-smoke|obs-smoke|bakeoff-smoke|chaos-smoke|serve-smoke|bench-smoke]
 #   (no arg)       run the full gate
 #   check-smoke    run only the time-capped protocol-checker tier
 #   fault-smoke    run only the time-capped unreliable-fabric recovery tier
-#   perf-smoke     run only the hot-path perf regression tier
 #   obs-smoke      run only the observability export/leak-oracle tier
 #   bakeoff-smoke  run only the cross-protocol (MESI/Dragon x directory) tier
 #   chaos-smoke    run only the node-failure containment tier
@@ -110,16 +109,6 @@ fault_smoke() {
     # Seeded probabilistic loss (10% per message), fully recovered.
     "$check" random --nodes 2 --ops 2 --recovery on --fault-seed 99 \
         --drop-rate 100 --seed 7 --walks 100 --max-seconds 60
-}
-
-perf_smoke() {
-    echo "==> hot-path perf smoke tier (time-capped)"
-    cargo build --release --offline -p cenju4-bench --bin perf
-    # --quick keeps this tier under a minute; the binary fails on a
-    # >25% median regression against the checked-in baseline (and
-    # re-measures once first, to ride out noisy-neighbor bursts on
-    # shared CI hosts).
-    timeout 300 target/release/perf --quick --check benches/BASELINE_hotpath.json
 }
 
 obs_smoke() {
@@ -251,12 +240,6 @@ if [[ "${1:-}" == "fault-smoke" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "perf-smoke" ]]; then
-    perf_smoke
-    echo "CI OK (perf-smoke)"
-    exit 0
-fi
-
 if [[ "${1:-}" == "obs-smoke" ]]; then
     obs_smoke
     echo "CI OK (obs-smoke)"
@@ -303,8 +286,6 @@ cargo test -q --workspace --offline
 check_smoke
 
 fault_smoke
-
-perf_smoke
 
 obs_smoke
 

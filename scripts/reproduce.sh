@@ -20,7 +20,3 @@ done
 echo
 echo "== extensions =="
 cargo run --release -q --example update_protocol
-
-echo
-echo "== microbenchmarks and ablations =="
-cargo bench --workspace

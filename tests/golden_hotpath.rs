@@ -6,9 +6,18 @@
 //! hot path. Each scenario also runs with the recovery layer armed
 //! against an inert fault plan, pinning the sequenced-link path.
 //!
+//! Three larger hot-path scenarios (protocol-txn, multicast-storm,
+//! recovery-soak) are pinned by the work they do: the number of events
+//! the engine dispatched and accesses it completed, followed by the same
+//! stats dump. These counts are host-independent, so a change that adds
+//! work per transaction fails here on any machine; timing claims go
+//! through the same-host pairs of `benchmark/` instead.
+//!
 //! **No-re-bless rule:** these goldens were captured *before* the dense
-//! tables / shared payloads landed. An optimization PR may never rewrite
-//! them — a diff here means the "optimization" changed behavior.
+//! tables / shared payloads landed (the three work-count goldens on the
+//! engine that retired the wall-clock harness). An optimization PR may
+//! never rewrite them — a diff here means the "optimization" changed
+//! behavior.
 //!
 //! To bless on a genuinely intentional protocol change:
 //!
@@ -131,7 +140,7 @@ fn check_golden(name: &str, got: &str) {
         .unwrap_or_else(|e| panic!("missing golden {path}: {e}; bless with CENJU4_BLESS_GOLDEN=1"));
     assert_eq!(
         got, want,
-        "{name} diverged from the pre-flattening golden (no re-bless for optimization PRs)"
+        "{name} diverged from its golden (no re-bless for optimization PRs)"
     );
 }
 
@@ -192,6 +201,141 @@ fn fig12_trace_and_stats_bit_identical() {
 #[test]
 fn fig12_trace_and_stats_bit_identical_armed() {
     check_golden("fig12_hotpath_armed", &fig12(true));
+}
+
+/// Work a hot-path scenario made the engine do.
+#[derive(Default)]
+struct Work {
+    dispatched: u64,
+    completed: u64,
+}
+
+/// Issues one access at the current time and drains the engine one
+/// event at a time, counting dispatched events and completed accesses.
+/// Panics if the recovery layer gives up. The closing `run()` finds the
+/// queue empty and only performs its gather-leak check.
+fn drive(eng: &mut Engine, work: &mut Work, n: u16, op: MemOp, a: Addr) {
+    eng.issue(eng.now(), node(n), op, a);
+    while let Some(notes) = eng.run_next() {
+        work.dispatched += 1;
+        for note in notes {
+            match note {
+                Notification::Completed { .. } => work.completed += 1,
+                Notification::RecoveryFailed { at, error } => {
+                    panic!("recovery failed at {at:?}: {error}")
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(eng.run().is_empty(), "events left after run_next drained");
+}
+
+/// Renders a hot-path scenario's work counts ahead of its stats.
+fn hotpath_report(eng: &Engine, work: &Work) -> String {
+    assert_eq!(eng.outstanding_txn_count(), 0, "accesses left outstanding");
+    format!(
+        "dispatched_events: {}\ncompleted: {}\n{}",
+        work.dispatched,
+        work.completed,
+        stats_fingerprint(eng)
+    )
+}
+
+/// Stores on even `(node + round)`, loads on odd.
+fn alternating_op(n: u16, r: u32) -> MemOp {
+    if (n as u32 + r).is_multiple_of(2) {
+        MemOp::Store
+    } else {
+        MemOp::Load
+    }
+}
+
+/// protocol-txn: rounds of mixed loads/stores on a 128-node (4-stage)
+/// machine; every access is a full coherence transaction whose unicasts
+/// cross four switch stages. Four blocks on two homes keep several
+/// directories and sharer sets hot at once.
+fn protocol_txn() -> String {
+    const NODES: u16 = 128;
+    const ROUNDS: u32 = 24;
+    let mut eng = SystemConfig::new(NODES).expect("valid nodes").build();
+    let mut work = Work::default();
+    for r in 0..ROUNDS {
+        for n in 0..NODES {
+            let a = Addr::new(node(n % 2), (r % 2) + 1);
+            drive(&mut eng, &mut work, n, alternating_op(n, r), a);
+        }
+    }
+    hotpath_report(&eng, &work)
+}
+
+/// multicast-storm: a 64-node machine repeatedly warms a 32-sharer set
+/// and then stores from a non-sharer, so every store is a 32-way
+/// multicast invalidation plus a combining-tree gather of the acks.
+fn multicast_storm() -> String {
+    const NODES: u16 = 64;
+    const SHARERS: u16 = 32;
+    const ROUNDS: u32 = 20;
+    let mut eng = SystemConfig::new(NODES).expect("valid nodes").build();
+    let a = Addr::new(node(0), 1);
+    let mut work = Work::default();
+    for r in 0..ROUNDS {
+        for s in 0..SHARERS {
+            drive(&mut eng, &mut work, 2 + s, MemOp::Load, a);
+        }
+        let storer = 1 + (r % 2) as u16 * 40; // outside nodes 2..=33
+        drive(&mut eng, &mut work, storer, MemOp::Store, a);
+    }
+    hotpath_report(&eng, &work)
+}
+
+/// recovery-soak: mixed accesses on an 8-node machine with the recovery
+/// layer armed against a lossy plan (drops, duplicates, delays), which
+/// exercises frame sequencing, retransmission timers and receiver-side
+/// dedup. Recovery must never give up.
+fn recovery_soak() -> String {
+    const NODES: u16 = 8;
+    const ROUNDS: u32 = 64;
+    let plan = FaultPlan {
+        seed: 0xC4_50AC,
+        drop_permille: 15,
+        dup_permille: 10,
+        delay_permille: 10,
+        max_delay_ns: 400,
+        ..FaultPlan::default()
+    };
+    let cfg = SystemConfig::builder(NODES)
+        .recovery(RecoveryParams::default())
+        .fault_plan(plan)
+        .build()
+        .expect("valid nodes");
+    let mut eng = cfg.build();
+    let mut work = Work::default();
+    for r in 0..ROUNDS {
+        for n in 0..NODES {
+            let a = Addr::new(node(0), r % 2);
+            drive(&mut eng, &mut work, n, alternating_op(n, r), a);
+        }
+    }
+    hotpath_report(&eng, &work)
+}
+
+/// The three hot-path scenarios are pinned by the work they do, not by
+/// wall-clock time: an extra dispatched event per transaction moves
+/// `dispatched_events` on any host.
+#[test]
+fn protocol_txn_work_counts_pinned() {
+    check_golden("protocol_txn_hotpath", &protocol_txn());
+}
+
+#[test]
+fn multicast_storm_work_counts_pinned() {
+    check_golden("multicast_storm_hotpath", &multicast_storm());
+}
+
+#[test]
+fn recovery_soak_work_counts_pinned() {
+    check_golden("recovery_soak_hotpath", &recovery_soak());
 }
 
 /// The two paper-figure probes themselves, pinned end to end: exact
