@@ -185,9 +185,10 @@ pub fn run_one(
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut eng = cfg.engine();
         let mut oracle = OracleState::new(cfg);
+        let mut ready = Vec::new();
         loop {
-            let pend = eng.pending_events();
-            if pend.is_empty() {
+            eng.ready_choices(&mut ready);
+            if ready.is_empty() {
                 let violation = oracle.check_quiescent(&eng, issued);
                 let trace = violation
                     .as_ref()
@@ -207,18 +208,12 @@ pub fn run_one(
                     render_trace(&eng, cfg),
                 );
             }
-            let arity = pend.iter().filter(|e| e.ready).count();
-            debug_assert!(arity > 0, "non-empty event set with nothing ready");
+            let arity = ready.len();
             let picked = pick(arity).min(arity - 1);
             choices.push(Choice { arity, picked });
-            let idx = pend
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.ready)
-                .nth(picked)
-                .map(|(i, _)| i)
-                .expect("picked ready event exists");
-            let notes = eng.run_pending(idx).expect("ready event vanished");
+            let notes = eng
+                .run_pending(ready[picked])
+                .expect("ready event vanished");
             steps += 1;
             if let Some(v) = oracle.note(&notes, &eng) {
                 return (Some(v), render_trace(&eng, cfg));

@@ -638,9 +638,9 @@ mod tests {
             let mut rng = SplitMix64::new(seed.wrapping_add(w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut eng = engine.engine();
             let mut oracle = OracleState::new(judge);
+            let mut ready = Vec::new();
             for _ in 0..5_000 {
-                let pend = eng.pending_events();
-                let ready: Vec<usize> = (0..pend.len()).filter(|&i| pend[i].ready).collect();
+                eng.ready_choices(&mut ready);
                 if ready.is_empty() {
                     break;
                 }
@@ -675,17 +675,12 @@ mod tests {
         }
     }
 
-    /// The counting `check_step` returns exactly the reference verdict
-    /// over MESI queuing, nack, Dragon, lossy recovery, and node-down
-    /// with recovery (whose casualty exemption the walks reach). A Dragon
-    /// engine judged by MESI oracles trips `value-coherence` (its
-    /// Shared-copies-disagree branch), so a violation and its text are
-    /// compared too. No scenario reaches the `swmr` or `directory`
-    /// violation paths, or the Clean-memory branch, today.
-    #[test]
-    fn counting_check_step_matches_the_reference() {
+    /// MESI queuing, nack, Dragon, lossy recovery dropping 100 messages
+    /// per 1,000, and node-down with recovery, over 3 nodes x 2 blocks:
+    /// all green under their own oracles.
+    fn green_scenarios() -> [CheckConfig; 5] {
         let mesi = scenario(3, 2);
-        let green = [
+        [
             mesi,
             CheckConfig {
                 kind: ProtocolKind::Nack,
@@ -706,7 +701,20 @@ mod tests {
                 fault: FaultInjection::NodeDown,
                 ..mesi
             },
-        ];
+        ]
+    }
+
+    /// The counting `check_step` returns exactly the reference verdict
+    /// over the green scenarios (node-down's casualty exemption
+    /// included: the walks reach it). A Dragon engine judged by MESI
+    /// oracles trips `value-coherence` (its Shared-copies-disagree
+    /// branch), so a violation and its text are compared too. No
+    /// scenario reaches the `swmr` or `directory` violation paths, or the
+    /// Clean-memory branch, today.
+    #[test]
+    fn counting_check_step_matches_the_reference() {
+        let mesi = scenario(3, 2);
+        let green = green_scenarios();
         for cfg in &green {
             assert_eq!(differential(cfg, cfg, 150), 0, "{cfg} is green");
         }
@@ -725,6 +733,27 @@ mod tests {
             violated > 0,
             "a Dragon engine never tripped the MESI value oracle"
         );
+    }
+
+    /// `Engine::ready_choices` names exactly the `ready` positions of the
+    /// `pending_events` snapshot, at every step of seeded walks over the
+    /// green scenarios — timer-only held sets included, which the lossy
+    /// and node-down walks pass through.
+    #[test]
+    fn ready_choices_match_the_pending_snapshot() {
+        let mut timer_only = 0;
+        for cfg in &green_scenarios() {
+            let mut got = Vec::new();
+            walk(cfg, cfg, 3, 150, |eng, _| {
+                eng.ready_choices(&mut got);
+                let pend = eng.pending_events();
+                let want: Vec<usize> = (0..pend.len()).filter(|&i| pend[i].ready).collect();
+                assert_eq!(got, want, "{cfg}");
+                timer_only += usize::from(!pend.is_empty() && pend.iter().all(|e| e.timer));
+                false
+            });
+        }
+        assert!(timer_only > 0, "no walk reached a timer-only held set");
     }
 
     /// `directory_represents` agrees with membership in

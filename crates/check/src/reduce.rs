@@ -323,6 +323,8 @@ struct Stepper {
     issued: usize,
     eng: Engine,
     oracle: OracleState,
+    /// Reused buffer for [`Stepper::ready`].
+    ready: Vec<usize>,
 }
 
 impl Stepper {
@@ -333,6 +335,7 @@ impl Stepper {
             issued: cfg.issued_ops(),
             eng: cfg.engine(),
             oracle: OracleState::new(cfg),
+            ready: Vec::new(),
         }
     }
 
@@ -347,16 +350,24 @@ impl Stepper {
                 .fork()
                 .expect("checker engines carry forkable observers"),
             oracle: self.oracle.clone(),
+            ready: Vec::new(),
         }
     }
 
-    /// The ready events, as (index into `pending_events`, event).
-    fn ready(&self) -> Vec<(usize, PendingEvent)> {
+    /// The choice indices of the ready events (see
+    /// [`Engine::ready_choices`]); a ready position indexes this slice.
+    fn ready(&mut self) -> &[usize] {
+        self.eng.ready_choices(&mut self.ready);
+        &self.ready
+    }
+
+    /// The ready events' snapshot, in ready-position order: the content
+    /// digests and footprints sleep sets and lasso unrolling need.
+    fn ready_events(&self) -> Vec<PendingEvent> {
         self.eng
             .pending_events()
             .into_iter()
-            .enumerate()
-            .filter(|(_, e)| e.ready)
+            .filter(|e| e.ready)
             .collect()
     }
 
@@ -373,17 +384,13 @@ impl Stepper {
     }
 
     /// Fires the ready event at ready-position `pick` (clamped to the
-    /// last ready event); see [`Stepper::fire_pending`].
+    /// last ready event), running the step oracles. `Err` carries the
+    /// violation (protocol panics are converted, like `run_one`); after
+    /// an `Err` the engine may be poisoned — restore or replay before
+    /// reuse.
     fn fire(&mut self, pick: usize) -> Result<(), (Violation, String)> {
         let ready = self.ready();
-        self.fire_pending(ready[pick.min(ready.len() - 1)].0)
-    }
-
-    /// Fires the ready event at index `idx` into `pending_events`,
-    /// running the step oracles. `Err` carries the violation (protocol
-    /// panics are converted, like `run_one`); after an `Err` the engine
-    /// may be poisoned — restore or replay before reuse.
-    fn fire_pending(&mut self, idx: usize) -> Result<(), (Violation, String)> {
+        let idx = ready[pick.min(ready.len() - 1)];
         let result = catch_unwind(AssertUnwindSafe(|| {
             let notes = self.eng.run_pending(idx).expect("ready event vanished");
             if let Some(v) = self.oracle.note(&notes, &self.eng) {
@@ -420,9 +427,9 @@ impl Stepper {
     /// position fired.
     fn fire_by_content(&mut self, content: u64) -> Option<usize> {
         let pick = self
-            .ready()
+            .ready_events()
             .iter()
-            .position(|(_, e)| e.content == content)?;
+            .position(|e| e.content == content)?;
         self.fire(pick).ok()?;
         Some(pick)
     }
@@ -475,7 +482,11 @@ fn subset(a: &[u64], b: &[u64]) -> bool {
 }
 
 struct Frame {
-    ready: Vec<(usize, PendingEvent)>,
+    /// Number of ready events (ready positions `0..arity`).
+    arity: usize,
+    /// With reduction armed, the ready events' snapshot (see
+    /// [`Stepper::ready_events`]); empty otherwise.
+    events: Vec<PendingEvent>,
     /// Content digests slept at this state: transitions covered by a
     /// commuting sibling order (inherited) or already explored here.
     sleep: FxHashSet<u64>,
@@ -614,8 +625,14 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
             } else {
                 on_path.push(0);
             }
+            let events = if params.reduce {
+                st.ready_events()
+            } else {
+                Vec::new()
+            };
             stack.push(Frame {
-                ready: st.ready(),
+                arity: st.ready().len(),
+                events,
                 sleep: std::mem::take(&mut incoming_sleep),
                 next: 0,
                 now: st.now(),
@@ -627,15 +644,18 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
             return out;
         };
         let mut b = frame.next;
-        while b < frame.ready.len() {
-            if params.reduce && frame.sleep.contains(&frame.ready[b].1.content) {
+        let slept = |frame: &Frame, b: usize| {
+            params.reduce && frame.sleep.contains(&frame.events[b].content)
+        };
+        while b < frame.arity {
+            if slept(frame, b) {
                 out.stats.sleep_skipped += 1;
                 b += 1;
             } else {
                 break;
             }
         }
-        if b >= frame.ready.len() {
+        if b >= frame.arity {
             stack.pop();
             on_path.pop();
             if path.pop().is_some() {
@@ -644,27 +664,22 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
             continue;
         }
         frame.next = b + 1;
-        let chosen = frame.ready[b].1.clone();
         let child_sleep: FxHashSet<u64> = if params.reduce {
-            frame
-                .ready
+            let chosen = &frame.events[b];
+            let child = frame
+                .events
                 .iter()
-                .filter(|(_, e)| {
-                    frame.sleep.contains(&e.content) && e.commutes_with(&chosen, frame.now)
-                })
-                .map(|(_, e)| e.content)
-                .collect()
+                .filter(|e| frame.sleep.contains(&e.content) && e.commutes_with(chosen, frame.now))
+                .map(|e| e.content)
+                .collect();
+            frame.sleep.insert(chosen.content);
+            child
         } else {
             FxHashSet::default()
         };
-        if params.reduce {
-            frame.sleep.insert(chosen.content);
-        }
         // Snapshot the state only while a later sibling will need it:
         // the last sibling to fire takes the snapshot over.
-        let later = frame.ready[b + 1..]
-            .iter()
-            .any(|(_, e)| !(params.reduce && frame.sleep.contains(&e.content)));
+        let later = (b + 1..frame.arity).any(|c| !slept(frame, c));
         if dirty {
             st = restore(&mut frame.snap, later);
             dirty = false;
@@ -673,7 +688,7 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
         }
         path.push(b);
         out.stats.transitions += 1;
-        match st.fire_pending(frame.ready[b].0) {
+        match st.fire(b) {
             Ok(()) => {
                 incoming_sleep = child_sleep;
                 entering = true;
@@ -712,8 +727,8 @@ fn unroll_lasso(
     let mut st = Stepper::replay_green(cfg, &picks);
     let mut cycle: Vec<u64> = Vec::new();
     for &p in &path[entry..] {
-        let ready = st.ready();
-        cycle.push(ready[p.min(ready.len() - 1)].1.content);
+        let ready = st.ready_events();
+        cycle.push(ready[p.min(ready.len() - 1)].content);
         if st.fire(p).is_err() {
             break;
         }
@@ -809,10 +824,9 @@ fn expand_frontier(
             }
             continue;
         }
-        let ready = st.ready();
-        let arity = ready.len();
+        let arity = st.ready().len();
         let mut base = Some(st);
-        for (b, &(idx, _)) in ready.iter().enumerate() {
+        for b in 0..arity {
             // Fire the branch to validate it (a violation one step below
             // the frontier must surface here, not silently become a job
             // whose prefix fails to replay green).
@@ -820,7 +834,7 @@ fn expand_frontier(
             stats.transitions += 1;
             let mut child_prefix = job.prefix.clone();
             child_prefix.push(b);
-            match st.fire_pending(idx) {
+            match st.fire(b) {
                 Ok(()) => queue.push_back((
                     Job {
                         prefix: child_prefix,

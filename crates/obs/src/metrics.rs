@@ -2,7 +2,9 @@
 //!
 //! `BTreeMap`-backed so every dump iterates in sorted key order — the
 //! text and JSON exports are deterministic across runs and sweep thread
-//! counts, which the determinism tests rely on.
+//! counts, which the determinism tests rely on. Keys are `&'static str`:
+//! every class and counter name is a literal chosen at the call site, so
+//! recording a sample or bumping a counter never allocates or formats.
 
 use cenju4_des::{Histogram, HistogramSummary};
 use std::collections::BTreeMap;
@@ -34,8 +36,8 @@ pub const LATENCY_BUCKETS: usize = 128;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    histograms: BTreeMap<String, Histogram>,
-    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<&'static str, Histogram>,
+    counters: BTreeMap<&'static str, u64>,
 }
 
 impl MetricsRegistry {
@@ -45,32 +47,21 @@ impl MetricsRegistry {
     }
 
     /// Adds one latency sample to the named class histogram.
-    pub fn record_latency(&mut self, class: &str, ns: u64) {
-        // Look up before inserting: `entry` would allocate the key on
-        // every sample.
-        match self.histograms.get_mut(class) {
-            Some(h) => h.record(ns),
-            None => {
-                let mut h = Histogram::new(LATENCY_BUCKET_NS, LATENCY_BUCKETS);
-                h.record(ns);
-                self.histograms.insert(class.to_owned(), h);
-            }
-        }
+    pub fn record_latency(&mut self, class: &'static str, ns: u64) {
+        self.histograms
+            .entry(class)
+            .or_insert_with(|| Histogram::new(LATENCY_BUCKET_NS, LATENCY_BUCKETS))
+            .record(ns);
     }
 
     /// Increments a counter by one.
-    pub fn incr(&mut self, key: &str) {
+    pub fn incr(&mut self, key: &'static str) {
         self.add(key, 1);
     }
 
     /// Adds `n` to a counter.
-    pub fn add(&mut self, key: &str, n: u64) {
-        match self.counters.get_mut(key) {
-            Some(v) => *v += n,
-            None => {
-                self.counters.insert(key.to_owned(), n);
-            }
-        }
+    pub fn add(&mut self, key: &'static str, n: u64) {
+        *self.counters.entry(key).or_default() += n;
     }
 
     /// The current value of a counter (0 if never touched).
@@ -90,12 +81,12 @@ impl MetricsRegistry {
 
     /// All counters, in sorted key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// All histograms, in sorted key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
     /// A flat, sorted, line-oriented text dump:
@@ -164,16 +155,16 @@ impl MetricsRegistry {
     /// assert_eq!(a.latency_summary("load-miss").unwrap().count, 2);
     /// ```
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (class, h) in &other.histograms {
+        for (&class, h) in &other.histograms {
             match self.histograms.get_mut(class) {
                 Some(mine) => mine.merge(h),
                 None => {
-                    self.histograms.insert(class.clone(), h.clone());
+                    self.histograms.insert(class, h.clone());
                 }
             }
         }
-        for (key, v) in &other.counters {
-            *self.counters.entry(key.clone()).or_default() += v;
+        for (&key, &v) in &other.counters {
+            self.add(key, v);
         }
     }
 
@@ -182,7 +173,7 @@ impl MetricsRegistry {
     pub fn bucket_fingerprint(&self) -> Vec<(String, Vec<u64>)> {
         self.histograms
             .iter()
-            .map(|(k, h)| (k.clone(), h.buckets().to_vec()))
+            .map(|(k, h)| (k.to_string(), h.buckets().to_vec()))
             .collect()
     }
 }

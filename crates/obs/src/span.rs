@@ -338,7 +338,12 @@ impl Observer for SpanCollector {
                 span.kind = Some(kind);
             }
         }
-        self.metrics.incr(&format!("module.master.request.{kind}"));
+        self.metrics.incr(match kind {
+            ReqKind::ReadShared => "module.master.request.read-shared",
+            ReqKind::ReadExclusive => "module.master.request.read-exclusive",
+            ReqKind::Ownership => "module.master.request.ownership",
+            ReqKind::Update => "module.master.request.update",
+        });
     }
 
     fn on_retry(&mut self, at: SimTime, node: NodeId, txn: TxnId) {
@@ -372,13 +377,20 @@ impl Observer for SpanCollector {
                 detail,
             });
         }
-        self.metrics.incr(&format!("phase.{label}"));
-        let module = match event_module(label) {
-            ModuleKind::Master => "master",
-            ModuleKind::Home => "home",
-            ModuleKind::Slave => "slave",
-        };
-        self.metrics.incr(&format!("module.{module}.phases"));
+        self.metrics.incr(match phase {
+            PhaseKind::QueuedAtHome { .. } => "phase.queued-at-home",
+            PhaseKind::ReservationWait => "phase.reservation-wait",
+            PhaseKind::Forwarded => "phase.forwarded",
+            PhaseKind::MulticastFanout { .. } => "phase.multicast-fanout",
+            PhaseKind::GatherContribute => "phase.gather-contribute",
+            PhaseKind::GatherCombine { .. } => "phase.gather-combine",
+            PhaseKind::Reply => "phase.reply",
+        });
+        self.metrics.incr(match event_module(label) {
+            ModuleKind::Master => "module.master.phases",
+            ModuleKind::Home => "module.home.phases",
+            ModuleKind::Slave => "module.slave.phases",
+        });
     }
 
     fn on_send(&mut self, at: SimTime, src: NodeId, dst: NodeId, msg: &ProtoMsg) {
@@ -665,5 +677,55 @@ mod tests {
             .count();
         assert!(wb > 0, "expected at least one writeback span");
         assert_eq!(wb as u64, eng.stats().writebacks.get());
+    }
+
+    /// The static counter keys spell `phase.<label>`,
+    /// `module.<module>.phases` and `module.master.request.<kind>` for
+    /// every phase and request kind, including those no golden scenario
+    /// reaches.
+    #[test]
+    fn static_counter_keys_spell_the_formatted_names() {
+        let phases = [
+            PhaseKind::QueuedAtHome { depth: 1 },
+            PhaseKind::ReservationWait,
+            PhaseKind::Forwarded,
+            PhaseKind::MulticastFanout { copies: 2 },
+            PhaseKind::GatherContribute,
+            PhaseKind::GatherCombine { acks: 3 },
+            PhaseKind::Reply,
+        ];
+        let kinds = [
+            ReqKind::ReadShared,
+            ReqKind::ReadExclusive,
+            ReqKind::Ownership,
+            ReqKind::Update,
+        ];
+        let (node, at) = (NodeId::new(0), SimTime::ZERO);
+        let mut c = SpanCollector::new(SystemSize::new(4).unwrap());
+        // A request is attributed to the access dispatched at its node.
+        c.on_access(at, node, MemOp::Load, Addr::new(node, 0), 0);
+        for phase in phases {
+            c.on_phase(at, node, 0, phase);
+            let label = phase.label();
+            assert_eq!(c.metrics().counter(&format!("phase.{label}")), 1);
+        }
+        for kind in kinds {
+            c.on_request_issued(at, node, kind, false);
+            assert_eq!(
+                c.metrics()
+                    .counter(&format!("module.master.request.{kind}")),
+                1
+            );
+        }
+        let per_module: u64 = ["master", "home", "slave"]
+            .iter()
+            .map(|m| c.metrics().counter(&format!("module.{m}.phases")))
+            .sum();
+        assert_eq!(per_module, phases.len() as u64);
+        assert_eq!(
+            c.metrics().counters().count(),
+            phases.len() + kinds.len() + 3 + 1,
+            "the phase, request and module keys plus span.opened"
+        );
     }
 }

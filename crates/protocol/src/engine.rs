@@ -390,6 +390,16 @@ impl Engine {
         self.bus.pending()
     }
 
+    /// Writes the choice indices of the ready parked events of a
+    /// controlled engine into `out` (cleared first), ascending: exactly
+    /// the positions of the `ready` events in [`Engine::pending_events`],
+    /// without building the snapshot. Empty only when nothing is parked.
+    /// A checker stepping with it reuses one buffer and allocates
+    /// nothing per step.
+    pub fn ready_choices(&self, out: &mut Vec<usize>) {
+        self.bus.ready_into(out);
+    }
+
     /// Number of parked events in a controlled engine.
     pub fn pending_event_count(&self) -> usize {
         self.bus.held_len()

@@ -180,7 +180,7 @@ impl BusMsg {
     /// block), and a processor issues its accesses in program order.
     /// `None` means the event is not bound to a channel; non-timer
     /// unordered events are always ready, while timers are additionally
-    /// gated (see [`MessageBus::pending`]).
+    /// gated (see [`MessageBus::ready_into`]).
     fn channel(&self) -> Option<Channel> {
         match self {
             BusMsg::Recv { dst, src, .. } if src != dst => Some(Channel::Wire(*src, *dst)),
@@ -424,6 +424,9 @@ struct HeldQueue {
     /// the event the uncontrolled simulation fires next. Position `i` is
     /// choice index `i`.
     events: Vec<Held>,
+    /// How many parked events are not timers: zero means only timers
+    /// remain, which is when the earliest of them becomes ready.
+    untimed: usize,
     /// Monotonic virtual clock: the maximum scheduled time of any event
     /// fired so far. Events chosen "early" are clamped up to this so the
     /// per-module service queues still see nondecreasing arrival times.
@@ -591,6 +594,7 @@ impl MessageBus {
         );
         self.held = Some(HeldQueue {
             events: Vec::new(),
+            untimed: 0,
             now: self.queue.now(),
         });
     }
@@ -605,37 +609,57 @@ impl MessageBus {
         self.held.as_ref().map_or(0, |h| h.events.len())
     }
 
+    /// Writes the choice indices of the ready parked events into `out`
+    /// (cleared first), ascending — the positions of the `ready` events
+    /// in [`MessageBus::pending`]'s snapshot, which takes its flags from
+    /// here. A channel's earliest parked event is ready and no later one
+    /// is; an unordered non-timer event is always ready; a timer is ready
+    /// only when nothing but timers remains and it is the earliest. So a
+    /// non-empty held set always has a ready event. Allocates nothing
+    /// once `out` has grown to the ready count.
+    pub(crate) fn ready_into(&self, out: &mut Vec<usize>) {
+        let h = self
+            .held
+            .as_ref()
+            .expect("ready_into() requires controlled mode");
+        out.clear();
+        if h.untimed == 0 {
+            if !h.events.is_empty() {
+                out.push(0);
+            }
+            return;
+        }
+        for (i, e) in h.events.iter().enumerate() {
+            let ready = match e.chan {
+                None => !e.timer,
+                // In firing order a channel's first event is ready, so
+                // the channel was seen iff a ready event already holds it.
+                Some(ch) => !out.iter().any(|&j| h.events[j].chan == Some(ch)),
+            };
+            if ready {
+                out.push(i);
+            }
+        }
+    }
+
     /// Snapshots the parked events, sorted by (scheduled time, insertion
     /// sequence) — index 0 is the event the uncontrolled simulation would
-    /// fire next. At least one event is always ready: every channel's
-    /// earliest event is, and the earliest-deadline timer becomes ready
-    /// once only timers remain. Indices returned here are the choice
-    /// indices accepted by [`MessageBus::pop_held`].
+    /// fire next. Readiness is [`MessageBus::ready_into`]'s. Indices
+    /// returned here are the choice indices accepted by
+    /// [`MessageBus::pop_held`].
     pub(crate) fn pending(&self) -> Vec<PendingEvent> {
         let h = self
             .held
             .as_ref()
             .expect("pending() requires controlled mode");
-        let only_timers = h.events.iter().all(|e| e.timer);
-        // One pass in firing order: a channel's first event is its
-        // earliest, so it alone is ready.
-        let mut seen: Vec<Channel> = Vec::new();
+        let mut ready = Vec::new();
+        self.ready_into(&mut ready);
+        let mut ready = ready.into_iter().peekable();
         h.events
             .iter()
             .enumerate()
             .map(|(i, e)| {
-                let ready = match e.chan {
-                    // Timers fire in deadline order: ready only when
-                    // nothing but timers remains AND this is the
-                    // earliest one.
-                    None if e.timer => only_timers && i == 0,
-                    None => true,
-                    Some(ch) if seen.contains(&ch) => false,
-                    Some(ch) => {
-                        seen.push(ch);
-                        true
-                    }
-                };
+                let ready = ready.next_if_eq(&i).is_some();
                 let msg = &e.msg;
                 let (node, src) = match msg {
                     BusMsg::Access { node, .. }
@@ -707,12 +731,13 @@ impl MessageBus {
             );
         } else if chosen.timer {
             assert!(
-                earlier.is_empty() && h.events.iter().all(|e| e.timer),
+                earlier.is_empty() && h.untimed == 0,
                 "schedule choice {choice} is not ready: timers fire in \
                  deadline order, after every deliverable event"
             );
         }
-        let Held { at, msg, .. } = h.events.remove(choice);
+        let Held { at, timer, msg, .. } = h.events.remove(choice);
+        h.untimed -= usize::from(!timer);
         let fire = at.max(h.now);
         h.now = fire;
         Some((fire, msg))
@@ -979,6 +1004,8 @@ impl MessageBus {
                 let mut hasher = FxHasher::default();
                 chan.hash(&mut hasher);
                 msg.fold_content(&mut hasher);
+                let timer = msg.is_timer();
+                h.untimed += usize::from(!timer);
                 // After every event due at or before `at`: ties keep
                 // insertion order.
                 let pos = h.events.partition_point(|e| e.at <= at);
@@ -987,7 +1014,7 @@ impl MessageBus {
                     Held {
                         at,
                         chan,
-                        timer: msg.is_timer(),
+                        timer,
                         content: hasher.finish(),
                         msg,
                     },
@@ -1575,7 +1602,20 @@ mod tests {
             .iter()
             .map(|e| (e.at, e.ready, e.content))
             .collect();
-        assert_eq!(got, reference.pending());
+        let want = reference.pending();
+        assert_eq!(got, want);
+        let mut ready = Vec::new();
+        bus.ready_into(&mut ready);
+        let want_ready: Vec<usize> = (0..want.len()).filter(|&i| want[i].1).collect();
+        assert_eq!(ready, want_ready);
+        assert_eq!(
+            bus.held.as_ref().expect("controlled").untimed,
+            reference
+                .events
+                .iter()
+                .filter(|(_, _, m)| !m.is_timer())
+                .count()
+        );
         assert_eq!(
             fingerprint(|h| bus.fold_held(h)),
             fingerprint(|h| reference.fold_held(bus, h))

@@ -95,14 +95,9 @@ fn step(eng: &mut Engine, step: usize, pick: usize) -> Vec<Notification> {
 
 /// Fires the `pick`-th ready event.
 fn fire(eng: &mut Engine, pick: usize) -> Vec<Notification> {
-    let idx = eng
-        .pending_events()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.ready)
-        .nth(pick)
-        .map(|(i, _)| i)
-        .expect("pick out of range");
+    let mut ready = Vec::new();
+    eng.ready_choices(&mut ready);
+    let idx = *ready.get(pick).expect("pick out of range");
     eng.run_pending(idx).expect("ready event vanished")
 }
 
@@ -133,11 +128,11 @@ fn digest(eng: &Engine) -> Digest {
 fn reference(setup: Setup) -> (Vec<usize>, Vec<Vec<Notification>>, Engine) {
     let mut eng = build(setup);
     let mut rng = SplitMix64::new(0x5EED ^ setup as u64);
-    let (mut picks, mut notes) = (Vec::new(), Vec::new());
+    let (mut picks, mut notes, mut ready) = (Vec::new(), Vec::new(), Vec::new());
     while eng.pending_event_count() > 0 {
         assert!(picks.len() < MAX_STEPS, "{setup:?}: walk never quiesced");
-        let ready = eng.pending_events().iter().filter(|e| e.ready).count();
-        let pick = rng.next_below(ready as u64) as usize;
+        eng.ready_choices(&mut ready);
+        let pick = rng.next_below(ready.len() as u64) as usize;
         notes.push(step(&mut eng, picks.len(), pick));
         picks.push(pick);
     }

@@ -126,6 +126,12 @@ obs_smoke() {
     for f in fig12_trace.json fig12_metrics.json; do
         [[ -s "$out/$f" ]] || { echo "FAIL: $f missing or empty"; exit 1; }
     done
+    # The metrics dump must match the golden `tests/golden_obs.rs` pins
+    # name for name and value for value.
+    diff -u tests/golden/fig12_span_metrics.json "$out/fig12_metrics.json" || {
+        echo "FAIL: fig12_metrics.json differs from tests/golden/fig12_span_metrics.json"
+        exit 1
+    }
     # The checker attaches a SpanCollector to every explored schedule;
     # this exhaustive pass exercises the span-leak oracle on the full
     # 2-node/1-block schedule space.

@@ -8,6 +8,15 @@
 //! [`SpanCollector`] must not change the trace or a single counter
 //! either. Both facts are checked against the *same* golden files as
 //! `tests/golden_hotpath.rs`; nothing here may ever be re-blessed.
+//!
+//! The collector's own metrics dump for the fig12 scenario is pinned too
+//! (`tests/golden/fig12_span_metrics.{txt,json}`): every counter name,
+//! value and order the text and JSON exporters produce. Bless those two
+//! — and only those — on a deliberate change to the exported metrics:
+//!
+//! ```text
+//! CENJU4_BLESS_GOLDEN=1 cargo test --test golden_obs
+//! ```
 
 use cenju4::prelude::*;
 
@@ -106,6 +115,18 @@ fn fig10(traced: bool) -> String {
 
 /// The fig12 golden scenario, optionally with a span collector attached.
 fn fig12(traced: bool) -> String {
+    let (eng, blocks) = fig12_engine(traced);
+    let mut out = String::new();
+    for a in [blocks[0], blocks[5]] {
+        out.push_str(&eng.trace().dump_block(a));
+    }
+    out.push_str(&stats_fingerprint(&eng));
+    out
+}
+
+/// The fig12 golden scenario's engine after its 200 accesses, and the
+/// eight blocks they touch.
+fn fig12_engine(traced: bool) -> (Engine, Vec<Addr>) {
     let mut eng = engine(64, traced);
     let mut rng = SplitMix64::new(0xF1612);
     let blocks: Vec<Addr> = (0..8)
@@ -121,12 +142,7 @@ fn fig12(traced: bool) -> String {
         let a = blocks[rng.next_below(8) as usize];
         access(&mut eng, n, op, a);
     }
-    let mut out = String::new();
-    for a in [blocks[0], blocks[5]] {
-        out.push_str(&eng.trace().dump_block(a));
-    }
-    out.push_str(&stats_fingerprint(&eng));
-    out
+    (eng, blocks)
 }
 
 /// Reads a pre-existing golden; this test file never blesses.
@@ -174,4 +190,32 @@ fn fig12_with_collector_attached_is_still_bit_identical() {
         "attaching a SpanCollector changed the protocol trace — \
          observers must be pure instrumentation"
     );
+}
+
+/// Compares `got` against `tests/golden/<file>`, or rewrites it when
+/// `CENJU4_BLESS_GOLDEN` is set. Only the span-metrics goldens go
+/// through here.
+fn check_metrics_golden(file: &str, got: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("CENJU4_BLESS_GOLDEN").is_some() {
+        std::fs::write(&path, got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {path}: {e}; bless with CENJU4_BLESS_GOLDEN=1"));
+    assert_eq!(
+        got, want,
+        "{file}: the span collector's exported metrics changed"
+    );
+}
+
+#[test]
+fn fig12_span_metrics_match_golden() {
+    let (eng, _) = fig12_engine(true);
+    let metrics = eng
+        .observer::<SpanCollector>()
+        .expect("collector attached")
+        .metrics();
+    check_metrics_golden("fig12_span_metrics.txt", &metrics.to_text());
+    check_metrics_golden("fig12_span_metrics.json", &metrics.to_json());
 }
