@@ -166,7 +166,8 @@ impl Notification {
 /// The engine owns the per-node protocol modules, the message bus
 /// (network fabric + discrete-event queue), and the observer set.
 /// Drivers issue memory accesses with [`Engine::issue`] and pump the
-/// simulation with [`Engine::run_next`] (one event at a time) or
+/// simulation with [`Engine::run_next`] (one event at a time, its
+/// notifications appended to a buffer the driver owns and reuses) or
 /// [`Engine::run`] (to quiescence), reacting to [`Notification`]s.
 /// Instrumentation — statistics, tracing, and anything user-defined —
 /// attaches through [`Engine::add_observer`].
@@ -884,20 +885,26 @@ impl Engine {
         self.bus.schedule(at, BusMsg::Marker(token));
     }
 
-    /// Processes a single event. Returns the notifications it produced,
-    /// or `None` when the simulation is quiescent.
-    pub fn run_next(&mut self) -> Option<Vec<Notification>> {
-        let (at, ev) = self.bus.pop()?;
+    /// Processes a single event, appending the notifications it produced
+    /// to `notes`. Returns `false`, touching nothing, when the simulation
+    /// is quiescent. A driver that clears `notes` between steps allocates
+    /// nothing per step once the buffer has grown.
+    pub fn run_next(&mut self, notes: &mut Vec<Notification>) -> bool {
+        let Some((at, ev)) = self.bus.pop() else {
+            return false;
+        };
         self.dispatch(at, ev);
-        Some(std::mem::take(&mut self.notifications))
+        // Most steps notify nothing; skip `append`'s out-of-line copy.
+        if !self.notifications.is_empty() {
+            notes.append(&mut self.notifications);
+        }
+        true
     }
 
     /// Runs to quiescence, returning every notification produced.
     pub fn run(&mut self) -> Vec<Notification> {
         let mut out = Vec::new();
-        while let Some(mut n) = self.run_next() {
-            out.append(&mut n);
-        }
+        while self.run_next(&mut out) {}
         // On a reliable (or recovered) fabric every gather must have
         // closed by quiescence; an open one is a combining-state leak.
         // With recovery off on a faulty fabric a leak is the *expected*

@@ -7,7 +7,8 @@
 //! with the dispatch-step position at which it arrived, and a snapshot is
 //! that journal plus the current step count. [`Engine::restore`] replays
 //! the journal into a **fresh, identically-configured** engine, pumping
-//! [`Engine::run_next`] the recorded number of steps. Because the engine
+//! [`Engine::run_next`] the recorded number of steps through one reused
+//! notification buffer whose contents it drops. Because the engine
 //! is deterministic, the restored engine is *bit-identical* to the
 //! original at the checkpoint — same caches, same directories, same
 //! event queue, same statistics, same trace — by construction rather
@@ -218,6 +219,8 @@ impl Engine {
             });
         }
         let mut next = 0usize;
+        // Replay's notifications are dropped, one step at a time.
+        let mut notes = Vec::new();
         loop {
             while next < snap.inputs.len() && snap.inputs[next].step == self.steps {
                 self.apply(snap.inputs[next].input);
@@ -226,12 +229,13 @@ impl Engine {
             if self.steps == snap.steps {
                 break;
             }
-            if self.run_next().is_none() {
+            if !self.run_next(&mut notes) {
                 return Err(RestoreError::QuiescentBeforeCheckpoint {
                     reached: self.steps,
                     wanted: snap.steps,
                 });
             }
+            notes.clear();
         }
         debug_assert_eq!(next, snap.inputs.len(), "journal not sorted by step");
         debug_assert_eq!(

@@ -1,0 +1,105 @@
+//! `Engine::run_next` appends each step's notifications to a buffer the
+//! caller owns. Twin engines — one drained by `run()`, one stepped with a
+//! single reused buffer cleared after every step — must report the same
+//! notification sequence, so an overwriting or duplicating `run_next`
+//! fails here even where the statistics would agree.
+
+use cenju4_directory::{NodeId, SystemSize};
+use cenju4_network::{FaultPlan, NetParams};
+use cenju4_protocol::{
+    Addr, Engine, MemOp, Notification, ProtoParams, ProtocolKind, RecoveryParams,
+};
+
+const NODES: u16 = 4;
+
+/// MESI with queuing at the home on a reliable fabric.
+fn queuing() -> Engine {
+    Engine::new(
+        SystemSize::new(NODES).unwrap(),
+        ProtoParams::default(),
+        NetParams::default(),
+        ProtocolKind::Queuing,
+    )
+}
+
+/// The nack protocol with the recovery layer on a fabric that loses one
+/// message in ten.
+fn lossy_nack() -> Engine {
+    let mut eng = Engine::new(
+        SystemSize::new(NODES).unwrap(),
+        ProtoParams::default(),
+        NetParams::default(),
+        ProtocolKind::Nack,
+    );
+    eng.set_recovery(RecoveryParams::default());
+    eng.set_fault_plan(FaultPlan::random(0xB0F, 100));
+    eng
+}
+
+/// Issues one round of contended accesses: every node touches both
+/// blocks, stores and loads interleaved, all at the current instant.
+fn issue_round(eng: &mut Engine, round: u32) {
+    let blocks = [Addr::new(NodeId::new(0), 0), Addr::new(NodeId::new(1), 4)];
+    let now = eng.now();
+    for n in 0..NODES {
+        for (b, &a) in blocks.iter().enumerate() {
+            let op = if (u32::from(n) + round + b as u32).is_multiple_of(3) {
+                MemOp::Store
+            } else {
+                MemOp::Load
+            };
+            eng.issue(now, NodeId::new(n), op, a);
+        }
+    }
+}
+
+/// Runs eight rounds through `run()` and, on the twin, through
+/// `run_next` with one reused buffer. Asserts both report the same
+/// notifications and every access completed; returns the `run()` twin.
+fn assert_twins_agree(build: fn() -> Engine) -> Engine {
+    let (mut whole, mut stepped) = (build(), build());
+    let (mut by_run, mut by_step) = (Vec::new(), Vec::new());
+    let mut buf = Vec::new();
+    for round in 0..8 {
+        issue_round(&mut whole, round);
+        issue_round(&mut stepped, round);
+        by_run.extend(whole.run());
+        while stepped.run_next(&mut buf) {
+            by_step.extend_from_slice(&buf);
+            buf.clear();
+        }
+        assert!(
+            !stepped.run_next(&mut buf) && buf.is_empty(),
+            "a quiescent step must leave the buffer alone"
+        );
+    }
+    assert_eq!(by_run, by_step, "run() and the reused buffer disagree");
+    assert_eq!(whole.steps(), stepped.steps());
+    assert_eq!(whole.now(), stepped.now());
+    assert!(
+        !by_run
+            .iter()
+            .any(|n| matches!(n, Notification::RecoveryFailed { .. })),
+        "recovery gave up"
+    );
+    let completions = by_run
+        .iter()
+        .filter(|n| matches!(n, Notification::Completed { .. }))
+        .count();
+    assert_eq!(completions, 8 * 2 * usize::from(NODES), "lost accesses");
+    whole
+}
+
+#[test]
+fn queuing_twins_report_identical_notifications() {
+    assert_twins_agree(queuing);
+}
+
+#[test]
+fn lossy_nack_twins_report_identical_notifications() {
+    let eng = assert_twins_agree(lossy_nack);
+    assert!(
+        eng.stats().faults_injected.get() > 0,
+        "plan injected nothing"
+    );
+}

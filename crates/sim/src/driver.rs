@@ -162,6 +162,8 @@ pub struct Driver<P: Program> {
     /// reuse count of the access each node is blocked on.
     pending_reuse: Vec<u32>,
     hist: Vec<cenju4_des::stats::Histogram>,
+    /// The notification buffer every pump reuses; empty between pumps.
+    notes: Vec<Notification>,
 }
 
 impl<P: Program> Driver<P> {
@@ -180,6 +182,7 @@ impl<P: Program> Driver<P> {
                 .iter()
                 .map(|_| cenju4_des::stats::Histogram::new(100, 100))
                 .collect(),
+            notes: Vec::new(),
         }
     }
 
@@ -222,10 +225,14 @@ impl<P: Program> Driver<P> {
     /// Panics on [`Notification::RecoveryFailed`]: some access will
     /// never complete and the timing report would be meaningless.
     pub fn pump(&mut self) -> bool {
-        let Some(notes) = self.eng.run_next() else {
+        // Taken out for the step so `advance` can borrow `self`; handed
+        // back drained, its capacity kept.
+        let mut notes = std::mem::take(&mut self.notes);
+        if !self.eng.run_next(&mut notes) {
+            self.notes = notes;
             return false;
-        };
-        for note in notes {
+        }
+        for note in notes.drain(..) {
             match note {
                 Notification::Completed {
                     node,
@@ -272,6 +279,7 @@ impl<P: Program> Driver<P> {
                 }
             }
         }
+        self.notes = notes;
         true
     }
 

@@ -230,6 +230,10 @@ bench_smoke() {
     # Every BENCHMARK.json workload at about 1/20 size with every
     # correctness gate: the dsm result digests and the checker's count
     # pins must match benchmark/pins.json. Exits non-zero on any drift.
+    # First the event queue's own tests, optimised: the differential test
+    # against the whole-event reference heap and the causality assert
+    # both run in the release profile the benchmark uses.
+    cargo test --release --offline -q -p cenju4-des
     timeout 600 cargo run --release --offline --quiet \
         --manifest-path benchmark/Cargo.toml -- --smoke
 }

@@ -216,9 +216,10 @@ struct Work {
 /// queue empty and only performs its gather-leak check.
 fn drive(eng: &mut Engine, work: &mut Work, n: u16, op: MemOp, a: Addr) {
     eng.issue(eng.now(), node(n), op, a);
-    while let Some(notes) = eng.run_next() {
+    let mut notes = Vec::new();
+    while eng.run_next(&mut notes) {
         work.dispatched += 1;
-        for note in notes {
+        for note in notes.drain(..) {
             match note {
                 Notification::Completed { .. } => work.completed += 1,
                 Notification::RecoveryFailed { at, error } => {

@@ -115,8 +115,9 @@ fn interrupted(script: &Script, cut: usize, mid_steps: u64) -> String {
     if cut < script.accesses.len() {
         let (n, op, a) = script.accesses[cut];
         eng.issue(eng.now(), node(n), op, a);
+        let mut notes = Vec::new();
         for _ in 0..mid_steps {
-            if eng.run_next().is_none() {
+            if !eng.run_next(&mut notes) {
                 break; // quiescent early; snapshot there instead
             }
         }
