@@ -15,7 +15,7 @@
 
 use cenju4_directory::{NodeId, SystemSize};
 use cenju4_network::NetParams;
-use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolKind};
+use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolId, ProtocolKind};
 
 fn engine(nodes: u16) -> Engine {
     let mut eng = Engine::new(
@@ -119,14 +119,35 @@ fn golden_traces_unchanged_with_recovery_enabled() {
 }
 
 /// §4.2.3 update extension: subscribed readers receive pushed updates
-/// instead of invalidations.
+/// instead of invalidations. Marking a block selects the update protocol
+/// for it whatever the machine runs, so a Dragon machine and a nack
+/// machine replay the same trace.
 #[test]
 fn golden_update_push() {
-    let mut eng = engine(16);
-    let a = Addr::new(node(0), 4);
-    eng.mark_update_block(a);
-    access(&mut eng, 1, MemOp::Load, a);
-    access(&mut eng, 2, MemOp::Load, a); // both subscribe
-    access(&mut eng, 2, MemOp::Store, a); // update pushed to subscribers
-    check_golden("update_push", &eng.trace().dump_block(a));
+    let mut dragon = engine(16);
+    dragon.set_coherence(ProtocolId::Dragon);
+    let mut nack = Engine::new(
+        SystemSize::new(16).unwrap(),
+        ProtoParams::default(),
+        NetParams::default(),
+        ProtocolKind::Nack,
+    );
+    nack.enable_trace(4096);
+    let traces = [
+        ("queuing-mesi", engine(16)),
+        ("dragon", dragon),
+        ("nack", nack),
+    ]
+    .map(|(machine, mut eng)| {
+        let a = Addr::new(node(0), 4);
+        eng.mark_update_block(a);
+        access(&mut eng, 1, MemOp::Load, a);
+        access(&mut eng, 2, MemOp::Load, a); // both subscribe
+        access(&mut eng, 2, MemOp::Store, a); // update pushed to subscribers
+        (machine, eng.trace().dump_block(a))
+    });
+    check_golden("update_push", &traces[0].1);
+    for (machine, got) in &traces[1..] {
+        assert_eq!(got, &traces[0].1, "update block on a {machine} machine");
+    }
 }
