@@ -12,7 +12,7 @@
 //! | [`des`] | — | event queue, clock, RNG, statistics |
 //! | [`directory`] | §3.1 | pointer + bit-pattern node maps, 64-bit directory entries, baseline schemes, Figure-4 precision analytics |
 //! | [`network`] | §3.2 | 4×4-crossbar multistage network with in-switch multicast and reply gathering |
-//! | [`protocol`] | §2, §3.3–3.4 + appendix | coherence protocols behind the `CoherenceProtocol` seam (invalidate-based MESI, update-based Dragon), the starvation-free queuing protocol, deadlock-prevention buffers and the Figure-9 graph analysis, nack baseline, user-level message passing, the §4.2.3 update-protocol extension, event tracing |
+//! | [`protocol`] | §2, §3.3–3.4 + appendix | coherence protocols behind the `CoherenceProtocol` seam (invalidate-based MESI and update-based Dragon per machine, the §4.2.3 update protocol with main-memory L3 per block), the starvation-free queuing protocol, deadlock-prevention buffers and the Figure-9 graph analysis, nack baseline, user-level message passing, event tracing |
 //! | [`sim`] | §4.1 | latency probes (Table 2, Figure 10), processor driver, barriers, reports |
 //! | [`workloads`] | §4.2 | synthetic BT/CG/FT/SP in seq/mpi/dsm(1)/dsm(2) variants |
 //!

@@ -4,7 +4,7 @@
 //! logic* of the processor side swappable: a [`CoherenceProtocol`]
 //! classifies each access against the cached state ([`AccessDecision`]),
 //! names the request a miss issues, and names the state a completed
-//! write-through grants. Two protocols implement the seam:
+//! write-through grants. Three protocols implement the seam:
 //!
 //! * [`MesiProtocol`] — the paper's invalidation-based default; its
 //!   decisions reproduce the hard-coded MESI logic bit for bit;
@@ -13,11 +13,15 @@
 //!   the home, which pushes the fresh value to every sharer over the
 //!   existing gathered-multicast update wires (Section 4.2.3's hardware)
 //!   instead of invalidating them; the writer's copy lands in
-//!   [`CacheState::SharedModified`].
+//!   [`CacheState::SharedModified`];
+//! * [`UpdateBlockProtocol`] — Section 4.2.3's update protocol with main
+//!   memory as a third-level cache. It runs per block, not per machine:
+//!   blocks marked with `Engine::mark_update_block` use it whatever the
+//!   machine's protocol, and every other block uses the machine's.
 //!
-//! The home side stays request-kind-driven: a [`ReqKind::Update`] on an
-//! ordinary block only ever arrives under Dragon, and the home routes it
-//! without consulting the protocol object.
+//! The home side stays request-kind-driven: it routes each request by
+//! its [`ReqKind`] and consults the protocol only for a lone reader's
+//! grant ([`CoherenceProtocol::readers_subscribe`]).
 
 use crate::cache::CacheState;
 use crate::engine::MemOp;
@@ -68,8 +72,16 @@ pub trait CoherenceProtocol: Sync {
 
     /// The cache state granted to the writer when the home acknowledges
     /// a store that went through it (an ownership upgrade under MESI, a
-    /// write-through push under Dragon).
+    /// write-through push under Dragon and on update blocks).
     fn store_ack_state(&self) -> CacheState;
+
+    /// Whether readers *subscribe* to the block: the home never grants a
+    /// lone reader Exclusive, and every node keeps the line in its
+    /// main-memory third-level cache on data replies, store acks and
+    /// update pushes, refilling L2 misses from there.
+    fn readers_subscribe(&self) -> bool {
+        false
+    }
 }
 
 /// The paper's queuing MESI protocol (the default).
@@ -120,6 +132,39 @@ impl CoherenceProtocol for DragonProtocol {
 
     fn store_ack_state(&self) -> CacheState {
         CacheState::SharedModified
+    }
+}
+
+/// Section 4.2.3's update protocol, selected per block by
+/// `Engine::mark_update_block`.
+///
+/// Requests are Dragon's: loads read shared, stores write through the
+/// home as [`ReqKind::Update`], which pushes the fresh line to every
+/// subscriber. Unlike Dragon, readers subscribe: a lone reader is granted
+/// Shared, never Exclusive, and the writer keeps a Shared copy — so the
+/// block is never Dirty and never held Modified or Exclusive. Each
+/// subscriber also keeps the line in its main memory, and an L2 miss
+/// refills from there at local cost.
+///
+/// Not a [`ProtocolId`]: a machine cannot run it as its protocol.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct UpdateBlockProtocol;
+
+impl CoherenceProtocol for UpdateBlockProtocol {
+    fn name(&self) -> &'static str {
+        "update-block"
+    }
+
+    fn request_kind(&self, op: MemOp, state: CacheState) -> ReqKind {
+        DragonProtocol.request_kind(op, state)
+    }
+
+    fn store_ack_state(&self) -> CacheState {
+        CacheState::Shared
+    }
+
+    fn readers_subscribe(&self) -> bool {
+        true
     }
 }
 
@@ -211,5 +256,25 @@ mod tests {
         }
         assert_eq!(p.classify(MemOp::Load, Invalid), Miss(ReqKind::ReadShared));
         assert_eq!(p.store_ack_state(), SharedModified);
+        assert!(!p.readers_subscribe());
+        assert!(!MesiProtocol.readers_subscribe());
+    }
+
+    #[test]
+    fn update_blocks_subscribe_and_write_through() {
+        let p = UpdateBlockProtocol;
+        use AccessDecision::*;
+        use CacheState::*;
+        // An update block only ever holds Shared or Invalid.
+        assert_eq!(p.classify(MemOp::Load, Shared), Hit);
+        assert_eq!(p.classify(MemOp::Load, Invalid), Miss(ReqKind::ReadShared));
+        assert_eq!(p.classify(MemOp::Store, Shared), Miss(ReqKind::Update));
+        assert_eq!(p.classify(MemOp::Store, Invalid), Miss(ReqKind::Update));
+        // The writer keeps a Shared copy, and readers subscribe.
+        assert_eq!(p.store_ack_state(), Shared);
+        assert!(p.readers_subscribe());
+        // Selected per block only: no machine-wide id exposes it.
+        assert!(ProtocolId::ALL.iter().all(|id| id.name() != p.name()));
+        assert_eq!(ProtocolId::parse(p.name()), None);
     }
 }

@@ -496,10 +496,13 @@ impl Engine {
 
     /// Switches `addr` to the **update protocol** with main-memory
     /// third-level caching — the extension Section 4.2.3 of the paper
-    /// proposes for CG-like access patterns. Stores to the block write
-    /// through to the home, which pushes the fresh data to every
-    /// subscriber instead of invalidating them; an L2 miss on a
-    /// subscribing node refills from its own main memory at local cost.
+    /// proposes for CG-like access patterns. The block then runs
+    /// [`UpdateBlockProtocol`](crate::coherence::UpdateBlockProtocol)
+    /// through the same master/home/slave handlers as every other block,
+    /// whatever the machine's protocol: stores write through to the
+    /// home, which pushes the fresh data to every subscriber instead of
+    /// invalidating them, and an L2 miss on a subscribing node refills
+    /// from its own main memory at local cost.
     ///
     /// # Panics
     ///
@@ -1068,7 +1071,7 @@ impl Engine {
             obs: &mut self.observers,
             notes: &mut self.notifications,
             protocol: self.coherence.protocol(),
-            update_blocks: &self.update_blocks,
+            marked: &self.update_blocks,
             fault: self.fault,
         };
         match ev {
@@ -1214,7 +1217,7 @@ impl Engine {
                 obs: &mut self.observers,
                 notes: &mut self.notifications,
                 protocol: self.coherence.protocol(),
-                update_blocks: &self.update_blocks,
+                marked: &self.update_blocks,
                 fault: self.fault,
             };
             self.shards[home.as_usize()].home.reply_recv(
@@ -1246,7 +1249,7 @@ impl Engine {
                     obs: &mut self.observers,
                     notes: &mut self.notifications,
                     protocol: self.coherence.protocol(),
-                    update_blocks: &self.update_blocks,
+                    marked: &self.update_blocks,
                     fault: self.fault,
                 };
                 self.shards[h.as_usize()].home.reply_recv(ctx, at, msg);

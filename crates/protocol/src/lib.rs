@@ -73,7 +73,10 @@ pub mod trace;
 
 pub use addr::{Addr, BLOCK_BYTES};
 pub use cache::{Cache, CacheState, Victim};
-pub use coherence::{AccessDecision, CoherenceProtocol, DragonProtocol, MesiProtocol, ProtocolId};
+pub use coherence::{
+    AccessDecision, CoherenceProtocol, DragonProtocol, MesiProtocol, ProtocolId,
+    UpdateBlockProtocol,
+};
 pub use engine::{
     Engine, EngineSnapshot, ExternalInput, InputRecord, IssueError, MemOp, Notification,
     RestoreError, SnapshotError,

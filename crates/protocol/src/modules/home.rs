@@ -360,14 +360,11 @@ impl HomeModule {
         };
         debug_assert!(!state.is_pending());
 
-        if ctx.update_blocks.contains(&addr) {
-            return self.process_update_request(ctx, at, kind, addr, master, txn, value);
-        }
-
         match kind {
             ReqKind::ReadShared => {
-                if only_master {
-                    // Grant exclusivity: no other copies exist.
+                if only_master && !ctx.protocol_for(addr).readers_subscribe() {
+                    // Grant exclusivity: no other copies exist (a
+                    // subscribing reader stays Shared, below).
                     let done = ctx.begin(
                         &mut self.input_q,
                         self.node,
@@ -512,13 +509,13 @@ impl HomeModule {
                 }
             }
             ReqKind::Update => {
-                // Dragon store miss on an ordinary block. While the block
-                // is dirty at one owner the home cannot push a coherent
-                // update, so it degrades the request to an invalidating
+                // A write-through store (Dragon, or an update block).
+                // While the block is dirty at one owner — possible only
+                // under Dragon — the home cannot push a coherent update,
+                // so it degrades the request to an invalidating
                 // read-exclusive (the writer is granted Modified); on a
                 // clean block the new value goes through memory and is
-                // pushed to every sharer, exactly like an update-block
-                // write.
+                // pushed to every sharer.
                 if state == MemState::Dirty {
                     self.process_request(ctx, at, ReqKind::ReadExclusive, addr, master, txn, 0);
                 } else {
@@ -558,61 +555,8 @@ impl HomeModule {
         }
     }
 
-    /// Services a request on an update-protocol block: the block is only
-    /// ever Clean (or pending an update push), reads are served from
-    /// memory with a Shared grant, and writes go through memory and are
-    /// pushed to every subscriber.
-    #[allow(clippy::too_many_arguments)]
-    fn process_update_request(
-        &mut self,
-        ctx: &mut Ctx,
-        at: SimTime,
-        kind: ReqKind,
-        addr: Addr,
-        master: NodeId,
-        txn: TxnId,
-        value: u64,
-    ) {
-        let params = ctx.params;
-        debug_assert_eq!(self.entry(ctx.sys, addr).state(), MemState::Clean);
-        match kind {
-            ReqKind::ReadShared => {
-                // Subscribe the reader; memory is always valid.
-                let done = ctx.begin(
-                    &mut self.input_q,
-                    self.node,
-                    ModuleKind::Home,
-                    at,
-                    params.home_clean,
-                );
-                let mem = self.mem_value(addr);
-                self.entry(ctx.sys, addr).map_mut().add(master);
-                ctx.send(
-                    done,
-                    self.node,
-                    master,
-                    ProtoMsg::DataReply {
-                        addr,
-                        txn,
-                        grant: CacheState::Shared,
-                        value: mem,
-                    },
-                );
-            }
-            ReqKind::Update => {
-                // Write memory, then push the fresh line to every other
-                // subscriber; their acks gather back like invalidations.
-                self.push_update(ctx, at, addr, master, txn, value);
-            }
-            ReqKind::ReadExclusive | ReqKind::Ownership => {
-                unreachable!("update blocks never receive exclusive requests")
-            }
-        }
-    }
-
     /// Writes `value` through to memory and pushes the fresh line to
     /// every other sharer; their acks gather back like invalidations.
-    /// Shared by the update-block protocol and Dragon store misses.
     fn push_update(
         &mut self,
         ctx: &mut Ctx,

@@ -136,12 +136,9 @@ impl MasterModule {
         txn: TxnId,
     ) {
         let params = ctx.params;
-        if ctx.update_blocks.contains(&addr) {
-            return self.handle_update_access(ctx, at, op, addr, txn);
-        }
         let state = self.cache.touch(addr);
         let hit_done = at + params.hit;
-        match ctx.protocol.classify(op, state) {
+        match ctx.protocol_for(addr).classify(op, state) {
             // Hits drain the backlog too: a backlogged access re-issued
             // by a completion often hits the line that completion just
             // filled, and if it didn't pass the drain token along the
@@ -163,6 +160,18 @@ impl MasterModule {
                 self.cache.set_value(addr, txn + 1);
                 ctx.complete(self.node, txn, op, addr, at, hit_done, true, false, txn + 1);
                 self.drain_backlog(ctx, hit_done);
+            }
+            // A subscriber's L2 miss refills from the copy in its own
+            // main memory (the update protocol's third-level cache),
+            // ahead of any backlog.
+            AccessDecision::Miss(ReqKind::ReadShared) if self.l3.contains_key(&addr) => {
+                let v = self.l3[&addr];
+                let victim = self.fill_cache(ctx, at, addr, CacheState::Shared, v);
+                self.writeback_victim(ctx, hit_done, victim);
+                ctx.on_l3_fill(at, self.node, addr);
+                let done = at + params.l3_fill;
+                ctx.complete(self.node, txn, op, addr, at, done, false, true, v);
+                self.drain_backlog(ctx, done);
             }
             AccessDecision::Miss(kind) => {
                 // Miss (or upgrade): a coherence request is needed.
@@ -202,98 +211,6 @@ impl MasterModule {
         }
     }
 
-    /// Access path for update-protocol blocks: loads prefer the local
-    /// third-level cache; stores always write through to the home.
-    fn handle_update_access(
-        &mut self,
-        ctx: &mut Ctx,
-        at: SimTime,
-        op: MemOp,
-        addr: Addr,
-        txn: TxnId,
-    ) {
-        let params = ctx.params;
-        let state = self.cache.touch(addr);
-        debug_assert!(!state.writable(), "update blocks never hold M/E in the L2");
-        match op {
-            MemOp::Load if state.readable() => {
-                let v = self.cache.value(addr);
-                ctx.complete(
-                    self.node,
-                    txn,
-                    op,
-                    addr,
-                    at,
-                    at + params.hit,
-                    true,
-                    false,
-                    v,
-                );
-                self.drain_backlog(ctx, at + params.hit);
-            }
-            MemOp::Load if self.l3.contains_key(&addr) => {
-                // L2 miss satisfied from the node's own main memory.
-                let v = self.l3[&addr];
-                let victim = if self.cache.state(addr) == CacheState::Invalid {
-                    self.fill_cache(ctx, at, addr, CacheState::Shared, v)
-                } else {
-                    None
-                };
-                self.writeback_victim(ctx, at + params.hit, victim);
-                ctx.on_l3_fill(at, self.node, addr);
-                ctx.complete(
-                    self.node,
-                    txn,
-                    op,
-                    addr,
-                    at,
-                    at + params.l3_fill,
-                    false,
-                    true,
-                    v,
-                );
-                self.drain_backlog(ctx, at + params.l3_fill);
-            }
-            _ => {
-                // Cold load (subscribe) or write-through store.
-                let busy_on_addr = self.outstanding.values().any(|t| t.addr == addr);
-                if self.outstanding.len() >= params.max_outstanding || busy_on_addr {
-                    self.backlog.push_back((op, addr, txn, at));
-                    return;
-                }
-                self.outstanding.insert(
-                    txn,
-                    MasterTxn {
-                        op,
-                        addr,
-                        issued: at,
-                        retries: 0,
-                        backoffs: 0,
-                        store_value: txn + 1,
-                    },
-                );
-                self.arm_txn_timer(ctx, at, txn, 0);
-                let kind = match op {
-                    MemOp::Load => ReqKind::ReadShared,
-                    MemOp::Store => ReqKind::Update,
-                };
-                ctx.on_request_issued(at, self.node, kind, false);
-                ctx.send(
-                    at + params.issue,
-                    self.node,
-                    addr.home(),
-                    ProtoMsg::Request {
-                        kind,
-                        addr,
-                        master: self.node,
-                        txn,
-                        value: txn + 1,
-                    },
-                );
-            }
-        }
-    }
-
     pub(crate) fn handle_retry(&mut self, ctx: &mut Ctx, at: SimTime, txn: TxnId) {
         let params = ctx.params;
         let (op, addr) = {
@@ -308,14 +225,7 @@ impl MasterModule {
         // Re-evaluate the request kind: the cached copy may have been
         // invalidated while we were nacked.
         let state = self.cache.state(addr);
-        let kind = if ctx.update_blocks.contains(&addr) {
-            match op {
-                MemOp::Load => ReqKind::ReadShared,
-                MemOp::Store => ReqKind::Update,
-            }
-        } else {
-            ctx.protocol.request_kind(op, state)
-        };
+        let kind = ctx.protocol_for(addr).request_kind(op, state);
         ctx.on_request_issued(at, self.node, kind, true);
         let value = if kind == ReqKind::Update { txn + 1 } else { 0 };
         ctx.send(
@@ -457,7 +367,7 @@ impl MasterModule {
                     .outstanding
                     .remove(&txn)
                     .expect("reply for unknown txn");
-                if ctx.update_blocks.contains(&addr) {
+                if ctx.protocol_for(addr).readers_subscribe() {
                     // A subscription read: the data also lands in the
                     // node's main-memory third-level cache.
                     self.l3.insert(addr, value);
@@ -493,43 +403,33 @@ impl MasterModule {
                     params.retire,
                 );
                 let t = self.outstanding.remove(&txn).expect("ack for unknown txn");
-                if ctx.update_blocks.contains(&addr) {
-                    // Write-through acknowledged: the writer keeps (or
-                    // gains) a Shared copy; its own memory is fresh too.
+                let protocol = ctx.protocol_for(addr);
+                if protocol.readers_subscribe() {
+                    // The writer's own main memory is fresh too.
                     self.l3.insert(addr, t.store_value);
-                    let victim = match self.cache.state(addr) {
-                        CacheState::Invalid => {
-                            self.fill_cache(ctx, at, addr, CacheState::Shared, t.store_value)
-                        }
-                        _ => {
-                            self.cache.set_value(addr, t.store_value);
-                            None
-                        }
-                    };
-                    self.writeback_victim(ctx, done, victim);
-                } else {
-                    // An acknowledged store-through-home: an ownership
-                    // upgrade under MESI (granting Modified), an update
-                    // push under Dragon (granting SharedModified).
-                    let grant = ctx.protocol.store_ack_state();
-                    let victim = match self.cache.state(addr) {
-                        CacheState::Invalid => {
-                            // The copy was evicted while the upgrade was
-                            // in flight (real hardware pins transient
-                            // lines; this model lets conflicting fills
-                            // race). Reinstall the line — the block's
-                            // value is the store's.
-                            self.fill_cache(ctx, at, addr, grant, t.store_value)
-                        }
-                        s if s.readable() && !s.writable() => {
-                            self.set_cache_state(ctx, at, addr, grant);
-                            self.cache.set_value(addr, t.store_value);
-                            None
-                        }
-                        other => unreachable!("store ack with {other} copy"),
-                    };
-                    self.writeback_victim(ctx, done, victim);
                 }
+                // An acknowledged store-through-home: an ownership
+                // upgrade under MESI (granting Modified), an update push
+                // under Dragon (granting SharedModified) or on an update
+                // block (granting Shared).
+                let grant = protocol.store_ack_state();
+                let victim = match self.cache.state(addr) {
+                    CacheState::Invalid => {
+                        // The copy was evicted while the upgrade was in
+                        // flight (real hardware pins transient lines;
+                        // this model lets conflicting fills race).
+                        // Reinstall the line — the block's value is the
+                        // store's.
+                        self.fill_cache(ctx, at, addr, grant, t.store_value)
+                    }
+                    s if s.readable() && !s.writable() => {
+                        self.set_cache_state(ctx, at, addr, grant);
+                        self.cache.set_value(addr, t.store_value);
+                        None
+                    }
+                    other => unreachable!("store ack with {other} copy"),
+                };
+                self.writeback_victim(ctx, done, victim);
                 ctx.complete(
                     self.node,
                     txn,

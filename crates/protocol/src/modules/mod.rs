@@ -33,7 +33,7 @@ pub use slave::SlaveModule;
 
 use crate::addr::Addr;
 use crate::cache::CacheState;
-use crate::coherence::CoherenceProtocol;
+use crate::coherence::{CoherenceProtocol, UpdateBlockProtocol};
 use crate::engine::{MemOp, Notification};
 use crate::messages::{ProtoMsg, ReqKind, TxnId};
 use crate::observer::{ModuleKind, ObserverSet, PhaseKind};
@@ -76,17 +76,27 @@ pub(crate) struct Ctx<'a> {
     pub bus: &'a mut MessageBus,
     pub obs: &'a mut ObserverSet,
     pub notes: &'a mut Vec<Notification>,
-    /// The coherence protocol's decision logic (the
-    /// [`CoherenceProtocol`] seam).
+    /// The machine's coherence protocol (the [`CoherenceProtocol`]
+    /// seam); read it per block through [`Ctx::protocol_for`].
     pub protocol: &'static dyn CoherenceProtocol,
-    /// Blocks running the update protocol (Section 4.2.3).
-    pub update_blocks: &'a FxHashSet<Addr>,
+    /// Blocks marked for the Section 4.2.3 update protocol.
+    pub marked: &'a FxHashSet<Addr>,
     /// Test-only protocol mutation in force (checker mutant runs);
     /// [`FaultInjection::None`] in every production path.
     pub fault: FaultInjection,
 }
 
 impl Ctx<'_> {
+    /// The protocol `addr` runs: [`UpdateBlockProtocol`] for marked
+    /// blocks, the machine's protocol for every other block.
+    pub(crate) fn protocol_for(&self, addr: Addr) -> &'static dyn CoherenceProtocol {
+        if self.marked.contains(&addr) {
+            &UpdateBlockProtocol
+        } else {
+            self.protocol
+        }
+    }
+
     /// Sends a protocol message and notifies observers. A message for a
     /// quarantined destination is discarded at the sender instead of put
     /// on the wire — the failure detector already knows nobody is

@@ -102,17 +102,15 @@ impl SlaveModule {
                     at,
                     params.slave_inv,
                 );
-                if ctx.update_blocks.contains(&addr) {
-                    // Update-extension block: the push also refreshes the
-                    // third-level cache in this node's main memory.
+                if ctx.protocol_for(addr).readers_subscribe() {
+                    // A subscriber's push also refreshes the third-level
+                    // cache in this node's main memory.
                     master.l3.insert(addr, value);
-                    if self.node != writer && master.cache.state(addr) != CacheState::Invalid {
-                        master.cache.set_value(addr, value);
-                    }
-                } else if self.node != writer {
-                    // Dragon push on an ordinary block: refresh any
-                    // readable copy; a previous writer's SharedModified
-                    // copy is demoted — the pusher is the last writer now.
+                }
+                if self.node != writer {
+                    // Refresh any readable copy; a previous writer's
+                    // SharedModified copy (Dragon) is demoted — the
+                    // pusher is the last writer now.
                     let state = master.cache.state(addr);
                     if state.readable() {
                         master.cache.set_value(addr, value);

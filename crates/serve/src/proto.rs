@@ -194,26 +194,26 @@ fn parse_config(v: &Json) -> Result<SystemConfig, String> {
         .ok_or("config needs integer \"nodes\"")?;
     let nodes = u16::try_from(nodes).map_err(|_| format!("nodes {nodes} out of range"))?;
     let mut b = SystemConfig::builder(nodes);
-    if let Some(name) = c.get("protocol").map(|p| p.as_str().unwrap_or_default()) {
+    if let Some(name) = opt_str(c, "protocol")? {
         let id = ProtocolId::parse(name).ok_or_else(|| format!("unknown protocol {name:?}"))?;
         b = b.protocol(id);
     }
-    if let Some(name) = c.get("directory").map(|d| d.as_str().unwrap_or_default()) {
+    if let Some(name) = opt_str(c, "directory")? {
         let id = DirectoryId::parse(name).ok_or_else(|| format!("unknown directory {name:?}"))?;
         b = b.directory(id);
     }
-    match c.get("kind").map(|k| k.as_str().unwrap_or_default()) {
+    match opt_str(c, "kind")? {
         None | Some("queuing") => {}
         Some("nack") => b = b.nack_protocol(),
         Some(other) => return Err(format!("unknown protocol kind {other:?}")),
     }
-    if let Some(Json::Bool(false)) = c.get("multicast") {
+    if opt_bool(c, "multicast")? == Some(false) {
         b = b.without_multicast();
     }
-    if let Some(ns) = c.get("mpi_latency_ns").and_then(Json::as_u64) {
+    if let Some(ns) = opt_u64(c, "mpi_latency_ns")? {
         b = b.mpi_latency(Duration::from_ns(ns));
     }
-    if let Some(bw) = c.get("mpi_bytes_per_us").and_then(Json::as_u64) {
+    if let Some(bw) = opt_u64(c, "mpi_bytes_per_us")? {
         b = b.mpi_bandwidth(bw);
     }
     b.build()
@@ -229,15 +229,15 @@ fn parse_workload(v: &Json) -> Result<WorkloadSpec, String> {
             .ok_or_else(|| format!("unknown app {name:?} (BT, CG, FT, SP)"))?,
         None => return Err("workload needs string \"app\"".into()),
     };
-    let variant = match w.get("variant").and_then(Json::as_str).unwrap_or("dsm2") {
+    let variant = match opt_str(w, "variant")?.unwrap_or("dsm2") {
         "seq" => Variant::Seq,
         "mpi" => Variant::Mpi,
         "dsm1" | "dsm(1)" => Variant::Dsm1,
         "dsm2" | "dsm(2)" => Variant::Dsm2,
         other => return Err(format!("unknown variant {other:?} (seq, mpi, dsm1, dsm2)")),
     };
-    let mapping = !matches!(w.get("mapping"), Some(Json::Bool(false)));
-    let scale = w.get("scale").and_then(Json::as_f64).unwrap_or(1.0);
+    let mapping = opt_bool(w, "mapping")?.unwrap_or(true);
+    let scale = opt_f64(w, "scale")?.unwrap_or(1.0);
     if !(scale.is_finite() && scale > 0.0) {
         return Err(format!("scale must be finite and positive, got {scale}"));
     }
@@ -246,6 +246,38 @@ fn parse_workload(v: &Json) -> Result<WorkloadSpec, String> {
         variant,
         mapping,
         scale,
+    })
+}
+
+/// The optional `key` of `obj` read as `T`: absent is `None`, and a
+/// value of the wrong type is an error naming the key and its type.
+fn opt<'a, T>(
+    obj: &'a Json,
+    key: &str,
+    want: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    obj.get(key)
+        .map(|v| read(v).ok_or_else(|| format!("\"{key}\" must be {want}")))
+        .transpose()
+}
+
+fn opt_str<'a>(obj: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    opt(obj, key, "a string", Json::as_str)
+}
+
+fn opt_u64(obj: &Json, key: &str) -> Result<Option<u64>, String> {
+    opt(obj, key, "a non-negative integer", Json::as_u64)
+}
+
+fn opt_f64(obj: &Json, key: &str) -> Result<Option<f64>, String> {
+    opt(obj, key, "a number", Json::as_f64)
+}
+
+fn opt_bool(obj: &Json, key: &str) -> Result<Option<bool>, String> {
+    opt(obj, key, "true or false", |v| match v {
+        Json::Bool(b) => Some(*b),
+        _ => None,
     })
 }
 

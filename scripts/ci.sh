@@ -8,7 +8,8 @@
 #   check-smoke    run only the time-capped protocol-checker tier
 #   fault-smoke    run only the time-capped unreliable-fabric recovery tier
 #   obs-smoke      run only the observability export/leak-oracle tier
-#   bakeoff-smoke  run only the cross-protocol (MESI/Dragon x directory) tier
+#   bakeoff-smoke  run only the cross-protocol tier (MESI/Dragon x directory,
+#                  plus the per-block update protocol)
 #   chaos-smoke    run only the node-failure containment tier
 #   serve-smoke    run only the capacity-planning service tier
 #   bench-smoke    run only the end-to-end benchmark's digest/count-pin tier
@@ -156,6 +157,11 @@ bakeoff_smoke() {
     # zero-traffic local hits) instead of writing the JSON artifact.
     cargo build --release --offline -p cenju4-bench --bin fig_bakeoff
     timeout 120 target/release/fig_bakeoff --smoke
+    # The third CoherenceProtocol, selected per block: the update-block
+    # tests and traces (on MESI, Dragon and nack machines), and the CG
+    # update-protocol run pinned by its work counts.
+    cargo test -q --release --offline -p cenju4-protocol --test update_tests --test golden_trace
+    cargo test -q --release --offline --test golden_hotpath cg_update_work_counts_pinned
 }
 
 chaos_smoke() {
