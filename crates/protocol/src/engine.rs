@@ -25,10 +25,6 @@ use cenju4_directory::{DirectoryId, MemState, NodeId, NodeMap, SystemSize};
 use cenju4_network::{FaultPlan, NetParams};
 use core::fmt;
 
-mod snapshot;
-
-pub use snapshot::{EngineSnapshot, ExternalInput, InputRecord, RestoreError, SnapshotError};
-
 /// Why [`Engine::try_issue`] rejected an access. The legacy
 /// [`Engine::issue`] panics on these instead of returning them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,9 +213,6 @@ pub struct Engine {
     /// a quarantined owner — the home's memory is stale and the fresh
     /// value is unrecoverable. Value/convergence oracles skip these.
     lost_blocks: FxHashSet<Addr>,
-    /// Every external input applied so far, pinned to its dispatch-step
-    /// position — the whole truth a snapshot needs (see [`snapshot`]).
-    journal: Vec<InputRecord>,
     /// Dispatch steps executed (one per event routed by [`Engine::run_next`]).
     steps: u64,
 }
@@ -246,7 +239,6 @@ impl Engine {
             stalled: false,
             ever_down: FxHashSet::default(),
             lost_blocks: FxHashSet::default(),
-            journal: Vec::new(),
             steps: 0,
         }
     }
@@ -259,8 +251,10 @@ impl Engine {
     /// Message payloads are shared copy-on-write between the two.
     ///
     /// Returns `None` when a registered user observer does not
-    /// implement [`Observer::fork`]. Unlike an [`EngineSnapshot`], a
-    /// fork is a live same-thread engine, not portable data.
+    /// implement [`Observer::fork`]. A fork is a live same-thread
+    /// engine, not portable data: a run that only needs to be resumed
+    /// later is checkpointed as its [`Engine::steps`] count and rebuilt
+    /// by replaying its driver (see `cenju4_sim::Driver::resume`).
     pub fn fork(&self) -> Option<Engine> {
         Some(Engine {
             sys: self.sys,
@@ -279,7 +273,6 @@ impl Engine {
             stalled: self.stalled,
             ever_down: self.ever_down.clone(),
             lost_blocks: self.lost_blocks.clone(),
-            journal: self.journal.clone(),
             steps: self.steps,
         })
     }
@@ -477,6 +470,12 @@ impl Engine {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.bus.now()
+    }
+
+    /// Dispatch steps executed so far (one per event routed by
+    /// [`Engine::run_next`]).
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Engine counters (maintained by the built-in stats observer).
@@ -818,10 +817,6 @@ impl Engine {
         }
         let txn = self.next_txn;
         self.next_txn += 1;
-        self.journal.push(InputRecord {
-            step: self.steps,
-            input: ExternalInput::Access { at, node, op, addr },
-        });
         self.bus.schedule(
             at,
             BusMsg::Access {
@@ -845,16 +840,6 @@ impl Engine {
     /// Panics if `src == dst`.
     pub fn mp_send(&mut self, at: SimTime, src: NodeId, dst: NodeId, bytes: u64, tag: u64) {
         assert_ne!(src, dst, "node-local messages need no network");
-        self.journal.push(InputRecord {
-            step: self.steps,
-            input: ExternalInput::MpSend {
-                at,
-                src,
-                dst,
-                bytes,
-                tag,
-            },
-        });
         let sw = self.params.mp_software;
         let msg = ProtoMsg::UserMessage {
             addr: Addr::new(dst, 0),
@@ -881,10 +866,6 @@ impl Engine {
     /// interleaving its own timed work (think time, synchronization) with
     /// protocol events.
     pub fn schedule_marker(&mut self, at: SimTime, token: u64) {
-        self.journal.push(InputRecord {
-            step: self.steps,
-            input: ExternalInput::Marker { at, token },
-        });
         self.bus.schedule(at, BusMsg::Marker(token));
     }
 

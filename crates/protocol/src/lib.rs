@@ -77,10 +77,7 @@ pub use coherence::{
     AccessDecision, CoherenceProtocol, DragonProtocol, MesiProtocol, ProtocolId,
     UpdateBlockProtocol,
 };
-pub use engine::{
-    Engine, EngineSnapshot, ExternalInput, InputRecord, IssueError, MemOp, Notification,
-    RestoreError, SnapshotError,
-};
+pub use engine::{Engine, IssueError, MemOp, Notification};
 pub use messages::{ProtoMsg, ReqKind, TxnId};
 pub use modules::bus::{Channel, Footprint, NodeHealth, PendingEvent};
 pub use observer::{ModuleKind, Observer, PhaseKind};

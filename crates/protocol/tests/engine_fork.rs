@@ -2,6 +2,8 @@
 //! walk, driven with the same remaining choices as the original, ends in
 //! the same state with the same notifications, statistics, network
 //! counters, and trace — and forking never disturbs the original.
+//! Forks of uncontrolled (time-ordered) engines are covered by the
+//! workspace's `tests/snapshot_resume.rs`.
 
 use cenju4_des::{Duration, SimTime, SplitMix64};
 use cenju4_directory::{NodeId, SystemSize};
@@ -15,7 +17,7 @@ use cenju4_protocol::{
 const NODES: u16 = 3;
 const MAX_STEPS: usize = 4_000;
 /// The step at which one more access is issued mid-walk, so forks taken
-/// before it must also agree on transaction ids and the input journal.
+/// before it must also agree on transaction ids.
 const LATE_ACCESS_AT: usize = 6;
 
 #[derive(Clone, Copy, Debug)]

@@ -22,11 +22,12 @@
 //!   (responses carry no cache metadata); an evicted key re-simulates to
 //!   the same bytes.
 //! * **Steerable runs** ([`server`]): `run_start`/`run_step` advance a
-//!   live simulation event by event; `run_checkpoint`/`run_resume` use
-//!   the engine's replay-based
-//!   [`Engine::snapshot`](cenju4_protocol::Engine::snapshot) seam, so a
-//!   client can checkpoint, ask a side question, and continue — resumed
-//!   runs are bit-identical to uninterrupted ones.
+//!   live simulation event by event. `run_checkpoint` stores the run's
+//!   query and dispatch-step count; `run_resume` rebuilds the run by
+//!   replaying a fresh driver to that count
+//!   ([`Driver::resume`](cenju4_sim::Driver::resume)), so a client can
+//!   checkpoint, ask a side question, and continue — resumed runs are
+//!   bit-identical to uninterrupted ones.
 //! * **Determinism end to end**: every response is a pure function of
 //!   the request stream, which is what lets the declarative scenario
 //!   harness (`tests/serve_scenarios.rs`) pin whole response lines.

@@ -18,6 +18,12 @@ use cenju4_protocol::ProtocolId;
 use cenju4_sim::{ConfigError, SystemConfig};
 use cenju4_workloads::{AppKind, Variant};
 
+/// The largest workload `scale` a request may ask for: the default of
+/// every figure binary's problem-size argument. Program size grows
+/// linearly with scale, so an unbounded one lets a single request line
+/// build an unbounded program.
+pub const MAX_SCALE: f64 = 2.0;
+
 /// A parsed request line.
 #[derive(Clone, Debug)]
 pub struct Request {
@@ -240,6 +246,9 @@ fn parse_workload(v: &Json) -> Result<WorkloadSpec, String> {
     let scale = opt_f64(w, "scale")?.unwrap_or(1.0);
     if !(scale.is_finite() && scale > 0.0) {
         return Err(format!("scale must be finite and positive, got {scale}"));
+    }
+    if scale > MAX_SCALE {
+        return Err(format!("scale must be at most {MAX_SCALE}, got {scale}"));
     }
     Ok(WorkloadSpec {
         app,

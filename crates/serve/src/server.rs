@@ -359,10 +359,10 @@ struct LiveRun {
 }
 
 /// A stored checkpoint: the query that produced the run plus the
-/// engine's replay snapshot.
+/// engine's step count, which [`Driver::resume`] replays to.
 struct StoredSnapshot {
     query: Query,
-    snap: cenju4_protocol::EngineSnapshot,
+    steps: u64,
 }
 
 fn build_program(q: &Query) -> KernelProgram {
@@ -410,32 +410,29 @@ fn run_actor(state: Arc<State>, rx: Receiver<RunMsg>) {
                 Some(LiveRun {
                     state: RunState::Live(driver),
                     query,
-                }) => match driver.snapshot() {
-                    Ok(snap) => {
-                        let steps = snap.steps;
-                        let sid = next_snap.fetch_add(1, Ordering::SeqCst);
-                        state.counters.snapshots.fetch_add(1, Ordering::SeqCst);
-                        snaps.insert(
-                            sid,
-                            StoredSnapshot {
-                                query: query.clone(),
-                                snap,
-                            },
-                        );
-                        proto::ok_line(
-                            id,
-                            &format!("{{\"snapshot\":{sid},\"run\":{run},\"steps\":{steps}}}"),
-                        )
-                    }
-                    Err(e) => proto::err_line(id, &format!("cannot checkpoint: {e}")),
-                },
+                }) => {
+                    let steps = driver.engine().steps();
+                    let sid = next_snap.fetch_add(1, Ordering::SeqCst);
+                    state.counters.snapshots.fetch_add(1, Ordering::SeqCst);
+                    snaps.insert(
+                        sid,
+                        StoredSnapshot {
+                            query: query.clone(),
+                            steps,
+                        },
+                    );
+                    proto::ok_line(
+                        id,
+                        &format!("{{\"snapshot\":{sid},\"run\":{run},\"steps\":{steps}}}"),
+                    )
+                }
             },
             RunCmd::Resume { snapshot } => match snaps.get(&snapshot) {
                 None => proto::err_line(id, &format!("unknown snapshot {snapshot}")),
                 Some(stored) => {
                     let q = stored.query.clone();
-                    match Driver::resume(&q.cfg, build_program(&q), &stored.snap) {
-                        Ok(driver) => {
+                    match Driver::resume(&q.cfg, build_program(&q), stored.steps) {
+                        Some(driver) => {
                             state.counters.runs.fetch_add(1, Ordering::SeqCst);
                             let run = next_run.fetch_add(1, Ordering::SeqCst);
                             let steps = driver.engine().steps();
@@ -451,7 +448,13 @@ fn run_actor(state: Arc<State>, rx: Receiver<RunMsg>) {
                                 &format!("{{\"run\":{run},\"steps\":{steps},\"done\":false}}"),
                             )
                         }
-                        Err(e) => proto::err_line(id, &format!("cannot resume: {e}")),
+                        None => proto::err_line(
+                            id,
+                            &format!(
+                                "cannot resume: replay went quiescent before step {}",
+                                stored.steps
+                            ),
+                        ),
                     }
                 }
             },

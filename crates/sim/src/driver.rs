@@ -9,9 +9,7 @@ use crate::config::SystemConfig;
 use crate::report::{AccessClass, NodeReport, RunReport};
 use cenju4_des::{Duration, SimTime};
 use cenju4_directory::NodeId;
-use cenju4_protocol::{
-    Addr, Engine, EngineSnapshot, MemOp, Notification, RestoreError, SnapshotError,
-};
+use cenju4_protocol::{Addr, Engine, MemOp, Notification};
 
 /// What a memory access targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -301,50 +299,28 @@ impl<P: Program> Driver<P> {
         self.state.iter().all(|s| matches!(s, NodeRun::Finished))
     }
 
-    /// Checkpoints the run between pumps — see
-    /// [`Engine::snapshot`](cenju4_protocol::Engine::snapshot). Resume
-    /// with [`Driver::resume`] using a *fresh* copy of the same program.
-    pub fn snapshot(&self) -> Result<EngineSnapshot, SnapshotError> {
-        self.eng.snapshot()
-    }
-
     /// Rebuilds a driver at a checkpoint by deterministic replay: a
     /// fresh driver over `cfg` runs `program` forward until the engine
-    /// reaches the snapshot's dispatch-step position. Because the driver
+    /// has dispatched `steps` events. A checkpoint of a run is just its
+    /// [`Engine::steps`] count taken between pumps: because the driver
     /// loop is deterministic, the rebuilt driver — engine, reports,
-    /// histograms, program position — is bit-identical to the one that
-    /// took the snapshot, and running it to completion produces exactly
-    /// the uninterrupted run's report. `program` must be a fresh copy of
-    /// the program the snapshotted driver started with, and `cfg` the
-    /// same configuration.
+    /// histograms, program position — is bit-identical to the original
+    /// at that count, and running it to completion produces exactly the
+    /// uninterrupted run's report. `program` must be a fresh copy of the
+    /// program the original driver started with, and `cfg` the same
+    /// configuration.
     ///
-    /// # Errors
-    ///
-    /// [`RestoreError::SystemMismatch`] when `cfg` disagrees with the
-    /// snapshot's machine size; [`RestoreError::QuiescentBeforeCheckpoint`]
-    /// when the replay drains early (a different program or config).
-    pub fn resume(
-        cfg: &SystemConfig,
-        program: P,
-        snap: &EngineSnapshot,
-    ) -> Result<Self, RestoreError> {
-        if cfg.sys.nodes() != snap.nodes {
-            return Err(RestoreError::SystemMismatch {
-                snapshot: snap.nodes,
-                engine: cfg.sys.nodes(),
-            });
-        }
+    /// Returns `None` when the replay goes quiescent before `steps` (a
+    /// different program or configuration, or a count past the run's end).
+    pub fn resume(cfg: &SystemConfig, program: P, steps: u64) -> Option<Self> {
         let mut d = Driver::new(cfg, program);
         d.start();
-        while d.eng.steps() < snap.steps {
+        while d.eng.steps() < steps {
             if !d.pump() {
-                return Err(RestoreError::QuiescentBeforeCheckpoint {
-                    reached: d.eng.steps(),
-                    wanted: snap.steps,
-                });
+                return None;
             }
         }
-        Ok(d)
+        Some(d)
     }
 
     /// Executes steps for `node` starting at time `t` until the node

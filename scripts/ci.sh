@@ -214,7 +214,8 @@ serve_smoke() {
     # request-line cap over an in-memory session and over TCP.
     timeout 600 cargo test -q --release --offline -p cenju4-serve
     # The binary end to end over stdin: a ping, a cached pair of what-if
-    # queries, and the dedup counter pinned through the real front end.
+    # queries, the dedup counter pinned through the real front end, and a
+    # live run checkpointed mid-flight, drained, resumed and drained again.
     cargo build --release --offline -p cenju4-serve
     local out
     out=$(printf '%s\n' \
@@ -222,13 +223,29 @@ serve_smoke() {
         '{"id":2,"cmd":"simulate","config":{"nodes":8},"workload":{"app":"ft","scale":0.25}}' \
         '{"id":3,"cmd":"simulate","config":{"nodes":8},"workload":{"app":"ft","scale":0.25}}' \
         '{"id":4,"cmd":"stats"}' \
-        '{"id":5,"cmd":"shutdown"}' \
+        '{"id":5,"cmd":"run_start","config":{"nodes":8},"workload":{"app":"ft","scale":0.25}}' \
+        '{"id":6,"cmd":"run_step","run":1,"steps":500}' \
+        '{"id":7,"cmd":"run_checkpoint","run":1}' \
+        '{"id":8,"cmd":"run_step","run":1,"steps":1000000000}' \
+        '{"id":9,"cmd":"run_resume","snapshot":1}' \
+        '{"id":10,"cmd":"run_step","run":2,"steps":1000000000}' \
+        '{"id":11,"cmd":"run_result","run":1}' \
+        '{"id":12,"cmd":"run_result","run":2}' \
+        '{"id":13,"cmd":"shutdown"}' \
         | timeout 120 target/release/cenju4-serve)
     echo "$out" | grep -q '"pong":true' || { echo "FAIL: no pong"; exit 1; }
     [[ "$(echo "$out" | sed -n 2p)" == "$(echo "$out" | sed -n 3p | sed 's/"id":3/"id":2/')" ]] \
         || { echo "FAIL: cached response not byte-identical to fresh"; exit 1; }
     echo "$out" | grep -q '"sims":1,"deduped":1' \
         || { echo "FAIL: dedup counters wrong through the binary"; exit 1; }
+    echo "$out" | grep -q '"id":7,"ok":true,"result":{"snapshot":1,"run":1,"steps":500}' \
+        || { echo "FAIL: checkpoint through the binary"; exit 1; }
+    local uninterrupted resumed
+    uninterrupted="$(echo "$out" | grep '^{"id":11,"ok":true,"result":{"fingerprint"')" \
+        || { echo "FAIL: no result for the uninterrupted run"; exit 1; }
+    resumed="$(echo "$out" | grep '^{"id":12,' | sed 's/"id":12/"id":11/')"
+    [[ "$resumed" == "$uninterrupted" ]] \
+        || { echo "FAIL: resumed run's result differs from the uninterrupted run's"; exit 1; }
 }
 
 bench_smoke() {
