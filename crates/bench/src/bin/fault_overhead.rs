@@ -37,7 +37,7 @@ fn measure(nodes: u16, rounds: u32, drop_permille: u16) -> Point {
         builder = builder.fault_plan(FaultPlan::random(0xBE7C, drop_permille));
     }
     let cfg = builder.build().expect("valid node count");
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     let mut completed = 0u64;
     let mut latency_ns = 0u64;
     for i in 0..rounds {

@@ -14,9 +14,10 @@ use cenju4_bench::ObsArgs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs = ObsArgs::parse();
+    let machine = |nodes, mode| SystemConfig::builder(nodes).multicast(mode).build();
     for nodes in [16u16, 128, 1024] {
-        let with_mc = SystemConfig::new(nodes)?;
-        let without = with_mc.without_multicast();
+        let with_mc = machine(nodes, MulticastMode::Hardware)?;
+        let without = machine(nodes, MulticastMode::SinglecastEmulation)?;
         println!(
             "store latency on {nodes} nodes ({} stages):",
             with_mc.sys.stages()
@@ -52,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    let big = SystemConfig::new(1024)?;
-    let big_sc = big.without_multicast();
+    let big = machine(1024, MulticastMode::Hardware)?;
+    let big_sc = machine(1024, MulticastMode::SinglecastEmulation)?;
     let a = probes::store_latency(&big, 1024).as_ns() as f64;
     let b = probes::store_latency(&big_sc, 1024).as_ns() as f64;
     println!("paper's 1024-sharer estimates:");

@@ -20,7 +20,7 @@ struct Outcome {
 }
 
 fn contend(cfg: &SystemConfig, rounds: u32) -> Outcome {
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(cfg);
     // The Fig-6 starvation metrics come from an observer attached to the
     // engine, not from the engine's own counters.
     eng.add_observer(Box::new(StarvationProbe::default()));
@@ -56,7 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds = cenju4_bench::scale_arg(20.0) as u32;
     for nodes in [16u16, 64] {
         let queuing = SystemConfig::builder(nodes).build()?;
-        let nack = SystemConfig::builder(nodes).nack_protocol().build()?;
+        let nack = SystemConfig::builder(nodes)
+            .kind(ProtocolKind::Nack)
+            .build()?;
         let q = contend(&queuing, rounds);
         let k = contend(&nack, rounds);
         println!("{nodes} nodes, {rounds} rounds of all-store contention on one block");

@@ -69,7 +69,7 @@ fn bakeoff_point(coherence: ProtocolId, directory: DirectoryId, nodes: u16) -> P
         .directory(directory)
         .build()
         .expect("bakeoff configuration invalid");
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     let a = Addr::new(NodeId::new(0), 0);
     for i in 1..=nodes {
         let reader = NodeId::new(i % nodes);

@@ -30,9 +30,11 @@ impl TracedRun {
 }
 
 fn traced_engine(nodes: u16) -> Engine {
-    let cfg = SystemConfig::new(nodes).expect("valid node count");
+    let cfg = SystemConfig::builder(nodes)
+        .build()
+        .expect("valid node count");
     let sys = cfg.sys;
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     eng.add_observer(Box::new(SpanCollector::new(sys)));
     eng
 }

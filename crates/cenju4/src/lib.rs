@@ -22,14 +22,14 @@
 //! use cenju4::prelude::*;
 //!
 //! // Build a 16-node machine and measure the Table 2 load latencies.
-//! let cfg = SystemConfig::new(16)?;
+//! let cfg = SystemConfig::builder(16).build()?;
 //! let row = cenju4::sim::probes::load_latencies(&cfg);
 //! assert_eq!(row.shared_local_clean.as_ns(), 610);
 //!
 //! // Store latency to a block shared by 8 nodes (Figure 10's x=8 point).
 //! let lat = cenju4::sim::probes::store_latency(&cfg, 8);
 //! assert!(lat.as_ns() > row.shared_local_clean.as_ns());
-//! # Ok::<(), cenju4::directory::SystemSizeError>(())
+//! # Ok::<(), cenju4::sim::ConfigError>(())
 //! ```
 
 pub use cenju4_des as des;
@@ -60,12 +60,12 @@ mod tests {
         use crate::prelude::*;
         let sys = SystemSize::new(16).unwrap();
         assert_eq!(sys.stages(), 2);
-        let _ = SystemConfig::new(16).unwrap();
+        let _ = SystemConfig::builder(16).build().unwrap();
     }
 
     /// The protocol/directory seam types reach the facade prelude: the
     /// selector enums, the trait objects behind them, and the builder
-    /// spec all resolve from `cenju4::prelude::*` alone.
+    /// setters all resolve from `cenju4::prelude::*` alone.
     #[test]
     fn facade_reexports_the_seam_types() {
         use crate::prelude::*;
@@ -74,9 +74,9 @@ mod tests {
         let fmt: &'static dyn DirectoryFormat = DirectoryId::CoarseVector.format();
         assert_eq!(fmt.name(), "coarse-vector");
         let _: SharerSet = DirectoryId::FullMap.instantiate(SystemSize::new(16).unwrap());
-        let spec: ProtocolSpec = (ProtocolId::Dragon, ProtocolKind::Queuing).into();
         let cfg = SystemConfig::builder(16)
-            .protocol(spec)
+            .protocol(ProtocolId::Dragon)
+            .kind(ProtocolKind::Queuing)
             .directory(DirectoryId::FullMap)
             .build()
             .unwrap();

@@ -16,8 +16,8 @@
 //!   oracles failed to distinguish a broken protocol).
 //!
 //! Common flags: `--nodes N --blocks B --ops K`
-//! `--protocol mesi|dragon|queuing|nack` (coherence protocol, or the
-//! legacy home-variant names), `--directory <format>` (sharer-set
+//! `--protocol mesi|dragon|queuing|nack` (a coherence protocol or a home
+//! discipline; repeat the flag to set both), `--directory <format>` (sharer-set
 //! format; run with an unknown value to list them), `--fault <name>`
 //! (run `cenju4-check` with an unknown fault to list them),
 //! `--recovery on|off --fault-seed S --drop-rate P` (permille)
@@ -28,7 +28,9 @@
 //! `mutants` adds `--explorer full|reduced`.
 //!
 //! A config whose fault mutant cannot fire (e.g. `--fault node-down
-//! --nodes 2`) is a usage error, not a hollow green run.
+//! --nodes 2`) is a usage error, not a hollow green run; so is a machine
+//! the config builder rejects (e.g. `--nodes 2000`, or `--protocol
+//! dragon --protocol nack`), not a fake counterexample.
 
 use cenju4_check::{
     default_check_threads, exhaustive, explore_reduced_with, random_walks, random_walks_parallel,
@@ -123,9 +125,9 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--blocks" => args.cfg.blocks = val()?.parse().map_err(|e| format!("--blocks: {e}"))?,
             "--ops" => args.cfg.ops_per_node = val()?.parse().map_err(|e| format!("--ops: {e}"))?,
             "--protocol" => match val()?.as_str() {
-                // Legacy home-variant names select the home machinery;
-                // coherence-protocol names select the line-state machine.
-                // Both route through the same `ProtocolSpec` builder seam.
+                // Home-discipline names set the config's `kind`;
+                // coherence-protocol names set its `protocol`. Each sets
+                // one field, so a repeated flag can select both.
                 "queuing" => args.cfg.kind = ProtocolKind::Queuing,
                 "nack" => args.cfg.kind = ProtocolKind::Nack,
                 other => match ProtocolId::parse(other) {
@@ -239,13 +241,20 @@ fn main() -> ExitCode {
         Ok(p) => p,
         Err(e) => return usage(&e),
     };
-    // A fault that cannot fire under this config would make every
-    // explorer report a hollow green; refuse up front. `mutants` builds
-    // its own per-fault configs and bumps node counts itself.
-    if cmd != "mutants" {
-        if let Err(e) = args.cfg.validate() {
-            return usage(&e);
+    // A machine the builder rejects would make every explorer report a
+    // fake counterexample, and a fault that cannot fire a hollow green;
+    // refuse both up front. `mutants` arms its own faults and bumps node
+    // counts itself, so only its machine is checked.
+    let checked = if cmd == "mutants" {
+        CheckConfig {
+            fault: FaultInjection::None,
+            ..args.cfg
         }
+    } else {
+        args.cfg
+    };
+    if let Err(e) = checked.validate() {
+        return usage(&e);
     }
     let threads = if args.threads == 0 {
         default_check_threads()

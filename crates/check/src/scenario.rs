@@ -5,13 +5,13 @@
 //! with concurrency. Every node issues all its accesses at time zero, so
 //! the controlled scheduler (not timing) decides every race.
 
-use cenju4_directory::{DirectoryId, NodeId, SystemSize};
+use cenju4_directory::{DirectoryId, NodeId};
 use cenju4_network::FaultPlan;
 use cenju4_obs::SpanCollector;
 use cenju4_protocol::{
-    Addr, Engine, FaultInjection, MemOp, ProtocolId, ProtocolKind, RecoveryParams,
+    Addr, ConfigError, Engine, FaultInjection, MemOp, ProtocolId, ProtocolKind, RecoveryParams,
+    SystemConfig,
 };
-use cenju4_sim::SystemConfig;
 use core::fmt;
 
 /// One checker scenario: machine shape, workload size, protocol variant,
@@ -85,13 +85,18 @@ impl fmt::Display for CheckConfig {
 }
 
 impl CheckConfig {
-    /// Rejects configurations whose fault mutant can never fire, so a
-    /// checker run cannot report a hollow "all green". The delayed-
-    /// invalidation race needs a requester, a home, and a *third* node
-    /// holding the stale copy; the node mutants kill node 1 and need a
-    /// healthy remote pair left over; `quarantine-off` mutates the
-    /// recovery layer and is meaningless with recovery disarmed.
+    /// Rejects configurations the machine builder refuses (a node count
+    /// out of range, Dragon over the nack home), so no explorer panics
+    /// or reports a fake counterexample on them. Also rejects
+    /// configurations whose fault mutant can never fire, so a checker
+    /// run cannot report a hollow "all green". The delayed-invalidation
+    /// race needs a requester, a home, and a *third* node holding the
+    /// stale copy; the node mutants kill node 1 and need a healthy
+    /// remote pair left over; `quarantine-off` mutates the recovery
+    /// layer and is meaningless with recovery disarmed.
     pub fn validate(&self) -> Result<(), String> {
+        self.system_config()
+            .map_err(|e| format!("invalid machine configuration: {e}"))?;
         let need = self.fault.min_nodes();
         if u32::from(self.nodes) < need {
             return Err(format!(
@@ -122,11 +127,13 @@ impl CheckConfig {
         self.nodes as usize * self.ops_per_node as usize
     }
 
-    /// Builds a controlled-schedule engine with the workload issued: node
-    /// `n`'s `i`-th access targets block `(i + n) mod blocks` and is a
-    /// store when `n + i` is even — every pair of nodes races on every
-    /// block, with reads checking the writes.
-    pub fn engine(&self) -> Engine {
+    /// The machine the scenario runs on. [`CheckConfig::validate`] and
+    /// [`CheckConfig::engine`] both build it here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the builder's [`ConfigError`] for a machine it rejects.
+    pub fn system_config(&self) -> Result<SystemConfig, ConfigError> {
         let recovery = if self.recovery {
             if self.fault == FaultInjection::QuarantineOff {
                 // The quarantine-off mutant arms the detector but lets a
@@ -142,25 +149,40 @@ impl CheckConfig {
         } else {
             RecoveryParams::disabled()
         };
-        let cfg = SystemConfig::builder(self.nodes)
-            .protocol((self.coherence, self.kind))
+        let plan = if self.drop_permille > 0 {
+            FaultPlan::random(self.fault_seed, self.drop_permille)
+        } else {
+            FaultPlan::none()
+        };
+        SystemConfig::builder(self.nodes)
+            .protocol(self.coherence)
+            .kind(self.kind)
             .directory(self.directory)
             .recovery(recovery)
+            .fault_plan(plan)
             .build()
+    }
+
+    /// Builds a controlled-schedule engine with the workload issued: node
+    /// `n`'s `i`-th access targets block `(i + n) mod blocks` and is a
+    /// store when `n + i` is even — every pair of nodes races on every
+    /// block, with reads checking the writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CheckConfig::validate`] rejects the configuration.
+    pub fn engine(&self) -> Engine {
+        let cfg = self
+            .system_config()
             .expect("checker scenario configuration invalid");
-        let mut eng = cfg.build();
+        let mut eng = Engine::new(&cfg);
         eng.enable_controlled_schedule();
         eng.enable_trace(4096);
         // Span tracking rides along on every explored schedule: observers
         // are pure instrumentation (the schedule space is unchanged), and
         // the quiescence oracle uses the collector as a transaction-leak
         // detector — every opened span must have closed.
-        eng.add_observer(Box::new(SpanCollector::new(
-            SystemSize::new(self.nodes).expect("checker scenario node count invalid"),
-        )));
-        if self.drop_permille > 0 {
-            eng.set_fault_plan(FaultPlan::random(self.fault_seed, self.drop_permille));
-        }
+        eng.add_observer(Box::new(SpanCollector::new(cfg.sys)));
         // A fabric mutant's one-shot plan replaces the probabilistic one.
         eng.inject_fault(self.fault);
         let blocks = self.block_addrs();

@@ -6,7 +6,7 @@ use cenju4_check::{
     exhaustive, explore_reduced, explore_reduced_with, random_walks, replay, CheckConfig,
     Exploration, ExploreLimits,
 };
-use cenju4_protocol::FaultInjection;
+use cenju4_protocol::{FaultInjection, ProtocolId, ProtocolKind};
 
 fn limits() -> ExploreLimits {
     ExploreLimits {
@@ -491,4 +491,19 @@ fn unreachable_fault_configs_are_rejected() {
     }
     .validate()
     .is_ok());
+    // Machines the config builder rejects are usage errors too, not a
+    // fake counterexample or a panicking explorer.
+    let dragon_nack = CheckConfig {
+        coherence: ProtocolId::Dragon,
+        kind: ProtocolKind::Nack,
+        ..CheckConfig::default()
+    };
+    let err = dragon_nack.validate().expect_err("dragon over nack passed");
+    assert!(err.contains("requires the queuing home"), "{err}");
+    let oversized = CheckConfig {
+        nodes: 2000,
+        ..CheckConfig::default()
+    };
+    let err = oversized.validate().expect_err("2000 nodes passed");
+    assert!(err.contains("2000"), "no node count in: {err}");
 }

@@ -58,15 +58,13 @@ fn esc(s: &str) -> String {
 ///
 /// ```
 /// use cenju4_des::SimTime;
-/// use cenju4_directory::{NodeId, SystemSize};
-/// use cenju4_network::NetParams;
+/// use cenju4_directory::NodeId;
 /// use cenju4_obs::{chrome_trace_json, json, SpanCollector};
-/// use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolKind};
+/// use cenju4_protocol::{Addr, Engine, MemOp, SystemConfig};
 ///
-/// let sys = SystemSize::new(16)?;
-/// let mut eng = Engine::new(sys, ProtoParams::default(), NetParams::default(),
-///                           ProtocolKind::Queuing);
-/// eng.add_observer(Box::new(SpanCollector::new(sys)));
+/// let cfg = SystemConfig::builder(16).build()?;
+/// let mut eng = Engine::new(&cfg);
+/// eng.add_observer(Box::new(SpanCollector::new(cfg.sys)));
 /// eng.issue(SimTime::ZERO, NodeId::new(0), MemOp::Load, Addr::new(NodeId::new(1), 0));
 /// eng.run();
 /// let doc = chrome_trace_json(eng.observer::<SpanCollector>().unwrap());
@@ -151,19 +149,13 @@ mod tests {
     use super::*;
     use crate::json;
     use cenju4_des::SimTime;
-    use cenju4_directory::{NodeId, SystemSize};
-    use cenju4_network::NetParams;
-    use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolKind};
+    use cenju4_directory::NodeId;
+    use cenju4_protocol::{Addr, Engine, MemOp, SystemConfig};
 
     fn traced_engine() -> Engine {
-        let sys = SystemSize::new(16).unwrap();
-        let mut eng = Engine::new(
-            sys,
-            ProtoParams::default(),
-            NetParams::default(),
-            ProtocolKind::Queuing,
-        );
-        eng.add_observer(Box::new(SpanCollector::new(sys)));
+        let cfg = SystemConfig::builder(16).build().unwrap();
+        let mut eng = Engine::new(&cfg);
+        eng.add_observer(Box::new(SpanCollector::new(cfg.sys)));
         eng
     }
 

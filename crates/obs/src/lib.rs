@@ -31,20 +31,17 @@
 //! use cenju4_des::SimTime;
 //! use cenju4_directory::NodeId;
 //! use cenju4_obs::SpanCollector;
-//! use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolKind};
-//! use cenju4_directory::SystemSize;
-//! use cenju4_network::NetParams;
+//! use cenju4_protocol::{Addr, Engine, MemOp, SystemConfig};
 //!
-//! let sys = SystemSize::new(16)?;
-//! let mut eng = Engine::new(sys, ProtoParams::default(), NetParams::default(),
-//!                           ProtocolKind::Queuing);
-//! eng.add_observer(Box::new(SpanCollector::new(sys)));
+//! let cfg = SystemConfig::builder(16).build()?;
+//! let mut eng = Engine::new(&cfg);
+//! eng.add_observer(Box::new(SpanCollector::new(cfg.sys)));
 //! eng.issue(SimTime::ZERO, NodeId::new(0), MemOp::Load, Addr::new(NodeId::new(1), 0));
 //! eng.run();
 //! let col: &SpanCollector = eng.observer().unwrap();
 //! assert_eq!(col.completed_span_count(), 1);
 //! assert_eq!(col.open_span_count(), 0); // every opened span closed
-//! # Ok::<(), cenju4_directory::SystemSizeError>(())
+//! # Ok::<(), cenju4_protocol::ConfigError>(())
 //! ```
 
 pub mod export;

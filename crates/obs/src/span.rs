@@ -511,19 +511,18 @@ impl Observer for SpanCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cenju4_network::NetParams;
-    use cenju4_protocol::{Engine, ProtoParams, ProtocolKind};
+    use cenju4_protocol::{Engine, ProtoParams, ProtocolKind, SystemConfig, SystemConfigBuilder};
+
+    /// An engine for `cfg` with a span collector attached.
+    fn collected(cfg: SystemConfigBuilder) -> Engine {
+        let cfg = cfg.build().unwrap();
+        let mut eng = Engine::new(&cfg);
+        eng.add_observer(Box::new(SpanCollector::new(cfg.sys)));
+        eng
+    }
 
     fn engine(nodes: u16) -> Engine {
-        let sys = SystemSize::new(nodes).unwrap();
-        let mut eng = Engine::new(
-            sys,
-            ProtoParams::default(),
-            NetParams::default(),
-            ProtocolKind::Queuing,
-        );
-        eng.add_observer(Box::new(SpanCollector::new(sys)));
-        eng
+        collected(SystemConfig::builder(nodes))
     }
 
     #[test]
@@ -566,14 +565,7 @@ mod tests {
 
     #[test]
     fn nack_baseline_retries_classify_as_recovery_retry() {
-        let sys = SystemSize::new(16).unwrap();
-        let mut eng = Engine::new(
-            sys,
-            ProtoParams::default(),
-            NetParams::default(),
-            ProtocolKind::Nack,
-        );
-        eng.add_observer(Box::new(SpanCollector::new(sys)));
+        let mut eng = collected(SystemConfig::builder(16).kind(ProtocolKind::Nack));
         let a = Addr::new(NodeId::new(0), 1);
         // Spread the block over several sharers so a store opens a long
         // invalidation-pending window at the home …
@@ -649,7 +641,6 @@ mod tests {
 
     #[test]
     fn writeback_pseudo_spans_close() {
-        let sys = SystemSize::new(16).unwrap();
         // A one-set, 4-way cache: the fifth distinct dirty block evicts a
         // Modified victim, which is written back to its home.
         let params = ProtoParams {
@@ -657,8 +648,7 @@ mod tests {
             cache_assoc: 4,
             ..ProtoParams::default()
         };
-        let mut eng = Engine::new(sys, params, NetParams::default(), ProtocolKind::Queuing);
-        eng.add_observer(Box::new(SpanCollector::new(sys)));
+        let mut eng = collected(SystemConfig::builder(16).proto(params));
         for b in 0..8u32 {
             eng.issue(
                 eng.now(),

@@ -277,14 +277,8 @@ mod tests {
         // stress on a 16-node machine must keep every module backlog
         // within the capacities the graph analysis assumes.
         use cenju4_des::SplitMix64;
-        use cenju4_directory::{NodeId, SystemSize};
-        use cenju4_network::NetParams;
-        let mut eng = crate::Engine::new(
-            SystemSize::new(16).unwrap(),
-            crate::ProtoParams::default(),
-            NetParams::default(),
-            crate::ProtocolKind::Queuing,
-        );
+        use cenju4_directory::NodeId;
+        let mut eng = crate::Engine::new(&crate::SystemConfig::builder(16).build().unwrap());
         let mut rng = SplitMix64::new(3);
         for _ in 0..40 {
             let t0 = eng.now();

@@ -11,6 +11,7 @@
 use crate::addr::Addr;
 use crate::cache::CacheState;
 use crate::coherence::ProtocolId;
+use crate::config::SystemConfig;
 use crate::messages::{ProtoMsg, TxnId};
 use crate::modules::bus::{
     BusMsg, GatherTimerOutcome, LinkTimerOutcome, MessageBus, NodeHealth, PendingEvent,
@@ -22,7 +23,7 @@ use crate::stats::EngineStats;
 use cenju4_des::FxHashSet;
 use cenju4_des::{Duration, SimTime};
 use cenju4_directory::{DirectoryId, MemState, NodeId, NodeMap, SystemSize};
-use cenju4_network::{FaultPlan, NetParams};
+use cenju4_network::FaultPlan;
 use core::fmt;
 
 /// Why [`Engine::try_issue`] rejected an access. The legacy
@@ -171,19 +172,16 @@ impl Notification {
 /// # Examples
 ///
 /// ```
-/// use cenju4_directory::{NodeId, SystemSize};
+/// use cenju4_directory::NodeId;
 /// use cenju4_des::SimTime;
-/// use cenju4_network::NetParams;
-/// use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolKind};
+/// use cenju4_protocol::{Addr, Engine, MemOp, SystemConfig};
 ///
-/// let sys = SystemSize::new(16)?;
-/// let mut eng = Engine::new(sys, ProtoParams::default(), NetParams::default(),
-///                           ProtocolKind::Queuing);
+/// let mut eng = Engine::new(&SystemConfig::builder(16).build()?);
 /// let addr = Addr::new(NodeId::new(1), 0);
 /// eng.issue(SimTime::ZERO, NodeId::new(0), MemOp::Load, addr);
 /// let done = eng.run();
 /// assert_eq!(done.len(), 1); // one completion
-/// # Ok::<(), cenju4_directory::SystemSizeError>(())
+/// # Ok::<(), cenju4_protocol::ConfigError>(())
 /// ```
 pub struct Engine {
     sys: SystemSize,
@@ -218,16 +216,19 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine for a machine of `sys` nodes.
-    pub fn new(sys: SystemSize, params: ProtoParams, net: NetParams, kind: ProtocolKind) -> Self {
+    /// Creates a fresh engine for the machine `cfg` describes: its size,
+    /// network, protocol and directory selection, fault plan and
+    /// recovery layer.
+    pub fn new(cfg: &SystemConfig) -> Self {
+        let sys = cfg.sys;
         Engine {
             sys,
-            params,
-            kind,
-            coherence: ProtocolId::Mesi,
-            bus: MessageBus::new(sys, net),
+            params: cfg.proto,
+            kind: cfg.kind,
+            coherence: cfg.coherence,
+            bus: MessageBus::new(sys, cfg.net, cfg.fault.clone(), cfg.recovery),
             shards: (0..sys.nodes())
-                .map(|i| NodeShard::new(NodeId::new(i), &params))
+                .map(|i| NodeShard::new(NodeId::new(i), &cfg.proto, cfg.directory))
                 .collect(),
             next_txn: 0,
             notifications: Vec::new(),
@@ -277,33 +278,9 @@ impl Engine {
         })
     }
 
-    /// Selects the coherence protocol's decision logic (the
-    /// [`CoherenceProtocol`](crate::coherence::CoherenceProtocol) seam).
-    /// Select protocols before issuing work, not mid-run.
-    pub fn set_coherence(&mut self, id: ProtocolId) {
-        self.coherence = id;
-    }
-
     /// The coherence protocol in force.
     pub fn coherence(&self) -> ProtocolId {
         self.coherence
-    }
-
-    /// Selects the directory format fresh entries are created in (the
-    /// [`DirectoryFormat`](cenju4_directory::DirectoryFormat) seam).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any home already holds directory entries — blocks
-    /// cannot migrate between formats.
-    pub fn set_directory(&mut self, id: DirectoryId) {
-        for s in &mut self.shards {
-            assert!(
-                s.home.directory.is_empty(),
-                "set_directory on a live directory"
-            );
-            s.home.format = id;
-        }
     }
 
     /// The directory format fresh entries are created in.
@@ -326,21 +303,9 @@ impl Engine {
         }
     }
 
-    /// Installs a fabric [`FaultPlan`], re-deriving whether the recovery
-    /// layer is armed (recovery enabled **and** a non-trivial plan).
-    /// Install plans before issuing work, not mid-run.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.bus.set_fault_plan(plan);
-    }
-
     /// The installed fabric fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
         self.bus.fault_plan()
-    }
-
-    /// Installs the recovery-layer configuration (see [`RecoveryParams`]).
-    pub fn set_recovery(&mut self, rec: RecoveryParams) {
-        self.bus.set_recovery(rec);
     }
 
     /// The recovery-layer configuration in force.
@@ -914,7 +879,7 @@ impl Engine {
         for e in self.bus.take_fault_events() {
             self.observers.on_fault_injected(&e);
         }
-        self.watchdog(at);
+        self.check_stall(at);
     }
 
     fn dispatch_inner(&mut self, at: SimTime, ev: BusMsg) {
@@ -1292,7 +1257,7 @@ impl Engine {
     /// (nothing will ever fire again); that case is the quiescence
     /// oracle's to catch. The watchdog catches livelock: events still
     /// flowing, nothing graduating.
-    fn watchdog(&mut self, at: SimTime) {
+    fn check_stall(&mut self, at: SimTime) {
         let wd = self.bus.recovery().watchdog;
         if wd == Duration::ZERO {
             return;

@@ -22,6 +22,11 @@
 //! * a **nack baseline** ([`ProtocolKind::Nack`]) that reproduces the
 //!   starvation behaviour of Figure 6(a) for comparison.
 //!
+//! A machine is described by one validated [`SystemConfig`] (size,
+//! network, protocol and directory selection, fault plan, recovery),
+//! built with [`SystemConfig::builder`]; [`Engine::new`] is the only way
+//! to turn it into an engine.
+//!
 //! The engine ([`Engine`]) is a discrete-event simulator: drivers issue
 //! loads and stores, pump events, and receive completion notifications
 //! carrying exact latencies. Internally it is decomposed per the paper's
@@ -37,14 +42,11 @@
 //! multicast invalidation:
 //!
 //! ```
-//! use cenju4_directory::{NodeId, SystemSize};
+//! use cenju4_directory::NodeId;
 //! use cenju4_des::SimTime;
-//! use cenju4_network::NetParams;
-//! use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolKind};
+//! use cenju4_protocol::{Addr, Engine, MemOp, SystemConfig};
 //!
-//! let sys = SystemSize::new(16)?;
-//! let mut eng = Engine::new(sys, ProtoParams::default(), NetParams::default(),
-//!                           ProtocolKind::Queuing);
+//! let mut eng = Engine::new(&SystemConfig::builder(16).build()?);
 //! let addr = Addr::new(NodeId::new(0), 7);
 //! // Six nodes read the block...
 //! for n in 1..7u16 {
@@ -55,12 +57,13 @@
 //! eng.issue(eng.now(), NodeId::new(1), MemOp::Store, addr);
 //! eng.run();
 //! assert_eq!(eng.stats().invalidations.get(), 1);
-//! # Ok::<(), cenju4_directory::SystemSizeError>(())
+//! # Ok::<(), cenju4_protocol::ConfigError>(())
 //! ```
 
 pub mod addr;
 pub mod cache;
 pub mod coherence;
+pub mod config;
 pub mod deadlock;
 pub mod engine;
 pub mod messages;
@@ -77,6 +80,7 @@ pub use coherence::{
     AccessDecision, CoherenceProtocol, DragonProtocol, MesiProtocol, ProtocolId,
     UpdateBlockProtocol,
 };
+pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use engine::{Engine, IssueError, MemOp, Notification};
 pub use messages::{ProtoMsg, ReqKind, TxnId};
 pub use modules::bus::{Channel, Footprint, NodeHealth, PendingEvent};

@@ -551,15 +551,20 @@ pub struct MessageBus {
 }
 
 impl MessageBus {
-    pub(crate) fn new(sys: SystemSize, net: NetParams) -> Self {
-        MessageBus {
+    pub(crate) fn new(
+        sys: SystemSize,
+        net: NetParams,
+        plan: FaultPlan,
+        recovery: RecoveryParams,
+    ) -> Self {
+        let mut bus = MessageBus {
             fabric: Fabric::new(sys, net),
             queue: EventQueue::new(),
             nodes: sys.nodes() as usize,
             jitter: None,
             jitter_order: LinkTable::new(0),
             held: None,
-            recovery: RecoveryParams::default(),
+            recovery,
             armed: false,
             links: LinkTable::new(0),
             recv_next: LinkTable::new(0),
@@ -567,7 +572,9 @@ impl MessageBus {
             gather_replied: FxHashMap::default(),
             detector: false,
             health: Vec::new(),
-        }
+        };
+        bus.set_fault_plan(plan);
+        bus
     }
 
     pub(crate) fn enable_jitter(&mut self, seed: u64, pct: u8) {
@@ -842,12 +849,6 @@ impl MessageBus {
     /// Drains the fault events the fabric recorded since the last call.
     pub(crate) fn take_fault_events(&mut self) -> Vec<FaultEvent> {
         self.fabric.take_fault_events()
-    }
-
-    /// Installs the recovery configuration, re-deriving the armed flag.
-    pub(crate) fn set_recovery(&mut self, rec: RecoveryParams) {
-        self.recovery = rec;
-        self.rearm();
     }
 
     /// The recovery configuration.
@@ -1518,6 +1519,8 @@ mod tests {
         let mut bus = MessageBus::new(
             SystemSize::new(nodes).expect("valid size"),
             NetParams::default(),
+            FaultPlan::none(),
+            RecoveryParams::default(),
         );
         bus.enable_controlled();
         bus

@@ -79,10 +79,10 @@ pub struct HomeModule {
 }
 
 impl HomeModule {
-    pub(crate) fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId, format: DirectoryId) -> Self {
         HomeModule {
             node,
-            format: DirectoryId::PointerPattern,
+            format,
             directory: FxHashMap::default(),
             mem: FxHashMap::default(),
             pending: FxHashMap::default(),

@@ -43,7 +43,7 @@ use bus::{BusMsg, MessageBus};
 use cenju4_des::FxHashSet;
 use cenju4_des::{Duration, SimTime};
 use cenju4_directory::nodemap::DestSpec;
-use cenju4_directory::{MemState, NodeId, SystemSize};
+use cenju4_directory::{DirectoryId, MemState, NodeId, SystemSize};
 
 /// One simulated node's complete protocol state: its master, home, and
 /// slave modules. The engine owns a dense `Vec<NodeShard>` indexed by
@@ -56,10 +56,10 @@ pub(crate) struct NodeShard {
 }
 
 impl NodeShard {
-    pub(crate) fn new(node: NodeId, params: &ProtoParams) -> Self {
+    pub(crate) fn new(node: NodeId, params: &ProtoParams, format: DirectoryId) -> Self {
         NodeShard {
             master: MasterModule::new(node, params),
-            home: HomeModule::new(node),
+            home: HomeModule::new(node, format),
             slave: SlaveModule::new(node),
         }
     }

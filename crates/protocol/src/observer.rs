@@ -13,11 +13,10 @@
 //! Counting invalidation transactions per home node:
 //!
 //! ```
-//! use cenju4_directory::{NodeId, SystemSize};
+//! use cenju4_directory::NodeId;
 //! use cenju4_des::SimTime;
-//! use cenju4_network::NetParams;
 //! use cenju4_protocol::observer::Observer;
-//! use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolKind};
+//! use cenju4_protocol::{Addr, Engine, MemOp, SystemConfig};
 //! use cenju4_des::FxHashMap;
 //!
 //! #[derive(Default)]
@@ -29,9 +28,7 @@
 //!     }
 //! }
 //!
-//! let sys = SystemSize::new(16)?;
-//! let mut eng = Engine::new(sys, ProtoParams::default(), NetParams::default(),
-//!                           ProtocolKind::Queuing);
+//! let mut eng = Engine::new(&SystemConfig::builder(16).build()?);
 //! eng.add_observer(Box::new(InvalidationsPerHome::default()));
 //! let addr = Addr::new(NodeId::new(3), 0);
 //! for n in 0..2u16 {
@@ -42,7 +39,7 @@
 //! eng.run();
 //! let probe: &InvalidationsPerHome = eng.observer().unwrap();
 //! assert_eq!(probe.0[&NodeId::new(3)], 1);
-//! # Ok::<(), cenju4_directory::SystemSizeError>(())
+//! # Ok::<(), cenju4_protocol::ConfigError>(())
 //! ```
 
 use crate::addr::Addr;

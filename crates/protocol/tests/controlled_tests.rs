@@ -1,17 +1,11 @@
 //! Controlled-schedule mode and issue validation.
 
 use cenju4_des::SimTime;
-use cenju4_directory::{NodeId, SystemSize};
-use cenju4_network::NetParams;
-use cenju4_protocol::{Addr, Engine, IssueError, MemOp, Notification, ProtoParams, ProtocolKind};
+use cenju4_directory::NodeId;
+use cenju4_protocol::{Addr, Engine, IssueError, MemOp, Notification, SystemConfig};
 
 fn engine(nodes: u16) -> Engine {
-    Engine::new(
-        SystemSize::new(nodes).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    )
+    Engine::new(&SystemConfig::builder(nodes).build().unwrap())
 }
 
 /// Always picking choice 0 (the minimal (time, sequence) event) must

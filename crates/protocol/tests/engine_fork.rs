@@ -6,12 +6,12 @@
 //! workspace's `tests/snapshot_resume.rs`.
 
 use cenju4_des::{Duration, SimTime, SplitMix64};
-use cenju4_directory::{NodeId, SystemSize};
-use cenju4_network::{FaultPlan, NetParams, NodeDown};
+use cenju4_directory::NodeId;
+use cenju4_network::{FaultPlan, NodeDown};
 use cenju4_protocol::trace::TraceRecord;
 use cenju4_protocol::{
-    Addr, Engine, MemOp, Notification, Observer, ProtoParams, ProtocolId, ProtocolKind,
-    RecoveryParams, TxnId,
+    Addr, Engine, MemOp, Notification, Observer, ProtocolId, ProtocolKind, RecoveryParams,
+    SystemConfig, TxnId,
 };
 
 const NODES: u16 = 3;
@@ -44,38 +44,27 @@ fn blocks() -> [Addr; 2] {
 /// A controlled engine for `setup`. Every node loads both blocks, then
 /// stores one, so stores invalidate sharers through gathers.
 fn build(setup: Setup) -> Engine {
-    let kind = match setup {
-        Setup::Nack => ProtocolKind::Nack,
-        _ => ProtocolKind::Queuing,
-    };
-    let mut eng = Engine::new(
-        SystemSize::new(NODES).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        kind,
-    );
-    eng.enable_controlled_schedule();
-    eng.enable_trace(4096);
-    match setup {
-        Setup::MesiQueuing | Setup::Nack => {}
-        Setup::Dragon => eng.set_coherence(ProtocolId::Dragon),
-        Setup::LossyRecovery => {
+    let cfg = SystemConfig::builder(NODES);
+    let cfg = match setup {
+        Setup::MesiQueuing => cfg,
+        Setup::Nack => cfg.kind(ProtocolKind::Nack),
+        Setup::Dragon => cfg.protocol(ProtocolId::Dragon),
+        Setup::LossyRecovery => cfg
             // A short watchdog, so the walk crosses stall episodes.
-            eng.set_recovery(RecoveryParams {
+            .recovery(RecoveryParams {
                 watchdog: Duration::from_us(5),
                 ..RecoveryParams::default()
-            });
-            eng.set_fault_plan(FaultPlan::random(7, 100));
-        }
-        Setup::NodeDownQuarantine => {
-            eng.set_recovery(RecoveryParams::default());
-            eng.set_fault_plan(FaultPlan::none().with_node_down(NodeDown {
-                node: NodeId::new(2),
-                from_ns: 0,
-                until_ns: u64::MAX,
-            }));
-        }
-    }
+            })
+            .fault_plan(FaultPlan::random(7, 100)),
+        Setup::NodeDownQuarantine => cfg.fault_plan(FaultPlan::none().with_node_down(NodeDown {
+            node: NodeId::new(2),
+            from_ns: 0,
+            until_ns: u64::MAX,
+        })),
+    };
+    let mut eng = Engine::new(&cfg.build().unwrap());
+    eng.enable_controlled_schedule();
+    eng.enable_trace(4096);
     let [b0, b1] = blocks();
     for n in 0..NODES {
         let node = NodeId::new(n);

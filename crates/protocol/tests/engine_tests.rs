@@ -2,17 +2,13 @@
 //! queuing/starvation machinery, and randomized invariant stress.
 
 use cenju4_des::{SimTime, SplitMix64};
-use cenju4_directory::{MemState, NodeId, SystemSize};
-use cenju4_network::NetParams;
-use cenju4_protocol::{Addr, CacheState, Engine, MemOp, Notification, ProtoParams, ProtocolKind};
+use cenju4_directory::{MemState, NodeId};
+use cenju4_protocol::{
+    Addr, CacheState, Engine, MemOp, Notification, ProtoParams, ProtocolKind, SystemConfig,
+};
 
 fn engine(nodes: u16) -> Engine {
-    Engine::new(
-        SystemSize::new(nodes).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    )
+    Engine::new(&SystemConfig::builder(nodes).build().unwrap())
 }
 
 fn node(n: u16) -> NodeId {
@@ -198,12 +194,7 @@ fn writeback_on_eviction_cleans_directory() {
         cache_assoc: 1,
         ..ProtoParams::default()
     };
-    let mut eng = Engine::new(
-        SystemSize::new(16).unwrap(),
-        params,
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    );
+    let mut eng = Engine::new(&SystemConfig::builder(16).proto(params).build().unwrap());
     // Write block A, then touch blocks until A is evicted.
     let a = addr(1, 0);
     one_access(&mut eng, node(0), MemOp::Store, a);
@@ -245,12 +236,7 @@ fn singlecast_threshold_improves_small_fanout_stores() {
             singlecast_threshold: threshold,
             ..ProtoParams::default()
         };
-        Engine::new(
-            SystemSize::new(16).unwrap(),
-            params,
-            NetParams::default(),
-            ProtocolKind::Queuing,
-        )
+        Engine::new(&SystemConfig::builder(16).proto(params).build().unwrap())
     };
     let measure = |eng: &mut Engine| {
         let a = addr(0, 9);
@@ -273,12 +259,7 @@ fn singlecast_threshold_preserves_correctness() {
         singlecast_threshold: 8,
         ..ProtoParams::default()
     };
-    let mut eng = Engine::new(
-        SystemSize::new(16).unwrap(),
-        params,
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    );
+    let mut eng = Engine::new(&SystemConfig::builder(16).proto(params).build().unwrap());
     let a = addr(0, 9);
     for n in 1..=6u16 {
         one_access(&mut eng, node(n), MemOp::Load, a);
@@ -373,10 +354,10 @@ fn fifo_queue_preserves_request_order() {
 #[test]
 fn nack_protocol_retries_under_contention() {
     let mut eng = Engine::new(
-        SystemSize::new(16).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Nack,
+        &SystemConfig::builder(16)
+            .kind(ProtocolKind::Nack)
+            .build()
+            .unwrap(),
     );
     let a = addr(0, 9);
     for n in 0..8u16 {
@@ -626,12 +607,7 @@ fn jitter_with_tiny_caches_exercises_writeback_races() {
             cache_assoc: 1,
             ..ProtoParams::default()
         };
-        let mut eng = Engine::new(
-            SystemSize::new(8).unwrap(),
-            params,
-            NetParams::default(),
-            ProtocolKind::Queuing,
-        );
+        let mut eng = Engine::new(&SystemConfig::builder(8).proto(params).build().unwrap());
         eng.enable_timing_jitter(seed + 77, 35);
         let mut rng = SplitMix64::new(seed);
         let blocks: Vec<Addr> = (0..12).map(|i| addr((i % 4) as u16, i)).collect();

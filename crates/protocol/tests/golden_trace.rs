@@ -13,19 +13,19 @@
 //! CENJU4_BLESS_GOLDEN=1 cargo test -p cenju4-protocol --test golden_trace
 //! ```
 
-use cenju4_directory::{NodeId, SystemSize};
-use cenju4_network::NetParams;
-use cenju4_protocol::{Addr, Engine, MemOp, ProtoParams, ProtocolId, ProtocolKind};
+use cenju4_directory::NodeId;
+use cenju4_protocol::{
+    Addr, Engine, MemOp, ProtocolId, ProtocolKind, SystemConfig, SystemConfigBuilder,
+};
 
-fn engine(nodes: u16) -> Engine {
-    let mut eng = Engine::new(
-        SystemSize::new(nodes).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    );
+fn traced(cfg: SystemConfigBuilder) -> Engine {
+    let mut eng = Engine::new(&cfg.build().unwrap());
     eng.enable_trace(4096);
     eng
+}
+
+fn engine(nodes: u16) -> Engine {
+    traced(SystemConfig::builder(nodes))
 }
 
 fn node(n: u16) -> NodeId {
@@ -99,18 +99,22 @@ fn golden_traces_unchanged_with_recovery_enabled() {
     use cenju4_network::FaultPlan;
     use cenju4_protocol::RecoveryParams;
 
+    let enabled = || {
+        traced(
+            SystemConfig::builder(16)
+                .recovery(RecoveryParams::default())
+                .fault_plan(FaultPlan::none()),
+        )
+    };
     // The forward path golden, recovery enabled.
-    let mut eng = engine(16);
-    eng.set_recovery(RecoveryParams::default());
-    eng.set_fault_plan(FaultPlan::none());
+    let mut eng = enabled();
     let a = Addr::new(node(0), 1);
     access(&mut eng, 1, MemOp::Store, a);
     access(&mut eng, 2, MemOp::Load, a);
     check_golden("read_shared_forward", &eng.trace().dump_block(a));
 
     // The multicast/gather golden, recovery enabled.
-    let mut eng = engine(16);
-    eng.set_recovery(RecoveryParams::default());
+    let mut eng = enabled();
     let a = Addr::new(node(0), 2);
     access(&mut eng, 1, MemOp::Load, a);
     access(&mut eng, 2, MemOp::Load, a);
@@ -124,19 +128,16 @@ fn golden_traces_unchanged_with_recovery_enabled() {
 /// machine replay the same trace.
 #[test]
 fn golden_update_push() {
-    let mut dragon = engine(16);
-    dragon.set_coherence(ProtocolId::Dragon);
-    let mut nack = Engine::new(
-        SystemSize::new(16).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Nack,
-    );
-    nack.enable_trace(4096);
     let traces = [
         ("queuing-mesi", engine(16)),
-        ("dragon", dragon),
-        ("nack", nack),
+        (
+            "dragon",
+            traced(SystemConfig::builder(16).protocol(ProtocolId::Dragon)),
+        ),
+        (
+            "nack",
+            traced(SystemConfig::builder(16).kind(ProtocolKind::Nack)),
+        ),
     ]
     .map(|(machine, mut eng)| {
         let a = Addr::new(node(0), 4);

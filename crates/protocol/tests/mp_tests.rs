@@ -4,17 +4,11 @@
 //! 128-node machine (Section 4.2.1).
 
 use cenju4_des::SimTime;
-use cenju4_directory::{NodeId, SystemSize};
-use cenju4_network::NetParams;
-use cenju4_protocol::{Addr, Engine, MemOp, Notification, ProtoParams, ProtocolKind};
+use cenju4_directory::NodeId;
+use cenju4_protocol::{Addr, Engine, MemOp, Notification, SystemConfig};
 
 fn engine(nodes: u16) -> Engine {
-    Engine::new(
-        SystemSize::new(nodes).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    )
+    Engine::new(&SystemConfig::builder(nodes).build().unwrap())
 }
 
 fn node(n: u16) -> NodeId {

@@ -5,22 +5,20 @@
 //! [`Notification::RecoveryFailed`] instead of silent hangs.
 
 use cenju4_des::Duration;
-use cenju4_directory::{NodeId, SystemSize};
-use cenju4_network::{
-    FaultKind, FaultPlan, LinkDown, NetParams, NodeDown, OneShotFault, WireClass,
-};
+use cenju4_directory::NodeId;
+use cenju4_network::{FaultKind, FaultPlan, LinkDown, NodeDown, OneShotFault, WireClass};
 use cenju4_protocol::{
-    Addr, Engine, MemOp, NodeHealth, Notification, ProtoParams, ProtocolKind, RecoveryError,
-    RecoveryParams,
+    Addr, Engine, MemOp, NodeHealth, Notification, RecoveryError, RecoveryParams, SystemConfig,
 };
 
-fn engine(nodes: u16) -> Engine {
-    Engine::new(
-        SystemSize::new(nodes).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    )
+/// A 4-node machine on a fabric following `plan`, with `recovery`.
+fn engine(plan: FaultPlan, recovery: RecoveryParams) -> Engine {
+    let cfg = SystemConfig::builder(4)
+        .fault_plan(plan)
+        .recovery(recovery)
+        .build()
+        .unwrap();
+    Engine::new(&cfg)
 }
 
 fn node(n: u16) -> NodeId {
@@ -48,9 +46,10 @@ fn completed(notes: &[Notification]) -> usize {
 /// transaction still completes.
 #[test]
 fn dropped_reply_recovered_by_retransmit() {
-    let mut eng = engine(4);
-    eng.set_recovery(RecoveryParams::default());
-    eng.set_fault_plan(one_shot(WireClass::Reply, FaultKind::Drop));
+    let mut eng = engine(
+        one_shot(WireClass::Reply, FaultKind::Drop),
+        RecoveryParams::default(),
+    );
     eng.issue(eng.now(), node(1), MemOp::Store, Addr::new(node(0), 0));
     let notes = eng.run();
     assert_eq!(completed(&notes), 1, "store never graduated: {notes:?}");
@@ -64,12 +63,10 @@ fn dropped_reply_recovered_by_retransmit() {
 /// check instead of reaching the master twice.
 #[test]
 fn duplicated_reply_discarded() {
-    let mut eng = engine(4);
-    eng.set_recovery(RecoveryParams::default());
-    eng.set_fault_plan(one_shot(
-        WireClass::Reply,
-        FaultKind::Duplicate { after_ns: 0 },
-    ));
+    let mut eng = engine(
+        one_shot(WireClass::Reply, FaultKind::Duplicate { after_ns: 0 }),
+        RecoveryParams::default(),
+    );
     eng.issue(eng.now(), node(1), MemOp::Store, Addr::new(node(0), 0));
     let notes = eng.run();
     assert_eq!(completed(&notes), 1, "store never graduated: {notes:?}");
@@ -84,9 +81,7 @@ fn duplicated_reply_discarded() {
 /// every access graduates and the machine quiesces clean.
 #[test]
 fn lossy_fabric_fully_recovered() {
-    let mut eng = engine(4);
-    eng.set_recovery(RecoveryParams::default());
-    eng.set_fault_plan(FaultPlan::random(0xC4, 100));
+    let mut eng = engine(FaultPlan::random(0xC4, 100), RecoveryParams::default());
     let mut done = 0usize;
     let mut issued = 0usize;
     for i in 0..4u32 {
@@ -120,9 +115,10 @@ fn lossy_fabric_fully_recovered() {
 /// transaction forever — the motivation for the whole layer.
 #[test]
 fn unrecovered_drop_strands_transaction() {
-    let mut eng = engine(4);
-    eng.set_recovery(RecoveryParams::disabled());
-    eng.set_fault_plan(one_shot(WireClass::Reply, FaultKind::Drop));
+    let mut eng = engine(
+        one_shot(WireClass::Reply, FaultKind::Drop),
+        RecoveryParams::disabled(),
+    );
     eng.issue(eng.now(), node(1), MemOp::Store, Addr::new(node(0), 0));
     let notes = eng.run();
     assert_eq!(completed(&notes), 0, "dropped reply still completed?");
@@ -134,20 +130,21 @@ fn unrecovered_drop_strands_transaction() {
 /// watchdog barks along the way, and the engine still quiesces.
 #[test]
 fn dead_link_exhausts_budget_and_reports() {
-    let mut eng = engine(4);
-    eng.set_recovery(RecoveryParams {
-        // A tiny watchdog threshold so the stalled retransmission loop
-        // trips it deterministically.
-        watchdog: Duration::from_ns(1),
-        ..RecoveryParams::default()
-    });
     // The home's replies to node 1 never arrive.
-    eng.set_fault_plan(FaultPlan::none().with_link_down(LinkDown {
-        src: node(0),
-        dst: node(1),
-        from_ns: 0,
-        until_ns: u64::MAX,
-    }));
+    let mut eng = engine(
+        FaultPlan::none().with_link_down(LinkDown {
+            src: node(0),
+            dst: node(1),
+            from_ns: 0,
+            until_ns: u64::MAX,
+        }),
+        RecoveryParams {
+            // A tiny watchdog threshold so the stalled retransmission loop
+            // trips it deterministically.
+            watchdog: Duration::from_ns(1),
+            ..RecoveryParams::default()
+        },
+    );
     eng.issue(eng.now(), node(1), MemOp::Load, Addr::new(node(0), 0));
     let notes = eng.run();
     assert_eq!(completed(&notes), 0);
@@ -168,13 +165,14 @@ fn dead_link_exhausts_budget_and_reports() {
 /// timeout, never a hang — and is reaped from the outstanding set.
 #[test]
 fn dead_node_quarantined_and_escalated_as_node_unavailable() {
-    let mut eng = engine(4);
-    eng.set_recovery(RecoveryParams::default());
-    eng.set_fault_plan(FaultPlan::none().with_node_down(NodeDown {
-        node: node(2),
-        from_ns: 0,
-        until_ns: u64::MAX,
-    }));
+    let mut eng = engine(
+        FaultPlan::none().with_node_down(NodeDown {
+            node: node(2),
+            from_ns: 0,
+            until_ns: u64::MAX,
+        }),
+        RecoveryParams::default(),
+    );
     // A master targeting the dead home: its request dies on the wire,
     // the retransmission stream raises suspicion, and the probe
     // (consulting the plan) confirms the node is gone.
@@ -211,13 +209,14 @@ fn dead_node_quarantined_and_escalated_as_node_unavailable() {
 /// retransmit budget would blow instead of completing.
 #[test]
 fn node_down_window_rejoins_with_fresh_link_sequences() {
-    let mut eng = engine(4);
-    eng.set_recovery(RecoveryParams::default());
-    eng.set_fault_plan(FaultPlan::none().with_node_down(NodeDown {
-        node: node(1),
-        from_ns: 0,
-        until_ns: 500_000,
-    }));
+    let mut eng = engine(
+        FaultPlan::none().with_node_down(NodeDown {
+            node: node(1),
+            from_ns: 0,
+            until_ns: 500_000,
+        }),
+        RecoveryParams::default(),
+    );
     // The doomed node's own store advances its send window into the
     // void; survivors keep talking among themselves.
     eng.issue(eng.now(), node(1), MemOp::Store, Addr::new(node(0), 0));

@@ -4,36 +4,26 @@
 //! notification sequence, so an overwriting or duplicating `run_next`
 //! fails here even where the statistics would agree.
 
-use cenju4_directory::{NodeId, SystemSize};
-use cenju4_network::{FaultPlan, NetParams};
-use cenju4_protocol::{
-    Addr, Engine, MemOp, Notification, ProtoParams, ProtocolKind, RecoveryParams,
-};
+use cenju4_directory::NodeId;
+use cenju4_network::FaultPlan;
+use cenju4_protocol::{Addr, Engine, MemOp, Notification, ProtocolKind, SystemConfig};
 
 const NODES: u16 = 4;
 
 /// MESI with queuing at the home on a reliable fabric.
 fn queuing() -> Engine {
-    Engine::new(
-        SystemSize::new(NODES).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    )
+    Engine::new(&SystemConfig::builder(NODES).build().unwrap())
 }
 
 /// The nack protocol with the recovery layer on a fabric that loses one
 /// message in ten.
 fn lossy_nack() -> Engine {
-    let mut eng = Engine::new(
-        SystemSize::new(NODES).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Nack,
-    );
-    eng.set_recovery(RecoveryParams::default());
-    eng.set_fault_plan(FaultPlan::random(0xB0F, 100));
-    eng
+    let cfg = SystemConfig::builder(NODES)
+        .kind(ProtocolKind::Nack)
+        .fault_plan(FaultPlan::random(0xB0F, 100))
+        .build()
+        .unwrap();
+    Engine::new(&cfg)
 }
 
 /// Issues one round of contended accesses: every node touches both

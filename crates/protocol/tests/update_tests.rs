@@ -2,17 +2,11 @@
 //! (the Section 4.2.3 proposal, implemented via `Engine::mark_update_block`).
 
 use cenju4_des::SimTime;
-use cenju4_directory::{MemState, NodeId, SystemSize};
-use cenju4_network::NetParams;
-use cenju4_protocol::{Addr, CacheState, Engine, MemOp, Notification, ProtoParams, ProtocolKind};
+use cenju4_directory::{MemState, NodeId};
+use cenju4_protocol::{Addr, CacheState, Engine, MemOp, Notification, ProtoParams, SystemConfig};
 
 fn engine(nodes: u16) -> Engine {
-    Engine::new(
-        SystemSize::new(nodes).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    )
+    Engine::new(&SystemConfig::builder(nodes).build().unwrap())
 }
 
 fn node(n: u16) -> NodeId {
@@ -82,12 +76,7 @@ fn l2_miss_refills_from_local_l3_at_local_cost() {
         cache_assoc: 1,
         ..ProtoParams::default()
     };
-    let mut eng = Engine::new(
-        SystemSize::new(16).unwrap(),
-        params,
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    );
+    let mut eng = Engine::new(&SystemConfig::builder(16).proto(params).build().unwrap());
     let a = Addr::new(node(0), 0);
     eng.mark_update_block(a);
     let (first, l3_first) = run_one(&mut eng, node(5), MemOp::Load, a);

@@ -4,18 +4,12 @@
 //! observed.
 
 use cenju4_des::{Duration, SimTime, SplitMix64};
-use cenju4_directory::{NodeId, SystemSize};
-use cenju4_network::NetParams;
-use cenju4_protocol::{Addr, Engine, MemOp, Notification, ProtoParams, ProtocolKind};
+use cenju4_directory::NodeId;
+use cenju4_protocol::{Addr, Engine, MemOp, Notification, ProtoParams, SystemConfig};
 use std::collections::HashMap;
 
 fn engine(nodes: u16) -> Engine {
-    Engine::new(
-        SystemSize::new(nodes).unwrap(),
-        ProtoParams::default(),
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    )
+    Engine::new(&SystemConfig::builder(nodes).build().unwrap())
 }
 
 fn node(n: u16) -> NodeId {
@@ -69,12 +63,7 @@ fn writeback_persists_data_to_memory() {
         cache_assoc: 1,
         ..ProtoParams::default()
     };
-    let mut eng = Engine::new(
-        SystemSize::new(16).unwrap(),
-        params,
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    );
+    let mut eng = Engine::new(&SystemConfig::builder(16).proto(params).build().unwrap());
     let a = addr(1, 0);
     let (_, wrote) = one(&mut eng, node(0), MemOp::Store, a);
     // Evict the dirty line.
@@ -141,12 +130,7 @@ fn update_l3_refill_returns_latest_value() {
         cache_assoc: 1,
         ..ProtoParams::default()
     };
-    let mut eng = Engine::new(
-        SystemSize::new(16).unwrap(),
-        params,
-        NetParams::default(),
-        ProtocolKind::Queuing,
-    );
+    let mut eng = Engine::new(&SystemConfig::builder(16).proto(params).build().unwrap());
     let a = addr(0, 0);
     eng.mark_update_block(a);
     one(&mut eng, node(5), MemOp::Load, a); // subscribe

@@ -13,9 +13,9 @@
 
 use cenju4_des::Duration;
 use cenju4_directory::DirectoryId;
+use cenju4_network::MulticastMode;
 use cenju4_obs::json::{self, Json};
-use cenju4_protocol::ProtocolId;
-use cenju4_sim::{ConfigError, SystemConfig};
+use cenju4_protocol::{ConfigError, ProtocolId, ProtocolKind, SystemConfig};
 use cenju4_workloads::{AppKind, Variant};
 
 /// The largest workload `scale` a request may ask for: the default of
@@ -210,11 +210,11 @@ fn parse_config(v: &Json) -> Result<SystemConfig, String> {
     }
     match opt_str(c, "kind")? {
         None | Some("queuing") => {}
-        Some("nack") => b = b.nack_protocol(),
+        Some("nack") => b = b.kind(ProtocolKind::Nack),
         Some(other) => return Err(format!("unknown protocol kind {other:?}")),
     }
     if opt_bool(c, "multicast")? == Some(false) {
-        b = b.without_multicast();
+        b = b.multicast(MulticastMode::SinglecastEmulation);
     }
     if let Some(ns) = opt_u64(c, "mpi_latency_ns")? {
         b = b.mpi_latency(Duration::from_ns(ns));

@@ -5,11 +5,10 @@
 //! driver runs all programs against one coherence engine and produces a
 //! [`RunReport`] with the paper's Table-3/Table-4 statistics.
 
-use crate::config::SystemConfig;
 use crate::report::{AccessClass, NodeReport, RunReport};
 use cenju4_des::{Duration, SimTime};
 use cenju4_directory::NodeId;
-use cenju4_protocol::{Addr, Engine, MemOp, Notification};
+use cenju4_protocol::{Addr, Engine, MemOp, Notification, SystemConfig};
 
 /// What a memory access targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,7 +135,7 @@ enum NodeRun {
 /// use cenju4_protocol::{Addr, MemOp};
 /// use cenju4_sim::{Driver, Program, Step, SystemConfig, Target};
 ///
-/// let cfg = SystemConfig::new(4)?;
+/// let cfg = SystemConfig::builder(4).build()?;
 /// let mut remaining = vec![3u32; 4];
 /// let program = move |node: NodeId| {
 ///     let r = &mut remaining[node.as_usize()];
@@ -148,7 +147,7 @@ enum NodeRun {
 /// };
 /// let report = Driver::new(&cfg, program).run();
 /// assert_eq!(report.accesses(cenju4_sim::AccessClass::SharedRemote), 9);
-/// # Ok::<(), cenju4_directory::SystemSizeError>(())
+/// # Ok::<(), cenju4_sim::ConfigError>(())
 /// ```
 pub struct Driver<P: Program> {
     eng: Engine,
@@ -169,7 +168,7 @@ impl<P: Program> Driver<P> {
     pub fn new(cfg: &SystemConfig, program: P) -> Self {
         let n = cfg.sys.nodes() as usize;
         Driver {
-            eng: cfg.build(),
+            eng: Engine::new(cfg),
             program,
             cfg: cfg.clone(),
             state: vec![NodeRun::Ready; n],
@@ -422,7 +421,7 @@ mod tests {
     use super::*;
 
     fn cfg(n: u16) -> SystemConfig {
-        SystemConfig::new(n).unwrap()
+        SystemConfig::builder(n).build().unwrap()
     }
 
     /// A program built from a per-node vector of steps.
@@ -582,7 +581,7 @@ mod histogram_tests {
 
     #[test]
     fn latency_histograms_capture_class_separation() {
-        let cfg = SystemConfig::new(16).unwrap();
+        let cfg = SystemConfig::builder(16).build().unwrap();
         let mut left = 40u32;
         let report = Driver::new(&cfg, move |node: NodeId| {
             if node.index() != 0 || left == 0 {

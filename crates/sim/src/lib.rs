@@ -3,9 +3,9 @@
 //! This crate sits on top of the coherence engine (`cenju4-protocol`) and
 //! provides what the paper's evaluation needed from the machine:
 //!
-//! * [`config`] — one [`config::SystemConfig`] bundling
-//!   machine size, network parameters, protocol parameters and protocol
-//!   variant, with the ablation switches the benches sweep;
+//! * [`SystemConfig`] — re-exported from `cenju4-protocol`: one validated
+//!   value bundling machine size, network parameters, protocol parameters
+//!   and protocol variant, with the ablation switches the benches sweep;
 //! * [`probes`] — the microbenchmarks behind **Table 2** (load-miss
 //!   latencies per sharing class) and **Figure 10** (store latency vs
 //!   number of sharing nodes, with and without the multicast/gather
@@ -25,23 +25,21 @@
 //! Reproduce one Table 2 cell:
 //!
 //! ```
-//! use cenju4_sim::config::SystemConfig;
-//! use cenju4_sim::probes;
+//! use cenju4_sim::{probes, SystemConfig};
 //!
-//! let cfg = SystemConfig::new(16)?;
+//! let cfg = SystemConfig::builder(16).build()?;
 //! let row = probes::load_latencies(&cfg);
 //! assert_eq!(row.shared_local_clean.as_ns(), 610);
-//! # Ok::<(), cenju4_directory::SystemSizeError>(())
+//! # Ok::<(), cenju4_sim::ConfigError>(())
 //! ```
 
-pub mod config;
 pub mod driver;
 pub mod prelude;
 pub mod probes;
 pub mod report;
 pub mod sweep;
 
-pub use config::{ConfigError, ProtocolSpec, SystemConfig, SystemConfigBuilder};
+pub use cenju4_protocol::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use driver::{Driver, Program, Step, Target};
 pub use report::{AccessClass, NodeReport, RunReport};
 pub use sweep::{sweep, sweep_metrics, sweep_metrics_on, sweep_on, SweepPoint};

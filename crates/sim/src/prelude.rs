@@ -12,7 +12,7 @@
 //! use cenju4_sim::prelude::*;
 //!
 //! let cfg = SystemConfig::builder(16).build()?;
-//! let mut eng = cfg.build();
+//! let mut eng = Engine::new(&cfg);
 //! let addr = Addr::new(NodeId::new(1), 0);
 //! eng.issue(SimTime::ZERO, NodeId::new(0), MemOp::Load, addr);
 //! assert_eq!(eng.run().len(), 1);
@@ -30,12 +30,12 @@ pub use cenju4_network::{
 pub use cenju4_obs::{chrome_trace_json, MetricsRegistry, SpanClass, SpanCollector};
 pub use cenju4_protocol::observer::{Observer, StarvationProbe};
 pub use cenju4_protocol::{
-    AccessDecision, Addr, CacheState, CoherenceProtocol, Engine, EngineStats, FaultInjection,
-    IssueError, MemOp, Notification, PendingEvent, ProtoMsg, ProtoParams, ProtocolId, ProtocolKind,
-    RecoveryError, RecoveryParams, ReqKind, TxnId,
+    AccessDecision, Addr, CacheState, CoherenceProtocol, ConfigError, Engine, EngineStats,
+    FaultInjection, IssueError, MemOp, Notification, PendingEvent, ProtoMsg, ProtoParams,
+    ProtocolId, ProtocolKind, RecoveryError, RecoveryParams, ReqKind, SystemConfig,
+    SystemConfigBuilder, TxnId,
 };
 
-pub use crate::config::{ConfigError, ProtocolSpec, SystemConfig, SystemConfigBuilder};
 pub use crate::driver::{Driver, Program, Step, Target};
 pub use crate::probes;
 pub use crate::report::{AccessClass, NodeReport, RunReport};

@@ -1,9 +1,8 @@
 //! Latency microbenchmarks: Table 2 and Figure 10.
 
-use crate::config::SystemConfig;
 use cenju4_des::{Duration, SimTime};
 use cenju4_directory::NodeId;
-use cenju4_protocol::{Addr, Engine, MemOp, Notification};
+use cenju4_protocol::{Addr, Engine, MemOp, Notification, SystemConfig};
 
 /// The five rows of Table 2 for one machine size, in nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,7 +46,7 @@ pub fn load_latencies(cfg: &SystemConfig) -> LoadLatencies {
 
     // Row b: local clean. Fresh engine, node 0 loads its own memory.
     let shared_local_clean = {
-        let mut eng = cfg.build();
+        let mut eng = Engine::new(cfg);
         measure(
             &mut eng,
             NodeId::new(0),
@@ -58,7 +57,7 @@ pub fn load_latencies(cfg: &SystemConfig) -> LoadLatencies {
 
     // Row c: remote clean.
     let shared_remote_clean = {
-        let mut eng = cfg.build();
+        let mut eng = Engine::new(cfg);
         measure(
             &mut eng,
             NodeId::new(0),
@@ -69,7 +68,7 @@ pub fn load_latencies(cfg: &SystemConfig) -> LoadLatencies {
 
     // Row d: local memory, dirty in a remote cache.
     let shared_local_dirty = {
-        let mut eng = cfg.build();
+        let mut eng = Engine::new(cfg);
         let a = Addr::new(NodeId::new(0), 0);
         let _ = measure(&mut eng, NodeId::new(1), MemOp::Store, a);
         measure(&mut eng, NodeId::new(0), MemOp::Load, a)
@@ -77,7 +76,7 @@ pub fn load_latencies(cfg: &SystemConfig) -> LoadLatencies {
 
     // Row e: remote memory, dirty in a third node's cache.
     let shared_remote_dirty = {
-        let mut eng = cfg.build();
+        let mut eng = Engine::new(cfg);
         let a = Addr::new(NodeId::new(1), 0);
         let _ = measure(&mut eng, NodeId::new(2), MemOp::Store, a);
         measure(&mut eng, NodeId::new(0), MemOp::Load, a)
@@ -108,7 +107,7 @@ pub fn load_latencies(cfg: &SystemConfig) -> LoadLatencies {
 pub fn store_latency(cfg: &SystemConfig, sharers: u16) -> Duration {
     let n = cfg.sys.nodes();
     assert!((2..=n).contains(&sharers), "sharers must be 2..=nodes");
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(cfg);
     let home = NodeId::new(0);
     let a = Addr::new(home, 0);
     // Warm the sharers: nodes 1..=sharers read the block (wrapping onto
@@ -140,7 +139,7 @@ mod tests {
     use super::*;
 
     fn cfg(nodes: u16) -> SystemConfig {
-        SystemConfig::new(nodes).unwrap()
+        SystemConfig::builder(nodes).build().unwrap()
     }
 
     #[test]
@@ -194,7 +193,10 @@ mod tests {
 
     #[test]
     fn store_latency_linear_without_multicast() {
-        let c = cfg(128).without_multicast();
+        let c = SystemConfig::builder(128)
+            .multicast(cenju4_network::MulticastMode::SinglecastEmulation)
+            .build()
+            .unwrap();
         let l8 = store_latency(&c, 8);
         let l128 = store_latency(&c, 128);
         // Linear in invalidation count above the fixed base: each extra

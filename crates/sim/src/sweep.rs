@@ -19,12 +19,12 @@
 //! ```
 //! use cenju4_sim::{probes, sweep::sweep, SystemConfig};
 //!
-//! let cfg = SystemConfig::new(16)?;
+//! let cfg = SystemConfig::builder(16).build()?;
 //! let ks = [2u16, 4, 8];
 //! let lats = sweep(&ks, |&k| probes::store_latency(&cfg, k));
 //! assert_eq!(lats.len(), 3);
 //! assert!(lats[2] > lats[0]); // more sharers, longer store
-//! # Ok::<(), cenju4_directory::SystemSizeError>(())
+//! # Ok::<(), cenju4_sim::ConfigError>(())
 //! ```
 
 use cenju4_obs::MetricsRegistry;

@@ -39,7 +39,7 @@
 //! // A small CG run on 4 nodes, optimized variant with data mapping.
 //! let report = runner::run_workload(AppKind::Cg, Variant::Dsm2, true, 4, 0.25)?;
 //! assert!(report.total_time().as_ns() > 0);
-//! # Ok::<(), cenju4_directory::SystemSizeError>(())
+//! # Ok::<(), cenju4_sim::ConfigError>(())
 //! ```
 
 pub mod apps;

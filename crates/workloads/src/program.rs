@@ -2,7 +2,6 @@
 
 use crate::apps::{AppKind, AppParams, Variant};
 use crate::array::{Mapping, SharedArray};
-use cenju4_des::Duration;
 use cenju4_directory::NodeId;
 use cenju4_sim::{Program, Step, SystemConfig};
 use std::collections::VecDeque;
@@ -15,10 +14,10 @@ use std::collections::VecDeque;
 /// use cenju4_workloads::{AppKind, KernelProgram, Variant};
 /// use cenju4_sim::SystemConfig;
 ///
-/// let cfg = SystemConfig::new(4)?;
+/// let cfg = SystemConfig::builder(4).build()?;
 /// let prog = KernelProgram::build(AppKind::Bt, Variant::Dsm1, true, &cfg, 0.25);
 /// assert!(prog.total_steps() > 0);
-/// # Ok::<(), cenju4_directory::SystemSizeError>(())
+/// # Ok::<(), cenju4_sim::ConfigError>(())
 /// ```
 pub struct KernelProgram {
     queues: Vec<VecDeque<Step>>,
@@ -46,8 +45,7 @@ impl KernelProgram {
         scale: f64,
     ) -> KernelProgram {
         let p = AppParams::for_app(app, scale);
-        let nodes = cfg.sys.nodes();
-        let mut b = Builder::new(nodes, cfg.mpi_latency, cfg.mpi_bytes_per_us);
+        let mut b = Builder::new(cfg);
         match (app, variant) {
             (_, Variant::Seq) => b.seq(app, &p),
             (_, Variant::Mpi) => b.mpi(app, &p),
@@ -99,20 +97,20 @@ impl KernelProgram {
 }
 
 /// Stream builder with per-node emit helpers.
-struct Builder {
+struct Builder<'a> {
     queues: Vec<VecDeque<Step>>,
     nodes: u16,
-    mpi_latency: Duration,
-    mpi_bytes_per_us: u64,
+    /// The machine, for its MPI cost model.
+    cfg: &'a SystemConfig,
 }
 
-impl Builder {
-    fn new(nodes: u16, mpi_latency: Duration, mpi_bytes_per_us: u64) -> Self {
+impl<'a> Builder<'a> {
+    fn new(cfg: &'a SystemConfig) -> Self {
+        let nodes = cfg.sys.nodes();
         Builder {
             queues: (0..nodes).map(|_| VecDeque::new()).collect(),
             nodes,
-            mpi_latency,
-            mpi_bytes_per_us,
+            cfg,
         }
     }
 
@@ -127,7 +125,7 @@ impl Builder {
     }
 
     fn mpi_exchange(&mut self, node: u16, bytes: u64) {
-        let t = self.mpi_latency + Duration::from_ns(bytes * 1_000 / self.mpi_bytes_per_us);
+        let t = self.cfg.mpi_transfer(bytes);
         self.emit(node, Step::Think(t));
     }
 
@@ -449,7 +447,7 @@ mod tests {
     use cenju4_sim::SystemConfig;
 
     fn cfg(n: u16) -> SystemConfig {
-        SystemConfig::new(n).unwrap()
+        SystemConfig::builder(n).build().unwrap()
     }
 
     #[test]
@@ -490,7 +488,8 @@ mod tests {
         // The strided sweep must assign at least some blocks to a node
         // other than the contiguous owner.
         let p = AppParams::for_app(AppKind::Bt, 0.1);
-        let b = Builder::new(4, Duration::from_us(9), 169);
+        let cfg = cfg(4);
+        let b = Builder::new(&cfg);
         let moved = (0..p.blocks)
             .filter(|&blk| b.sweep_owner(&p, 0, blk) != b.sweep_owner(&p, 2, blk))
             .count();
@@ -522,8 +521,8 @@ mod instruction_tests {
     fn per_node_instructions_scale_down_with_nodes() {
         // Table 4: "the numbers of total executed instructions ...
         // decrease with an increase in the number of nodes" (per node).
-        let c16 = SystemConfig::new(16).unwrap();
-        let c64 = SystemConfig::new(64).unwrap();
+        let c16 = SystemConfig::builder(16).build().unwrap();
+        let c64 = SystemConfig::builder(64).build().unwrap();
         let p16 = KernelProgram::build(AppKind::Bt, Variant::Dsm2, true, &c16, 0.5);
         let p64 = KernelProgram::build(AppKind::Bt, Variant::Dsm2, true, &c64, 0.5);
         let n16 = p16.node_instructions(NodeId::new(0));
@@ -543,7 +542,7 @@ mod instruction_tests {
 
     #[test]
     fn seq_and_parallel_totals_are_comparable() {
-        let c = SystemConfig::new(8).unwrap();
+        let c = SystemConfig::builder(8).build().unwrap();
         let seq = KernelProgram::build(AppKind::Sp, Variant::Seq, true, &c, 0.25);
         let par = KernelProgram::build(AppKind::Sp, Variant::Dsm2, true, &c, 0.25);
         let ratio = par.total_instructions() as f64 / seq.total_instructions() as f64;

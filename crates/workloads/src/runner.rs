@@ -2,23 +2,22 @@
 
 use crate::apps::{AppKind, Variant};
 use crate::program::KernelProgram;
-use cenju4_directory::SystemSizeError;
-use cenju4_sim::{Driver, RunReport, SystemConfig};
+use cenju4_sim::{ConfigError, Driver, RunReport, SystemConfig};
 
 /// Runs `(app, variant, mapping)` on `nodes` nodes at problem-size
 /// multiplier `scale` and returns the run report.
 ///
 /// # Errors
 ///
-/// Returns [`SystemSizeError`] for invalid node counts.
+/// Returns [`ConfigError`] for invalid node counts.
 pub fn run_workload(
     app: AppKind,
     variant: Variant,
     mapping: bool,
     nodes: u16,
     scale: f64,
-) -> Result<RunReport, SystemSizeError> {
-    let cfg = SystemConfig::new(nodes)?;
+) -> Result<RunReport, ConfigError> {
+    let cfg = SystemConfig::builder(nodes).build()?;
     run_workload_on(&cfg, app, variant, mapping, scale)
 }
 
@@ -30,7 +29,7 @@ pub fn run_workload_on(
     variant: Variant,
     mapping: bool,
     scale: f64,
-) -> Result<RunReport, SystemSizeError> {
+) -> Result<RunReport, ConfigError> {
     let prog = KernelProgram::build(app, variant, mapping, cfg, scale);
     Ok(Driver::new(cfg, prog).run())
 }
@@ -43,10 +42,10 @@ pub fn run_workload_on(
 ///
 /// # Errors
 ///
-/// Returns [`SystemSizeError`] for invalid node counts.
-pub fn run_cg_with_update(nodes: u16, scale: f64) -> Result<RunReport, SystemSizeError> {
+/// Returns [`ConfigError`] for invalid node counts.
+pub fn run_cg_with_update(nodes: u16, scale: f64) -> Result<RunReport, ConfigError> {
     use crate::array::{Mapping, SharedArray};
-    let cfg = SystemConfig::new(nodes)?;
+    let cfg = SystemConfig::builder(nodes).build()?;
     let prog = KernelProgram::build(AppKind::Cg, Variant::Dsm2, true, &cfg, scale);
     let mut driver = Driver::new(&cfg, prog);
     let p = crate::apps::AppParams::for_app(AppKind::Cg, scale);
@@ -64,7 +63,7 @@ pub fn run_cg_with_update(nodes: u16, scale: f64) -> Result<RunReport, SystemSiz
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn cg_update_speedup(nodes: u16, scale: f64) -> Result<f64, SystemSizeError> {
+pub fn cg_update_speedup(nodes: u16, scale: f64) -> Result<f64, ConfigError> {
     let t_seq = sequential_time(AppKind::Cg, scale)? as f64;
     let t_par = run_cg_with_update(nodes, scale)?.total_time().as_ns() as f64;
     Ok(t_seq / t_par)
@@ -75,7 +74,7 @@ pub fn cg_update_speedup(nodes: u16, scale: f64) -> Result<f64, SystemSizeError>
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn sequential_time(app: AppKind, scale: f64) -> Result<u64, SystemSizeError> {
+pub fn sequential_time(app: AppKind, scale: f64) -> Result<u64, ConfigError> {
     // The machine needs ≥ 2 nodes; the seq program only uses node 0.
     let report = run_workload(app, Variant::Seq, true, 2, scale)?;
     Ok(report.total_time().as_ns())
@@ -93,7 +92,7 @@ pub fn speedup(
     mapping: bool,
     nodes: u16,
     scale: f64,
-) -> Result<f64, SystemSizeError> {
+) -> Result<f64, ConfigError> {
     let t_seq = sequential_time(app, scale)? as f64;
     let t_par = run_workload(app, variant, mapping, nodes, scale)?
         .total_time()
@@ -115,7 +114,7 @@ pub fn speedups(
     mapping: bool,
     nodes: &[u16],
     scale: f64,
-) -> Result<Vec<f64>, SystemSizeError> {
+) -> Result<Vec<f64>, ConfigError> {
     let t_seq = sequential_time(app, scale)? as f64;
     cenju4_sim::sweep(nodes, |&n| {
         let t_par = run_workload(app, variant, mapping, n, scale)?;
@@ -136,7 +135,7 @@ pub fn efficiency(
     mapping: bool,
     nodes: u16,
     scale: f64,
-) -> Result<f64, SystemSizeError> {
+) -> Result<f64, ConfigError> {
     Ok(speedup(app, variant, mapping, nodes, scale)? / nodes as f64)
 }
 

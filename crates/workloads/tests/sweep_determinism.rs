@@ -35,7 +35,7 @@ fn faulty_point(n: u16) -> (usize, u64, u64, u64, u64) {
         .recovery(RecoveryParams::default())
         .build()
         .expect("valid node count");
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     let mut completed = 0usize;
     for i in 0..3u32 {
         for node in 0..n {

@@ -14,7 +14,7 @@ use cenju4::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SystemConfig::builder(16).build()?;
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     let shared = Addr::new(NodeId::new(0), 0);
 
     // Phase 1: everyone reads then updates the shared block (DSM).

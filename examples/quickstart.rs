@@ -8,7 +8,7 @@ use cenju4::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 16-node machine (2 network stages) with the default calibration.
     let cfg = SystemConfig::builder(16).build()?;
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     eng.enable_trace(4096);
 
     // A block homed in node 0's memory.

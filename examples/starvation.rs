@@ -12,7 +12,7 @@ use cenju4::prelude::*;
 /// worst per-transaction retry count) measured by a [`StarvationProbe`]
 /// observer attached to the engine.
 fn contend(cfg: &SystemConfig, rounds: u32) -> (OnlineStats, u64, u64, usize, u32) {
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(cfg);
     eng.add_observer(Box::new(StarvationProbe::default()));
     let block = Addr::new(NodeId::new(0), 0);
     let n = cfg.sys.nodes();
@@ -49,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{nodes} nodes store to ONE block, {rounds} rounds\n");
 
     let queuing = SystemConfig::builder(nodes).build()?;
-    let nack = SystemConfig::builder(nodes).nack_protocol().build()?;
+    let nack = SystemConfig::builder(nodes)
+        .kind(ProtocolKind::Nack)
+        .build()?;
 
     let (ql, qn, qr, qd, qw) = contend(&queuing, rounds);
     let (nl, nn, nr, _, nw) = contend(&nack, rounds);

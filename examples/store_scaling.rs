@@ -14,7 +14,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let with_mc = SystemConfig::builder(128).build()?;
-    let without_mc = SystemConfig::builder(128).without_multicast().build()?;
+    let without_mc = SystemConfig::builder(128)
+        .multicast(MulticastMode::SinglecastEmulation)
+        .build()?;
     for k in [2u16, 4, 8, 16, 32, 64, 128] {
         let a = probes::store_latency(&with_mc, k);
         let b = probes::store_latency(&without_mc, k);
@@ -30,7 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's headline estimate: 1024 sharers on the full machine.
     println!("\nfull 1024-node machine, all nodes sharing:");
     let big = SystemConfig::builder(1024).build()?;
-    let big_sc = SystemConfig::builder(1024).without_multicast().build()?;
+    let big_sc = SystemConfig::builder(1024)
+        .multicast(MulticastMode::SinglecastEmulation)
+        .build()?;
     let a = probes::store_latency(&big, 1024);
     let b = probes::store_latency(&big_sc, 1024);
     println!(

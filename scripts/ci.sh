@@ -20,6 +20,23 @@ check_smoke() {
     echo "==> protocol checker smoke tier (time-capped)"
     cargo build --release --offline -p cenju4-check
     local check=target/release/cenju4-check
+    # A machine the config builder rejects is a usage error (exit 2)
+    # naming the rule, never a fake counterexample.
+    local bad_out bad_rc=0
+    bad_out="$("$check" random --nodes 2 --protocol dragon --protocol nack 2>&1)" \
+        || bad_rc=$?
+    [ "$bad_rc" -eq 2 ] || {
+        echo "FAIL: dragon over nack exited $bad_rc, want 2: $bad_out"
+        exit 1
+    }
+    echo "$bad_out" | grep -q "dragon protocol requires the queuing home" || {
+        echo "FAIL: dragon over nack rejected without naming the rule: $bad_out"
+        exit 1
+    }
+    if echo "$bad_out" | grep -q "counterexample"; then
+        echo "FAIL: dragon over nack printed a counterexample: $bad_out"
+        exit 1
+    fi
     # Exhaustive 2-node/1-block: the full schedule space, every oracle.
     "$check" exhaustive --nodes 2 --blocks 1 --ops 2 --max-seconds 120
     # A capped random walk over a larger scenario.

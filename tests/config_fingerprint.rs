@@ -6,41 +6,54 @@
 use cenju4::prelude::*;
 
 /// Builder call order must not matter: the fingerprint hashes the
-/// resolved configuration, not the construction path. (The knobs here
-/// are independent setters; `protocol` carries its full spec so the
-/// coherence/kind pair is one knob, not two order-sensitive calls.)
+/// resolved configuration, not the construction path. Each setter sets
+/// one field, so `protocol` and `kind` commute like every other pair.
 #[test]
 fn builder_order_permutations_hash_identically() {
     let a = SystemConfig::builder(16)
-        .protocol((ProtocolId::Mesi, ProtocolKind::Nack))
+        .protocol(ProtocolId::Mesi)
+        .kind(ProtocolKind::Nack)
         .directory(DirectoryId::FullMap)
-        .without_multicast()
+        .multicast(MulticastMode::SinglecastEmulation)
         .mpi_latency(Duration::from_ns(5000))
         .build()
         .unwrap();
     let b = SystemConfig::builder(16)
         .mpi_latency(Duration::from_ns(5000))
-        .without_multicast()
+        .multicast(MulticastMode::SinglecastEmulation)
         .directory(DirectoryId::FullMap)
-        .protocol((ProtocolId::Mesi, ProtocolKind::Nack))
+        .kind(ProtocolKind::Nack)
+        .protocol(ProtocolId::Mesi)
         .build()
         .unwrap();
     let c = SystemConfig::builder(16)
         .directory(DirectoryId::FullMap)
+        .kind(ProtocolKind::Nack)
         .mpi_latency(Duration::from_ns(5000))
-        .protocol((ProtocolId::Mesi, ProtocolKind::Nack))
-        .without_multicast()
+        .protocol(ProtocolId::Mesi)
+        .multicast(MulticastMode::SinglecastEmulation)
         .build()
         .unwrap();
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert_eq!(b.fingerprint(), c.fingerprint());
     assert_eq!(a.fingerprint_hex(), c.fingerprint_hex());
+    // An invalid pair is invalid in either order.
+    for cfg in [
+        SystemConfig::builder(16)
+            .protocol(ProtocolId::Dragon)
+            .kind(ProtocolKind::Nack),
+        SystemConfig::builder(16)
+            .kind(ProtocolKind::Nack)
+            .protocol(ProtocolId::Dragon),
+    ] {
+        assert_eq!(cfg.build(), Err(ConfigError::DragonNeedsQueuing));
+    }
 }
 
 /// Spelling out a default explicitly is the same configuration.
 #[test]
 fn explicit_defaults_hash_like_omitted_defaults() {
-    let implicit = SystemConfig::new(16).unwrap();
+    let implicit = SystemConfig::builder(16).build().unwrap();
     let explicit = SystemConfig::builder(16)
         .protocol(ProtocolId::Mesi)
         .directory(DirectoryId::PointerPattern)
@@ -68,8 +81,8 @@ fn fingerprint_is_stable_across_recomputation_and_clone() {
 #[test]
 fn every_knob_change_moves_the_fingerprint() {
     let variants: Vec<(&str, SystemConfig)> = vec![
-        ("baseline", SystemConfig::new(16).unwrap()),
-        ("nodes", SystemConfig::new(64).unwrap()),
+        ("baseline", SystemConfig::builder(16).build().unwrap()),
+        ("nodes", SystemConfig::builder(64).build().unwrap()),
         (
             "protocol",
             SystemConfig::builder(16)
@@ -100,12 +113,15 @@ fn every_knob_change_moves_the_fingerprint() {
         ),
         (
             "nack kind",
-            SystemConfig::builder(16).nack_protocol().build().unwrap(),
+            SystemConfig::builder(16)
+                .kind(ProtocolKind::Nack)
+                .build()
+                .unwrap(),
         ),
         (
             "no multicast",
             SystemConfig::builder(16)
-                .without_multicast()
+                .multicast(MulticastMode::SinglecastEmulation)
                 .build()
                 .unwrap(),
         ),
@@ -161,14 +177,54 @@ fn every_knob_change_moves_the_fingerprint() {
 #[test]
 fn hex_form_is_sixteen_lowercase_digits() {
     for nodes in [2u16, 16, 64, 1024] {
-        let hex = SystemConfig::new(nodes).unwrap().fingerprint_hex();
+        let hex = SystemConfig::builder(nodes)
+            .build()
+            .unwrap()
+            .fingerprint_hex();
         assert_eq!(hex.len(), 16);
         assert!(hex
             .chars()
             .all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase()));
         assert_eq!(
             u64::from_str_radix(&hex, 16).unwrap(),
-            SystemConfig::new(nodes).unwrap().fingerprint()
+            SystemConfig::builder(nodes).build().unwrap().fingerprint()
         );
+    }
+}
+
+/// Literal fingerprints of configs the service cannot express (a fault
+/// plan, a disabled recovery layer, custom protocol parameters). The
+/// `.scn` scenarios pin only service-reachable configs; these keep the
+/// rest of the hashed surface from drifting.
+#[test]
+fn unreachable_from_the_service_configs_keep_their_fingerprints() {
+    let pins = [
+        (
+            SystemConfig::builder(16)
+                .fault_plan(FaultPlan::random(42, 10))
+                .build()
+                .unwrap(),
+            "5164f2aa2ca37725",
+        ),
+        (
+            SystemConfig::builder(16)
+                .recovery(RecoveryParams::disabled())
+                .build()
+                .unwrap(),
+            "dc5606c5f8376d83",
+        ),
+        (
+            SystemConfig::builder(16)
+                .proto(ProtoParams {
+                    max_outstanding: 2,
+                    ..ProtoParams::default()
+                })
+                .build()
+                .unwrap(),
+            "0c474baa065b3979",
+        ),
+    ];
+    for (cfg, hex) in pins {
+        assert_eq!(cfg.fingerprint_hex(), hex, "{cfg:?}");
     }
 }

@@ -10,7 +10,7 @@ fn table2_shape_holds_across_machine_sizes() {
     // Latency must depend on stage count, not node count, and grow in the
     // order the paper's rows do: a < b < c < d < e.
     for nodes in [4u16, 16, 100, 128, 600, 1024] {
-        let cfg = SystemConfig::new(nodes).unwrap();
+        let cfg = SystemConfig::builder(nodes).build().unwrap();
         let r = probes::load_latencies(&cfg);
         assert!(r.private < r.shared_local_clean, "{nodes} nodes");
         assert!(r.shared_local_clean < r.shared_remote_clean);
@@ -23,8 +23,11 @@ fn table2_shape_holds_across_machine_sizes() {
 fn store_latency_crossover_multicast_wins_beyond_a_few_sharers() {
     // Figure 10: the multicast advantage appears once more than a couple
     // of nodes share the block, and explodes at scale.
-    let cfg = SystemConfig::new(128).unwrap();
-    let no_mc = cfg.without_multicast();
+    let cfg = SystemConfig::builder(128).build().unwrap();
+    let no_mc = SystemConfig::builder(128)
+        .multicast(MulticastMode::SinglecastEmulation)
+        .build()
+        .unwrap();
     let small_mc = probes::store_latency(&cfg, 2);
     let small_sc = probes::store_latency(&no_mc, 2);
     // At two sharers both use one singlecast invalidation: identical.
@@ -36,9 +39,13 @@ fn store_latency_crossover_multicast_wins_beyond_a_few_sharers() {
 
 #[test]
 fn full_machine_invalidation_latencies_match_paper_magnitudes() {
-    let cfg = SystemConfig::new(1024).unwrap();
+    let cfg = SystemConfig::builder(1024).build().unwrap();
+    let no_mc = SystemConfig::builder(1024)
+        .multicast(MulticastMode::SinglecastEmulation)
+        .build()
+        .unwrap();
     let mc = probes::store_latency(&cfg, 1024).as_ns();
-    let sc = probes::store_latency(&cfg.without_multicast(), 1024).as_ns();
+    let sc = probes::store_latency(&no_mc, 1024).as_ns();
     // Paper: ~6.3 us and ~184 us. Accept a generous band; the point is
     // the two orders of magnitude between them.
     assert!((4_000..12_000).contains(&mc), "multicast {mc} ns");
@@ -48,8 +55,8 @@ fn full_machine_invalidation_latencies_match_paper_magnitudes() {
 
 #[test]
 fn queuing_protocol_is_starvation_free_under_hot_block() {
-    let cfg = SystemConfig::new(64).unwrap();
-    let mut eng = cfg.build();
+    let cfg = SystemConfig::builder(64).build().unwrap();
+    let mut eng = Engine::new(&cfg);
     let block = Addr::new(NodeId::new(0), 0);
     for i in 0..64u16 {
         eng.issue(eng.now(), NodeId::new(i), MemOp::Load, block);
@@ -78,7 +85,7 @@ fn queuing_protocol_is_starvation_free_under_hot_block() {
 fn deadlock_freedom_buffers_stay_bounded_in_app_runs() {
     // Run a real workload and confirm the three deadlock-prevention
     // buffers never exceed the paper's provisioning.
-    let cfg = SystemConfig::new(16).unwrap();
+    let cfg = SystemConfig::builder(16).build().unwrap();
     let prog =
         cenju4::workloads::KernelProgram::build(AppKind::Sp, Variant::Dsm1, false, &cfg, 0.25);
     let driver = Driver::new(&cfg, prog);
@@ -89,8 +96,8 @@ fn deadlock_freedom_buffers_stay_bounded_in_app_runs() {
 
 #[test]
 fn gather_hardware_budget_respected_by_workloads() {
-    let cfg = SystemConfig::new(32).unwrap();
-    let mut eng = cfg.build();
+    let cfg = SystemConfig::builder(32).build().unwrap();
+    let mut eng = Engine::new(&cfg);
     // Heavy multicast traffic: every node stores to widely shared blocks.
     for round in 0..3 {
         let blocks: Vec<Addr> = (0..8).map(|b| Addr::new(NodeId::new(b), round)).collect();
@@ -127,15 +134,21 @@ fn dsm2_with_mapping_is_the_best_shared_memory_variant() {
 fn nack_ablation_runs_a_full_workload() {
     // The nack baseline must be able to run a whole application too
     // (slower, but to completion).
-    let cfg = SystemConfig::new(8).unwrap().with_nack_protocol();
+    let cfg = SystemConfig::builder(8)
+        .kind(ProtocolKind::Nack)
+        .build()
+        .unwrap();
     let r = runner::run_workload_on(&cfg, AppKind::Sp, Variant::Dsm1, true, 0.12).unwrap();
     assert!(r.total_time().as_ns() > 0);
 }
 
 #[test]
 fn no_multicast_ablation_slows_widely_shared_workloads() {
-    let base = SystemConfig::new(16).unwrap();
-    let slow = base.without_multicast();
+    let base = SystemConfig::builder(16).build().unwrap();
+    let slow = SystemConfig::builder(16)
+        .multicast(MulticastMode::SinglecastEmulation)
+        .build()
+        .unwrap();
     let fast_t = runner::run_workload_on(&base, AppKind::Cg, Variant::Dsm1, true, 0.12)
         .unwrap()
         .total_time();
@@ -165,7 +178,7 @@ fn dense_burst_backlog_drains_completely() {
     // of them just filled. Hit completions must pass the backlog drain
     // token along (not just miss replies), or the engine goes idle with
     // accesses still queued in the masters.
-    let mut eng = SystemConfig::new(16).unwrap().build();
+    let mut eng = Engine::new(&SystemConfig::builder(16).build().unwrap());
     let mut issued = 0u64;
     for n in 0..16u16 {
         for k in 0..32u32 {

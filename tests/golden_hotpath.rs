@@ -52,7 +52,7 @@ fn engine(nodes: u16, armed: bool) -> Engine {
             .fault_plan(inert_plan());
     }
     let cfg = builder.build().expect("valid node count");
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     eng.enable_trace(16384);
     eng
 }
@@ -259,7 +259,7 @@ fn alternating_op(n: u16, r: u32) -> MemOp {
 fn protocol_txn() -> String {
     const NODES: u16 = 128;
     const ROUNDS: u32 = 24;
-    let mut eng = SystemConfig::new(NODES).expect("valid nodes").build();
+    let mut eng = Engine::new(&SystemConfig::builder(NODES).build().expect("valid nodes"));
     let mut work = Work::default();
     for r in 0..ROUNDS {
         for n in 0..NODES {
@@ -277,7 +277,7 @@ fn multicast_storm() -> String {
     const NODES: u16 = 64;
     const SHARERS: u16 = 32;
     const ROUNDS: u32 = 20;
-    let mut eng = SystemConfig::new(NODES).expect("valid nodes").build();
+    let mut eng = Engine::new(&SystemConfig::builder(NODES).build().expect("valid nodes"));
     let a = Addr::new(node(0), 1);
     let mut work = Work::default();
     for r in 0..ROUNDS {
@@ -310,7 +310,7 @@ fn recovery_soak() -> String {
         .fault_plan(plan)
         .build()
         .expect("valid nodes");
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     let mut work = Work::default();
     for r in 0..ROUNDS {
         for n in 0..NODES {
@@ -392,7 +392,7 @@ fn recovery_soak_work_counts_pinned() {
 /// that latency scales with stages, not nodes).
 #[test]
 fn fig10_probe_latencies_unchanged() {
-    let cfg = SystemConfig::new(16).unwrap();
+    let cfg = SystemConfig::builder(16).build().unwrap();
     let lats: Vec<u64> = [2u16, 4, 8, 16]
         .iter()
         .map(|&k| probes::store_latency(&cfg, k).as_ns())
@@ -406,7 +406,7 @@ const PINNED_STORE_LATENCIES_NS: [u64; 4] = [2620, 3135, 3360, 3510];
 
 #[test]
 fn table2_load_latencies_unchanged() {
-    let r = probes::load_latencies(&SystemConfig::new(16).unwrap());
+    let r = probes::load_latencies(&SystemConfig::builder(16).build().unwrap());
     assert_eq!(r.private.as_ns(), 470);
     assert_eq!(r.shared_local_clean.as_ns(), 610);
     assert_eq!(r.shared_remote_clean.as_ns(), 1710);

@@ -29,7 +29,7 @@ fn engine(nodes: u16, traced: bool) -> Engine {
         .build()
         .expect("valid node count");
     let sys = cfg.sys;
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     eng.enable_trace(16384);
     if traced {
         eng.add_observer(Box::new(SpanCollector::new(sys)));

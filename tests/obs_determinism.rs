@@ -17,7 +17,7 @@ use cenju4_sim::sweep::{sweep_metrics_on, sweep_on};
 fn traced_store_point(k: u16) -> Engine {
     let cfg = SystemConfig::builder(64).build().expect("valid node count");
     let sys = cfg.sys;
-    let mut eng = cfg.build();
+    let mut eng = Engine::new(&cfg);
     eng.add_observer(Box::new(SpanCollector::new(sys)));
     let a = Addr::new(NodeId::new(0), 1);
     for s in 1..=k {

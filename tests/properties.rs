@@ -210,8 +210,8 @@ fn protocol_coherence_under_random_traffic() {
     for case in 0..16u64 {
         let nodes = sizes[(case % sizes.len() as u64) as usize];
         let seed = seeds.next_u64();
-        let cfg = SystemConfig::new(nodes).unwrap();
-        let mut eng = cfg.build();
+        let cfg = SystemConfig::builder(nodes).build().unwrap();
+        let mut eng = Engine::new(&cfg);
         let mut rng = SplitMix64::new(seed);
         let blocks: Vec<Addr> = (0..5)
             .map(|i| Addr::new(NodeId::new((i * 7) % nodes), i as u32))

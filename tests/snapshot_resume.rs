@@ -68,7 +68,7 @@ fn fig12() -> Script {
 }
 
 fn engine(nodes: u16) -> Engine {
-    let mut eng = SystemConfig::new(nodes).expect("valid nodes").build();
+    let mut eng = Engine::new(&SystemConfig::builder(nodes).build().expect("valid nodes"));
     eng.enable_trace(16384);
     eng
 }
@@ -227,7 +227,7 @@ fn drain(mut d: Driver<KernelProgram>) -> (RunReport, String) {
 /// counters, and a count past the run's end is refused.
 #[test]
 fn driver_resume_matches_uninterrupted_run() {
-    let cfg = SystemConfig::new(8).expect("valid nodes");
+    let cfg = SystemConfig::builder(8).build().expect("valid nodes");
     let mut rng = SplitMix64::new(0x51A9_0003);
     for app in [AppKind::Ft, AppKind::Cg] {
         for variant in [Variant::Dsm1, Variant::Dsm2] {
