@@ -1,5 +1,6 @@
-//! Schedule exploration: bounded-exhaustive DFS, seeded random walks,
-//! deterministic replay, and counterexample shrinking.
+//! Schedule stepping, seeded random walks, deterministic replay, and
+//! counterexample shrinking. The bounded-exhaustive search over the same
+//! steps is [`explore_reduced`](crate::reduce::explore_reduced).
 //!
 //! A *schedule* is the sequence of choices the checker makes: at each
 //! step it looks at the engine's ready events (those whose in-order
@@ -11,7 +12,8 @@
 
 use crate::oracles::{OracleState, Violation};
 use crate::scenario::CheckConfig;
-use cenju4_des::SplitMix64;
+use cenju4_des::{SimTime, SplitMix64};
+use cenju4_protocol::{Addr, Engine, PendingEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -52,7 +54,8 @@ pub struct ExploreLimits {
     /// Per-schedule step cap; exceeding it is itself reported as a
     /// progress violation (a correct finite workload must quiesce).
     pub max_steps: usize,
-    /// Total schedules to try.
+    /// Total schedules to try: the leaves an exhaustive search may
+    /// reach, counted across all of its jobs.
     pub max_schedules: u64,
     /// Wall-clock cap in seconds.
     pub max_seconds: u64,
@@ -81,6 +84,9 @@ pub struct Counterexample {
     pub trace: String,
     /// Schedules explored before this one was found.
     pub schedules_explored: u64,
+    /// The per-schedule step cap it was found under: a `progress`
+    /// violation only reproduces under the same cap.
+    pub max_steps: usize,
 }
 
 impl core::fmt::Display for Counterexample {
@@ -121,6 +127,9 @@ impl core::fmt::Display for Counterexample {
                 self.config.fault_seed, self.config.drop_permille
             )?;
         }
+        if self.max_steps != ExploreLimits::default().max_steps {
+            write!(f, " --max-steps {}", self.max_steps)?;
+        }
         writeln!(
             f,
             " --schedule {}",
@@ -144,8 +153,8 @@ impl core::fmt::Display for Counterexample {
 #[derive(Clone, Debug)]
 pub enum Exploration {
     /// Every explored schedule kept all oracles green, and the space was
-    /// exhausted (exhaustive mode) or the walk count completed (random
-    /// mode).
+    /// exhausted (exhaustive search) or the walk count completed (random
+    /// walks).
     AllGreen {
         /// Schedules driven to quiescence.
         schedules: u64,
@@ -170,6 +179,178 @@ impl Exploration {
     }
 }
 
+/// An engine position under the controlled scheduler: the engine, its
+/// oracles, and its ready set. [`run_one`] drives one from the initial
+/// state; the reduced explorer forks and restores them to backtrack.
+pub(crate) struct Stepper {
+    cfg: CheckConfig,
+    eng: Engine,
+    oracle: OracleState,
+    /// The choice indices of the ready events (see
+    /// [`Engine::ready_choices`]), refreshed after every fire; a ready
+    /// position indexes this slice.
+    ready: Vec<usize>,
+    /// Events fired since the initial state.
+    steps: usize,
+}
+
+impl Stepper {
+    pub(crate) fn new(cfg: &CheckConfig) -> Self {
+        let eng = cfg.engine();
+        let mut ready = Vec::new();
+        eng.ready_choices(&mut ready);
+        Stepper {
+            cfg: *cfg,
+            eng,
+            oracle: OracleState::new(cfg),
+            ready,
+            steps: 0,
+        }
+    }
+
+    /// A copy of this position (see [`Engine::fork`]).
+    pub(crate) fn fork(&self) -> Self {
+        Stepper {
+            cfg: self.cfg,
+            eng: self
+                .eng
+                .fork()
+                .expect("checker engines carry forkable observers"),
+            oracle: self.oracle.clone(),
+            ready: self.ready.clone(),
+            steps: self.steps,
+        }
+    }
+
+    /// The choice indices of the ready events; empty exactly when the
+    /// machine has quiesced.
+    pub(crate) fn ready(&self) -> &[usize] {
+        &self.ready
+    }
+
+    /// The ready events' snapshot, in ready-position order: the content
+    /// digests and footprints sleep sets and lasso unrolling need.
+    pub(crate) fn ready_events(&self) -> Vec<PendingEvent> {
+        self.eng
+            .pending_events()
+            .into_iter()
+            .filter(|e| e.ready)
+            .collect()
+    }
+
+    pub(crate) fn now(&self) -> SimTime {
+        self.eng.now()
+    }
+
+    /// The state fingerprint over `blocks` (the scenario's
+    /// [`CheckConfig::block_addrs`]).
+    pub(crate) fn fingerprint(&self, blocks: &[Addr]) -> u64 {
+        self.eng.state_fingerprint(blocks)
+    }
+
+    /// The per-block protocol trace at this position.
+    pub(crate) fn trace(&self) -> String {
+        let mut out = String::new();
+        for addr in self.cfg.block_addrs() {
+            let dump = self.eng.trace().dump_block(addr);
+            if !dump.is_empty() {
+                out.push_str(&format!("block {addr}:\n"));
+                out.push_str(&dump);
+            }
+        }
+        out
+    }
+
+    /// Fires the ready event at ready-position `pick` (clamped to the
+    /// last ready event), running the step oracles, and refreshes the
+    /// ready set; returns the violation and its trace, if any. A protocol
+    /// panic unwinds: run it under [`guarded`].
+    fn step(&mut self, pick: usize) -> Option<(Violation, String)> {
+        let idx = self.ready[pick.min(self.ready.len() - 1)];
+        let notes = self.eng.run_pending(idx).expect("ready event vanished");
+        self.steps += 1;
+        let v = self
+            .oracle
+            .note(&notes, &self.eng)
+            .or_else(|| self.oracle.check_step(&self.eng));
+        match v {
+            Some(v) => Some((v, self.trace())),
+            None => {
+                self.eng.ready_choices(&mut self.ready);
+                None
+            }
+        }
+    }
+
+    /// [`Stepper::step`] under [`guarded`]. After an `Err` the position
+    /// may be poisoned — restore or replay before reuse.
+    pub(crate) fn fire(&mut self, pick: usize) -> Result<(), (Violation, String)> {
+        guarded(|| self.step(pick)).map_or(Ok(()), Err)
+    }
+
+    /// Fires the ready event with the given content digest (used when
+    /// unrolling a livelock lasso: ready *indices* shift between laps
+    /// but the repeating events keep their content). Returns the ready
+    /// position fired.
+    pub(crate) fn fire_by_content(&mut self, content: u64) -> Option<usize> {
+        let pick = self
+            .ready_events()
+            .iter()
+            .position(|e| e.content == content)?;
+        self.fire(pick).ok()?;
+        Some(pick)
+    }
+
+    /// Rebuilds the position a known-green pick prefix reaches from the
+    /// initial state.
+    pub(crate) fn replay_green(cfg: &CheckConfig, picks: &[usize]) -> Self {
+        let mut st = Stepper::new(cfg);
+        for &p in picks {
+            st.fire(p)
+                .expect("a previously green prefix replayed with a violation");
+        }
+        st
+    }
+
+    /// The quiescence oracles, with the trace on a violation.
+    pub(crate) fn check_quiescent(&self) -> Option<(Violation, String)> {
+        self.oracle
+            .check_quiescent(&self.eng, self.cfg.issued_ops())
+            .map(|v| (v, self.trace()))
+    }
+}
+
+/// Runs `f`, converting a protocol panic into a `panic` violation (with
+/// no trace: the engine is mid-dispatch), so mutants that trip internal
+/// assertions still yield counterexamples instead of aborting the search.
+fn guarded(f: impl FnOnce() -> Option<(Violation, String)>) -> Option<(Violation, String)> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("opaque panic payload");
+        Some((
+            Violation {
+                oracle: "panic",
+                detail: format!("protocol panicked: {msg}"),
+            },
+            String::new(),
+        ))
+    })
+}
+
+/// The `progress` violation of a schedule still running at the step cap.
+pub(crate) fn starved(max_steps: usize) -> Violation {
+    Violation {
+        oracle: "progress",
+        detail: format!(
+            "no quiescence after {max_steps} steps — the schedule starves \
+             some transaction"
+        ),
+    }
+}
+
 /// Drives one schedule: `pick(arity)` chooses among the ready events at
 /// each step (clamped to the ready count). Panics inside the protocol are
 /// caught and reported as violations, so mutants that trip internal
@@ -179,86 +360,29 @@ pub fn run_one(
     mut pick: impl FnMut(usize) -> usize,
     max_steps: usize,
 ) -> RunOutcome {
+    let mut st = Stepper::new(cfg);
     let mut choices: Vec<Choice> = Vec::new();
-    let mut steps = 0usize;
-    let issued = cfg.issued_ops();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut eng = cfg.engine();
-        let mut oracle = OracleState::new(cfg);
-        let mut ready = Vec::new();
-        loop {
-            eng.ready_choices(&mut ready);
-            if ready.is_empty() {
-                let violation = oracle.check_quiescent(&eng, issued);
-                let trace = violation
-                    .as_ref()
-                    .map(|_| render_trace(&eng, cfg))
-                    .unwrap_or_default();
-                return (violation, trace);
-            }
-            if steps >= max_steps {
-                return (
-                    Some(Violation {
-                        oracle: "progress",
-                        detail: format!(
-                            "no quiescence after {max_steps} steps — the \
-                             schedule starves some transaction"
-                        ),
-                    }),
-                    render_trace(&eng, cfg),
-                );
-            }
-            let arity = ready.len();
-            let picked = pick(arity).min(arity - 1);
-            choices.push(Choice { arity, picked });
-            let notes = eng
-                .run_pending(ready[picked])
-                .expect("ready event vanished");
-            steps += 1;
-            if let Some(v) = oracle.note(&notes, &eng) {
-                return (Some(v), render_trace(&eng, cfg));
-            }
-            if let Some(v) = oracle.check_step(&eng) {
-                return (Some(v), render_trace(&eng, cfg));
-            }
+    let failure = guarded(|| loop {
+        let arity = st.ready().len();
+        if arity == 0 {
+            return st.check_quiescent();
         }
-    }));
-    match result {
-        Ok((violation, trace)) => RunOutcome {
-            steps,
-            choices,
-            violation,
-            trace,
-        },
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            RunOutcome {
-                steps,
-                choices,
-                violation: Some(Violation {
-                    oracle: "panic",
-                    detail: format!("protocol panicked: {msg}"),
-                }),
-                trace: String::new(),
-            }
+        if st.steps >= max_steps {
+            return Some((starved(max_steps), st.trace()));
         }
+        let picked = pick(arity).min(arity - 1);
+        choices.push(Choice { arity, picked });
+        if let Some(failure) = st.step(picked) {
+            return Some(failure);
+        }
+    });
+    let (violation, trace) = failure.unzip();
+    RunOutcome {
+        steps: st.steps,
+        choices,
+        violation,
+        trace: trace.unwrap_or_default(),
     }
-}
-
-pub(crate) fn render_trace(eng: &cenju4_protocol::Engine, cfg: &CheckConfig) -> String {
-    let mut out = String::new();
-    for addr in cfg.block_addrs() {
-        let dump = eng.trace().dump_block(addr);
-        if !dump.is_empty() {
-            out.push_str(&format!("block {addr}:\n"));
-            out.push_str(&dump);
-        }
-    }
-    out
 }
 
 /// Replays the schedule given by `prefix` (implicit zeros afterwards).
@@ -277,43 +401,6 @@ pub fn replay(cfg: &CheckConfig, prefix: &[usize], max_steps: usize) -> RunOutco
     )
 }
 
-/// Bounded-exhaustive DFS over all schedules of `cfg`, by replay with
-/// lexicographic prefix increments. Sound for workloads whose event tree
-/// is finite (the queuing protocol's always is; the nack baseline can
-/// retry unboundedly — its runs are cut off by `max_steps` and reported
-/// as progress violations).
-pub fn exhaustive(cfg: &CheckConfig, limits: &ExploreLimits) -> Exploration {
-    let start = Instant::now();
-    let mut prefix: Vec<usize> = Vec::new();
-    let mut schedules = 0u64;
-    loop {
-        let out = replay(cfg, &prefix, limits.max_steps);
-        schedules += 1;
-        if let Some(v) = out.violation {
-            let picked = out.choices.iter().map(|c| c.picked).collect();
-            return falsify(cfg, picked, v, out.trace, schedules, limits);
-        }
-        // Lexicographic increment: bump the deepest incrementable choice,
-        // truncating everything after it (those positions restart at 0).
-        let mut i = out.choices.len();
-        let next = loop {
-            if i == 0 {
-                return Exploration::AllGreen { schedules };
-            }
-            i -= 1;
-            if out.choices[i].picked + 1 < out.choices[i].arity {
-                let mut p: Vec<usize> = out.choices[..i].iter().map(|c| c.picked).collect();
-                p.push(out.choices[i].picked + 1);
-                break p;
-            }
-        };
-        prefix = next;
-        if schedules >= limits.max_schedules || start.elapsed().as_secs() >= limits.max_seconds {
-            return Exploration::Budget { schedules };
-        }
-    }
-}
-
 /// Seeded random walks: `walks` independent schedules, each driven by its
 /// own deterministic stream derived from `seed`. Any failure is shrunk
 /// and reported with enough information to replay it exactly.
@@ -328,18 +415,25 @@ pub fn random_walks(
         if start.elapsed().as_secs() >= limits.max_seconds {
             return Exploration::Budget { schedules: w };
         }
-        let mut rng = SplitMix64::new(seed.wrapping_add(w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let out = run_one(
-            cfg,
-            |arity| rng.next_below(arity as u64) as usize,
-            limits.max_steps,
-        );
+        let out = walk(cfg, seed, w, limits);
         if let Some(v) = out.violation {
             let picked = out.choices.iter().map(|c| c.picked).collect();
             return falsify(cfg, picked, v, out.trace, w + 1, limits);
         }
     }
     Exploration::AllGreen { schedules: walks }
+}
+
+/// Drives walk `w` of the stream `seed` selects: each walk draws its
+/// picks from its own generator, so walk `w` is the same schedule in a
+/// sequential or a parallel campaign.
+pub(crate) fn walk(cfg: &CheckConfig, seed: u64, w: u64, limits: &ExploreLimits) -> RunOutcome {
+    let mut rng = SplitMix64::new(seed.wrapping_add(w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    run_one(
+        cfg,
+        |arity| rng.next_below(arity as u64) as usize,
+        limits.max_steps,
+    )
 }
 
 pub(crate) fn falsify(
@@ -364,6 +458,7 @@ pub(crate) fn falsify(
         violation,
         trace,
         schedules_explored: schedules,
+        max_steps: limits.max_steps,
     }))
 }
 

@@ -12,15 +12,16 @@
 //!   multiple-reader, directory-vs-cache agreement, data-value coherence,
 //!   Figure-9 queue bounds, and global quiescence (no lost or starved
 //!   transaction);
-//! * [`explore`] — bounded-exhaustive DFS over all schedules for small
-//!   configs, seeded random walks for larger ones, counterexample
-//!   shrinking, and deterministic replay from a printed choice prefix;
-//! * [`reduce`] — the same search at scale: dynamic partial-order
-//!   reduction (sleep sets over event footprints), state-fingerprint
-//!   deduplication with livelock detection, and a deterministic
-//!   parallel frontier — bounded-exhaustive at 4–5 nodes and
-//!   million-schedule random campaigns, with reduction proven to
-//!   preserve every falsifiable oracle (`tests/dpor_soundness.rs`).
+//! * [`explore`] — the step loop every explorer drives, seeded random
+//!   walks, counterexample shrinking, and deterministic replay from a
+//!   printed choice prefix;
+//! * [`reduce`] — the bounded-exhaustive search: a DFS that forks
+//!   engines to backtrack, with dynamic partial-order reduction (sleep
+//!   sets over event footprints) and state-fingerprint deduplication with
+//!   livelock detection where they are sound, and a deterministic
+//!   parallel frontier where they are not — bounded-exhaustive at 4–5
+//!   nodes, with reduction proven to preserve every falsifiable oracle
+//!   (`tests/dpor_soundness.rs`); plus parallel random-walk campaigns.
 //!
 //! The engine hook is `Engine::enable_controlled_schedule`: events park
 //! in a held set instead of firing in time order, and the checker picks
@@ -36,14 +37,14 @@
 //! # Examples
 //!
 //! ```
-//! use cenju4_check::{exhaustive, CheckConfig, ExploreLimits, Exploration};
+//! use cenju4_check::{explore_reduced, CheckConfig, ExploreLimits, Exploration};
 //!
 //! let cfg = CheckConfig {
 //!     ops_per_node: 1,
 //!     ..CheckConfig::default()
 //! };
-//! let limits = ExploreLimits::default();
-//! assert!(matches!(exhaustive(&cfg, &limits), Exploration::AllGreen { .. }));
+//! let out = explore_reduced(&cfg, &ExploreLimits::default(), 1);
+//! assert!(matches!(out.exploration, Exploration::AllGreen { .. }));
 //! ```
 
 pub mod explore;
@@ -52,8 +53,8 @@ pub mod reduce;
 pub mod scenario;
 
 pub use explore::{
-    exhaustive, random_walks, replay, run_one, shrink, Choice, Counterexample, Exploration,
-    ExploreLimits, RunOutcome,
+    random_walks, replay, run_one, shrink, Choice, Counterexample, Exploration, ExploreLimits,
+    RunOutcome,
 };
 pub use oracles::{OracleState, Violation};
 pub use reduce::{

@@ -3,17 +3,18 @@
 //!
 //! Subcommands:
 //!
-//! * `exhaustive` — bounded-exhaustive DFS over every schedule of a small
-//!   scenario; exits 1 if any oracle is falsified.
-//! * `reduced` — the same guarantee with dynamic partial-order reduction,
-//!   state deduplication, and deterministic parallel workers; scales the
-//!   exhaustive tier from 2 nodes to 4–5.
+//! * `reduced` — bounded-exhaustive DFS over every schedule of a small
+//!   scenario, with dynamic partial-order reduction and state
+//!   deduplication where they are sound (`--dpor off` enumerates every
+//!   schedule) and deterministic parallel workers where they are not;
+//!   exits 1 if any oracle is falsified.
 //! * `random` — seeded random walks (fanned across threads when
 //!   `--threads` is not 1); exits 1 on a falsified oracle.
 //! * `replay` — replays one printed schedule deterministically.
 //! * `mutants` — arms each `FaultInjection` mutant and demands a
-//!   counterexample from each; exits 1 if a mutant *survives* (the
-//!   oracles failed to distinguish a broken protocol).
+//!   counterexample from each (the reduced search at 2 nodes, seeded
+//!   parallel walks above); exits 1 if a mutant *survives* (the oracles
+//!   failed to distinguish a broken protocol).
 //!
 //! Common flags: `--nodes N --blocks B --ops K`
 //! `--protocol mesi|dragon|queuing|nack` (a coherence protocol or a home
@@ -23,9 +24,9 @@
 //! `--recovery on|off --fault-seed S --drop-rate P` (permille)
 //! `--max-steps S --max-schedules M --max-seconds T`
 //! `--threads N` (0 = all cores, honoring `CENJU4_CHECK_THREADS`);
-//! `reduced` adds `--dpor on|off`, `random` adds `--seed`/`--walks`,
-//! `replay` adds `--schedule 1,0,2` (`-` for the empty schedule),
-//! `mutants` adds `--explorer full|reduced`.
+//! `reduced` adds `--dpor on|off`, `random` adds `--seed`/`--walks`
+//! (at least one walk), `replay` adds `--schedule 1,0,2` (`-` for the
+//! empty schedule).
 //!
 //! A config whose fault mutant cannot fire (e.g. `--fault node-down
 //! --nodes 2`) is a usage error, not a hollow green run; so is a machine
@@ -33,8 +34,8 @@
 //! dragon --protocol nack`), not a fake counterexample.
 
 use cenju4_check::{
-    default_check_threads, exhaustive, explore_reduced_with, random_walks, random_walks_parallel,
-    replay, CheckConfig, Exploration, ExploreLimits,
+    default_check_threads, explore_reduced, explore_reduced_with, random_walks_parallel, replay,
+    CheckConfig, Exploration, ExploreLimits,
 };
 use cenju4_directory::DirectoryId;
 use cenju4_protocol::{FaultInjection, ProtocolId, ProtocolKind};
@@ -50,8 +51,6 @@ struct Args {
     threads: usize,
     /// Whether `reduced` arms partial-order reduction + dedup.
     dpor: bool,
-    /// Which explorer the `mutants` subcommand drives.
-    reduced_mutants: bool,
 }
 
 /// Every known fault name, straight from [`FaultInjection::ALL`] — the
@@ -86,14 +85,13 @@ fn directory_names() -> String {
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: cenju4-check <exhaustive|reduced|random|replay|mutants> \
+        "usage: cenju4-check <reduced|random|replay|mutants> \
          [--nodes N] [--blocks B] [--ops K] [--protocol {}] \
          [--directory {}] \
          [--fault {}] [--recovery on|off] [--fault-seed S] \
          [--drop-rate PERMILLE] [--max-steps S] \
          [--max-schedules M] [--max-seconds T] [--seed S] [--walks W] \
-         [--schedule 1,0,2|-] [--threads N] [--dpor on|off] \
-         [--explorer full|reduced]",
+         [--schedule 1,0,2|-] [--threads N] [--dpor on|off]",
         protocol_names(),
         directory_names(),
         fault_names()
@@ -106,17 +104,12 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let cmd = argv.next().ok_or("missing subcommand")?;
     let mut args = Args {
         cfg: CheckConfig::default(),
-        limits: ExploreLimits {
-            max_steps: 10_000,
-            max_schedules: 1_000_000,
-            max_seconds: 300,
-        },
+        limits: ExploreLimits::default(),
         seed: 1,
         walks: 100,
         schedule: Vec::new(),
         threads: 0,
         dpor: true,
-        reduced_mutants: false,
     };
     while let Some(flag) = argv.next() {
         let mut val = || argv.next().ok_or(format!("{flag} needs a value"));
@@ -191,15 +184,14 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
                     other => return Err(format!("--dpor wants on|off, got {other:?}")),
                 }
             }
-            "--explorer" => {
-                args.reduced_mutants = match val()?.as_str() {
-                    "reduced" => true,
-                    "full" => false,
-                    other => return Err(format!("--explorer wants full|reduced, got {other:?}")),
+            "--seed" => args.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--walks" => {
+                args.walks = val()?.parse().map_err(|e| format!("--walks: {e}"))?;
+                // Zero walks would report a hollow "all green".
+                if args.walks == 0 {
+                    return Err("--walks must be at least 1".into());
                 }
             }
-            "--seed" => args.seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--walks" => args.walks = val()?.parse().map_err(|e| format!("--walks: {e}"))?,
             "--schedule" => {
                 let v = val()?;
                 if v != "-" {
@@ -262,10 +254,6 @@ fn main() -> ExitCode {
         args.threads
     };
     match cmd.as_str() {
-        "exhaustive" => {
-            let r = exhaustive(&args.cfg, &args.limits);
-            report("exhaustive", &args.cfg, &r)
-        }
         "reduced" => {
             let out = explore_reduced_with(&args.cfg, &args.limits, threads, args.dpor);
             println!(
@@ -285,11 +273,7 @@ fn main() -> ExitCode {
             report("reduced", &args.cfg, &out.exploration)
         }
         "random" => {
-            let r = if threads > 1 {
-                random_walks_parallel(&args.cfg, args.seed, args.walks, &args.limits, threads)
-            } else {
-                random_walks(&args.cfg, args.seed, args.walks, &args.limits)
-            };
+            let r = random_walks_parallel(&args.cfg, args.seed, args.walks, &args.limits, threads);
             report(&format!("random (seed {})", args.seed), &args.cfg, &r)
         }
         "replay" => {
@@ -343,23 +327,16 @@ fn main() -> ExitCode {
                 debug_assert!(cfg.validate().is_ok());
                 // Exhaustive search is only tractable on the 2-node
                 // scenario; larger ones use seeded (deterministic) walks.
-                // `--explorer reduced` drives the same split through the
-                // reduced/parallel engines instead.
-                let result = match (nodes <= 2, args.reduced_mutants) {
-                    (true, false) => exhaustive(&cfg, &args.limits),
-                    (true, true) => {
-                        explore_reduced_with(&cfg, &args.limits, threads, true).exploration
-                    }
-                    (false, false) => {
-                        random_walks(&cfg, args.seed, args.walks.max(200), &args.limits)
-                    }
-                    (false, true) => random_walks_parallel(
+                let result = if nodes <= 2 {
+                    explore_reduced(&cfg, &args.limits, threads).exploration
+                } else {
+                    random_walks_parallel(
                         &cfg,
                         args.seed,
                         args.walks.max(200),
                         &args.limits,
                         threads,
-                    ),
+                    )
                 };
                 match result {
                     Exploration::Falsified(cx) => {

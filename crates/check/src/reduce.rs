@@ -1,10 +1,10 @@
 //! Reduced exploration: dynamic partial-order reduction, state
 //! deduplication, livelock detection, and deterministic parallel search.
 //!
-//! The plain [`exhaustive`](crate::explore::exhaustive) enumeration
-//! replays every interleaving of every ready event — exponential in both
-//! nodes and operations. This module prunes that tree three ways while
-//! preserving every violation the full enumeration can find:
+//! The unreduced search (`reduce = false`) fires every interleaving of
+//! every ready event — exponential in both nodes and operations. This
+//! module prunes that tree three ways while preserving every violation
+//! the full enumeration can find:
 //!
 //! * **Sleep sets over event footprints** (dynamic partial-order
 //!   reduction). Two ready events *commute* when their
@@ -62,14 +62,15 @@
 //! walk stays single-threaded and deterministic, and threads go where
 //! they pay: unreduced exploration and seeded random campaigns.
 
-use crate::explore::{falsify, render_trace, replay, Counterexample, Exploration, ExploreLimits};
-use crate::oracles::{OracleState, Violation};
+use crate::explore::{
+    falsify, replay, starved, walk, Counterexample, Exploration, ExploreLimits, Stepper,
+};
+use crate::oracles::Violation;
 use crate::scenario::CheckConfig;
 use cenju4_des::{FxHashMap, FxHashSet, SimTime};
-use cenju4_protocol::{Engine, PendingEvent, ProtocolKind};
+use cenju4_protocol::{PendingEvent, ProtocolKind};
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -170,6 +171,7 @@ pub fn explore_reduced_with(
         reduce,
         collect_all: false,
         deadline: Instant::now() + std::time::Duration::from_secs(limits.max_seconds),
+        leaves_claimed: AtomicU64::new(0),
         frontier_oracles: Mutex::new(BTreeSet::new()),
     };
     let mut agg = DfsStats::default();
@@ -239,6 +241,7 @@ pub fn violation_profile(
         reduce,
         collect_all: true,
         deadline: Instant::now() + std::time::Duration::from_secs(limits.max_seconds),
+        leaves_claimed: AtomicU64::new(0),
         frontier_oracles: Mutex::new(BTreeSet::new()),
     };
     let mut oracles: BTreeSet<&'static str> = BTreeSet::new();
@@ -264,6 +267,9 @@ struct DfsParams<'a> {
     reduce: bool,
     collect_all: bool,
     deadline: Instant,
+    /// Leaves reached so far by the frontier pass and every job: one
+    /// `max_schedules` budget for the whole search.
+    leaves_claimed: AtomicU64,
     /// Oracle names falsified during the frontier pass (collect-all).
     frontier_oracles: Mutex<BTreeSet<&'static str>>,
 }
@@ -271,6 +277,13 @@ struct DfsParams<'a> {
 impl<'a> DfsParams<'a> {
     fn cfg(&self) -> &CheckConfig {
         self.cfg
+    }
+
+    /// Counts one more leaf against `max_schedules`; false once the
+    /// budget is spent, so a binding cap reports exactly `max_schedules`
+    /// leaves for any thread count.
+    fn claim_leaf(&self) -> bool {
+        self.leaves_claimed.fetch_add(1, Ordering::Relaxed) < self.limits.max_schedules
     }
 }
 
@@ -312,147 +325,6 @@ struct DfsOutcome {
 #[derive(Clone, Debug)]
 struct Job {
     prefix: Vec<usize>,
-}
-
-/// An engine position: the engine and its oracles. Backtracking restores
-/// a [`Stepper::fork`]ed copy; only a parallel job (engines cannot cross
-/// threads) or a counterexample is rebuilt by replay from the root.
-struct Stepper {
-    cfg: CheckConfig,
-    blocks: Vec<cenju4_protocol::Addr>,
-    issued: usize,
-    eng: Engine,
-    oracle: OracleState,
-    /// Reused buffer for [`Stepper::ready`].
-    ready: Vec<usize>,
-}
-
-impl Stepper {
-    fn new(cfg: &CheckConfig) -> Self {
-        Stepper {
-            cfg: *cfg,
-            blocks: cfg.block_addrs(),
-            issued: cfg.issued_ops(),
-            eng: cfg.engine(),
-            oracle: OracleState::new(cfg),
-            ready: Vec::new(),
-        }
-    }
-
-    /// A copy of this position (see [`Engine::fork`]).
-    fn fork(&self) -> Self {
-        Stepper {
-            cfg: self.cfg,
-            blocks: self.blocks.clone(),
-            issued: self.issued,
-            eng: self
-                .eng
-                .fork()
-                .expect("checker engines carry forkable observers"),
-            oracle: self.oracle.clone(),
-            ready: Vec::new(),
-        }
-    }
-
-    /// The choice indices of the ready events (see
-    /// [`Engine::ready_choices`]); a ready position indexes this slice.
-    fn ready(&mut self) -> &[usize] {
-        self.eng.ready_choices(&mut self.ready);
-        &self.ready
-    }
-
-    /// The ready events' snapshot, in ready-position order: the content
-    /// digests and footprints sleep sets and lasso unrolling need.
-    fn ready_events(&self) -> Vec<PendingEvent> {
-        self.eng
-            .pending_events()
-            .into_iter()
-            .filter(|e| e.ready)
-            .collect()
-    }
-
-    fn quiescent(&self) -> bool {
-        self.eng.pending_event_count() == 0
-    }
-
-    fn now(&self) -> SimTime {
-        self.eng.now()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.eng.state_fingerprint(&self.blocks)
-    }
-
-    /// Fires the ready event at ready-position `pick` (clamped to the
-    /// last ready event), running the step oracles. `Err` carries the
-    /// violation (protocol panics are converted, like `run_one`); after
-    /// an `Err` the engine may be poisoned — restore or replay before
-    /// reuse.
-    fn fire(&mut self, pick: usize) -> Result<(), (Violation, String)> {
-        let ready = self.ready();
-        let idx = ready[pick.min(ready.len() - 1)];
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let notes = self.eng.run_pending(idx).expect("ready event vanished");
-            if let Some(v) = self.oracle.note(&notes, &self.eng) {
-                return Some(v);
-            }
-            self.oracle.check_step(&self.eng)
-        }));
-        match result {
-            Ok(None) => Ok(()),
-            Ok(Some(v)) => {
-                let trace = render_trace(&self.eng, &self.cfg);
-                Err((v, trace))
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("opaque panic payload");
-                Err((
-                    Violation {
-                        oracle: "panic",
-                        detail: format!("protocol panicked: {msg}"),
-                    },
-                    String::new(),
-                ))
-            }
-        }
-    }
-
-    /// Fires the ready event with the given content digest (used when
-    /// unrolling a livelock lasso: ready *indices* shift between laps
-    /// but the repeating events keep their content). Returns the ready
-    /// position fired.
-    fn fire_by_content(&mut self, content: u64) -> Option<usize> {
-        let pick = self
-            .ready_events()
-            .iter()
-            .position(|e| e.content == content)?;
-        self.fire(pick).ok()?;
-        Some(pick)
-    }
-
-    fn check_quiescent(&mut self) -> Option<(Violation, String)> {
-        self.oracle
-            .check_quiescent(&self.eng, self.issued)
-            .map(|v| {
-                let trace = render_trace(&self.eng, &self.cfg);
-                (v, trace)
-            })
-    }
-
-    /// Rebuilds the position a known-green pick prefix reaches from the
-    /// initial state.
-    fn replay_green(cfg: &CheckConfig, picks: &[usize]) -> Self {
-        let mut st = Stepper::new(cfg);
-        for &p in picks {
-            st.fire(p)
-                .expect("a previously green prefix replayed with a violation");
-        }
-        st
-    }
 }
 
 /// The position held in `snap`: a fork of it while `keep` (a later
@@ -511,6 +383,7 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
         oracles: BTreeSet::new(),
     };
     let mut table: FxHashMap<u64, Vec<Box<[u64]>>> = FxHashMap::default();
+    let blocks = cfg.block_addrs();
     let mut st = Stepper::replay_green(cfg, prefix);
     out.stats.replayed += prefix.len() as u64;
     let mut stack: Vec<Frame> = Vec::new();
@@ -542,13 +415,17 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
     }
 
     loop {
-        if Instant::now() >= params.deadline || out.stats.leaves >= params.limits.max_schedules {
+        if Instant::now() >= params.deadline {
             out.stats.budget_hit = true;
             return out;
         }
         if entering {
             entering = false;
-            if st.quiescent() {
+            if st.ready().is_empty() {
+                if !params.claim_leaf() {
+                    out.stats.budget_hit = true;
+                    return out;
+                }
                 out.stats.leaves += 1;
                 if let Some((v, trace)) = st.check_quiescent() {
                     record_violation!(v, trace);
@@ -558,21 +435,13 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
                 continue;
             }
             if prefix.len() + path.len() >= params.limits.max_steps {
-                let v = Violation {
-                    oracle: "progress",
-                    detail: format!(
-                        "no quiescence after {} steps — the schedule starves \
-                         some transaction",
-                        params.limits.max_steps
-                    ),
-                };
-                record_violation!(v, String::new());
+                record_violation!(starved(params.limits.max_steps), String::new());
                 path.pop();
                 dirty = true;
                 continue;
             }
             if params.reduce {
-                let fp = st.fingerprint();
+                let fp = st.fingerprint(&blocks);
                 if on_path.contains(&fp) {
                     // A lap of the state graph: the machine can repeat
                     // this cycle of deliveries forever.
@@ -779,6 +648,7 @@ fn falsify_capped(
             violation,
             trace,
             schedules_explored: schedules,
+            max_steps: limits.max_steps,
         }));
     }
     falsify(cfg, picks, violation, trace, schedules, limits)
@@ -805,7 +675,7 @@ fn expand_frontier(
     let mut queue: std::collections::VecDeque<(Job, Stepper)> = std::collections::VecDeque::new();
     queue.push_back((Job { prefix: Vec::new() }, Stepper::new(cfg)));
     while queue.len() < FRONTIER_JOBS {
-        let Some((job, mut st)) = queue.pop_front() else {
+        let Some((job, st)) = queue.pop_front() else {
             break;
         };
         if Instant::now() >= params.deadline {
@@ -813,7 +683,11 @@ fn expand_frontier(
             queue.push_front((job, st));
             break;
         }
-        if st.quiescent() {
+        if st.ready().is_empty() {
+            if !params.claim_leaf() {
+                stats.budget_hit = true;
+                return (stats, None, Vec::new());
+            }
             stats.leaves += 1;
             if let Some((v, trace)) = st.check_quiescent() {
                 if params.collect_all {
@@ -910,7 +784,7 @@ pub fn random_walks_parallel(
     let best = AtomicU64::new(u64::MAX);
     let next = AtomicU64::new(0);
     let green = AtomicU64::new(0);
-    let timed_out = std::sync::atomic::AtomicBool::new(false);
+    let timed_out = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -955,20 +829,4 @@ pub fn random_walks_parallel(
     } else {
         Exploration::AllGreen { schedules: walks }
     }
-}
-
-/// One random walk, with the exact per-walk stream `random_walks` uses.
-fn walk(
-    cfg: &CheckConfig,
-    seed: u64,
-    w: u64,
-    limits: &ExploreLimits,
-) -> crate::explore::RunOutcome {
-    let mut rng =
-        cenju4_des::SplitMix64::new(seed.wrapping_add(w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    crate::explore::run_one(
-        cfg,
-        |arity| rng.next_below(arity as u64) as usize,
-        limits.max_steps,
-    )
 }

@@ -3,7 +3,7 @@
 //! killed with a shrunk, deterministically replayable counterexample.
 
 use cenju4_check::{
-    exhaustive, explore_reduced, explore_reduced_with, random_walks, replay, CheckConfig,
+    explore_reduced, explore_reduced_with, random_walks, replay, CheckConfig, Counterexample,
     Exploration, ExploreLimits,
 };
 use cenju4_protocol::{FaultInjection, ProtocolId, ProtocolKind};
@@ -13,19 +13,6 @@ fn limits() -> ExploreLimits {
         max_steps: 5_000,
         max_schedules: 200_000,
         max_seconds: 120,
-    }
-}
-
-/// The ISSUE's headline acceptance criterion: every schedule of the
-/// 2-node/1-block scenario keeps all oracles green.
-#[test]
-fn exhaustive_two_node_one_block_is_green() {
-    let cfg = CheckConfig::default(); // 2 nodes, 1 block, 2 ops, no fault
-    match exhaustive(&cfg, &limits()) {
-        Exploration::AllGreen { schedules } => {
-            assert!(schedules > 100, "suspiciously small schedule space");
-        }
-        other => panic!("expected all-green exhaustive run, got {other:?}"),
     }
 }
 
@@ -46,12 +33,19 @@ fn random_walks_are_green_and_deterministic() {
     }
 }
 
-fn assert_mutant_killed(fault: FaultInjection) {
+/// Kills `fault` on the 2-node scenario with the exhaustive search:
+/// reduced when `reduced` (the protocol mutants), else unreduced through
+/// the parallel frontier (the fabric mutants, whose one-shot fault
+/// counters are order-dependent global state). Reduction must not cost
+/// the checker its teeth or its reproducibility.
+fn assert_mutant_killed(fault: FaultInjection, reduced: bool) {
     let cfg = CheckConfig {
         fault,
         ..CheckConfig::default()
     };
-    let cx = match exhaustive(&cfg, &limits()) {
+    let out = explore_reduced(&cfg, &limits(), 4);
+    assert_eq!(out.reduced, reduced, "mutant {fault}: reduction armed");
+    let cx = match out.exploration {
         Exploration::Falsified(cx) => cx,
         other => panic!("mutant {fault} survived: {other:?}"),
     };
@@ -77,14 +71,14 @@ fn assert_mutant_killed(fault: FaultInjection) {
 /// requests are never woken, so some transaction never graduates.
 #[test]
 fn reservation_mutant_is_killed() {
-    assert_mutant_killed(FaultInjection::DisableReservation);
+    assert_mutant_killed(FaultInjection::DisableReservation, true);
 }
 
 /// Disabling the Figure-9 spill path must be caught: the dropped request's
 /// transaction never completes.
 #[test]
 fn spill_mutant_is_killed() {
-    assert_mutant_killed(FaultInjection::DropSpilledRequests);
+    assert_mutant_killed(FaultInjection::DropSpilledRequests, true);
 }
 
 /// The all-zero schedule is the production order and must quiesce green.
@@ -99,14 +93,14 @@ fn natural_schedule_replays_green() {
 /// the transaction never graduates, so quiescence is violated.
 #[test]
 fn drop_unicast_mutant_is_killed() {
-    assert_mutant_killed(FaultInjection::DropUnicast);
+    assert_mutant_killed(FaultInjection::DropUnicast, false);
 }
 
 /// A spuriously duplicated reply must be caught with recovery off: the
 /// second copy reaches a master that already retired the transaction.
 #[test]
 fn dup_reply_mutant_is_killed() {
-    assert_mutant_killed(FaultInjection::DupReply);
+    assert_mutant_killed(FaultInjection::DupReply, false);
 }
 
 /// A delayed duplicate invalidation must be caught with recovery off: the
@@ -300,19 +294,23 @@ fn node_death_mid_gather_cannot_leak_spans() {
     }
 }
 
-/// Hot-path flattening guard: the bounded-exhaustive DFS on the default
-/// 2-node/1-block scenario must visit *exactly* the same schedule space
-/// before and after the dense-table/shared-payload optimization. A
-/// changed schedule count means the held-set or channel-readiness
-/// semantics moved; a changed per-run step count means the event
-/// sequence itself did. Pinned on the map-keyed engine — do not update
-/// these numbers in an optimization PR.
+/// The schedule space of the default 2-node/1-block scenario, pinned.
+/// The unreduced DFS must visit exactly 9298 leaves: a changed count
+/// means the held-set or channel-readiness semantics moved; a changed
+/// per-run step count means the event sequence itself did. The reduced
+/// walk must collapse the space to the pinned state/leaf counts: a
+/// changed reduced count means the independence relation, the
+/// fingerprint, or the sleep-set discipline moved. Treat every number
+/// here as a pin, not as noise; do not update them in an optimization.
 #[test]
-fn exhaustive_schedule_space_is_pinned() {
+fn reduced_schedule_space_is_pinned() {
     let cfg = CheckConfig::default();
-    match exhaustive(&cfg, &limits()) {
+    let full = explore_reduced_with(&cfg, &limits(), 2, false);
+    assert!(!full.reduced);
+    assert_eq!(full.leaves, 9298, "the unreduced schedule space moved");
+    match full.exploration {
         Exploration::AllGreen { schedules } => assert_eq!(schedules, 9298),
-        other => panic!("expected all-green exhaustive run, got {other:?}"),
+        other => panic!("expected all-green unreduced run, got {other:?}"),
     }
     // Two fixed schedules through the same space: first-ready and
     // last-ready picks, with their exact step counts.
@@ -322,25 +320,6 @@ fn exhaustive_schedule_space_is_pinned() {
     let reversed = cenju4_check::run_one(&cfg, |n| n.saturating_sub(1), 5_000);
     assert!(reversed.ok(), "last-ready schedule must stay green");
     assert_eq!((reversed.steps, reversed.choices.len()), (10, 10));
-}
-
-/// The reduced explorer's pins, next to the 9298 pin above. The
-/// unreduced DFS must visit exactly the schedule space the lexicographic
-/// enumeration visits (9298 leaves — a cross-validation of the frontier
-/// partition), and the reduced walk must collapse it to the pinned
-/// state/leaf counts. A changed reduced count means the independence
-/// relation, the fingerprint, or the sleep-set discipline moved — treat
-/// it like the 9298 pin, not like noise.
-#[test]
-fn reduced_schedule_space_is_pinned() {
-    let cfg = CheckConfig::default();
-    let full = explore_reduced_with(&cfg, &limits(), 2, false);
-    assert!(!full.reduced);
-    assert_eq!(full.leaves, 9298, "unreduced DFS diverged from exhaustive");
-    match full.exploration {
-        Exploration::AllGreen { schedules } => assert_eq!(schedules, 9298),
-        other => panic!("expected all-green unreduced run, got {other:?}"),
-    }
     let red = explore_reduced(&cfg, &limits(), 2);
     assert!(red.reduced);
     match red.exploration {
@@ -358,6 +337,53 @@ fn reduced_schedule_space_is_pinned() {
         "the reduced state space moved"
     );
     assert_eq!(red.replayed, 0, "a sequential reduced walk never replays");
+}
+
+/// `max_schedules` caps the whole search, not each parallel job: a
+/// binding cap reports exactly that many leaves at every thread count.
+#[test]
+fn schedule_budget_caps_the_whole_search() {
+    let capped = ExploreLimits {
+        max_schedules: 100,
+        ..limits()
+    };
+    for threads in [1, 4] {
+        let out = explore_reduced_with(&CheckConfig::default(), &capped, threads, false);
+        assert!(
+            matches!(out.exploration, Exploration::Budget { schedules: 100 }),
+            "{threads} threads: {:?}",
+            out.exploration
+        );
+    }
+}
+
+/// The printed replay command carries a non-default step cap: a
+/// `progress` violation found under `--max-steps 5` only reproduces
+/// under the same cap. At the default cap the flag is left out.
+#[test]
+fn replay_command_carries_the_step_cap() {
+    let cfg = CheckConfig::default();
+    let tight = ExploreLimits {
+        max_steps: 5,
+        ..limits()
+    };
+    let cx = match random_walks(&cfg, 1, 1, &tight) {
+        Exploration::Falsified(cx) => cx,
+        other => panic!("a 5-step cap cannot quiesce: {other:?}"),
+    };
+    assert_eq!((cx.violation.oracle, cx.max_steps), ("progress", 5));
+    let shown = cx.to_string();
+    assert!(
+        shown.contains(" --max-steps 5 --schedule "),
+        "replay line lost the step cap: {shown}"
+    );
+    let again = replay(&cfg, &cx.schedule, cx.max_steps);
+    assert_eq!(again.violation.as_ref(), Some(&cx.violation));
+    let default_cap = Counterexample {
+        max_steps: ExploreLimits::default().max_steps,
+        ..*cx
+    };
+    assert!(!default_cap.to_string().contains("--max-steps"));
 }
 
 /// The full walk counts — states, transitions, dedup hits, leaves —
@@ -407,59 +433,6 @@ fn backtracking_walk_counts_are_pinned() {
         (2036, 28809, 188),
         "the unreduced lossy walk moved"
     );
-}
-
-/// The protocol mutants die under the reduced explorer too, and the
-/// counterexample still replays deterministically — reduction must not
-/// cost the checker its teeth or its reproducibility.
-#[test]
-fn mutants_killed_under_reduced_explorer() {
-    for fault in [
-        FaultInjection::DisableReservation,
-        FaultInjection::DropSpilledRequests,
-    ] {
-        let cfg = CheckConfig {
-            fault,
-            ..CheckConfig::default()
-        };
-        let out = explore_reduced(&cfg, &limits(), 2);
-        assert!(out.reduced, "protocol mutants should be reducible");
-        let cx = match out.exploration {
-            Exploration::Falsified(cx) => cx,
-            other => panic!("mutant {fault} survived reduction: {other:?}"),
-        };
-        let a = replay(&cfg, &cx.schedule, limits().max_steps);
-        assert_eq!(
-            a.violation.as_ref(),
-            Some(&cx.violation),
-            "mutant {fault}: reduced counterexample does not replay"
-        );
-    }
-}
-
-/// The fabric mutants are ineligible for reduction (their one-shot
-/// fault counters are order-dependent global state); the reduced entry
-/// point must still kill them through the unreduced parallel path.
-#[test]
-fn fabric_mutants_killed_under_parallel_unreduced_explorer() {
-    for fault in [FaultInjection::DropUnicast, FaultInjection::DupReply] {
-        let cfg = CheckConfig {
-            fault,
-            ..CheckConfig::default()
-        };
-        let out = explore_reduced(&cfg, &limits(), 4);
-        assert!(!out.reduced, "fabric mutants must not be reduced");
-        let cx = match out.exploration {
-            Exploration::Falsified(cx) => cx,
-            other => panic!("mutant {fault} survived: {other:?}"),
-        };
-        let a = replay(&cfg, &cx.schedule, limits().max_steps);
-        assert_eq!(
-            a.violation.as_ref(),
-            Some(&cx.violation),
-            "mutant {fault}: counterexample does not replay"
-        );
-    }
 }
 
 /// Satellite guard: a fault that cannot fire under the config is a hard

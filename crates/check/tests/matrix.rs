@@ -4,12 +4,14 @@
 //! coherence (membership-relaxed under Dragon), queue bounds, and a
 //! span-leak-free quiescence.
 //!
-//! Exhaustive exploration is tractable on the 2-node scenario; the
+//! Reduced exhaustive exploration is tractable on the 2-node scenario; the
 //! 3-node scenarios (where invalidations and update pushes actually
 //! cross the fabric to a third party) use seeded — hence deterministic —
 //! random walks, like the delay-inval mutant test.
 
-use cenju4_check::{exhaustive, random_walks, replay, CheckConfig, Exploration, ExploreLimits};
+use cenju4_check::{
+    explore_reduced, random_walks, replay, CheckConfig, Exploration, ExploreLimits,
+};
 use cenju4_directory::DirectoryId;
 use cenju4_protocol::ProtocolId;
 
@@ -32,25 +34,27 @@ fn pairs() -> Vec<(ProtocolId, DirectoryId)> {
     out
 }
 
-/// Bounded-exhaustive DFS over the default 2-node/1-block scenario for
-/// every pair: every schedule of every variant keeps all oracles green.
+/// Bounded-exhaustive reduced DFS over the default 2-node/1-block
+/// scenario for every pair: every schedule of every variant keeps all
+/// oracles green.
 #[test]
-fn exhaustive_matrix_is_green() {
+fn reduced_matrix_is_green() {
     for (coherence, directory) in pairs() {
         let cfg = CheckConfig {
             coherence,
             directory,
             ..CheckConfig::default()
         };
-        match exhaustive(&cfg, &limits()) {
-            Exploration::AllGreen { schedules } => {
-                assert!(
-                    schedules > 100,
-                    "({coherence}, {directory}): suspiciously small schedule space"
-                );
-            }
-            other => panic!("({coherence}, {directory}): expected all green, got {other:?}"),
-        }
+        let out = explore_reduced(&cfg, &limits(), 2);
+        assert!(
+            out.transitions > 100,
+            "({coherence}, {directory}): suspiciously small state space"
+        );
+        assert!(
+            matches!(out.exploration, Exploration::AllGreen { .. }),
+            "({coherence}, {directory}): expected all green, got {:?}",
+            out.exploration
+        );
     }
 }
 
@@ -105,7 +109,7 @@ fn reservation_mutant_is_killed_under_dragon() {
         fault: cenju4_protocol::FaultInjection::DisableReservation,
         ..CheckConfig::default()
     };
-    match exhaustive(&cfg, &limits()) {
+    match explore_reduced(&cfg, &limits(), 2).exploration {
         Exploration::Falsified(cx) => {
             // The counterexample's replay command carries the protocol
             // flag, so the variant reproduces from the printed line.

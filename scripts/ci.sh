@@ -37,8 +37,22 @@ check_smoke() {
         echo "FAIL: dragon over nack printed a counterexample: $bad_out"
         exit 1
     fi
-    # Exhaustive 2-node/1-block: the full schedule space, every oracle.
-    "$check" exhaustive --nodes 2 --blocks 1 --ops 2 --max-seconds 120
+    # Zero walks would be a hollow green: a usage error (exit 2).
+    local zero_rc=0
+    "$check" random --walks 0 >/dev/null 2>&1 || zero_rc=$?
+    [ "$zero_rc" -eq 2 ] || {
+        echo "FAIL: random --walks 0 exited $zero_rc, want 2"
+        exit 1
+    }
+    # Unreduced 2-node/1-block: the full schedule space, every oracle.
+    local full_out
+    full_out="$("$check" reduced --dpor off --nodes 2 --blocks 1 --ops 2 \
+        --max-seconds 120)"
+    echo "$full_out"
+    echo "$full_out" | grep -q "all oracles green over 9298 schedules" || {
+        echo "FAIL: unreduced 2-node exploration not green over 9298 schedules"
+        exit 1
+    }
     # A capped random walk over a larger scenario.
     "$check" random --nodes 3 --blocks 2 --ops 2 --seed 1 --walks 200 \
         --max-seconds 30
@@ -55,10 +69,25 @@ check_smoke() {
     # Every fault-injection mutant must be killed (counterexample found),
     # byte-identically to the committed golden: the shrunk schedules pin
     # the controlled scheduler's choice-index order.
-    local golden=crates/check/tests/golden mutants_out
+    local golden=crates/check/tests/golden/mutants.txt mutants_out
     mutants_out="$("$check" mutants --nodes 2 --blocks 1 --ops 2 --max-seconds 120)"
-    diff -u "$golden/mutants.txt" <(printf '%s\n' "$mutants_out") || {
-        echo "FAIL: mutant gauntlet output drifted from $golden/mutants.txt"
+    diff -u "$golden" <(printf '%s\n' "$mutants_out") || {
+        echo "FAIL: mutant gauntlet output drifted from $golden"
+        exit 1
+    }
+    # A printed replay command must reproduce its counterexample (exit 1),
+    # including one found under a non-default step cap.
+    local replay_cmd replay_rc=0
+    replay_cmd="$("$check" random --nodes 2 --max-steps 5 \
+        | sed -n 's/^  replay: cenju4-check //p' || true)"
+    [ -n "$replay_cmd" ] || {
+        echo "FAIL: a 5-step cap printed no replay command"
+        exit 1
+    }
+    # shellcheck disable=SC2086 # the printed command is a flag list
+    "$check" $replay_cmd >/dev/null || replay_rc=$?
+    [ "$replay_rc" -eq 1 ] || {
+        echo "FAIL: printed replay exited $replay_rc, want 1: $replay_cmd"
         exit 1
     }
     # Reduced-exhaustive at 4 nodes: DPOR + state dedup make the 4-node
@@ -93,13 +122,6 @@ check_smoke() {
     echo "$lossy_out"
     echo "$lossy_out" | grep -q "all oracles green over 2036 schedules" || {
         echo "FAIL: unreduced lossy exploration not green over 2036 schedules"
-        exit 1
-    }
-    # The mutant gauntlet again, through the reduced/parallel explorers.
-    mutants_out="$("$check" mutants --nodes 2 --blocks 1 --ops 2 \
-        --explorer reduced --max-seconds 120)"
-    diff -u "$golden/mutants_reduced.txt" <(printf '%s\n' "$mutants_out") || {
-        echo "FAIL: reduced mutant gauntlet drifted from $golden/mutants_reduced.txt"
         exit 1
     }
     # DPOR soundness: reduction preserves the falsifiable-oracle set for
@@ -151,10 +173,10 @@ obs_smoke() {
         exit 1
     }
     # The checker attaches a SpanCollector to every explored schedule;
-    # this exhaustive pass exercises the span-leak oracle on the full
+    # this unreduced pass exercises the span-leak oracle on the full
     # 2-node/1-block schedule space.
     cargo build --release --offline -p cenju4-check
-    target/release/cenju4-check exhaustive --nodes 2 --blocks 1 --ops 2 \
+    target/release/cenju4-check reduced --dpor off --nodes 2 --blocks 1 --ops 2 \
         --max-seconds 120
 }
 
@@ -167,7 +189,7 @@ bakeoff_smoke() {
     # The CLI flags end to end: one Dragon x non-default-directory run
     # through the cenju4-check binary itself.
     cargo build --release --offline -p cenju4-check
-    target/release/cenju4-check exhaustive --nodes 2 --blocks 1 --ops 2 \
+    target/release/cenju4-check reduced --nodes 2 --blocks 1 --ops 2 \
         --protocol dragon --directory full-map --max-seconds 120
     # Tiny 16-node bakeoff point per variant; --smoke asserts each
     # protocol's signature (MESI's second store and Dragon's reread are
