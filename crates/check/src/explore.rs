@@ -14,7 +14,9 @@ use crate::oracles::{OracleState, Violation};
 use crate::scenario::CheckConfig;
 use cenju4_des::{SimTime, SplitMix64};
 use cenju4_protocol::{Addr, Engine, PendingEvent};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 use std::time::Instant;
 
 /// One schedule decision: how many events were ready, which was fired.
@@ -320,11 +322,32 @@ impl Stepper {
     }
 }
 
+thread_local! {
+    /// Whether this thread is inside [`guarded`], whose panics are
+    /// reported as violations rather than on stderr.
+    static GUARDED: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Runs `f`, converting a protocol panic into a `panic` violation (with
 /// no trace: the engine is mid-dispatch), so mutants that trip internal
 /// assertions still yield counterexamples instead of aborting the search.
+/// Such a panic prints nothing: on first use this installs a panic hook
+/// that is silent inside `guarded` and defers to the previous hook
+/// everywhere else.
 fn guarded(f: impl FnOnce() -> Option<(Violation, String)>) -> Option<(Violation, String)> {
-    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|panic| {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !GUARDED.try_with(Cell::get).unwrap_or(false) {
+                previous(info);
+            }
+        }));
+    });
+    let outer = GUARDED.replace(true);
+    let result = catch_unwind(AssertUnwindSafe(f));
+    GUARDED.set(outer);
+    result.unwrap_or_else(|panic| {
         let msg = panic
             .downcast_ref::<String>()
             .map(String::as_str)

@@ -39,7 +39,28 @@ use cenju4_check::{
 };
 use cenju4_directory::DirectoryId;
 use cenju4_protocol::{FaultInjection, ProtocolId, ProtocolKind};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_out(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed stdout (a reader such as `head` that has
+/// seen enough) stops the program quietly, with the status a shell
+/// reports for a process killed by `SIGPIPE`, where `print!` would
+/// panic; any other write error is reported and stops it the same way.
+fn write_out(text: &str) {
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+        }
+        std::process::exit(141);
+    }
+}
 
 struct Args {
     cfg: CheckConfig,
@@ -210,19 +231,19 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
 fn report(what: &str, cfg: &CheckConfig, result: &Exploration) -> ExitCode {
     match result {
         Exploration::AllGreen { schedules } => {
-            println!("{what}: {cfg}: all oracles green over {schedules} schedules");
+            outln!("{what}: {cfg}: all oracles green over {schedules} schedules");
             ExitCode::SUCCESS
         }
         Exploration::Budget { schedules } => {
-            println!(
+            outln!(
                 "{what}: {cfg}: budget reached after {schedules} schedules, \
                  all green so far (inconclusive)"
             );
             ExitCode::SUCCESS
         }
         Exploration::Falsified(cx) => {
-            println!("{what}: {cfg}: FALSIFIED");
-            print!("{cx}");
+            outln!("{what}: {cfg}: FALSIFIED");
+            write_out(&cx.to_string());
             ExitCode::FAILURE
         }
     }
@@ -256,16 +277,15 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "reduced" => {
             let out = explore_reduced_with(&args.cfg, &args.limits, threads, args.dpor);
-            println!(
+            outln!(
                 "reduced: {}: {} unique states, {} transitions, {} sleep-set \
-                 skips, {} dedup hits, {} replayed over {} jobs x {} threads \
+                 skips, {} dedup hits over {} jobs x {} threads \
                  (reduction {})",
                 args.cfg,
                 out.unique_states,
                 out.transitions,
                 out.sleep_skipped,
                 out.dedup_hits,
-                out.replayed,
                 out.jobs,
                 threads,
                 if out.reduced { "on" } else { "off" }
@@ -280,18 +300,20 @@ fn main() -> ExitCode {
             let out = replay(&args.cfg, &args.schedule, args.limits.max_steps);
             match &out.violation {
                 None => {
-                    println!(
+                    outln!(
                         "replay: {}: schedule {:?} quiesced green in {} steps",
-                        args.cfg, args.schedule, out.steps
+                        args.cfg,
+                        args.schedule,
+                        out.steps
                     );
                     ExitCode::SUCCESS
                 }
                 Some(v) => {
-                    println!("replay: {}: violation at step {}", args.cfg, out.steps);
-                    println!("  {v}");
+                    outln!("replay: {}: violation at step {}", args.cfg, out.steps);
+                    outln!("  {v}");
                     if !out.trace.is_empty() {
                         for line in out.trace.lines() {
-                            println!("    {line}");
+                            outln!("    {line}");
                         }
                     }
                     ExitCode::FAILURE
@@ -340,17 +362,17 @@ fn main() -> ExitCode {
                 };
                 match result {
                     Exploration::Falsified(cx) => {
-                        println!("mutant {fault}: killed");
-                        print!("{cx}");
+                        outln!("mutant {fault}: killed");
+                        write_out(&cx.to_string());
                     }
                     other => {
-                        println!("mutant {fault}: SURVIVED ({other:?})");
+                        outln!("mutant {fault}: SURVIVED ({other:?})");
                         all_killed = false;
                     }
                 }
             }
             if all_killed {
-                println!("mutants: all killed");
+                outln!("mutants: all killed");
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

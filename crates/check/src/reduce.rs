@@ -70,7 +70,7 @@ use crate::scenario::CheckConfig;
 use cenju4_des::{FxHashMap, FxHashSet, SimTime};
 use cenju4_protocol::{PendingEvent, ProtocolKind};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -138,10 +138,6 @@ pub struct ReducedOutcome {
     pub reduced: bool,
     /// Subtree jobs the frontier pass produced.
     pub jobs: usize,
-    /// Dispatches re-executed to rebuild a state: a backtrack restores a
-    /// forked copy instead, so only the prefixes that move parallel jobs
-    /// to their subtree roots count (0 for a reduced run).
-    pub replayed: u64,
 }
 
 /// Reduced bounded-exhaustive exploration with [`dpor_eligible`]
@@ -180,7 +176,7 @@ pub fn explore_reduced_with(
     if reduce {
         // Sequential: the reduced walk needs one global dedup table (see
         // the module docs for the measured cost of sharding it).
-        let out = dfs(&params, &[]);
+        let out = dfs(&params, &[], Stepper::new(cfg));
         agg.absorb(&out.stats);
         first_violation = out.violation;
         job_count = 1;
@@ -190,7 +186,7 @@ pub fn explore_reduced_with(
         first_violation = frontier_violation;
         job_count = jobs.len();
         if first_violation.is_none() {
-            let results = fan_jobs(&params, &jobs, threads);
+            let results = fan_jobs(&params, jobs, threads);
             for r in &results {
                 agg.absorb(&r.stats);
             }
@@ -218,7 +214,6 @@ pub fn explore_reduced_with(
         dedup_hits: agg.dedup_hits,
         reduced: reduce,
         jobs: job_count,
-        replayed: agg.replayed,
     }
 }
 
@@ -246,10 +241,10 @@ pub fn violation_profile(
     };
     let mut oracles: BTreeSet<&'static str> = BTreeSet::new();
     if reduce {
-        oracles.extend(dfs(&params, &[]).oracles);
+        oracles.extend(dfs(&params, &[], Stepper::new(cfg)).oracles);
     } else {
         let (_stats, _violation, jobs) = expand_frontier(&params);
-        for r in fan_jobs(&params, &jobs, threads) {
+        for r in fan_jobs(&params, jobs, threads) {
             oracles.extend(r.oracles);
         }
     }
@@ -294,7 +289,6 @@ struct DfsStats {
     unique_states: u64,
     sleep_skipped: u64,
     dedup_hits: u64,
-    replayed: u64,
     budget_hit: bool,
 }
 
@@ -305,7 +299,6 @@ impl DfsStats {
         self.unique_states += other.unique_states;
         self.sleep_skipped += other.sleep_skipped;
         self.dedup_hits += other.dedup_hits;
-        self.replayed += other.replayed;
         self.budget_hit |= other.budget_hit;
     }
 }
@@ -320,11 +313,12 @@ struct DfsOutcome {
 }
 
 /// One independent subtree of the (unreduced) exploration: the pick path
-/// from the root to its base state. Subtrees partition the schedule tree
-/// exactly — no leaf is reachable from two different frontier prefixes.
-#[derive(Clone, Debug)]
+/// from the root to its base state, and that state. Subtrees partition
+/// the schedule tree exactly — no leaf is reachable from two different
+/// frontier prefixes.
 struct Job {
     prefix: Vec<usize>,
+    st: Stepper,
 }
 
 /// The position held in `snap`: a fork of it while `keep` (a later
@@ -371,11 +365,11 @@ struct Frame {
     snap: Option<Stepper>,
 }
 
-/// Explores the subtree rooted at `prefix` depth-first. Backtracking
-/// restores the frame's forked snapshot; with `params.reduce`, maintains a
-/// fingerprint table (subset rule), sleep sets, and on-path cycle
-/// detection.
-fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
+/// Explores the subtree rooted at `st`, the position `prefix` reaches,
+/// depth-first. Backtracking restores the frame's forked snapshot; with
+/// `params.reduce`, maintains a fingerprint table (subset rule), sleep
+/// sets, and on-path cycle detection.
+fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
     let cfg = params.cfg();
     let mut out = DfsOutcome {
         stats: DfsStats::default(),
@@ -384,8 +378,6 @@ fn dfs(params: &DfsParams, prefix: &[usize]) -> DfsOutcome {
     };
     let mut table: FxHashMap<u64, Vec<Box<[u64]>>> = FxHashMap::default();
     let blocks = cfg.block_addrs();
-    let mut st = Stepper::replay_green(cfg, prefix);
-    out.stats.replayed += prefix.len() as u64;
     let mut stack: Vec<Frame> = Vec::new();
     // Fingerprints of the states on `stack`, for livelock detection.
     let mut on_path: Vec<u64> = Vec::new();
@@ -672,24 +664,27 @@ fn expand_frontier(
     let mut stats = DfsStats::default();
     // Each queued job keeps its base position, so expanding it forks
     // rather than replays.
-    let mut queue: std::collections::VecDeque<(Job, Stepper)> = std::collections::VecDeque::new();
-    queue.push_back((Job { prefix: Vec::new() }, Stepper::new(cfg)));
+    let mut queue: std::collections::VecDeque<Job> = std::collections::VecDeque::new();
+    queue.push_back(Job {
+        prefix: Vec::new(),
+        st: Stepper::new(cfg),
+    });
     while queue.len() < FRONTIER_JOBS {
-        let Some((job, st)) = queue.pop_front() else {
+        let Some(job) = queue.pop_front() else {
             break;
         };
         if Instant::now() >= params.deadline {
             stats.budget_hit = true;
-            queue.push_front((job, st));
+            queue.push_front(job);
             break;
         }
-        if st.ready().is_empty() {
+        if job.st.ready().is_empty() {
             if !params.claim_leaf() {
                 stats.budget_hit = true;
                 return (stats, None, Vec::new());
             }
             stats.leaves += 1;
-            if let Some((v, trace)) = st.check_quiescent() {
+            if let Some((v, trace)) = job.st.check_quiescent() {
                 if params.collect_all {
                     params.frontier_oracles.lock().unwrap().insert(v.oracle);
                 } else {
@@ -698,55 +693,55 @@ fn expand_frontier(
             }
             continue;
         }
-        let arity = st.ready().len();
-        let mut base = Some(st);
+        let arity = job.st.ready().len();
+        let mut base = Some(job.st);
         for b in 0..arity {
             // Fire the branch to validate it (a violation one step below
-            // the frontier must surface here, not silently become a job
-            // whose prefix fails to replay green).
+            // the frontier must surface here, not inside a job's base).
             let mut st = restore(&mut base, b + 1 < arity);
             stats.transitions += 1;
-            let mut child_prefix = job.prefix.clone();
-            child_prefix.push(b);
+            let mut prefix = job.prefix.clone();
+            prefix.push(b);
             match st.fire(b) {
-                Ok(()) => queue.push_back((
-                    Job {
-                        prefix: child_prefix,
-                    },
-                    st,
-                )),
+                Ok(()) => queue.push_back(Job { prefix, st }),
                 Err((v, trace)) => {
                     if params.collect_all {
                         params.frontier_oracles.lock().unwrap().insert(v.oracle);
                     } else {
-                        return (stats, Some((child_prefix, v, trace)), Vec::new());
+                        return (stats, Some((prefix, v, trace)), Vec::new());
                     }
                 }
             }
         }
     }
-    (stats, None, queue.into_iter().map(|(job, _)| job).collect())
+    (stats, None, queue.into())
 }
 
 /// Runs the jobs across a worker pool, `sweep`-style: scoped threads
-/// pull the next job index from an atomic counter. Results land in
-/// per-job slots, so aggregation order (and therefore every count and
+/// take the next job, base position and all, in job order. Results land
+/// in per-job slots, so aggregation order (and therefore every count and
 /// the chosen counterexample) is independent of scheduling.
-fn fan_jobs(params: &DfsParams, jobs: &[Job], threads: usize) -> Vec<DfsOutcome> {
+fn fan_jobs(params: &DfsParams, jobs: Vec<Job>, threads: usize) -> Vec<DfsOutcome> {
     let threads = threads.max(1).min(jobs.len().max(1));
     if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(|j| dfs(params, &j.prefix)).collect();
+        return jobs
+            .into_iter()
+            .map(|j| dfs(params, &j.prefix, j.st))
+            .collect();
     }
-    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<DfsOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let jobs = Mutex::new(jobs.into_iter().enumerate());
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else {
+                let next = jobs
+                    .lock()
+                    .expect("the job queue is locked only to take a job")
+                    .next();
+                let Some((i, job)) = next else {
                     break;
                 };
-                let out = dfs(params, &job.prefix);
+                let out = dfs(params, &job.prefix, job.st);
                 *slots[i].lock().unwrap() = Some(out);
             });
         }

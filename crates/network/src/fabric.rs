@@ -422,8 +422,6 @@ impl<P: Payload> Fabric<P> {
                 Deliveries::None
             }
             Some(k @ FaultKind::Duplicate { after_ns }) => {
-                // `clone` is a pointer bump for `Shared` payloads: the
-                // duplicate aliases the original's allocation.
                 let d = self.unicast_delivery(now, src, dst, data, payload.clone());
                 let dup = self.unicast_delivery(
                     now + Duration::from_ns(after_ns),
@@ -653,9 +651,6 @@ impl<P: Payload> Fabric<P> {
                     out.remove(i);
                 }
                 Some(k @ FaultKind::Duplicate { after_ns }) => {
-                    // The spurious copy shares the original's payload:
-                    // for `Shared` payloads this clone is a pointer
-                    // bump, not a deep copy of the message.
                     let mut dup = out[i].clone();
                     dup.at += Duration::from_ns(after_ns);
                     self.record_fault(now, src, dst, class, k);
@@ -1674,68 +1669,58 @@ mod tests {
         }
     }
 
-    /// With a [`Shared`] payload, the faulty duplication path must alias
-    /// the original's allocation — a spurious network copy is a pointer
-    /// bump, never a deep clone. Covers both the unicast dup branch and
-    /// the multicast per-copy dup branch.
+    /// A spurious network copy carries the original's payload. Covers
+    /// both the unicast dup branch and the multicast per-copy dup branch.
     #[test]
-    fn duplicated_copies_alias_shared_payload() {
-        use crate::shared::Shared;
-
+    fn duplicated_copies_carry_equal_payloads() {
         // Unicast branch.
-        let mut f: Fabric<Shared<u32>> = Fabric::new(sys(16), NetParams::default());
+        let mut f: Fabric<u32> = Fabric::new(sys(16), NetParams::default());
         f.set_fault_plan(FaultPlan::none().with_one_shot(OneShotFault {
             link: Some((NodeId::new(0), NodeId::new(1))),
             class: None,
             nth: 1,
             kind: FaultKind::Duplicate { after_ns: 700 },
         }));
-        let payload = Shared::new(0xC0FFEEu32);
         let dels = f.send_unicast(
             SimTime::ZERO,
             NodeId::new(0),
             NodeId::new(1),
             false,
-            payload.clone(),
+            0xC0FFEE,
             WireClass::Reply,
         );
         assert_eq!(dels.len(), 2);
-        assert!(
-            Shared::ptr_eq(&dels[0].payload, &dels[1].payload),
-            "spurious unicast copy must alias, not clone"
-        );
-        assert!(Shared::ptr_eq(&payload, &dels[0].payload));
+        assert_eq!(dels[0].payload, 0xC0FFEE);
+        assert_eq!(dels[1].payload, 0xC0FFEE, "spurious unicast copy");
+        assert!(dels[1].at > dels[0].at);
 
-        // Multicast branch: every fan-out copy plus the dup all alias
-        // the one allocation the caller handed in.
-        let mut f: Fabric<Shared<u32>> = Fabric::new(sys(16), NetParams::default());
+        // Multicast branch: every fan-out copy plus the dup carry the
+        // payload the caller handed in.
+        let mut f: Fabric<u32> = Fabric::new(sys(16), NetParams::default());
         f.set_fault_plan(FaultPlan::none().with_one_shot(OneShotFault {
             link: Some((NodeId::new(0), NodeId::new(3))),
             class: None,
             nth: 1,
             kind: FaultKind::Duplicate { after_ns: 5_000 },
         }));
-        let payload = Shared::new(7u32);
         let dels = f.send_multicast(
             SimTime::ZERO,
             NodeId::new(0),
             spec_of(&[1, 2, 3]),
             false,
-            payload.clone(),
+            7,
             None,
             WireClass::Invalidation,
         );
         assert_eq!(dels.len(), 4, "3 copies + 1 spurious duplicate");
         for d in &dels {
-            assert!(
-                Shared::ptr_eq(&payload, &d.payload),
-                "fan-out copy to {:?} must alias the caller's allocation",
-                d.node
-            );
+            assert_eq!(d.payload, 7, "fan-out copy to {:?}", d.node);
         }
-        // 3 copies + the dup + the caller's own handle (the handle moved
-        // into `send_multicast` is dropped when the fan-out finishes).
-        assert_eq!(Shared::ref_count(&payload), 5);
+        assert_eq!(
+            dels.iter().filter(|d| d.node == NodeId::new(3)).count(),
+            2,
+            "the duplicate goes to the faulted link's destination"
+        );
     }
 
     #[test]

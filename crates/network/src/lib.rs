@@ -56,7 +56,6 @@
 pub mod fabric;
 pub mod faults;
 pub mod params;
-pub mod shared;
 pub mod stats;
 pub mod tables;
 pub mod topology;
@@ -64,6 +63,5 @@ pub mod topology;
 pub use fabric::{Deliveries, Delivery, Fabric, GatherId, Payload};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, LinkDown, NodeDown, OneShotFault, WireClass};
 pub use params::{MulticastMode, NetParams};
-pub use shared::Shared;
 pub use stats::NetStats;
 pub use topology::Topology;

@@ -215,6 +215,13 @@ pub struct Engine {
     steps: u64,
 }
 
+// An engine owns every message in flight and every observer, so a live
+// run can move to, or be forked onto, another thread.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Engine>();
+};
+
 impl Engine {
     /// Creates a fresh engine for the machine `cfg` describes: its size,
     /// network, protocol and directory selection, fault plan and
@@ -249,11 +256,12 @@ impl Engine {
     /// identical notifications, statistics, traces, and fingerprints.
     /// Backtracking searches (the `cenju4-check` reduced explorer) fork
     /// a state once instead of replaying its pick path from the root.
-    /// Message payloads are shared copy-on-write between the two.
+    /// The copy owns every message in flight by value, so it shares
+    /// nothing with the original and may move to another thread.
     ///
     /// Returns `None` when a registered user observer does not
-    /// implement [`Observer::fork`]. A fork is a live same-thread
-    /// engine, not portable data: a run that only needs to be resumed
+    /// implement [`Observer::fork`]. A fork is a live engine, not
+    /// portable data: a run that only needs to be resumed
     /// later is checkpointed as its [`Engine::steps`] count and rebuilt
     /// by replaying its driver (see `cenju4_sim::Driver::resume`).
     pub fn fork(&self) -> Option<Engine> {

@@ -49,9 +49,7 @@ use cenju4_directory::nodemap::DestSpec;
 use cenju4_directory::{NodeId, SystemSize};
 use cenju4_network::fabric::GatherId;
 use cenju4_network::tables::LinkTable;
-use cenju4_network::{
-    Delivery, Fabric, FaultEvent, FaultPlan, NetParams, NetStats, Shared, WireClass,
-};
+use cenju4_network::{Delivery, Fabric, FaultEvent, FaultPlan, NetParams, NetStats, WireClass};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
@@ -441,9 +439,7 @@ struct HeldQueue {
 struct Frame {
     seq: u64,
     data: bool,
-    /// The parked copy aliases the transmitted message's allocation;
-    /// retransmits clone the handle, never the message.
-    msg: Shared<ProtoMsg>,
+    msg: ProtoMsg,
     gather: Option<GatherId>,
 }
 
@@ -465,7 +461,7 @@ struct LinkSend {
 struct GatherRetry {
     spec: DestSpec,
     data: bool,
-    msg: Shared<ProtoMsg>,
+    msg: ProtoMsg,
     /// Re-issues performed so far.
     attempts: u32,
 }
@@ -509,7 +505,7 @@ pub(crate) enum GatherTimerOutcome {
 /// docs.
 #[derive(Clone)]
 pub struct MessageBus {
-    fabric: Fabric<Shared<ProtoMsg>>,
+    fabric: Fabric<ProtoMsg>,
     queue: EventQueue<BusMsg>,
     /// Number of nodes, the dense link-table dimension.
     nodes: usize,
@@ -805,7 +801,7 @@ impl MessageBus {
         }
         // In-flight gather combining progress lives in the fabric, not
         // the held set: replies already absorbed by a switch are state.
-        self.fabric.fold_gathers(h, |p, h| (**p).hash(h));
+        self.fabric.fold_gathers(h, |p, h| p.hash(h));
         // Armed-mode recovery bookkeeping (empty on a lossless fabric).
         let mut replied: Vec<(GatherId, Vec<NodeId>)> = self
             .gather_replied
@@ -1051,9 +1047,7 @@ impl MessageBus {
         }
         let class = wire_class(&msg);
         let data = msg.carries_data();
-        let msg = Shared::new(msg);
         if self.armed {
-            // The parked frame aliases the transmitted message.
             let seq = self.park_frame(now, src, dst, data, msg.clone(), None);
             let dels = self.fabric.send_unicast(now, src, dst, data, msg, class);
             for d in dels {
@@ -1076,7 +1070,7 @@ impl MessageBus {
         src: NodeId,
         dst: NodeId,
         data: bool,
-        msg: Shared<ProtoMsg>,
+        msg: ProtoMsg,
         gather: Option<GatherId>,
     ) -> u64 {
         let link = self.links.get_mut(src, dst);
@@ -1155,8 +1149,6 @@ impl MessageBus {
             return LinkTimerOutcome::GaveUp(RecoveryError::LinkRetransmitBudget { src, dst, seq });
         }
         let attempt = link.attempts;
-        // Frame clones alias their parked message — a retransmission
-        // round allocates nothing per frame.
         let frames: Vec<Frame> = link.unacked.iter().cloned().collect();
         for f in &frames {
             let class = wire_class(&f.msg);
@@ -1204,7 +1196,7 @@ impl MessageBus {
             GatherRetry {
                 spec,
                 data,
-                msg: Shared::new(msg),
+                msg,
                 attempts: 0,
             },
         );
@@ -1243,7 +1235,7 @@ impl MessageBus {
         }
         let attempt = retry.attempts;
         let new_id = self.fabric.open_gather(home, retry.spec);
-        let dels = self.send_multicast_shared(
+        let dels = self.send_multicast(
             now,
             home,
             retry.spec,
@@ -1285,22 +1277,7 @@ impl MessageBus {
         data: bool,
         msg: ProtoMsg,
         gather: Option<GatherId>,
-    ) -> Vec<(Delivery<Shared<ProtoMsg>>, Option<u64>)> {
-        self.send_multicast_shared(at, src, spec, data, Shared::new(msg), gather)
-    }
-
-    /// [`MessageBus::send_multicast`] over an already-shared message: the
-    /// fan-out copies and every parked per-destination frame alias the
-    /// one allocation.
-    fn send_multicast_shared(
-        &mut self,
-        at: SimTime,
-        src: NodeId,
-        spec: DestSpec,
-        data: bool,
-        msg: Shared<ProtoMsg>,
-        gather: Option<GatherId>,
-    ) -> Vec<(Delivery<Shared<ProtoMsg>>, Option<u64>)> {
+    ) -> Vec<(Delivery<ProtoMsg>, Option<u64>)> {
         let class = wire_class(&msg);
         let dels = self
             .fabric
@@ -1340,7 +1317,7 @@ impl MessageBus {
         node: NodeId,
         id: GatherId,
         msg: ProtoMsg,
-    ) -> Result<Option<Delivery<Shared<ProtoMsg>>>, &'static str> {
+    ) -> Result<Option<Delivery<ProtoMsg>>, &'static str> {
         if self.armed {
             if !self.fabric.is_gather_open(id) {
                 return Err("stale-gather-reply");
@@ -1349,9 +1326,7 @@ impl MessageBus {
                 return Err("dup-gather-reply");
             }
         }
-        let d = self
-            .fabric
-            .send_gather_reply(at, node, id, Shared::new(msg));
+        let d = self.fabric.send_gather_reply(at, node, id, msg);
         if d.is_some() {
             // The gather closed: drop its recovery state so the pending
             // timer self-drains as `Done`.
@@ -1370,14 +1345,14 @@ impl MessageBus {
         dst: NodeId,
         bytes: u64,
         msg: ProtoMsg,
-    ) -> Delivery<Shared<ProtoMsg>> {
-        self.fabric.send_bulk(at, src, dst, bytes, Shared::new(msg))
+    ) -> Delivery<ProtoMsg> {
+        self.fabric.send_bulk(at, src, dst, bytes, msg)
     }
 
     /// Turns a fabric delivery into a scheduled [`BusMsg::Recv`], applying
     /// the deterministic jitter perturbation when enabled. `seq` is the
     /// link-layer sequence number of sequenced unicast frames.
-    pub(crate) fn schedule_delivery(&mut self, d: Delivery<Shared<ProtoMsg>>, seq: Option<u64>) {
+    pub(crate) fn schedule_delivery(&mut self, d: Delivery<ProtoMsg>, seq: Option<u64>) {
         let mut at = d.at;
         if let Some((rng, pct)) = &mut self.jitter {
             let now = self.queue.now();
@@ -1399,9 +1374,7 @@ impl MessageBus {
             BusMsg::Recv {
                 dst: d.node,
                 src: d.src,
-                // Unique in the common unicast case: the unwrap is then
-                // a move, not a clone.
-                msg: Shared::into_inner(d.payload),
+                msg: d.payload,
                 gather: d.gather,
                 seq,
             },
@@ -1510,7 +1483,7 @@ mod tests {
             for (rank, d) in timers.iter().enumerate() {
                 (rank, d).hash(h);
             }
-            bus.fabric.fold_gathers(h, |p, h| (**p).hash(h));
+            bus.fabric.fold_gathers(h, |p, h| p.hash(h));
             Vec::<(GatherId, Vec<NodeId>)>::new().hash(h);
         }
     }

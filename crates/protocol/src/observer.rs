@@ -139,9 +139,10 @@ impl<T: Any> AsAny for T {
 /// has a no-op default; implement only what you need.
 ///
 /// Observers are pure instrumentation: they cannot influence protocol
-/// behaviour, and all timing they see is simulated time.
+/// behaviour, and all timing they see is simulated time. They are `Send`
+/// so that an engine, which owns its observers, can move between threads.
 #[allow(unused_variables)]
-pub trait Observer: AsAny {
+pub trait Observer: AsAny + Send {
     /// A processor access reached its master module.
     fn on_access(&mut self, at: SimTime, node: NodeId, op: MemOp, addr: Addr, txn: TxnId) {}
     /// A protocol message was sent (including node-local hand-offs).

@@ -3,9 +3,9 @@
 //!
 //! Every what-if question about a Cenju-4 configuration used to cost a
 //! full process launch. This crate serves the simulator instead: a
-//! hermetic request loop (in-repo thread pools + std channels — the
-//! workspace has no crates.io dependencies) accepting concurrent
-//! queries over a line-delimited JSON protocol on stdin/stdout or a TCP
+//! hermetic request loop (a thread per session plus an in-repo pool for
+//! batch fan-out — the workspace has no crates.io dependencies)
+//! accepting concurrent queries over a line-delimited JSON protocol on stdin/stdout or a TCP
 //! listener. A query is a [`SystemConfig`](cenju4_sim::SystemConfig)
 //! plus a workload spec; the response is the predicted performance —
 //! total time, speedup over the sequential baseline, per-class latency
@@ -22,7 +22,9 @@
 //!   (responses carry no cache metadata); an evicted key re-simulates to
 //!   the same bytes.
 //! * **Steerable runs** ([`server`]): `run_start`/`run_step` advance a
-//!   live simulation event by event. `run_checkpoint` stores the run's
+//!   live simulation event by event, each run behind its own lock, so
+//!   one client's long step never holds up another run.
+//!   `run_checkpoint` stores the run's
 //!   query and dispatch-step count; `run_resume` rebuilds the run by
 //!   replaying a fresh driver to that count
 //!   ([`Driver::resume`](cenju4_sim::Driver::resume)), so a client can

@@ -1,22 +1,23 @@
 //! The request-handling core: one [`Server`] owns the result cache, the
-//! live-run actor, and a thread pool for batch query fan-out; each TCP
-//! session gets its own thread (sessions are rare, long-lived, and
-//! mostly blocked on the socket, so a fixed pool would starve the
-//! (N+1)-th client). `handle` maps one request line to one response
-//! line; the scenario harness and the stress test drive it directly,
-//! and the stdio and TCP front ends through one session loop,
+//! live runs and stored snapshots, and a thread pool for batch query
+//! fan-out; each TCP session gets its own thread (sessions are rare,
+//! long-lived, and mostly blocked on the socket, so a fixed pool would
+//! starve the (N+1)-th client). `handle` maps one request line to one
+//! response line; the scenario harness and the stress test drive it
+//! directly, and the stdio and TCP front ends through one session loop,
 //! [`Server::serve_lines`].
 //!
 //! # Threading model
 //!
-//! The [`Engine`](cenju4_protocol::Engine) is deliberately not `Send`
-//! (its hot path uses `Rc` payloads). Stateless queries build, run, and
-//! drop an engine inside one worker, so nothing crosses threads. Live
-//! (steerable) runs persist between requests, so they live on a
-//! dedicated **run-actor thread** that owns every driver and snapshot
-//! and is driven over a channel — engines are thread-confined by
-//! construction, and the actor serializes run commands, which keeps
-//! checkpoint/resume ids deterministic.
+//! Every command runs on the thread that handles its request line.
+//! Stateless queries build, run, and drop an engine there (or in the
+//! batch pool). Live (steerable) runs persist between requests: each is
+//! a [`Driver`] behind its own lock in a shared map, which is locked only
+//! to look a run up or to insert or remove one. `run_step` holds only its
+//! own run's lock, so a long step blocks no other run, and `run_resume`
+//! replays with no lock held. Run and snapshot ids come from two
+//! counters, so one session's ids are the same on every replay of its
+//! request stream.
 
 use crate::cache::{Claim, Counters, ResultCache};
 use crate::pool::ThreadPool;
@@ -26,8 +27,8 @@ use cenju4_sim::{AccessClass, Driver, RunReport};
 use cenju4_workloads::{runner, AppKind, KernelProgram};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 /// The longest request line a session reads, newline excluded.
@@ -39,21 +40,25 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// same value.
 const SEQ_MEMO_ENTRIES: usize = 4096;
 
-/// Shared (Sync) server state; everything the stateless commands touch.
+/// Shared (Sync) server state: what the stateless commands touch, plus
+/// the live runs and stored snapshots of the `run_*` commands.
 pub struct State {
     cache: ResultCache,
     /// Service counters (see [`Counters`] for which are exact).
     pub counters: Counters,
     /// Sequential-baseline memo: (app, scale bits) → simulated ns.
     seq_ns: Mutex<HashMap<(AppKind, u64), u64>>,
+    /// Live runs by id, each behind its own lock.
+    runs: Mutex<HashMap<u64, Arc<Mutex<LiveRun>>>>,
+    /// Stored checkpoints by id.
+    snaps: Mutex<HashMap<u64, StoredSnapshot>>,
+    next_run: AtomicU64,
+    next_snap: AtomicU64,
 }
 
 /// The capacity-planning service.
 pub struct Server {
     state: Arc<State>,
-    /// Channel into the run-actor thread (see module docs).
-    runs: Mutex<Sender<RunMsg>>,
-    run_actor: Option<std::thread::JoinHandle<()>>,
     /// Fan-out pool for `batch` queries. TCP sessions deliberately do
     /// NOT run here: each gets its own thread (see [`Server::serve_tcp`])
     /// so sessions never starve each other or the batch fan-out.
@@ -69,23 +74,6 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-/// A live-run command forwarded to the actor, with the request id and a
-/// reply channel for the response line.
-struct RunMsg {
-    id: u64,
-    cmd: RunCmd,
-    reply: Sender<String>,
-}
-
-enum RunCmd {
-    Start(Box<Query>),
-    Step { run: u64, steps: u64 },
-    Checkpoint { run: u64 },
-    Resume { snapshot: u64 },
-    Result { run: u64 },
-    Drop { run: u64 },
-}
-
 impl Default for Server {
     fn default() -> Self {
         Server::new(4)
@@ -99,17 +87,13 @@ impl Server {
             cache: ResultCache::default(),
             counters: Counters::default(),
             seq_ns: Mutex::new(HashMap::new()),
+            runs: Mutex::new(HashMap::new()),
+            snaps: Mutex::new(HashMap::new()),
+            next_run: AtomicU64::new(1),
+            next_snap: AtomicU64::new(1),
         });
-        let (tx, rx) = channel::<RunMsg>();
-        let actor_state = Arc::clone(&state);
-        let run_actor = std::thread::Builder::new()
-            .name("serve-run-actor".into())
-            .spawn(move || run_actor(actor_state, rx))
-            .expect("spawn run actor");
         Server {
             state,
-            runs: Mutex::new(tx),
-            run_actor: Some(run_actor),
             queries: ThreadPool::new(workers),
         }
     }
@@ -193,34 +177,18 @@ impl Server {
                     ),
                 )
             }
-            Cmd::RunStart(q) => self.run_call(id, RunCmd::Start(Box::new(q))),
-            Cmd::RunStep { run, steps } => self.run_call(id, RunCmd::Step { run, steps }),
-            Cmd::RunCheckpoint { run } => self.run_call(id, RunCmd::Checkpoint { run }),
-            Cmd::RunResume { snapshot } => self.run_call(id, RunCmd::Resume { snapshot }),
-            Cmd::RunResult { run } => self.run_call(id, RunCmd::Result { run }),
-            Cmd::RunDrop { run } => self.run_call(id, RunCmd::Drop { run }),
+            Cmd::RunStart(q) => run_reply(id, || self.state.run_start(q)),
+            Cmd::RunStep { run, steps } => run_reply(id, || self.state.run_step(run, steps)),
+            Cmd::RunCheckpoint { run } => run_reply(id, || self.state.run_checkpoint(run)),
+            Cmd::RunResume { snapshot } => run_reply(id, || self.state.run_resume(snapshot)),
+            Cmd::RunResult { run } => run_reply(id, || self.state.run_result(run)),
+            Cmd::RunDrop { run } => run_reply(id, || self.state.run_drop(run)),
             Cmd::Shutdown => {
                 shutdown = true;
                 proto::ok_line(id, "{\"bye\":true}")
             }
         };
         Reply { line, shutdown }
-    }
-
-    /// Round-trips one live-run command through the actor.
-    fn run_call(&self, id: u64, cmd: RunCmd) -> String {
-        let (reply, rx) = channel();
-        let sent = self
-            .runs
-            .lock()
-            .unwrap()
-            .send(RunMsg { id, cmd, reply })
-            .is_ok();
-        if !sent {
-            return proto::err_line(id, "run actor is gone");
-        }
-        rx.recv()
-            .unwrap_or_else(|_| proto::err_line(id, "run actor dropped the request"))
     }
 
     /// Serves one session: reads request lines from `reader` until EOF
@@ -313,18 +281,6 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        // Replace the sender with a dead channel so the actor's recv
-        // errors out and the thread exits, then join it.
-        let (dead, _) = channel();
-        *self.runs.lock().unwrap() = dead;
-        if let Some(h) = self.run_actor.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 impl State {
     /// The sequential baseline for the query's app/scale, memoized.
     fn seq_time(&self, q: &Query) -> Result<u64, String> {
@@ -344,7 +300,7 @@ impl State {
 }
 
 // ---------------------------------------------------------------------
-// The run actor: owns every live driver and stored snapshot.
+// Live runs and stored snapshots
 // ---------------------------------------------------------------------
 
 /// A live run: a driver mid-flight, or its finished report.
@@ -365,6 +321,10 @@ struct StoredSnapshot {
     steps: u64,
 }
 
+/// The run and snapshot maps are locked only to look up, insert or
+/// remove an entry, none of which panics, so their locks never poison.
+const MAP_LOCK: &str = "run/snapshot map lock poisoned";
+
 fn build_program(q: &Query) -> KernelProgram {
     KernelProgram::build(
         q.workload.app,
@@ -375,163 +335,145 @@ fn build_program(q: &Query) -> KernelProgram {
     )
 }
 
-fn run_actor(state: Arc<State>, rx: Receiver<RunMsg>) {
-    let mut runs: HashMap<u64, LiveRun> = HashMap::new();
-    let mut snaps: HashMap<u64, StoredSnapshot> = HashMap::new();
-    let next_run = AtomicU64::new(1);
-    let next_snap = AtomicU64::new(1);
-    while let Ok(RunMsg { id, cmd, reply }) = rx.recv() {
-        let line = match cmd {
-            RunCmd::Start(query) => {
-                let query = *query;
-                let mut driver = Driver::new(&query.cfg, build_program(&query));
-                driver.start();
-                state.counters.runs.fetch_add(1, Ordering::SeqCst);
-                let run = next_run.fetch_add(1, Ordering::SeqCst);
-                runs.insert(
-                    run,
-                    LiveRun {
-                        query,
-                        state: RunState::Live(Box::new(driver)),
-                    },
-                );
-                proto::ok_line(id, &format!("{{\"run\":{run},\"steps\":0,\"done\":false}}"))
-            }
-            RunCmd::Step { run, steps } => match runs.get_mut(&run) {
-                None => proto::err_line(id, &format!("unknown run {run}")),
-                Some(live) => step_run(&state, run, live, id, steps),
-            },
-            RunCmd::Checkpoint { run } => match runs.get(&run) {
-                None => proto::err_line(id, &format!("unknown run {run}")),
-                Some(LiveRun {
-                    state: RunState::Done { .. },
-                    ..
-                }) => proto::err_line(id, &format!("run {run} already finished")),
-                Some(LiveRun {
-                    state: RunState::Live(driver),
-                    query,
-                }) => {
-                    let steps = driver.engine().steps();
-                    let sid = next_snap.fetch_add(1, Ordering::SeqCst);
-                    state.counters.snapshots.fetch_add(1, Ordering::SeqCst);
-                    snaps.insert(
-                        sid,
-                        StoredSnapshot {
-                            query: query.clone(),
-                            steps,
-                        },
-                    );
-                    proto::ok_line(
-                        id,
-                        &format!("{{\"snapshot\":{sid},\"run\":{run},\"steps\":{steps}}}"),
-                    )
-                }
-            },
-            RunCmd::Resume { snapshot } => match snaps.get(&snapshot) {
-                None => proto::err_line(id, &format!("unknown snapshot {snapshot}")),
-                Some(stored) => {
-                    let q = stored.query.clone();
-                    match Driver::resume(&q.cfg, build_program(&q), stored.steps) {
-                        Some(driver) => {
-                            state.counters.runs.fetch_add(1, Ordering::SeqCst);
-                            let run = next_run.fetch_add(1, Ordering::SeqCst);
-                            let steps = driver.engine().steps();
-                            runs.insert(
-                                run,
-                                LiveRun {
-                                    query: q,
-                                    state: RunState::Live(Box::new(driver)),
-                                },
-                            );
-                            proto::ok_line(
-                                id,
-                                &format!("{{\"run\":{run},\"steps\":{steps},\"done\":false}}"),
-                            )
-                        }
-                        None => proto::err_line(
-                            id,
-                            &format!(
-                                "cannot resume: replay went quiescent before step {}",
-                                stored.steps
-                            ),
-                        ),
-                    }
-                }
-            },
-            RunCmd::Result { run } => match runs.get(&run) {
-                None => proto::err_line(id, &format!("unknown run {run}")),
-                Some(LiveRun {
-                    state: RunState::Live(_),
-                    ..
-                }) => proto::err_line(id, &format!("run {run} not finished (keep stepping)")),
-                Some(LiveRun {
-                    state: RunState::Done { result, .. },
-                    ..
-                }) => proto::ok_line(id, result),
-            },
-            RunCmd::Drop { run } => {
-                if runs.remove(&run).is_some() {
-                    proto::ok_line(id, &format!("{{\"dropped\":{run}}}"))
-                } else {
-                    proto::err_line(id, &format!("unknown run {run}"))
-                }
-            }
-        };
-        // A dropped reply receiver just means the client went away.
-        let _ = reply.send(line);
+/// The response line of a `run_*` command whose result is the `Ok` body
+/// or the `Err` message. A simulator panic becomes an error line, so it
+/// ends neither the session nor the server; the run it hit stays
+/// unusable (its lock is poisoned).
+fn run_reply(id: u64, f: impl FnOnce() -> Result<String, String>) -> String {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(body)) => proto::ok_line(id, &body),
+        Ok(Err(e)) => proto::err_line(id, &e),
+        Err(_) => proto::err_line(id, "run command panicked"),
     }
 }
 
-/// Pumps a live run by up to `steps` events, finalizing the report at
-/// quiescence so every later `run_result` returns the identical line.
-fn step_run(state: &Arc<State>, run: u64, live: &mut LiveRun, id: u64, steps: u64) -> String {
-    let RunState::Live(driver) = &mut live.state else {
-        let RunState::Done { steps, .. } = &live.state else {
-            unreachable!()
+fn run_line(run: u64, steps: u64, done: bool) -> String {
+    format!("{{\"run\":{run},\"steps\":{steps},\"done\":{done}}}")
+}
+
+impl State {
+    /// Registers a live driver under a fresh run id.
+    fn insert_run(&self, query: Query, driver: Driver<KernelProgram>) -> u64 {
+        self.counters.runs.fetch_add(1, Ordering::SeqCst);
+        let run = self.next_run.fetch_add(1, Ordering::SeqCst);
+        let live = LiveRun {
+            query,
+            state: RunState::Live(Box::new(driver)),
         };
-        return proto::ok_line(
-            id,
-            &format!("{{\"run\":{run},\"steps\":{steps},\"done\":true}}"),
-        );
-    };
-    let mut drained = false;
-    for _ in 0..steps {
-        if !driver.pump() {
-            drained = true;
-            break;
+        self.runs
+            .lock()
+            .expect(MAP_LOCK)
+            .insert(run, Arc::new(Mutex::new(live)));
+        run
+    }
+
+    /// Runs `f` on run `run` under its own lock; the map is locked only
+    /// for the lookup.
+    fn with_run<T>(
+        &self,
+        run: u64,
+        f: impl FnOnce(&mut LiveRun) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let live = self.runs.lock().expect(MAP_LOCK).get(&run).cloned();
+        let live = live.ok_or_else(|| format!("unknown run {run}"))?;
+        let mut live = live
+            .lock()
+            .map_err(|_| format!("run {run} panicked earlier"))?;
+        f(&mut live)
+    }
+
+    fn run_start(&self, query: Query) -> Result<String, String> {
+        let mut driver = Driver::new(&query.cfg, build_program(&query));
+        driver.start();
+        Ok(run_line(self.insert_run(query, driver), 0, false))
+    }
+
+    fn run_step(&self, run: u64, steps: u64) -> Result<String, String> {
+        self.with_run(run, |live| self.step_run(run, live, steps))
+    }
+
+    fn run_checkpoint(&self, run: u64) -> Result<String, String> {
+        let (query, steps) = self.with_run(run, |live| match &live.state {
+            RunState::Done { .. } => Err(format!("run {run} already finished")),
+            RunState::Live(driver) => Ok((live.query.clone(), driver.engine().steps())),
+        })?;
+        let sid = self.next_snap.fetch_add(1, Ordering::SeqCst);
+        self.counters.snapshots.fetch_add(1, Ordering::SeqCst);
+        self.snaps
+            .lock()
+            .expect(MAP_LOCK)
+            .insert(sid, StoredSnapshot { query, steps });
+        Ok(format!(
+            "{{\"snapshot\":{sid},\"run\":{run},\"steps\":{steps}}}"
+        ))
+    }
+
+    /// Rebuilds a checkpointed run as a new live run, replaying with no
+    /// lock held.
+    fn run_resume(&self, snapshot: u64) -> Result<String, String> {
+        let (query, steps) = match self.snaps.lock().expect(MAP_LOCK).get(&snapshot) {
+            None => return Err(format!("unknown snapshot {snapshot}")),
+            Some(stored) => (stored.query.clone(), stored.steps),
+        };
+        let driver = Driver::resume(&query.cfg, build_program(&query), steps)
+            .ok_or_else(|| format!("cannot resume: replay went quiescent before step {steps}"))?;
+        let at = driver.engine().steps();
+        Ok(run_line(self.insert_run(query, driver), at, false))
+    }
+
+    fn run_result(&self, run: u64) -> Result<String, String> {
+        self.with_run(run, |live| match &live.state {
+            RunState::Live(_) => Err(format!("run {run} not finished (keep stepping)")),
+            RunState::Done { result, .. } => Ok(result.clone()),
+        })
+    }
+
+    fn run_drop(&self, run: u64) -> Result<String, String> {
+        match self.runs.lock().expect(MAP_LOCK).remove(&run) {
+            Some(_) => Ok(format!("{{\"dropped\":{run}}}")),
+            None => Err(format!("unknown run {run}")),
         }
     }
-    let at = driver.engine().steps();
-    if !drained {
-        return proto::ok_line(
-            id,
-            &format!("{{\"run\":{run},\"steps\":{at},\"done\":false}}"),
-        );
+
+    /// Pumps a live run by up to `steps` events, finalizing the report
+    /// at quiescence so every later `run_result` returns the identical
+    /// line.
+    fn step_run(&self, run: u64, live: &mut LiveRun, steps: u64) -> Result<String, String> {
+        let driver = match &mut live.state {
+            RunState::Done { steps, .. } => return Ok(run_line(run, *steps, true)),
+            RunState::Live(driver) => driver,
+        };
+        let mut drained = false;
+        for _ in 0..steps {
+            if !driver.pump() {
+                drained = true;
+                break;
+            }
+        }
+        let at = driver.engine().steps();
+        if !drained {
+            return Ok(run_line(run, at, false));
+        }
+        // Resolve the sequential baseline *before* consuming the driver:
+        // if it fails, the run stays `Live` (the drained driver is
+        // untouched) and the client can simply step again to retry.
+        // Consuming first would strand the run on an unrecoverable empty
+        // report.
+        let t_seq = self.seq_time(&live.query)?;
+        let placeholder = RunState::Done {
+            steps: at,
+            result: String::new(),
+        };
+        let RunState::Live(driver) = std::mem::replace(&mut live.state, placeholder) else {
+            unreachable!()
+        };
+        let report = driver.finish();
+        live.state = RunState::Done {
+            steps: at,
+            result: result_json(&live.query, &report, t_seq),
+        };
+        Ok(run_line(run, at, true))
     }
-    // Resolve the sequential baseline *before* consuming the driver: if
-    // it fails, the run stays `Live` (the drained driver is untouched)
-    // and the client can simply step again to retry. Consuming first
-    // would strand the run on an unrecoverable empty report.
-    let t_seq = match state.seq_time(&live.query) {
-        Ok(t) => t,
-        Err(e) => return proto::err_line(id, &e),
-    };
-    let placeholder = RunState::Done {
-        steps: at,
-        result: String::new(),
-    };
-    let RunState::Live(driver) = std::mem::replace(&mut live.state, placeholder) else {
-        unreachable!()
-    };
-    let report = driver.finish();
-    live.state = RunState::Done {
-        steps: at,
-        result: result_json(&live.query, &report, t_seq),
-    };
-    proto::ok_line(
-        id,
-        &format!("{{\"run\":{run},\"steps\":{at},\"done\":true}}"),
-    )
 }
 
 // ---------------------------------------------------------------------

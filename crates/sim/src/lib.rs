@@ -42,4 +42,4 @@ pub mod sweep;
 pub use cenju4_protocol::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use driver::{Driver, Program, Step, Target};
 pub use report::{AccessClass, NodeReport, RunReport};
-pub use sweep::{sweep, sweep_metrics, sweep_metrics_on, sweep_on, SweepPoint};
+pub use sweep::{sweep, sweep_on};

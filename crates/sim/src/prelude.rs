@@ -39,4 +39,4 @@ pub use cenju4_protocol::{
 pub use crate::driver::{Driver, Program, Step, Target};
 pub use crate::probes;
 pub use crate::report::{AccessClass, NodeReport, RunReport};
-pub use crate::sweep::{sweep, sweep_metrics, sweep_metrics_on, sweep_on, SweepPoint};
+pub use crate::sweep::{sweep, sweep_on};

@@ -27,74 +27,9 @@
 //! # Ok::<(), cenju4_sim::ConfigError>(())
 //! ```
 
-use cenju4_obs::MetricsRegistry;
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-
-/// One evaluated sweep point: the point's label, the measured value, and
-/// the observability metrics collected while measuring it.
-///
-/// Produced by [`sweep_metrics`]; the metrics column makes a figure
-/// sweep self-describing — each point carries its own latency
-/// histograms and counters instead of a bare number.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepPoint<R> {
-    /// The parameter point, rendered with its `Display` impl.
-    pub label: String,
-    /// The measured value at this point.
-    pub value: R,
-    /// Histograms and counters collected while evaluating the point.
-    pub metrics: MetricsRegistry,
-}
-
-impl<R: fmt::Display> SweepPoint<R> {
-    /// One table row: `label value  <class> p50=… p99=…` for each class
-    /// that recorded latency samples.
-    pub fn row(&self) -> String {
-        let mut out = format!("{:>8}  {}", self.label, self.value);
-        for (class, h) in self.metrics.histograms() {
-            let s = h.summary();
-            out.push_str(&format!(
-                "  {class}[n={} p50={} p99={} max={}]",
-                s.count, s.p50, s.p99, s.max
-            ));
-        }
-        out
-    }
-}
-
-/// Like [`sweep`], for measurements that also produce metrics: `f`
-/// returns `(value, metrics)` and each result is wrapped in a labeled
-/// [`SweepPoint`]. Results are in point order and bit-identical at any
-/// worker count, metrics included — the registry iterates sorted, and
-/// each point's engine is private to its worker.
-pub fn sweep_metrics<P, R, F>(points: &[P], f: F) -> Vec<SweepPoint<R>>
-where
-    P: Sync + fmt::Display,
-    R: Send,
-    F: Fn(&P) -> (R, MetricsRegistry) + Sync,
-{
-    sweep_metrics_on(default_threads(), points, f)
-}
-
-/// Like [`sweep_metrics`] with an explicit worker count.
-pub fn sweep_metrics_on<P, R, F>(threads: usize, points: &[P], f: F) -> Vec<SweepPoint<R>>
-where
-    P: Sync + fmt::Display,
-    R: Send,
-    F: Fn(&P) -> (R, MetricsRegistry) + Sync,
-{
-    sweep_on(threads, points, |p| {
-        let (value, metrics) = f(p);
-        SweepPoint {
-            label: p.to_string(),
-            value,
-            metrics,
-        }
-    })
-}
 
 /// The worker count used by [`sweep`]: the `CENJU4_SWEEP_THREADS`
 /// environment variable if set (minimum 1), otherwise the machine's
@@ -192,25 +127,5 @@ mod tests {
         let out: Vec<Result<u16, &str>> =
             sweep_on(2, &points, |&p| if p == 0 { Err("zero") } else { Ok(p) });
         assert_eq!(out, vec![Ok(1), Err("zero"), Ok(3)]);
-    }
-
-    #[test]
-    fn metrics_column_is_thread_invariant() {
-        let points: Vec<u64> = (1..=8).collect();
-        let f = |&p: &u64| {
-            let mut m = MetricsRegistry::new();
-            for i in 0..p {
-                m.record_latency("probe", 500 * (i + 1));
-            }
-            m.add("ops", p);
-            (p * 10, m)
-        };
-        let serial = sweep_metrics_on(1, &points, f);
-        let parallel = sweep_metrics_on(4, &points, f);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[2].label, "3");
-        assert_eq!(serial[2].value, 30);
-        assert_eq!(serial[2].metrics.counter("ops"), 3);
-        assert!(serial[2].row().contains("probe[n=3"));
     }
 }

@@ -30,6 +30,13 @@ impl Program for KernelProgram {
     }
 }
 
+// A live workload run can be stepped from any thread (the service keeps
+// each run behind its own lock).
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<cenju4_sim::Driver<KernelProgram>>();
+};
+
 impl KernelProgram {
     /// Builds the step streams for `(app, variant, mapping)` on the
     /// machine described by `cfg`, at problem-size multiplier `scale`.

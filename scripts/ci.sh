@@ -68,13 +68,22 @@ check_smoke() {
     }
     # Every fault-injection mutant must be killed (counterexample found),
     # byte-identically to the committed golden: the shrunk schedules pin
-    # the controlled scheduler's choice-index order.
-    local golden=crates/check/tests/golden/mutants.txt mutants_out
-    mutants_out="$("$check" mutants --nodes 2 --blocks 1 --ops 2 --max-seconds 120)"
+    # the controlled scheduler's choice-index order. A protocol panic the
+    # checker reports as a `panic` violation prints nothing to stderr.
+    local golden=crates/check/tests/golden/mutants.txt mutants_out mutants_err
+    mutants_err=$(mktemp)
+    mutants_out="$("$check" mutants --nodes 2 --blocks 1 --ops 2 --max-seconds 120 \
+        2>"$mutants_err")"
     diff -u "$golden" <(printf '%s\n' "$mutants_out") || {
         echo "FAIL: mutant gauntlet output drifted from $golden"
         exit 1
     }
+    if grep -q "panicked at" "$mutants_err"; then
+        echo "FAIL: a caught protocol panic still printed to stderr:"
+        head -5 "$mutants_err"
+        exit 1
+    fi
+    rm -f "$mutants_err"
     # A printed replay command must reproduce its counterexample (exit 1),
     # including one found under a non-default step cap.
     local replay_cmd replay_rc=0

@@ -9,7 +9,7 @@
 use cenju4_serve::Server;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Six distinct sweep points, each fast enough for a debug-build test.
@@ -190,4 +190,58 @@ fn tcp_cached_round_trips_do_not_wait_for_delayed_acks() {
         median < std::time::Duration::from_millis(10),
         "median cached round trip {median:?}"
     );
+}
+
+/// Live runs step independently: while one thread drains a long run, a
+/// `run_step` on another run returns at once instead of waiting its
+/// turn. The long drain takes over a second unoptimised (32-node CG at
+/// scale 0.5) and over half a second optimised (64-node CG at scale
+/// 1.0), and the short step starts 100 ms into it.
+#[test]
+fn a_long_run_step_blocks_no_other_live_run() {
+    let (nodes, scale) = if cfg!(debug_assertions) {
+        (32, 0.5)
+    } else {
+        (64, 1.0)
+    };
+    let server = Arc::new(Server::new(1));
+    let long = server.handle(&format!(
+        "{{\"id\":1,\"cmd\":\"run_start\",\"config\":{{\"nodes\":{nodes}}},\
+         \"workload\":{{\"app\":\"cg\",\"scale\":{scale}}}}}"
+    ));
+    assert!(long.contains("\"run\":1,"), "{long}");
+    let short = server.handle(
+        "{\"id\":2,\"cmd\":\"run_start\",\"config\":{\"nodes\":8},\
+         \"workload\":{\"app\":\"ft\",\"scale\":0.25}}",
+    );
+    assert!(short.contains("\"run\":2,"), "{short}");
+
+    let long_done = Arc::new(AtomicBool::new(false));
+    let drain = {
+        let (server, long_done) = (Arc::clone(&server), Arc::clone(&long_done));
+        std::thread::spawn(move || {
+            let line =
+                server.handle("{\"id\":3,\"cmd\":\"run_step\",\"run\":1,\"steps\":1000000000}");
+            long_done.store(true, Ordering::SeqCst);
+            line
+        })
+    };
+    // Wait until the drain request is being handled (the third request),
+    // then give it time to be pumping the long run.
+    while server.state().counters.requests.load(Ordering::SeqCst) < 3 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let stepped = server.handle("{\"id\":4,\"cmd\":\"run_step\",\"run\":2,\"steps\":10}");
+    let long_still_running = !long_done.load(Ordering::SeqCst);
+    assert_eq!(
+        stepped,
+        "{\"id\":4,\"ok\":true,\"result\":{\"run\":2,\"steps\":10,\"done\":false}}"
+    );
+    assert!(
+        long_still_running,
+        "the short run's step waited for the long run's drain"
+    );
+    let drained = drain.join().expect("drain thread");
+    assert!(drained.contains("\"done\":true"), "{drained}");
 }
