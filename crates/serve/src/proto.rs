@@ -19,9 +19,11 @@ use cenju4_protocol::{ConfigError, ProtocolId, ProtocolKind, SystemConfig};
 use cenju4_workloads::{AppKind, Variant};
 
 /// The largest workload `scale` a request may ask for: the default of
-/// every figure binary's problem-size argument. Program size grows
-/// linearly with scale, so an unbounded one lets a single request line
-/// build an unbounded program.
+/// every figure binary's problem-size argument. A workload program holds
+/// one cursor per node whatever the scale, but run time grows linearly
+/// with it, so the cap bounds what one request line can cost. It also
+/// keeps BT, SP and FT (2048·scale blocks) clear of the 8192-block limit
+/// `SharedArray::new` asserts.
 pub const MAX_SCALE: f64 = 2.0;
 
 /// A parsed request line.
