@@ -1,8 +1,8 @@
 //! The per-node secondary cache: MESI states over 128-byte lines.
 
 use crate::addr::Addr;
-use cenju4_des::FxHashMap;
 use core::fmt;
+use std::sync::Arc;
 
 /// State of a cache line: the paper's MESI states (`M^c`, `E^c`, `S^c`,
 /// `I^c`) plus the Dragon protocol's shared-modified state.
@@ -90,6 +90,15 @@ pub struct Victim {
 /// to it, so building, cloning, and dropping a cache costs O(filled
 /// sets) — a checker scenario touches a handful of the 2048.
 ///
+/// A set finds its chunk through a dense index, one `u16` per set holding
+/// chunk + 1 (0: no chunk yet). The index covers the sets up to the
+/// highest one opened, rounded up to a power of two, and all of them once
+/// that passes an eighth: at most 4 KiB at the default geometry, and
+/// nothing for a cache that never holds a line. A set keeps its chunk
+/// until [`Cache::clear`], so clones share the index behind an [`Arc`]
+/// and copy it only when one of them opens a new set. A power-of-two set
+/// count selects the set with a mask.
+///
 /// # Examples
 ///
 /// ```
@@ -107,8 +116,9 @@ pub struct Cache {
     nsets: usize,
     assoc: usize,
     tick: u64,
-    /// The chunk of every set that has held a line.
-    chunk_of: FxHashMap<u32, u32>,
+    /// Chunk + 1 of each set (0: none) up to at least the highest set
+    /// opened, shared by clones; `None` until the first fill.
+    index: Option<Arc<[u16]>>,
     /// `assoc` line slots per chunk; the first `fill[chunk]` are resident.
     lines: Vec<Line>,
     fill: Vec<u32>,
@@ -119,22 +129,34 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless the geometry divides evenly into at least one set.
+    /// Panics unless the capacity is a whole number of between one and
+    /// 65,535 sets of `assoc` 128-byte lines.
     pub fn new(capacity_bytes: u32, assoc: usize) -> Self {
-        assert!(assoc > 0);
-        let lines = (capacity_bytes / crate::addr::BLOCK_BYTES) as usize;
-        assert!(
-            lines >= assoc && lines.is_multiple_of(assoc),
-            "bad cache geometry"
-        );
+        let nsets = Self::sets_for(capacity_bytes, assoc).expect("bad cache geometry");
         Cache {
-            nsets: lines / assoc,
+            nsets,
             assoc,
             tick: 0,
-            chunk_of: FxHashMap::default(),
+            index: None,
             lines: Vec::new(),
             fill: Vec::new(),
         }
+    }
+
+    /// The most sets a cache may have: the index numbers chunks in a `u16`.
+    const MAX_SETS: usize = u16::MAX as usize;
+
+    /// The set count of a `capacity_bytes`, `assoc`-way cache, or `None`
+    /// unless the capacity is a whole number of between one and
+    /// [`Cache::MAX_SETS`] sets.
+    pub(crate) fn sets_for(capacity_bytes: u32, assoc: usize) -> Option<usize> {
+        let set_bytes = assoc.checked_mul(crate::addr::BLOCK_BYTES as usize)?;
+        let capacity = capacity_bytes as usize;
+        if set_bytes == 0 || !capacity.is_multiple_of(set_bytes) {
+            return None;
+        }
+        let nsets = capacity / set_bytes;
+        (1..=Self::MAX_SETS).contains(&nsets).then_some(nsets)
     }
 
     /// Total capacity in lines.
@@ -145,7 +167,7 @@ impl Cache {
     /// Drops every line (no writebacks — the power-loss reset of a
     /// quarantined node, not an orderly flush).
     pub fn clear(&mut self) {
-        self.chunk_of.clear();
+        self.index = None;
         self.lines.clear();
         self.fill.clear();
     }
@@ -158,11 +180,21 @@ impl Cache {
             .collect()
     }
 
-    fn set_of(&self, addr: Addr) -> u32 {
+    fn set_of(&self, addr: Addr) -> usize {
         // Mix the home bits in so blocks of different homes spread out.
         let k = addr.key();
-        let h = k ^ (k >> 21) ^ (k >> 43);
-        ((h as usize) % self.nsets) as u32
+        let h = (k ^ (k >> 21) ^ (k >> 43)) as usize;
+        if self.nsets.is_power_of_two() {
+            h & (self.nsets - 1)
+        } else {
+            h % self.nsets
+        }
+    }
+
+    /// The chunk of set `set`, if it has one.
+    fn chunk_at(&self, set: usize) -> Option<usize> {
+        let c = *self.index.as_deref()?.get(set)?;
+        (c as usize).checked_sub(1)
     }
 
     /// The resident lines of chunk `c`.
@@ -172,13 +204,13 @@ impl Cache {
     }
 
     fn line(&self, addr: Addr) -> Option<&Line> {
-        let c = *self.chunk_of.get(&self.set_of(addr))?;
-        self.chunk(c as usize).iter().find(|l| l.key == addr.key())
+        let c = self.chunk_at(self.set_of(addr))?;
+        self.chunk(c).iter().find(|l| l.key == addr.key())
     }
 
     /// The resident lines of `addr`'s set, and its chunk index.
     fn set_mut(&mut self, addr: Addr) -> Option<(&mut [Line], usize)> {
-        let c = *self.chunk_of.get(&self.set_of(addr))? as usize;
+        let c = self.chunk_at(self.set_of(addr))?;
         let base = c * self.assoc;
         let len = self.fill[c] as usize;
         Some((&mut self.lines[base..base + len], c))
@@ -225,11 +257,10 @@ impl Cache {
         };
         let set_idx = self.set_of(addr);
         let assoc = self.assoc;
-        let c = *self.chunk_of.entry(set_idx).or_insert_with(|| {
-            self.lines.extend(std::iter::repeat_n(EMPTY, assoc));
-            self.fill.push(0);
-            (self.fill.len() - 1) as u32
-        }) as usize;
+        let c = match self.chunk_at(set_idx) {
+            Some(c) => c,
+            None => self.open(set_idx),
+        };
         let base = c * assoc;
         let len = self.fill[c] as usize;
         let set = &mut self.lines[base..base + len];
@@ -254,6 +285,32 @@ impl Cache {
         };
         *old = line;
         Some(victim)
+    }
+
+    /// Gives set `set` the next pooled chunk and returns it. Copies the
+    /// index first if a clone still shares it, and grows it if it does
+    /// not reach `set`.
+    fn open(&mut self, set: usize) -> usize {
+        let c = self.fill.len();
+        self.lines.extend(std::iter::repeat_n(EMPTY, self.assoc));
+        self.fill.push(0);
+        let nsets = self.nsets;
+        let index = match &mut self.index {
+            Some(index) if set < index.len() => Arc::make_mut(index),
+            slot => {
+                // Powers of two while the sets used are few (a checker
+                // scenario's handful of blocks), then every set, so a
+                // cache spread over its sets regrows its index at most once.
+                let len = (set + 1).next_power_of_two();
+                let len = if len > nsets / 8 { nsets } else { len };
+                let old = slot.as_deref().unwrap_or_default();
+                let grown = (0..len).map(|i| old.get(i).copied().unwrap_or(0));
+                Arc::get_mut(slot.insert(grown.collect())).expect("a new index is unshared")
+            }
+        };
+        // At most one chunk per set, so `c + 1 <= nsets <= MAX_SETS`.
+        index[set] = (c + 1) as u16;
+        c
     }
 
     /// Installs `addr` with `state` and a zero value (convenience).
@@ -434,6 +491,7 @@ mod model_tests {
     use cenju4_directory::NodeId;
 
     /// One `Vec` per set, swap-removed on eviction and invalidation.
+    #[derive(Clone)]
     struct VecCache {
         sets: Vec<Vec<Line>>,
         assoc: usize,
@@ -542,36 +600,49 @@ mod model_tests {
         CacheState::SharedModified,
     ];
 
-    /// Drives `ops` seeded operations through both caches over a block
-    /// universe that maps to at most `hot_sets` sets, so sets fill and
-    /// evict.
-    fn agree(capacity_bytes: u32, assoc: usize, hot_sets: usize, seed: u64, ops: usize) {
-        let mut model = VecCache::new(capacity_bytes, assoc);
-        let mut cache = Cache::new(capacity_bytes, assoc);
-        assert_eq!(cache.lines(), model.sets.len() * assoc);
-        let universe: Vec<Addr> = (0..u32::MAX)
-            .flat_map(|b| (0..4).map(move |h| Addr::new(NodeId::new(h), b)))
-            .filter(|&a| model.set_of(a) < hot_sets)
-            .take(hot_sets * (assoc + 2))
-            .collect();
-        let mut rng = SplitMix64::new(seed);
-        let mut evictions = 0;
-        for step in 0..ops {
+    /// A pooled cache and its model, driven in lockstep.
+    #[derive(Clone)]
+    struct Twin {
+        cache: Cache,
+        model: VecCache,
+    }
+
+    impl Twin {
+        fn new(capacity_bytes: u32, assoc: usize) -> Self {
+            let twin = Twin {
+                cache: Cache::new(capacity_bytes, assoc),
+                model: VecCache::new(capacity_bytes, assoc),
+            };
+            assert_eq!(twin.cache.lines(), twin.model.sets.len() * assoc);
+            twin
+        }
+
+        /// `hot_sets * (assoc + 2)` blocks that map to the first
+        /// `hot_sets` sets, so those sets fill and evict.
+        fn universe(&self, hot_sets: usize) -> Vec<Addr> {
+            (0..u32::MAX)
+                .flat_map(|b| (0..4).map(move |h| Addr::new(NodeId::new(h), b)))
+                .filter(|&a| self.model.set_of(a) < hot_sets)
+                .take(hot_sets * (self.model.assoc + 2))
+                .collect()
+        }
+
+        /// Applies one seeded operation on a block of `universe` to both
+        /// sides (a power-loss reset if `reset`) and checks that they
+        /// agree. Returns whether a fill evicted.
+        fn step(&mut self, rng: &mut SplitMix64, universe: &[Addr], reset: bool, at: &str) -> bool {
+            let Twin { cache, model } = self;
             let addr = universe[rng.next_below(universe.len() as u64) as usize];
             let present = model.state(addr) != CacheState::Invalid;
             let state = STATES[rng.next_below(4) as usize];
             let value = rng.next_below(1_000);
-            let ctx = format!("seed {seed} step {step} {addr:?}");
-            // A power-loss reset every 500 operations.
-            let op = if step % 500 == 499 {
-                8
-            } else {
-                rng.next_below(8)
-            };
+            let ctx = format!("{at} {addr:?}");
+            let op = if reset { 8 } else { rng.next_below(8) };
+            let mut evicted = false;
             match op {
                 0 | 1 if !present => {
                     let victim = model.fill_value(addr, state, value);
-                    evictions += usize::from(victim.is_some());
+                    evicted = victim.is_some();
                     assert_eq!(cache.fill_value(addr, state, value), victim, "{ctx}");
                 }
                 0..=2 => assert_eq!(cache.touch(addr), model.touch(addr), "{ctx}"),
@@ -596,8 +667,68 @@ mod model_tests {
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "{ctx}");
+            evicted
+        }
+
+        fn shares_index_with(&self, other: &Twin) -> bool {
+            match (&self.cache.index, &other.cache.index) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+        }
+    }
+
+    /// Drives `ops` seeded operations through both caches over a block
+    /// universe that maps to at most `hot_sets` sets, so sets fill and
+    /// evict.
+    fn agree(capacity_bytes: u32, assoc: usize, hot_sets: usize, seed: u64, ops: usize) {
+        let mut twin = Twin::new(capacity_bytes, assoc);
+        let universe = twin.universe(hot_sets);
+        let mut rng = SplitMix64::new(seed);
+        let mut evictions = 0;
+        for step in 0..ops {
+            // A power-loss reset every 500 operations.
+            let reset = step % 500 == 499;
+            let at = format!("seed {seed} step {step}");
+            evictions += usize::from(twin.step(&mut rng, &universe, reset, &at));
         }
         assert!(evictions > 0, "the sequence never evicted");
+    }
+
+    /// Warms a cache over the lower half of `hot_sets`, clones it, and
+    /// drives the two apart, each against its own clone of the model:
+    /// first the original opens the upper sets while the clone stays in
+    /// the lower ones, then the clone alone is reset and both roam every
+    /// hot set, opening sets in different orders.
+    fn forks_diverge(capacity_bytes: u32, assoc: usize, hot_sets: usize, seed: u64) {
+        let mut a = Twin::new(capacity_bytes, assoc);
+        let every = a.universe(hot_sets);
+        let lower: Vec<Addr> = every
+            .iter()
+            .copied()
+            .filter(|&x| a.model.set_of(x) < hot_sets.div_ceil(2))
+            .collect();
+        let (mut rng_a, mut rng_b) = (SplitMix64::new(seed), SplitMix64::new(!seed));
+        let mut evictions = 0;
+        for step in 0..1_000 {
+            let at = format!("seed {seed} warm step {step}");
+            evictions += usize::from(a.step(&mut rng_a, &lower, false, &at));
+        }
+        let mut b = a.clone();
+        assert!(a.shares_index_with(&b), "a clone shares the index");
+        for step in 0..1_000 {
+            let at = format!("seed {seed} split step {step}");
+            evictions += usize::from(a.step(&mut rng_a, &every, false, &format!("{at} a")));
+            evictions += usize::from(b.step(&mut rng_b, &lower, false, &format!("{at} b")));
+        }
+        assert!(!a.shares_index_with(&b), "opening a set unshares the index");
+        b.step(&mut rng_b, &every, true, &format!("seed {seed} reset b"));
+        for step in 0..1_000 {
+            let at = format!("seed {seed} roam step {step}");
+            evictions += usize::from(a.step(&mut rng_a, &every, false, &format!("{at} a")));
+            evictions += usize::from(b.step(&mut rng_b, &every, false, &format!("{at} b")));
+        }
+        assert!(evictions > 0, "the sequences never evicted");
     }
 
     #[test]
@@ -618,6 +749,15 @@ mod model_tests {
     fn direct_mapped_geometry_agrees_with_the_vec_model() {
         for seed in 0..4 {
             agree(8 * 128, 1, 8, seed, 3_000);
+        }
+    }
+
+    #[test]
+    fn forked_caches_diverge_independently() {
+        for seed in 0..4 {
+            forks_diverge(1 << 20, 4, 6, seed);
+            forks_diverge(3 * 4 * 128, 4, 3, seed);
+            forks_diverge(8 * 128, 1, 8, seed);
         }
     }
 }

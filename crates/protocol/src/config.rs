@@ -1,5 +1,6 @@
 //! Machine configuration.
 
+use crate::cache::Cache;
 use crate::coherence::ProtocolId;
 use crate::params::{ProtoParams, ProtocolKind, RecoveryParams};
 use cenju4_des::Duration;
@@ -33,6 +34,10 @@ pub enum ConfigError {
     /// retransmission would immediately suspect both link endpoints,
     /// turning any transient frame loss into a node-level event.
     ZeroSuspectThreshold,
+    /// The secondary cache's capacity is not a whole number of between
+    /// one and 65,535 sets of `cache_assoc` 128-byte lines (zero
+    /// associativity included).
+    CacheGeometry,
 }
 
 impl fmt::Display for ConfigError {
@@ -55,6 +60,9 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroSuspectThreshold => {
                 f.write_str("failure-detector suspicion threshold must be non-zero")
             }
+            ConfigError::CacheGeometry => f.write_str(
+                "cache capacity must be a whole number of 1 to 65535 sets of cache_assoc 128-byte lines",
+            ),
         }
     }
 }
@@ -391,7 +399,8 @@ impl SystemConfigBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when the node count is out of range, the
-    /// MPI bandwidth is zero, or a protocol capacity is zero.
+    /// MPI bandwidth is zero, a protocol capacity is zero, or the cache
+    /// geometry does not divide into sets.
     ///
     /// # Examples
     ///
@@ -414,6 +423,9 @@ impl SystemConfigBuilder {
         }
         if self.proto.home_queue_capacity == 0 {
             return Err(ConfigError::ZeroHomeQueue);
+        }
+        if Cache::sets_for(self.proto.cache_bytes, self.proto.cache_assoc).is_none() {
+            return Err(ConfigError::CacheGeometry);
         }
         if self.coherence == ProtocolId::Dragon && self.kind == ProtocolKind::Nack {
             return Err(ConfigError::DragonNeedsQueuing);
@@ -490,6 +502,38 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroMpiBandwidth
         );
+    }
+
+    #[test]
+    fn builder_validates_cache_geometry() {
+        let build = |cache_bytes, cache_assoc| {
+            SystemConfig::builder(16)
+                .proto(ProtoParams {
+                    cache_bytes,
+                    cache_assoc,
+                    ..ProtoParams::default()
+                })
+                .build()
+        };
+        for (bytes, assoc) in [
+            (1 << 20, 0),               // no ways
+            (0, 4),                     // no sets
+            (2 * 128, 4),               // less than one set
+            (3 * 4 * 128 + 128, 4),     // not a whole number of sets
+            (1000, 1),                  // not a whole number of lines
+            (65_536 * 128, 1),          // more sets than the index numbers
+            (1 << 20, usize::MAX / 64), // set size overflows
+        ] {
+            assert_eq!(
+                build(bytes, assoc).unwrap_err(),
+                ConfigError::CacheGeometry,
+                "{bytes} bytes, {assoc}-way"
+            );
+        }
+        for (bytes, assoc) in [(1 << 20, 4), (3 * 4 * 128, 4), (65_535 * 128, 1), (128, 1)] {
+            // Accepted geometries build a machine without panicking.
+            Engine::new(&build(bytes, assoc).unwrap());
+        }
     }
 
     #[test]
