@@ -13,7 +13,7 @@
 use crate::oracles::{OracleState, Violation};
 use crate::scenario::CheckConfig;
 use cenju4_des::{SimTime, SplitMix64};
-use cenju4_protocol::{Addr, Engine, PendingEvent};
+use cenju4_protocol::{Addr, Engine, Notification, PendingEvent};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -192,6 +192,9 @@ pub(crate) struct Stepper {
     /// [`Engine::ready_choices`]), refreshed after every fire; a ready
     /// position indexes this slice.
     ready: Vec<usize>,
+    /// The last step's notifications: one buffer, cleared and refilled
+    /// by every step.
+    notes: Vec<Notification>,
     /// Events fired since the initial state.
     steps: usize,
 }
@@ -206,6 +209,7 @@ impl Stepper {
             eng,
             oracle: OracleState::new(cfg),
             ready,
+            notes: Vec::new(),
             steps: 0,
         }
     }
@@ -220,6 +224,7 @@ impl Stepper {
                 .expect("checker engines carry forkable observers"),
             oracle: self.oracle.clone(),
             ready: self.ready.clone(),
+            notes: Vec::new(),
             steps: self.steps,
         }
     }
@@ -269,11 +274,13 @@ impl Stepper {
     /// panic unwinds: run it under [`guarded`].
     fn step(&mut self, pick: usize) -> Option<(Violation, String)> {
         let idx = self.ready[pick.min(self.ready.len() - 1)];
-        let notes = self.eng.run_pending(idx).expect("ready event vanished");
+        self.notes.clear();
+        let fired = self.eng.run_pending_into(idx, &mut self.notes);
+        assert!(fired, "ready event vanished");
         self.steps += 1;
         let v = self
             .oracle
-            .note(&notes, &self.eng)
+            .note(&self.notes, &self.eng)
             .or_else(|| self.oracle.check_step(&self.eng));
         match v {
             Some(v) => Some((v, self.trace())),
@@ -334,7 +341,9 @@ thread_local! {
 /// Such a panic prints nothing: on first use this installs a panic hook
 /// that is silent inside `guarded` and defers to the previous hook
 /// everywhere else.
-fn guarded(f: impl FnOnce() -> Option<(Violation, String)>) -> Option<(Violation, String)> {
+pub(crate) fn guarded(
+    f: impl FnOnce() -> Option<(Violation, String)>,
+) -> Option<(Violation, String)> {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();

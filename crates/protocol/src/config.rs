@@ -8,7 +8,9 @@ use cenju4_directory::{DirectoryId, SystemSize, SystemSizeError};
 use cenju4_network::{FaultPlan, MulticastMode, NetParams};
 use core::fmt;
 
-/// Why [`SystemConfigBuilder::build`] rejected a configuration.
+/// Why [`SystemConfigBuilder::build`] rejected a configuration, or (for
+/// [`ConfigError::ArrayTooLarge`]) why a workload cannot be laid out on
+/// the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// The node count is outside the machine's 2..=1024 range.
@@ -38,6 +40,15 @@ pub enum ConfigError {
     /// one and 65,535 sets of `cache_assoc` 128-byte lines (zero
     /// associativity included).
     CacheGeometry,
+    /// A workload's shared array needs more blocks than a shared array's
+    /// address field holds: the problem scale is too large for the
+    /// application.
+    ArrayTooLarge {
+        /// The blocks the array needs.
+        blocks: u32,
+        /// The most blocks one shared array can hold.
+        max: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -62,6 +73,10 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::CacheGeometry => f.write_str(
                 "cache capacity must be a whole number of 1 to 65535 sets of cache_assoc 128-byte lines",
+            ),
+            ConfigError::ArrayTooLarge { blocks, max } => write!(
+                f,
+                "shared array of {blocks} blocks exceeds the {max}-block limit; lower the scale"
             ),
         }
     }

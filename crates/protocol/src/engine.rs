@@ -16,7 +16,7 @@ use crate::messages::{ProtoMsg, TxnId};
 use crate::modules::bus::{
     BusMsg, GatherTimerOutcome, LinkTimerOutcome, MessageBus, NodeHealth, PendingEvent,
 };
-use crate::modules::{Ctx, NodeShard};
+use crate::modules::{Ctx, NodeShard, TouchLog};
 use crate::observer::{Observer, ObserverSet, TraceObserver};
 use crate::params::{FaultInjection, ProtoParams, ProtocolKind, RecoveryError, RecoveryParams};
 use crate::stats::EngineStats;
@@ -211,6 +211,9 @@ pub struct Engine {
     /// a quarantined owner — the home's memory is stale and the fresh
     /// value is unrecoverable. Value/convergence oracles skip these.
     lost_blocks: FxHashSet<Addr>,
+    /// The blocks the last dispatch wrote (controlled engines only; see
+    /// [`Engine::touched_blocks`]).
+    touched: TouchLog,
     /// Dispatch steps executed (one per event routed by [`Engine::run_next`]).
     steps: u64,
 }
@@ -247,6 +250,7 @@ impl Engine {
             stalled: false,
             ever_down: FxHashSet::default(),
             lost_blocks: FxHashSet::default(),
+            touched: TouchLog::default(),
             steps: 0,
         }
     }
@@ -282,6 +286,7 @@ impl Engine {
             stalled: self.stalled,
             ever_down: self.ever_down.clone(),
             lost_blocks: self.lost_blocks.clone(),
+            touched: self.touched.clone(),
             steps: self.steps,
         })
     }
@@ -342,6 +347,7 @@ impl Engine {
     /// issued; mutually exclusive with timing jitter.
     pub fn enable_controlled_schedule(&mut self) {
         self.bus.enable_controlled();
+        self.touched.on = true;
     }
 
     /// Whether the engine is in controlled-schedule mode.
@@ -367,6 +373,26 @@ impl Engine {
         self.bus.ready_into(out);
     }
 
+    /// The blocks whose coherence state the last dispatch of a
+    /// controlled engine wrote, without duplicates: a cache line's state
+    /// or data at any node, a directory entry's state or sharer map, a
+    /// home memory word. The blocks its [`Notification::Completed`] and
+    /// [`Notification::RecoveryFailed`] notifications name are included
+    /// too: a completed or abandoned store leaves the outstanding-store
+    /// set, which can shrink the values a copy may legally hold without
+    /// any write. Empty on an uncontrolled engine.
+    ///
+    /// Two changes are deliberately left out, because they can only
+    /// remove copies from the oracles' view or exempt them, never break
+    /// an invariant: the victim a fill evicts, and a node joining
+    /// [`Engine::was_ever_down`] or a block joining
+    /// [`Engine::value_compromised`]. A checker that re-checks only these
+    /// blocks after a step therefore reaches the verdict a full scan
+    /// would.
+    pub fn touched_blocks(&self) -> &[Addr] {
+        &self.touched.blocks
+    }
+
     /// Number of parked events in a controlled engine.
     pub fn pending_event_count(&self) -> usize {
         self.bus.held_len()
@@ -374,16 +400,38 @@ impl Engine {
 
     /// Fires the parked event at sorted position `choice` (an index into
     /// [`Engine::pending_events`]), returning the notifications it
-    /// produced, or `None` when no events remain.
+    /// produced, or `None` when no events remain. Allocates a fresh
+    /// `Vec` per call; a step loop reuses one buffer through
+    /// [`Engine::run_pending_into`] instead.
     ///
     /// # Panics
     ///
     /// Panics if the chosen event is not ready — firing it would reorder
     /// an in-order delivery channel the real network guarantees.
     pub fn run_pending(&mut self, choice: usize) -> Option<Vec<Notification>> {
-        let (at, ev) = self.bus.pop_held(choice)?;
+        let mut notes = Vec::new();
+        self.run_pending_into(choice, &mut notes).then_some(notes)
+    }
+
+    /// [`Engine::run_pending`] in [`Engine::run_next`]'s shape: fires the
+    /// parked event at sorted position `choice`, appending the
+    /// notifications it produced to `notes`. Returns `false`, touching
+    /// nothing, when no events remain. A checker that clears `notes`
+    /// between steps allocates nothing per step once the buffer has
+    /// grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chosen event is not ready.
+    pub fn run_pending_into(&mut self, choice: usize, notes: &mut Vec<Notification>) -> bool {
+        let Some((at, ev)) = self.bus.pop_held(choice) else {
+            return false;
+        };
         self.dispatch(at, ev);
-        Some(std::mem::take(&mut self.notifications))
+        if !self.notifications.is_empty() {
+            notes.append(&mut self.notifications);
+        }
+        true
     }
 
     /// Enables protocol event tracing, retaining the most recent
@@ -609,13 +657,12 @@ impl Engine {
     /// yet graduated, across all masters (checker observability: under
     /// an update protocol, a copy may legitimately hold one of these
     /// mid-push).
-    pub fn outstanding_store_values(&self, addr: Addr) -> Vec<u64> {
+    pub fn outstanding_store_values(&self, addr: Addr) -> impl Iterator<Item = u64> + '_ {
         self.shards
             .iter()
             .flat_map(|s| s.master.outstanding.values())
-            .filter(|t| t.op == MemOp::Store && t.addr == addr)
+            .filter(move |t| t.op == MemOp::Store && t.addr == addr)
             .map(|t| t.store_value)
-            .collect()
     }
 
     /// Requests currently parked in `home`'s main-memory queue.
@@ -883,6 +930,7 @@ impl Engine {
     /// fault log is drained and the stall watchdog checked.
     fn dispatch(&mut self, at: SimTime, ev: BusMsg) {
         self.steps += 1;
+        self.touched.blocks.clear();
         self.dispatch_inner(at, ev);
         for e in self.bus.take_fault_events() {
             self.observers.on_fault_injected(&e);
@@ -1024,6 +1072,7 @@ impl Engine {
             bus: &mut self.bus,
             obs: &mut self.observers,
             notes: &mut self.notifications,
+            touched: &mut self.touched,
             protocol: self.coherence.protocol(),
             marked: &self.update_blocks,
             fault: self.fault,
@@ -1102,6 +1151,11 @@ impl Engine {
 
     /// Reports a recovery-budget exhaustion to observers and the driver.
     fn recovery_failed(&mut self, at: SimTime, error: RecoveryError) {
+        if let RecoveryError::TransactionTimeout { addr, .. }
+        | RecoveryError::NodeUnavailable { addr, .. } = error
+        {
+            self.touched.note(addr);
+        }
         self.observers.on_recovery_error(at, &error);
         self.notifications
             .push(Notification::RecoveryFailed { at, error });
@@ -1170,6 +1224,7 @@ impl Engine {
                 bus: &mut self.bus,
                 obs: &mut self.observers,
                 notes: &mut self.notifications,
+                touched: &mut self.touched,
                 protocol: self.coherence.protocol(),
                 marked: &self.update_blocks,
                 fault: self.fault,
@@ -1192,7 +1247,10 @@ impl Engine {
             if h == node {
                 continue;
             }
-            let scrub = self.shards[h.as_usize()].home.scrub_node(node, self.sys);
+            let scrub =
+                self.shards[h.as_usize()]
+                    .home
+                    .scrub_node(node, self.sys, &mut self.touched);
             self.lost_blocks.extend(scrub.lost);
             for msg in scrub.replies {
                 let ctx = &mut Ctx {
@@ -1202,6 +1260,7 @@ impl Engine {
                     bus: &mut self.bus,
                     obs: &mut self.observers,
                     notes: &mut self.notifications,
+                    touched: &mut self.touched,
                     protocol: self.coherence.protocol(),
                     marked: &self.update_blocks,
                     fault: self.fault,
@@ -1246,14 +1305,16 @@ impl Engine {
         self.bus.set_node_health(node, NodeHealth::Up);
         self.bus.reset_node_links(node);
         let shard = &mut self.shards[node.as_usize()];
-        shard.master.rejoin_cold();
-        shard.home.rejoin_cold();
+        shard.master.rejoin_cold(&mut self.touched);
+        shard.home.rejoin_cold(&mut self.touched);
         for i in 0..self.sys.nodes() {
             let m = NodeId::new(i);
             if m == node {
                 continue;
             }
-            self.shards[m.as_usize()].master.drop_blocks_homed_at(node);
+            self.shards[m.as_usize()]
+                .master
+                .drop_blocks_homed_at(node, &mut self.touched);
         }
         self.observers.on_node_rejoined(at, node);
     }

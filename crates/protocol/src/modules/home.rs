@@ -8,7 +8,7 @@
 use crate::addr::Addr;
 use crate::cache::CacheState;
 use crate::messages::{ProtoMsg, ReqKind, TxnId};
-use crate::modules::Ctx;
+use crate::modules::{Ctx, TouchLog};
 use crate::observer::{ModuleKind, PhaseKind};
 use crate::params::ProtocolKind;
 use crate::service::ServiceQueue;
@@ -99,9 +99,24 @@ impl HomeModule {
             .or_insert_with(|| DirectoryEntry::with_format(sys, format))
     }
 
+    /// `addr`'s directory entry for a write to its state or sharer map,
+    /// recorded in the dispatch's [`TouchLog`]. Reservation-bit writes go
+    /// through [`HomeModule::entry`]: the bit is queue-wakeup metadata
+    /// that no step oracle reads.
+    fn entry_mut(&mut self, ctx: &mut Ctx, addr: Addr) -> &mut DirectoryEntry {
+        ctx.touch(addr);
+        self.entry(ctx.sys, addr)
+    }
+
     /// The data in `addr`'s home memory (0 if never written).
     pub(crate) fn mem_value(&self, addr: Addr) -> u64 {
         self.mem.get(&addr).copied().unwrap_or(0)
+    }
+
+    /// Writes `value` to `addr`'s home memory.
+    fn write_mem(&mut self, ctx: &mut Ctx, addr: Addr, value: u64) {
+        ctx.touch(addr);
+        self.mem.insert(addr, value);
     }
 
     // ------------------------------------------------------------------
@@ -114,7 +129,12 @@ impl HomeModule {
     /// engine) applies the returned replies through the normal
     /// [`HomeModule::reply_recv`] path *after* this returns, so grants
     /// and queue wakeups land on already-scrubbed maps.
-    pub(crate) fn scrub_node(&mut self, dead: NodeId, sys: SystemSize) -> NodeScrub {
+    pub(crate) fn scrub_node(
+        &mut self,
+        dead: NodeId,
+        sys: SystemSize,
+        touched: &mut TouchLog,
+    ) -> NodeScrub {
         let mut replies = Vec::new();
         let mut lost = Vec::new();
         let mut addrs: Vec<Addr> = self.pending.keys().copied().collect();
@@ -163,6 +183,7 @@ impl HomeModule {
         // not observer-visible: there is no protocol event to hang them
         // on, and the oracles exempt compromised blocks anyway.)
         for (addr, e) in self.directory.iter_mut() {
+            touched.note(*addr);
             if e.state() == MemState::Dirty && e.map().solo() == Some(dead) {
                 e.set_state(MemState::Clean);
                 e.map_mut().clear();
@@ -189,14 +210,17 @@ impl HomeModule {
 
     /// A revived home restarts with an empty directory — no record of
     /// remote copies survives the outage — while main memory persists.
-    pub(crate) fn rejoin_cold(&mut self) {
+    pub(crate) fn rejoin_cold(&mut self, touched: &mut TouchLog) {
+        for &addr in self.directory.keys() {
+            touched.note(addr);
+        }
         self.directory.clear();
     }
 
     /// Sets the directory state of `addr`, notifying observers.
     fn set_state(&mut self, ctx: &mut Ctx, at: SimTime, addr: Addr, to: MemState) {
         let node = self.node;
-        let e = self.entry(ctx.sys, addr);
+        let e = self.entry_mut(ctx, addr);
         let from = e.state();
         e.set_state(to);
         if from != to {
@@ -220,14 +244,14 @@ impl HomeModule {
                     at,
                     params.home_wb,
                 );
-                self.mem.insert(addr, value);
+                self.write_mem(ctx, addr, value);
                 if self.entry(ctx.sys, addr).state() == MemState::Dirty {
                     debug_assert!(
                         self.entry(ctx.sys, addr).map().contains(from),
                         "writeback from non-owner"
                     );
                     self.set_state(ctx, at, addr, MemState::Clean);
-                    self.entry(ctx.sys, addr).map_mut().clear();
+                    self.entry_mut(ctx, addr).map_mut().clear();
                 }
                 // Otherwise: data written to memory, directory unchanged
                 // (the pending transaction in flight will supersede it).
@@ -374,7 +398,7 @@ impl HomeModule {
                     );
                     let mem = self.mem_value(addr);
                     self.set_state(ctx, at, addr, MemState::Dirty);
-                    self.entry(ctx.sys, addr).map_mut().set_only(master);
+                    self.entry_mut(ctx, addr).map_mut().set_only(master);
                     ctx.send(
                         done,
                         self.node,
@@ -395,7 +419,7 @@ impl HomeModule {
                         params.home_clean,
                     );
                     let mem = self.mem_value(addr);
-                    self.entry(ctx.sys, addr).map_mut().add(master);
+                    self.entry_mut(ctx, addr).map_mut().add(master);
                     ctx.send(
                         done,
                         self.node,
@@ -452,7 +476,7 @@ impl HomeModule {
                     );
                     let mem = self.mem_value(addr);
                     self.set_state(ctx, at, addr, MemState::Dirty);
-                    self.entry(ctx.sys, addr).map_mut().set_only(master);
+                    self.entry_mut(ctx, addr).map_mut().set_only(master);
                     ctx.send(
                         done,
                         self.node,
@@ -533,7 +557,7 @@ impl HomeModule {
                         params.home_fwd,
                     );
                     self.set_state(ctx, at, addr, MemState::Dirty);
-                    self.entry(ctx.sys, addr).map_mut().set_only(master);
+                    self.entry_mut(ctx, addr).map_mut().set_only(master);
                     ctx.send(done, self.node, master, ProtoMsg::AckReply { addr, txn });
                 } else if state == MemState::Clean && master_in_map && has_others {
                     let done = ctx.begin(
@@ -574,8 +598,8 @@ impl HomeModule {
             at,
             params.home_wb,
         );
-        self.mem.insert(addr, value);
-        self.entry(ctx.sys, addr).map_mut().add(master);
+        self.write_mem(ctx, addr, value);
+        self.entry_mut(ctx, addr).map_mut().add(master);
         let spec = self.push_spec(ctx.sys, addr, master);
         let targets = spec.fanout(ctx.sys);
         if targets == 0 {
@@ -825,7 +849,7 @@ impl HomeModule {
                 let done = ctx.begin(&mut self.input_q, self.node, ModuleKind::Home, at, service);
                 if with_data {
                     // The owner's modified line is written back to memory.
-                    self.mem.insert(addr, value);
+                    self.write_mem(ctx, addr, value);
                 }
                 let mem = self.mem_value(addr);
                 let Some(p) = self.pending.remove(&addr) else {
@@ -851,7 +875,7 @@ impl HomeModule {
                     if p.kind == ReqKind::ReadExclusive {
                         // The owner invalidated its copy for this grant;
                         // nobody holds the block now.
-                        self.entry(ctx.sys, addr).map_mut().clear();
+                        self.entry_mut(ctx, addr).map_mut().clear();
                     }
                     self.drain_queue(ctx, done, addr);
                     return;
@@ -859,7 +883,7 @@ impl HomeModule {
                 match p.kind {
                     ReqKind::ReadShared => {
                         self.set_state(ctx, at, addr, MemState::Clean);
-                        self.entry(ctx.sys, addr).map_mut().add(p.master);
+                        self.entry_mut(ctx, addr).map_mut().add(p.master);
                         ctx.send(
                             done,
                             self.node,
@@ -874,7 +898,7 @@ impl HomeModule {
                     }
                     ReqKind::ReadExclusive => {
                         self.set_state(ctx, at, addr, MemState::Dirty);
-                        self.entry(ctx.sys, addr).map_mut().set_only(p.master);
+                        self.entry_mut(ctx, addr).map_mut().set_only(p.master);
                         ctx.send(
                             done,
                             self.node,
@@ -949,8 +973,8 @@ impl HomeModule {
                     match p.kind {
                         // An update push leaves the (live) subscribers
                         // valid; only the dead writer is scrubbed.
-                        ReqKind::Update => self.entry(ctx.sys, addr).map_mut().scrub(p.master),
-                        _ => self.entry(ctx.sys, addr).map_mut().clear(),
+                        ReqKind::Update => self.entry_mut(ctx, addr).map_mut().scrub(p.master),
+                        _ => self.entry_mut(ctx, addr).map_mut().clear(),
                     }
                     self.drain_queue(ctx, done, addr);
                     return;
@@ -981,7 +1005,7 @@ impl HomeModule {
                         );
                         let mem = self.mem_value(addr);
                         self.set_state(ctx, at, addr, MemState::Dirty);
-                        self.entry(ctx.sys, addr).map_mut().set_only(p.master);
+                        self.entry_mut(ctx, addr).map_mut().set_only(p.master);
                         ctx.send(
                             done,
                             self.node,
@@ -1004,7 +1028,7 @@ impl HomeModule {
                             params.home_from_ack,
                         );
                         self.set_state(ctx, at, addr, MemState::Dirty);
-                        self.entry(ctx.sys, addr).map_mut().set_only(p.master);
+                        self.entry_mut(ctx, addr).map_mut().set_only(p.master);
                         ctx.send(done, self.node, p.master, ProtoMsg::AckReply { addr, txn });
                         self.drain_queue(ctx, done, addr);
                     }

@@ -11,7 +11,7 @@ use crate::coherence::AccessDecision;
 use crate::engine::MemOp;
 use crate::messages::{ProtoMsg, ReqKind, TxnId};
 use crate::modules::bus::BusMsg;
-use crate::modules::Ctx;
+use crate::modules::{Ctx, TouchLog};
 use crate::observer::{ModuleKind, PhaseKind};
 use crate::params::{ProtoParams, RecoveryError};
 use crate::service::ServiceQueue;
@@ -72,6 +72,7 @@ impl MasterModule {
     ) {
         let from = self.cache.state(addr);
         self.cache.set_state(addr, to);
+        ctx.touch(addr);
         if from != to {
             ctx.on_cache_transition(at, self.node, addr, from, to);
         }
@@ -84,6 +85,7 @@ impl MasterModule {
         addr: Addr,
     ) -> CacheState {
         let from = self.cache.invalidate(addr);
+        ctx.touch(addr);
         if from != CacheState::Invalid {
             ctx.on_cache_transition(at, self.node, addr, from, CacheState::Invalid);
         }
@@ -101,8 +103,17 @@ impl MasterModule {
         value: u64,
     ) -> Option<Victim> {
         let victim = self.cache.fill_value(addr, state, value);
+        // The victim's block is not recorded: losing a copy can break no
+        // step oracle (see `Engine::touched_blocks`).
+        ctx.touch(addr);
         ctx.on_cache_transition(at, self.node, addr, CacheState::Invalid, state);
         victim
+    }
+
+    /// Overwrites the data of this node's present copy of `addr`.
+    pub(crate) fn set_cache_value(&mut self, ctx: &mut Ctx, addr: Addr, value: u64) {
+        self.cache.set_value(addr, value);
+        ctx.touch(addr);
     }
 
     /// Writes back a displaced dirty line to its home.
@@ -148,7 +159,7 @@ impl MasterModule {
                 let v = match op {
                     MemOp::Load => self.cache.value(addr),
                     MemOp::Store => {
-                        self.cache.set_value(addr, txn + 1);
+                        self.set_cache_value(ctx, addr, txn + 1);
                         txn + 1
                     }
                 };
@@ -157,7 +168,7 @@ impl MasterModule {
             }
             AccessDecision::StoreUpgrade => {
                 self.set_cache_state(ctx, at, addr, CacheState::Modified);
-                self.cache.set_value(addr, txn + 1);
+                self.set_cache_value(ctx, addr, txn + 1);
                 ctx.complete(self.node, txn, op, addr, at, hit_done, true, false, txn + 1);
                 self.drain_backlog(ctx, hit_done);
             }
@@ -379,7 +390,7 @@ impl MasterModule {
                 };
                 let victim = if self.cache.state(addr) != CacheState::Invalid {
                     self.set_cache_state(ctx, at, addr, grant);
-                    self.cache.set_value(addr, observed);
+                    self.set_cache_value(ctx, addr, observed);
                     None
                 } else {
                     self.fill_cache(ctx, at, addr, grant, observed)
@@ -424,7 +435,7 @@ impl MasterModule {
                     }
                     s if s.readable() && !s.writable() => {
                         self.set_cache_state(ctx, at, addr, grant);
-                        self.cache.set_value(addr, t.store_value);
+                        self.set_cache_value(ctx, addr, t.store_value);
                         None
                     }
                     other => unreachable!("store ack with {other} copy"),
@@ -483,7 +494,12 @@ impl MasterModule {
 
     /// A revived master restarts cold: nothing survives in the L2 or
     /// the main-memory third-level cache.
-    pub(crate) fn rejoin_cold(&mut self) {
+    pub(crate) fn rejoin_cold(&mut self, touched: &mut TouchLog) {
+        if touched.on {
+            for addr in self.cache.resident() {
+                touched.note(addr);
+            }
+        }
         self.cache.clear();
         self.l3.clear();
     }
@@ -491,10 +507,11 @@ impl MasterModule {
     /// Drops every cached copy of a block homed at `home` — the rejoin
     /// handshake after `home` revived with an empty directory, which no
     /// longer knows this node holds them.
-    pub(crate) fn drop_blocks_homed_at(&mut self, home: NodeId) {
+    pub(crate) fn drop_blocks_homed_at(&mut self, home: NodeId, touched: &mut TouchLog) {
         for addr in self.cache.resident() {
             if addr.home() == home {
                 self.cache.invalidate(addr);
+                touched.note(addr);
             }
         }
         self.l3.retain(|addr, _| addr.home() != home);

@@ -65,6 +65,37 @@ impl NodeShard {
     }
 }
 
+/// The blocks whose coherence state (a cache line's state or data, a
+/// directory entry's state or sharer map, a home memory word) the
+/// current dispatch wrote, plus the blocks its completions and recovery
+/// errors name. Recorded only on a controlled engine, for the checker's
+/// per-step oracles (see `Engine::touched_blocks`); every other engine
+/// pays one predictable branch per write. No duplicates, in first-touch
+/// order.
+#[derive(Clone, Default)]
+pub(crate) struct TouchLog {
+    pub on: bool,
+    pub blocks: Vec<Addr>,
+}
+
+impl TouchLog {
+    #[inline]
+    pub(crate) fn note(&mut self, addr: Addr) {
+        if self.on {
+            self.record(addr);
+        }
+    }
+
+    // Out of line, so the write sites an uncontrolled engine runs carry
+    // only the `on` test.
+    #[inline(never)]
+    fn record(&mut self, addr: Addr) {
+        if !self.blocks.contains(&addr) {
+            self.blocks.push(addr);
+        }
+    }
+}
+
 /// Per-event handler context: the shared machine configuration plus the
 /// engine seam (bus, observers, driver notifications). Handed by the
 /// dispatcher to every module handler, so the modules themselves own
@@ -76,6 +107,9 @@ pub(crate) struct Ctx<'a> {
     pub bus: &'a mut MessageBus,
     pub obs: &'a mut ObserverSet,
     pub notes: &'a mut Vec<Notification>,
+    /// The dispatch's write record; handlers call [`Ctx::touch`] at
+    /// every coherence-state write.
+    pub touched: &'a mut TouchLog,
     /// The machine's coherence protocol (the [`CoherenceProtocol`]
     /// seam); read it per block through [`Ctx::protocol_for`].
     pub protocol: &'static dyn CoherenceProtocol,
@@ -95,6 +129,12 @@ impl Ctx<'_> {
         } else {
             self.protocol
         }
+    }
+
+    /// Records that this dispatch wrote `addr`'s coherence state.
+    #[inline]
+    pub(crate) fn touch(&mut self, addr: Addr) {
+        self.touched.note(addr);
     }
 
     /// Sends a protocol message and notifies observers. A message for a
@@ -222,6 +262,10 @@ impl Ctx<'_> {
         l3: bool,
         value: u64,
     ) {
+        // A completed store leaves the outstanding-store set for the
+        // oracle's history, so the block is re-checked even when nothing
+        // was written.
+        self.touch(addr);
         self.obs.on_complete(finished, node, txn, op, addr, hit, l3);
         self.note(Notification::Completed {
             node,

@@ -113,7 +113,7 @@ impl SlaveModule {
                     // pusher is the last writer now.
                     let state = master.cache.state(addr);
                     if state.readable() {
-                        master.cache.set_value(addr, value);
+                        master.set_cache_value(ctx, addr, value);
                         if state == CacheState::SharedModified {
                             master.set_cache_state(ctx, at, addr, CacheState::Shared);
                         }

@@ -27,6 +27,9 @@ impl Mapping {
     }
 }
 
+/// The most blocks one shared array holds (1 MB of 128-byte blocks).
+pub const MAX_BLOCKS: u32 = 1 << 13;
+
 /// A distributed shared array of `blocks` 128-byte blocks.
 ///
 /// Each array instance gets a distinct `array_id` so two arrays never
@@ -55,12 +58,12 @@ impl SharedArray {
     ///
     /// # Panics
     ///
-    /// Panics if `blocks == 0`, `nodes == 0`, or `array_id >= 512`
-    /// (the id shares the 29-bit block-offset space).
+    /// Panics if `blocks == 0`, `blocks > MAX_BLOCKS`, `nodes == 0`, or
+    /// `array_id >= 512` (the id shares the 29-bit block-offset space).
     pub fn new(array_id: u32, blocks: u32, nodes: u16, mapping: Mapping) -> Self {
         assert!(blocks > 0 && nodes > 0);
         assert!(array_id < 512, "array id field is 9 bits");
-        assert!(blocks <= 1 << 13, "array limited to 8192 blocks (1 MB)");
+        assert!(blocks <= MAX_BLOCKS, "array limited to 8192 blocks (1 MB)");
         SharedArray {
             array_id,
             blocks,

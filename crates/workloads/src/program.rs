@@ -8,10 +8,10 @@
 //! program therefore holds O(nodes) state, whatever the problem size.
 
 use crate::apps::{AppKind, AppParams, Variant};
-use crate::array::{Mapping, SharedArray};
+use crate::array::{Mapping, SharedArray, MAX_BLOCKS};
 use cenju4_des::Duration;
 use cenju4_directory::NodeId;
-use cenju4_sim::{Program, Step, SystemConfig};
+use cenju4_sim::{ConfigError, Program, Step, SystemConfig};
 use std::ops::Range;
 
 #[cfg(test)]
@@ -56,6 +56,11 @@ impl KernelProgram {
     /// For [`Variant::Seq`] the whole problem runs on node 0 and `mapping`
     /// is ignored; for [`Variant::Mpi`] `mapping` is ignored (message
     /// passing uses private memory only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shared-memory variant's arrays would exceed
+    /// [`MAX_BLOCKS`]; [`KernelProgram::try_build`] reports that instead.
     pub fn build(
         app: AppKind,
         variant: Variant,
@@ -63,7 +68,32 @@ impl KernelProgram {
         cfg: &SystemConfig,
         scale: f64,
     ) -> KernelProgram {
+        Self::try_build(app, variant, mapping, cfg, scale)
+            .unwrap_or_else(|e| panic!("program build rejected: {e}"))
+    }
+
+    /// [`KernelProgram::build`], returning
+    /// [`ConfigError::ArrayTooLarge`] for a `scale` at which a
+    /// shared-memory variant's arrays exceed [`MAX_BLOCKS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::ArrayTooLarge`] for an oversized array.
+    pub fn try_build(
+        app: AppKind,
+        variant: Variant,
+        mapping: bool,
+        cfg: &SystemConfig,
+        scale: f64,
+    ) -> Result<KernelProgram, ConfigError> {
         let p = AppParams::for_app(app, scale);
+        let shared = matches!(variant, Variant::Dsm1 | Variant::Dsm2);
+        if shared && p.blocks > MAX_BLOCKS {
+            return Err(ConfigError::ArrayTooLarge {
+                blocks: p.blocks,
+                max: MAX_BLOCKS,
+            });
+        }
         let nodes = cfg.sys.nodes();
         let mapping = Mapping::from_flag(mapping);
         let array = |id| SharedArray::new(id, p.blocks, nodes, mapping);
@@ -100,10 +130,10 @@ impl KernelProgram {
                 dsm2: v == Variant::Dsm2,
             },
         };
-        KernelProgram {
+        Ok(KernelProgram {
             gen: Generator { kernel, p, nodes },
             cursors: vec![Cursor::START; nodes as usize],
-        }
+        })
     }
 
     /// Estimated instructions node `node` executes over the whole

@@ -9,7 +9,9 @@ use cenju4_sim::{ConfigError, Driver, RunReport, SystemConfig};
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] for invalid node counts.
+/// Returns [`ConfigError`] for invalid node counts, and
+/// [`ConfigError::ArrayTooLarge`] for a `scale` whose shared arrays
+/// exceed [`MAX_BLOCKS`](crate::array::MAX_BLOCKS).
 pub fn run_workload(
     app: AppKind,
     variant: Variant,
@@ -23,6 +25,10 @@ pub fn run_workload(
 
 /// Like [`run_workload`] but against a caller-supplied machine
 /// configuration (for ablations: no multicast, nack protocol, …).
+///
+/// # Errors
+///
+/// Returns [`ConfigError::ArrayTooLarge`] for an oversized `scale`.
 pub fn run_workload_on(
     cfg: &SystemConfig,
     app: AppKind,
@@ -30,7 +36,7 @@ pub fn run_workload_on(
     mapping: bool,
     scale: f64,
 ) -> Result<RunReport, ConfigError> {
-    let prog = KernelProgram::build(app, variant, mapping, cfg, scale);
+    let prog = KernelProgram::try_build(app, variant, mapping, cfg, scale)?;
     Ok(Driver::new(cfg, prog).run())
 }
 
@@ -42,11 +48,12 @@ pub fn run_workload_on(
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] for invalid node counts.
+/// Returns [`ConfigError`] for invalid node counts, and
+/// [`ConfigError::ArrayTooLarge`] for an oversized `scale`.
 pub fn run_cg_with_update(nodes: u16, scale: f64) -> Result<RunReport, ConfigError> {
     use crate::array::{Mapping, SharedArray};
     let cfg = SystemConfig::builder(nodes).build()?;
-    let prog = KernelProgram::build(AppKind::Cg, Variant::Dsm2, true, &cfg, scale);
+    let prog = KernelProgram::try_build(AppKind::Cg, Variant::Dsm2, true, &cfg, scale)?;
     let mut driver = Driver::new(&cfg, prog);
     let p = crate::apps::AppParams::for_app(AppKind::Cg, scale);
     for array_id in [0u32, 1] {
@@ -223,6 +230,27 @@ mod tests {
     fn mpi_scales_well() {
         let e = efficiency(AppKind::Bt, Variant::Mpi, true, 8, SCALE).unwrap();
         assert!(e > 0.5, "mpi efficiency {e:.2} too low");
+    }
+
+    /// A scale whose shared arrays exceed `MAX_BLOCKS` is a typed error,
+    /// not a panic inside `SharedArray::new`; the largest scale that fits
+    /// still builds.
+    #[test]
+    fn oversized_arrays_are_a_config_error() {
+        use crate::array::MAX_BLOCKS;
+        let err = run_workload(AppKind::Bt, Variant::Dsm1, true, 4, 4.5).unwrap_err();
+        assert!(
+            matches!(err, ConfigError::ArrayTooLarge { blocks, max: MAX_BLOCKS } if blocks > MAX_BLOCKS),
+            "{err:?}"
+        );
+        assert!(matches!(
+            run_cg_with_update(4, 8.5),
+            Err(ConfigError::ArrayTooLarge { .. })
+        ));
+        let cfg = SystemConfig::builder(4).build().unwrap();
+        assert!(KernelProgram::try_build(AppKind::Bt, Variant::Dsm1, true, &cfg, 4.0).is_ok());
+        // The sequential and MPI programs lay out no shared array.
+        assert!(KernelProgram::try_build(AppKind::Bt, Variant::Seq, true, &cfg, 4.5).is_ok());
     }
 
     #[test]

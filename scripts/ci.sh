@@ -136,6 +136,10 @@ check_smoke() {
     # DPOR soundness: reduction preserves the falsifiable-oracle set for
     # every (protocol, directory) pair, green and mutated.
     cargo test --release --offline -q -p cenju4-check --test dpor_soundness
+    # The touched-block step oracles against the full-scan reference over
+    # the green scenarios and every mutant, and the step allocation pin,
+    # in the release profile the checker runs in.
+    cargo test --release --offline -q -p cenju4-check --lib --test step_alloc
 }
 
 fault_smoke() {
