@@ -183,7 +183,8 @@ impl Exploration {
 
 /// An engine position under the controlled scheduler: the engine, its
 /// oracles, and its ready set. [`run_one`] drives one from the initial
-/// state; the reduced explorer forks and restores them to backtrack.
+/// state; the reduced explorer copies them into recycled positions to
+/// backtrack.
 pub(crate) struct Stepper {
     cfg: CheckConfig,
     eng: Engine,
@@ -227,6 +228,26 @@ impl Stepper {
             notes: Vec::new(),
             steps: self.steps,
         }
+    }
+
+    /// Overwrites `dst`, a position of any scenario, with a copy of this
+    /// one (see [`Engine::fork_into`]), reusing its buffers.
+    pub(crate) fn fork_into(&self, dst: &mut Stepper) {
+        let Stepper {
+            cfg,
+            eng,
+            oracle,
+            ready,
+            notes,
+            steps,
+        } = dst;
+        *cfg = self.cfg;
+        let forked = self.eng.fork_into(eng);
+        assert!(forked, "checker engines carry forkable observers");
+        oracle.clone_from(&self.oracle);
+        ready.clone_from(&self.ready);
+        notes.clear();
+        *steps = self.steps;
     }
 
     /// The choice indices of the ready events; empty exactly when the
@@ -327,6 +348,17 @@ impl Stepper {
             .check_quiescent(&self.eng, self.cfg.issued_ops())
             .map(|v| (v, self.trace()))
     }
+}
+
+/// Test hook, not API: builds two positions of `cfg`, both after the
+/// known-green `picks`, and returns a closure that copies the first into
+/// the second with `Stepper::fork_into` (the allocation pins measure
+/// that copy).
+#[doc(hidden)]
+pub fn fork_into_probe(cfg: &CheckConfig, picks: &[usize]) -> impl FnMut() {
+    let src = Stepper::replay_green(cfg, picks);
+    let mut dst = Stepper::replay_green(cfg, picks);
+    move || src.fork_into(&mut dst)
 }
 
 thread_local! {

@@ -49,7 +49,6 @@ impl fmt::Display for Violation {
 
 /// Running oracle state: the workload's blocks plus the store/load
 /// history needed by the data-freshness check.
-#[derive(Clone)]
 pub struct OracleState {
     /// The scenario: its blocks' positions index the history below.
     cfg: CheckConfig,
@@ -74,6 +73,16 @@ pub struct OracleState {
     /// escalation (only ever non-zero when `tolerate_node_down`).
     pub abandoned: usize,
 }
+
+cenju4_des::clone_fields!(OracleState {
+    cfg,
+    blocks,
+    last_store,
+    store_values,
+    tolerate_node_down,
+    completed,
+    abandoned,
+});
 
 impl OracleState {
     /// Fresh oracle state for one scenario run.

@@ -366,9 +366,16 @@ struct Frame {
 }
 
 /// Explores the subtree rooted at `st`, the position `prefix` reaches,
-/// depth-first. Backtracking restores the frame's forked snapshot; with
-/// `params.reduce`, maintains a fingerprint table (subset rule), sleep
-/// sets, and on-path cycle detection.
+/// depth-first. Backtracking copies the frame's snapshot back into the
+/// current position; with `params.reduce`, maintains a fingerprint table
+/// (subset rule), sleep sets, and on-path cycle detection.
+///
+/// Positions are recycled, not freed: a snapshot is copied into a spare
+/// position with [`Stepper::fork_into`], which reuses its buffers, and a
+/// position displaced when the last sibling takes its frame's snapshot
+/// over becomes the next spare. A fresh fork happens only when no spare
+/// is left, so the positions alive at once, spares included, never
+/// outnumber the snapshots held at the deepest point plus one.
 fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
     let cfg = params.cfg();
     let mut out = DfsOutcome {
@@ -379,6 +386,8 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
     let mut table: FxHashMap<u64, Vec<Box<[u64]>>> = FxHashMap::default();
     let blocks = cfg.block_addrs();
     let mut stack: Vec<Frame> = Vec::new();
+    // Spare positions, overwritten by the next snapshot.
+    let mut spares: Vec<Stepper> = Vec::new();
     // Fingerprints of the states on `stack`, for livelock detection.
     let mut on_path: Vec<u64> = Vec::new();
     // Picks from the subtree root to the engine's current state.
@@ -517,7 +526,7 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
             }
         }
         if b >= frame.arity {
-            stack.pop();
+            spares.extend(stack.pop().and_then(|f| f.snap));
             on_path.pop();
             if path.pop().is_some() {
                 dirty = true;
@@ -542,10 +551,24 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
         // the last sibling to fire takes the snapshot over.
         let later = (b + 1..frame.arity).any(|c| !slept(frame, c));
         if dirty {
-            st = restore(&mut frame.snap, later);
+            // Overwrites every field, so a position a caught panic
+            // poisoned is fit to reuse.
+            if later {
+                let snap = frame.snap.as_ref().expect("held snapshot");
+                snap.fork_into(&mut st);
+            } else {
+                let snap = frame.snap.take().expect("held snapshot");
+                spares.push(std::mem::replace(&mut st, snap));
+            }
             dirty = false;
         } else if later {
-            frame.snap = Some(st.fork());
+            frame.snap = Some(match spares.pop() {
+                Some(mut spare) => {
+                    st.fork_into(&mut spare);
+                    spare
+                }
+                None => st.fork(),
+            });
         }
         path.push(b);
         out.stats.transitions += 1;
@@ -558,7 +581,7 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
                 record_violation!(v, trace);
                 path.pop();
                 // The engine may be poisoned after a panic; the dirty
-                // restore replaces it.
+                // restore overwrites it.
                 dirty = true;
             }
         }

@@ -39,3 +39,45 @@ pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use stats::{Histogram, HistogramSummary};
 pub use time::{Duration, SimTime};
+
+/// Implements `Clone` for a struct field by field, with a `clone_from`
+/// that calls `clone_from` on every field, so copying into an existing
+/// value reuses its buffers (`Vec`, `VecDeque`, hash tables) instead of
+/// allocating afresh as a derived `clone_from` (`*self = src.clone()`)
+/// does. The field list is given once: `clone` builds a complete struct
+/// literal from it, so a field left out does not compile. Each generic
+/// parameter is bound by `Clone`, plus the bound written after it.
+///
+/// # Examples
+///
+/// ```
+/// struct Log<T> {
+///     name: String,
+///     items: Vec<T>,
+/// }
+/// cenju4_des::clone_fields!(Log<T> { name, items });
+///
+/// let src = Log { name: "a".to_string(), items: vec![1, 2, 3] };
+/// let mut dst = Log { name: String::with_capacity(16), items: Vec::with_capacity(8) };
+/// let buf = dst.items.as_ptr();
+/// dst.clone_from(&src);
+/// assert_eq!(dst.items, [1, 2, 3]);
+/// assert_eq!(dst.items.as_ptr(), buf); // the buffer was reused
+/// assert_eq!(src.clone().name, "a");
+/// ```
+#[macro_export]
+macro_rules! clone_fields {
+    ($name:ident $(<$($g:ident $(: $bound:path)?),+>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$($g: Clone $(+ $bound)?),+>)? Clone for $name$(<$($g),+>)? {
+            fn clone(&self) -> Self {
+                $name {
+                    $($field: Clone::clone(&self.$field)),+
+                }
+            }
+
+            fn clone_from(&mut self, src: &Self) {
+                $(Clone::clone_from(&mut self.$field, &src.$field);)+
+            }
+        }
+    };
+}

@@ -44,7 +44,7 @@ fn key_time(key: Key) -> SimTime {
 /// }
 /// assert_eq!(order, vec![(1, 'a'), (5, 'b')]);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Key>>,
     /// Payloads by slot; `None` marks a free slot.
@@ -55,6 +55,8 @@ pub struct EventQueue<E> {
     seq: u64,
     processed: u64,
 }
+
+crate::clone_fields!(EventQueue<E> { heap, slab, free, now, seq, processed });
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].

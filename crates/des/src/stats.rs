@@ -134,7 +134,7 @@ impl OnlineStats {
 /// assert_eq!(h.bucket_count(1), 1);
 /// assert_eq!(h.bucket_count(9), 1);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Histogram {
     bucket_width: u64,
     counts: Vec<u64>,
@@ -158,6 +158,14 @@ pub struct HistogramSummary {
     /// The exact largest sample (0 if empty).
     pub max: u64,
 }
+
+crate::clone_fields!(Histogram {
+    bucket_width,
+    counts,
+    total,
+    sum,
+    max
+});
 
 impl Histogram {
     /// Creates a histogram with `buckets` buckets of width `bucket_width`

@@ -142,8 +142,6 @@ struct GatherState<P> {
     expected: u32,
     /// Replies injected so far.
     received: u32,
-    /// Hardware mode: per-switch wait patterns, keyed by (stage, label).
-    switches: FxHashMap<(u32, u32), SwitchGather<P>>,
     /// Emulation mode: payload accumulated at the home NIC.
     merged: Option<P>,
 }
@@ -153,7 +151,7 @@ struct GatherState<P> {
 /// See the crate docs for the modeling approach. All methods take the
 /// current simulation time `now`; calls must be made in nondecreasing
 /// `now` order (the discrete-event loop guarantees this).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Fabric<P: Payload> {
     topo: Topology,
     params: NetParams,
@@ -167,6 +165,11 @@ pub struct Fabric<P: Payload> {
     /// Per-node ejection-side NIC reservation.
     eject_free: Vec<SimTime>,
     gathers: FxHashMap<GatherId, GatherState<P>>,
+    /// Hardware mode: the per-switch wait patterns of every open gather,
+    /// keyed by (gather, stage, label). One flat table rather than one
+    /// per gather, so a `clone_from` into a fabric reuses it instead of
+    /// allocating a table for each open gather.
+    switch_gathers: FxHashMap<(GatherId, u32, u32), SwitchGather<P>>,
     next_gather: GatherId,
     stats: NetStats,
     /// Fault-injection plan and its deterministic decision state.
@@ -174,6 +177,21 @@ pub struct Fabric<P: Payload> {
     /// Injected faults awaiting collection by the observer layer.
     fault_events: Vec<FaultEvent>,
 }
+
+cenju4_des::clone_fields!(Fabric<P: Payload> {
+    topo,
+    params,
+    port_free,
+    switches_per_stage,
+    inject_free,
+    eject_free,
+    gathers,
+    switch_gathers,
+    next_gather,
+    stats,
+    fault,
+    fault_events,
+});
 
 impl<P: Payload> Fabric<P> {
     /// Creates a fabric for a machine of the given size.
@@ -190,6 +208,7 @@ impl<P: Payload> Fabric<P> {
             inject_free: vec![SimTime::ZERO; n],
             eject_free: vec![SimTime::ZERO; n],
             gathers: FxHashMap::default(),
+            switch_gathers: FxHashMap::default(),
             next_gather: 0,
             stats: NetStats::new(),
             fault: FaultState::empty(),
@@ -238,13 +257,14 @@ impl<P: Payload> Fabric<P> {
         let mut ids: Vec<GatherId> = self.gathers.keys().copied().collect();
         ids.sort_unstable();
         ids.len().hash(h);
+        let mut switches: Vec<_> = self.switch_gathers.iter().collect();
+        switches.sort_unstable_by_key(|(k, _)| **k);
+        let mut switches = switches.into_iter().peekable();
         for id in ids {
             let g = &self.gathers[&id];
             (id, g.home, g.expected, g.received).hash(h);
-            let mut switches: Vec<(&(u32, u32), &SwitchGather<P>)> = g.switches.iter().collect();
-            switches.sort_by_key(|(k, _)| **k);
-            for (key, sw) in switches {
-                (key, sw.waiting).hash(h);
+            while let Some((&(_, stage, label), sw)) = switches.next_if(|(k, _)| k.0 == id) {
+                ((stage, label), sw.waiting).hash(h);
                 match &sw.merged {
                     Some(p) => {
                         true.hash(h);
@@ -528,7 +548,6 @@ impl<P: Payload> Fabric<P> {
                 spec,
                 expected,
                 received: 0,
-                switches: FxHashMap::default(),
                 merged: None,
             },
         );
@@ -860,11 +879,8 @@ impl<P: Payload> Fabric<P> {
             let spec = self.gathers[&id].spec;
             let topo = self.topo;
             let entry = self
-                .gathers
-                .get_mut(&id)
-                .expect("gather not open")
-                .switches
-                .entry((j, label))
+                .switch_gathers
+                .entry((id, j, label))
                 .or_insert_with(|| {
                     let mut waiting = 0u8;
                     for p in 0..4u8 {
@@ -897,14 +913,16 @@ impl<P: Payload> Fabric<P> {
             // Last awaited reply: the combined message proceeds.
             t = entry.latest;
             carried = entry.merged.take().expect("merged payload present");
-            let st = self.gathers.get_mut(&id).expect("gather not open");
-            st.switches.remove(&(j, label));
+            self.switch_gathers.remove(&(id, j, label));
             let p_out = self.topo.output_port(h, j);
             t = self.cross(j, label, p_out, t, false);
         }
         // Every stage completed: deliver the single combined message.
         let st = self.gathers.remove(&id).expect("gather not open");
-        debug_assert!(st.switches.is_empty(), "stale gather-table entries");
+        debug_assert!(
+            !self.switch_gathers.keys().any(|k| k.0 == id),
+            "stale gather-table entries"
+        );
         debug_assert_eq!(st.received, st.expected, "gather completed early");
         self.stats.gather_concurrency.sub(1);
         self.stats.gather_delivered.incr();
@@ -929,6 +947,7 @@ impl<P: Payload> Fabric<P> {
     /// Panics if `id` is not open.
     pub fn cancel_gather(&mut self, id: GatherId) -> u32 {
         let st = self.gathers.remove(&id).expect("gather not open");
+        self.switch_gathers.retain(|k, _| k.0 != id);
         self.stats.gather_concurrency.sub(1);
         st.expected - st.received
     }

@@ -112,7 +112,7 @@ pub struct NodeDown {
 /// assert!(FaultPlan::none().is_none());
 /// assert!(!FaultPlan::random(42, 10).is_none());
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
     /// Seed for the probabilistic decisions.
     pub seed: u64,
@@ -132,6 +132,17 @@ pub struct FaultPlan {
     /// Node outage windows: every wire touching the node is silenced.
     pub node_down: Vec<NodeDown>,
 }
+
+cenju4_des::clone_fields!(FaultPlan {
+    seed,
+    drop_permille,
+    dup_permille,
+    delay_permille,
+    max_delay_ns,
+    one_shot,
+    down,
+    node_down,
+});
 
 impl FaultPlan {
     /// The lossless fabric: no faults of any kind.
@@ -229,7 +240,7 @@ pub struct FaultEvent {
 /// Mutable decision state for a [`FaultPlan`]: per-link message counters
 /// and per-one-shot hit counters. Owned by the fabric; reset whenever the
 /// plan is replaced.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     /// Messages seen so far per (src, dst) link — the deterministic
@@ -240,6 +251,12 @@ pub(crate) struct FaultState {
     /// Matching messages seen so far per one-shot fault.
     one_shot_seen: Vec<u64>,
 }
+
+cenju4_des::clone_fields!(FaultState {
+    plan,
+    link_seen,
+    one_shot_seen
+});
 
 impl FaultState {
     /// The inert state of a lossless fabric: no table is allocated.

@@ -55,11 +55,13 @@ pub fn port_index(switches_per_stage: u32, stage: u32, label: u32, port: u8) -> 
 
 /// A dense `n × n` table of per-directed-link state, the flat
 /// replacement for `HashMap<(NodeId, NodeId), T>` on the hot path.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LinkTable<T> {
     nodes: usize,
     slots: Vec<T>,
 }
+
+cenju4_des::clone_fields!(LinkTable<T> { nodes, slots });
 
 impl<T: Clone + Default> LinkTable<T> {
     /// A table with every slot at `T::default()`.

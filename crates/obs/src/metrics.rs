@@ -121,7 +121,7 @@ counter_keys! {
 /// assert_eq!(m.latency_summary("load-miss").unwrap().count, 1);
 /// assert!(m.to_text().contains("load-miss"));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     /// One slot per class, indexed by `SpanClass as usize`.
     histograms: [Option<Histogram>; SpanClass::ALL.len()],
@@ -131,6 +131,12 @@ pub struct MetricsRegistry {
     /// added with 0 still prints.
     touched: u32,
 }
+
+cenju4_des::clone_fields!(MetricsRegistry {
+    histograms,
+    counters,
+    touched
+});
 
 const _: () = assert!(CounterKey::ALL.len() <= u32::BITS as usize);
 

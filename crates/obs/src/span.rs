@@ -93,7 +93,7 @@ pub(crate) fn event_module(label: &str) -> ModuleKind {
 
 /// One coherence transaction's lifetime: open at the processor access,
 /// closed at graduation, with every phase milestone in between.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Span {
     /// Collector-local span id (stable within one run).
     pub id: u64,
@@ -119,6 +119,20 @@ pub struct Span {
     pub retries: u32,
 }
 
+cenju4_des::clone_fields!(Span {
+    id,
+    txn,
+    node,
+    addr,
+    op,
+    kind,
+    opened,
+    closed,
+    class,
+    events,
+    retries,
+});
+
 impl Span {
     /// The span latency, once closed.
     pub fn latency_ns(&self) -> Option<u64> {
@@ -135,7 +149,6 @@ impl Span {
 /// by quiescence — [`SpanCollector::open_span_count`] doubles as a
 /// transaction-leak / starvation detector (the checker's quiescence
 /// oracle asserts it is zero).
-#[derive(Clone)]
 pub struct SpanCollector {
     topo: Topology,
     spans: Vec<Span>,
@@ -152,6 +165,16 @@ pub struct SpanCollector {
     metrics: MetricsRegistry,
     next_id: u64,
 }
+
+cenju4_des::clone_fields!(SpanCollector {
+    topo,
+    spans,
+    open,
+    open_writebacks,
+    last_dispatch,
+    metrics,
+    next_id,
+});
 
 impl SpanCollector {
     /// A collector for a machine of `sys` nodes.
@@ -294,6 +317,14 @@ impl SpanCollector {
 impl Observer for SpanCollector {
     fn fork(&self) -> Option<Box<dyn Observer>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn fork_into(&self, dst: &mut Box<dyn Observer>) -> bool {
+        match (**dst).as_any_mut().downcast_mut::<SpanCollector>() {
+            Some(same) => same.clone_from(self),
+            None => *dst = Box::new(self.clone()),
+        }
+        true
     }
 
     fn on_access(&mut self, at: SimTime, node: NodeId, op: MemOp, addr: Addr, txn: TxnId) {

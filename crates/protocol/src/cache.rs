@@ -111,7 +111,7 @@ pub struct Victim {
 /// assert!(c.fill(a, CacheState::Shared).is_none());
 /// assert_eq!(c.state(a), CacheState::Shared);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Cache {
     nsets: usize,
     assoc: usize,
@@ -123,6 +123,15 @@ pub struct Cache {
     lines: Vec<Line>,
     fill: Vec<u32>,
 }
+
+cenju4_des::clone_fields!(Cache {
+    nsets,
+    assoc,
+    tick,
+    index,
+    lines,
+    fill
+});
 
 impl Cache {
     /// Creates a cache of `capacity_bytes` with `assoc`-way sets.

@@ -225,6 +225,59 @@ const _: () = {
     assert_send::<Engine>();
 };
 
+/// [`Engine::fork`] and [`Engine::fork_into`] from one list of the
+/// engine's fields, all but `observers` (which copy through
+/// [`ObserverSet`], fallibly): `fork` builds a complete struct literal
+/// from the list, so a field left off it does not compile, and
+/// `fork_into` copies the same list.
+macro_rules! engine_copies {
+    ($($field:ident),+ $(,)?) => {
+        /// A full copy of the engine at its current position: driving the
+        /// copy and the original with the same inputs and choices produces
+        /// identical notifications, statistics, traces, and fingerprints.
+        /// Backtracking searches (the `cenju4-check` reduced explorer) fork
+        /// a state once instead of replaying its pick path from the root.
+        /// The copy owns every message in flight by value, so it shares
+        /// nothing with the original and may move to another thread. To
+        /// copy into an engine that is already allocated, reusing its
+        /// buffers, use [`Engine::fork_into`].
+        ///
+        /// Returns `None` when a registered user observer does not
+        /// implement [`Observer::fork`]. A fork is a live engine, not
+        /// portable data: a run that only needs to be resumed
+        /// later is checkpointed as its [`Engine::steps`] count and rebuilt
+        /// by replaying its driver (see `cenju4_sim::Driver::resume`).
+        pub fn fork(&self) -> Option<Engine> {
+            Some(Engine {
+                observers: self.observers.fork()?,
+                $($field: self.$field.clone()),+
+            })
+        }
+
+        /// [`Engine::fork`] into `dst`, an engine at any position of any
+        /// configuration: afterwards `dst` is indistinguishable from a
+        /// fork of `self`. Every field is copied with `clone_from`, so
+        /// `dst`'s buffers, hash tables included, are reused where their
+        /// sizes allow: into an engine at the same position, the copy
+        /// allocates only for hash-table values that own buffers
+        /// (full-map directory entries, for one), which are cloned
+        /// afresh. Hash tables take the source's layout along with its
+        /// contents, so iteration order, and with it every schedule,
+        /// matches a fork's.
+        ///
+        /// Returns `false` when a registered user observer declines
+        /// ([`Observer::fork_into`]); `dst` is then partly overwritten
+        /// and must be overwritten again or dropped.
+        pub fn fork_into(&self, dst: &mut Engine) -> bool {
+            if !self.observers.fork_into(&mut dst.observers) {
+                return false;
+            }
+            $(dst.$field.clone_from(&self.$field);)+
+            true
+        }
+    };
+}
+
 impl Engine {
     /// Creates a fresh engine for the machine `cfg` describes: its size,
     /// network, protocol and directory selection, fault plan and
@@ -255,41 +308,25 @@ impl Engine {
         }
     }
 
-    /// A full copy of the engine at its current position: driving the
-    /// copy and the original with the same inputs and choices produces
-    /// identical notifications, statistics, traces, and fingerprints.
-    /// Backtracking searches (the `cenju4-check` reduced explorer) fork
-    /// a state once instead of replaying its pick path from the root.
-    /// The copy owns every message in flight by value, so it shares
-    /// nothing with the original and may move to another thread.
-    ///
-    /// Returns `None` when a registered user observer does not
-    /// implement [`Observer::fork`]. A fork is a live engine, not
-    /// portable data: a run that only needs to be resumed
-    /// later is checkpointed as its [`Engine::steps`] count and rebuilt
-    /// by replaying its driver (see `cenju4_sim::Driver::resume`).
-    pub fn fork(&self) -> Option<Engine> {
-        Some(Engine {
-            sys: self.sys,
-            params: self.params,
-            kind: self.kind,
-            coherence: self.coherence,
-            bus: self.bus.clone(),
-            shards: self.shards.clone(),
-            next_txn: self.next_txn,
-            notifications: self.notifications.clone(),
-            update_blocks: self.update_blocks.clone(),
-            observers: self.observers.fork()?,
-            fault: self.fault,
-            last_completed: self.last_completed,
-            last_progress: self.last_progress,
-            stalled: self.stalled,
-            ever_down: self.ever_down.clone(),
-            lost_blocks: self.lost_blocks.clone(),
-            touched: self.touched.clone(),
-            steps: self.steps,
-        })
-    }
+    engine_copies!(
+        sys,
+        params,
+        kind,
+        coherence,
+        bus,
+        shards,
+        next_txn,
+        notifications,
+        update_blocks,
+        fault,
+        last_completed,
+        last_progress,
+        stalled,
+        ever_down,
+        lost_blocks,
+        touched,
+        steps,
+    );
 
     /// The coherence protocol in force.
     pub fn coherence(&self) -> ProtocolId {

@@ -415,7 +415,6 @@ struct Held {
 /// The held event set of a bus in controlled-schedule mode. Events are
 /// parked here instead of the time-ordered queue; the checker picks which
 /// ready event fires next.
-#[derive(Clone)]
 struct HeldQueue {
     /// Parked events, kept sorted by scheduled time with ties in
     /// insertion order — the event queue's tie-break, so position 0 is
@@ -431,6 +430,12 @@ struct HeldQueue {
     now: SimTime,
 }
 
+cenju4_des::clone_fields!(HeldQueue {
+    events,
+    untimed,
+    now
+});
+
 /// A sequenced frame parked in a sender's go-back-N window until its
 /// acknowledgement retires it: a unicast, or one destination's copy of a
 /// multicast (which keeps the gather identifier its retransmissions must
@@ -444,7 +449,7 @@ struct Frame {
 }
 
 /// The sender side of one armed link.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct LinkSend {
     /// Next sequence number to stamp.
     next_seq: u64,
@@ -455,6 +460,13 @@ struct LinkSend {
     /// Whether a [`BusMsg::LinkTimer`] is currently scheduled.
     timer_armed: bool,
 }
+
+cenju4_des::clone_fields!(LinkSend {
+    next_seq,
+    unacked,
+    attempts,
+    timer_armed
+});
 
 /// Everything needed to idempotently re-issue a gathered multicast.
 #[derive(Clone)]
@@ -503,7 +515,6 @@ pub(crate) enum GatherTimerOutcome {
 /// The fabric plus the event queue, with optional deterministic delivery
 /// jitter and the optional link-level recovery layer. See the module
 /// docs.
-#[derive(Clone)]
 pub struct MessageBus {
     fabric: Fabric<ProtoMsg>,
     queue: EventQueue<BusMsg>,
@@ -545,6 +556,23 @@ pub struct MessageBus {
     /// Per-node detector state; empty unless the detector is active.
     health: Vec<NodeHealth>,
 }
+
+cenju4_des::clone_fields!(MessageBus {
+    fabric,
+    queue,
+    nodes,
+    jitter,
+    jitter_order,
+    held,
+    recovery,
+    armed,
+    links,
+    recv_next,
+    gather_retries,
+    gather_replied,
+    detector,
+    health,
+});
 
 impl MessageBus {
     pub(crate) fn new(

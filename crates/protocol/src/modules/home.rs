@@ -63,7 +63,6 @@ pub(crate) struct QueuedReq {
 }
 
 /// The memory-side protocol module of one node.
-#[derive(Clone)]
 pub struct HomeModule {
     pub(crate) node: NodeId,
     /// The directory format fresh entries are created in (the
@@ -77,6 +76,17 @@ pub struct HomeModule {
     pub(crate) req_queue_hwm: usize,
     pub(crate) input_q: ServiceQueue,
 }
+
+cenju4_des::clone_fields!(HomeModule {
+    node,
+    format,
+    directory,
+    mem,
+    pending,
+    req_queue,
+    req_queue_hwm,
+    input_q,
+});
 
 impl HomeModule {
     pub(crate) fn new(node: NodeId, format: DirectoryId) -> Self {
@@ -1063,6 +1073,70 @@ impl HomeModule {
                 head.txn,
                 head.value,
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Scrubbing a dead node rewrites the directory entries that named
+    /// it, and each such block lands in the dispatch's touched-block
+    /// record, where the checker's step oracles look.
+    #[test]
+    fn scrub_node_records_every_scrubbed_block() {
+        let sys = SystemSize::new(4).unwrap();
+        let (master, dead, other) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        let mut home = HomeModule::new(NodeId::new(0), DirectoryId::PointerPattern);
+        // Forwarded to the dead node, the dirty owner: its line was the
+        // only fresh copy.
+        let forwarded = Addr::new(NodeId::new(0), 0);
+        let e = home.entry(sys, forwarded);
+        e.set_state(MemState::PendingExclusive);
+        e.map_mut().set_only(dead);
+        home.pending.insert(
+            forwarded,
+            PendingTxn {
+                master,
+                txn: 7,
+                kind: ReqKind::ReadExclusive,
+                expect: Expect::SlaveReply,
+            },
+        );
+        // An ownership upgrade whose invalidation fan-out includes the
+        // dead node.
+        let fanned = Addr::new(NodeId::new(0), 1);
+        let e = home.entry(sys, fanned);
+        e.set_state(MemState::PendingInvalidate);
+        for n in [master, dead, other] {
+            e.map_mut().add(n);
+        }
+        home.pending.insert(
+            fanned,
+            PendingTxn {
+                master,
+                txn: 8,
+                kind: ReqKind::Ownership,
+                expect: Expect::InvAcks { remaining: 2 },
+            },
+        );
+        let mut touched = TouchLog {
+            on: true,
+            blocks: Vec::new(),
+        };
+        let scrub = home.scrub_node(dead, sys, &mut touched);
+        assert_eq!(scrub.lost, [forwarded]);
+        assert!(matches!(
+            scrub.replies[..],
+            [
+                ProtoMsg::SlaveReply { addr: a, txn: 7, with_data: false, .. },
+                ProtoMsg::InvAck { addr: b, txn: 8, acks: 1 },
+            ] if a == forwarded && b == fanned
+        ));
+        for addr in [forwarded, fanned] {
+            assert!(!home.directory[&addr].map().contains(dead), "{addr}");
+            assert!(touched.blocks.contains(&addr), "{addr} scrubbed unrecorded");
         }
     }
 }

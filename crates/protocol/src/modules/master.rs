@@ -34,7 +34,6 @@ pub(crate) struct MasterTxn {
 }
 
 /// The processor-side protocol module of one node.
-#[derive(Clone)]
 pub struct MasterModule {
     pub(crate) node: NodeId,
     pub(crate) cache: Cache,
@@ -46,6 +45,15 @@ pub struct MasterModule {
     pub(crate) backlog: VecDeque<(MemOp, Addr, TxnId, SimTime)>,
     pub(crate) input_q: ServiceQueue,
 }
+
+cenju4_des::clone_fields!(MasterModule {
+    node,
+    cache,
+    l3,
+    outstanding,
+    backlog,
+    input_q
+});
 
 impl MasterModule {
     pub(crate) fn new(node: NodeId, params: &ProtoParams) -> Self {

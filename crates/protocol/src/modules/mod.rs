@@ -48,12 +48,17 @@ use cenju4_directory::{DirectoryId, MemState, NodeId, SystemSize};
 /// One simulated node's complete protocol state: its master, home, and
 /// slave modules. The engine owns a dense `Vec<NodeShard>` indexed by
 /// node; cross-node traffic flows only through the bus.
-#[derive(Clone)]
 pub(crate) struct NodeShard {
     pub master: MasterModule,
     pub home: HomeModule,
     pub slave: SlaveModule,
 }
+
+cenju4_des::clone_fields!(NodeShard {
+    master,
+    home,
+    slave
+});
 
 impl NodeShard {
     pub(crate) fn new(node: NodeId, params: &ProtoParams, format: DirectoryId) -> Self {
@@ -72,11 +77,13 @@ impl NodeShard {
 /// per-step oracles (see `Engine::touched_blocks`); every other engine
 /// pays one predictable branch per write. No duplicates, in first-touch
 /// order.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct TouchLog {
     pub on: bool,
     pub blocks: Vec<Addr>,
 }
+
+cenju4_des::clone_fields!(TouchLog { on, blocks });
 
 impl TouchLog {
     #[inline]

@@ -16,11 +16,12 @@ use cenju4_directory::NodeId;
 use cenju4_network::fabric::GatherId;
 
 /// The intervention-side protocol module of one node.
-#[derive(Clone)]
 pub struct SlaveModule {
     pub(crate) node: NodeId,
     pub(crate) input_q: ServiceQueue,
 }
+
+cenju4_des::clone_fields!(SlaveModule { node, input_q });
 
 impl SlaveModule {
     pub(crate) fn new(node: NodeId) -> Self {

@@ -238,9 +238,28 @@ pub trait Observer: AsAny + Send {
     fn on_node_rejoined(&mut self, at: SimTime, node: NodeId) {}
     /// A copy of this observer for a forked engine ([`crate::Engine::fork`]),
     /// carrying everything it has accumulated so far. `None` (the
-    /// default) declines, and the engine then refuses to fork.
+    /// default) declines, and the engine then refuses to fork. See
+    /// [`Observer::fork_into`] for copying into an observer that is
+    /// already allocated.
     fn fork(&self) -> Option<Box<dyn Observer>> {
         None
+    }
+
+    /// Overwrites `dst` with a copy of this observer, for
+    /// [`crate::Engine::fork_into`]; `false` declines, as a `None` from
+    /// [`Observer::fork`] does. The default replaces `dst` with
+    /// [`Observer::fork`]'s copy. An observer whose fork allocates can
+    /// override it to reuse `dst`'s buffers when `dst` is of its own
+    /// type: downcast with `(**dst).as_any_mut()` (on the observer, not
+    /// on the `Box`) and `clone_from` into it.
+    fn fork_into(&self, dst: &mut Box<dyn Observer>) -> bool {
+        match self.fork() {
+            Some(copy) => {
+                *dst = copy;
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -262,6 +281,30 @@ impl ObserverSet {
             trace: self.trace.clone(),
             user: self.user.iter().map(|o| o.fork()).collect::<Option<_>>()?,
         })
+    }
+
+    /// Overwrites `dst` with a copy of every slot, reusing its buffers;
+    /// `false` if a user observer declines, leaving `dst`'s user slots
+    /// partly copied.
+    pub(crate) fn fork_into(&self, dst: &mut ObserverSet) -> bool {
+        let ObserverSet { stats, trace, user } = dst;
+        stats.clone_from(&self.stats);
+        trace.clone_from(&self.trace);
+        user.truncate(self.user.len());
+        for (i, o) in self.user.iter().enumerate() {
+            match user.get_mut(i) {
+                Some(slot) => {
+                    if !o.fork_into(slot) {
+                        return false;
+                    }
+                }
+                None => match o.fork() {
+                    Some(copy) => user.push(copy),
+                    None => return false,
+                },
+            }
+        }
+        true
     }
 }
 
@@ -430,10 +473,12 @@ impl Observer for StatsObserver {
 /// Maintains the per-block event timeline ([`Trace`]) from observer
 /// callbacks, producing records identical to the pre-refactor inline
 /// tracing (same labels, same dispatch-time stamps).
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct TraceObserver {
     trace: Trace,
 }
+
+cenju4_des::clone_fields!(TraceObserver { trace });
 
 impl TraceObserver {
     /// A trace retaining the most recent `capacity` records.

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 /// assert_eq!(d2.as_ns(), 200); // served after the first
 /// assert_eq!(q.depth_high_water(), 1); // one message waited
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct ServiceQueue {
     busy_until: SimTime,
     /// Start times of accepted jobs (drained lazily).
@@ -32,6 +32,13 @@ pub struct ServiceQueue {
     max_depth: u64,
     served: u64,
 }
+
+cenju4_des::clone_fields!(ServiceQueue {
+    busy_until,
+    starts,
+    max_depth,
+    served
+});
 
 impl ServiceQueue {
     /// Creates an idle server.

@@ -68,12 +68,18 @@ impl fmt::Display for TraceRecord {
 /// assert_eq!(t.records().len(), 2);
 /// assert_eq!(t.records()[0].txn, Some(1));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Trace {
     ring: VecDeque<TraceRecord>,
     capacity: usize,
     dropped: u64,
 }
+
+cenju4_des::clone_fields!(Trace {
+    ring,
+    capacity,
+    dropped
+});
 
 impl Trace {
     /// A disabled trace (records nothing).

@@ -2,12 +2,15 @@
 //! walk, driven with the same remaining choices as the original, ends in
 //! the same state with the same notifications, statistics, network
 //! counters, and trace — and forking never disturbs the original.
+//! `Engine::fork_into` is held to a plain fork: copied into an engine of
+//! another configuration at another position, it drives identically.
 //! Forks of uncontrolled (time-ordered) engines are covered by the
 //! workspace's `tests/snapshot_resume.rs`.
 
 use cenju4_des::{Duration, SimTime, SplitMix64};
 use cenju4_directory::NodeId;
 use cenju4_network::{FaultPlan, NodeDown};
+use cenju4_obs::SpanCollector;
 use cenju4_protocol::trace::TraceRecord;
 use cenju4_protocol::{
     Addr, Engine, MemOp, Notification, Observer, ProtocolId, ProtocolKind, RecoveryParams,
@@ -72,6 +75,15 @@ fn build(setup: Setup) -> Engine {
         eng.issue(SimTime::ZERO, node, MemOp::Load, b1);
         let stored = if n % 2 == 0 { b0 } else { b1 };
         eng.issue(SimTime::ZERO, node, MemOp::Store, stored);
+    }
+    eng
+}
+
+/// [`build`], with a span collector attached when `spans`.
+fn build_observed(setup: Setup, spans: bool) -> Engine {
+    let mut eng = build(setup);
+    if spans {
+        eng.add_observer(Box::new(SpanCollector::new(eng.system())));
     }
     eng
 }
@@ -163,6 +175,58 @@ fn forks_at_every_step_match_the_unforked_run() {
     }
 }
 
+/// The span collector's account of the run, if one is attached.
+fn spans(eng: &Engine) -> Option<(String, String)> {
+    eng.observer::<SpanCollector>()
+        .map(|s| (s.event_fingerprint(), s.metrics().to_text()))
+}
+
+/// `fork_into` a destination that sits at another position of another
+/// setup, span collector or not, drives exactly like a plain fork of the
+/// same position: the same notifications at every remaining step, and
+/// the same statistics, network counters, trace, fingerprint and spans
+/// at the end.
+#[test]
+fn fork_into_any_destination_matches_a_plain_fork() {
+    let walks: Vec<Vec<usize>> = SETUPS.iter().map(|&s| reference(s).0).collect();
+    for (i, &setup) in SETUPS.iter().enumerate() {
+        let picks = &walks[i];
+        let with_spans = i % 2 == 0;
+        let mut eng = build_observed(setup, with_spans);
+        for k in 0..=picks.len() {
+            // Another setup, rotating through all the others, part-way
+            // through its own walk.
+            let j = (i + 1 + k % (SETUPS.len() - 1)) % SETUPS.len();
+            let at = (k * 7) % (walks[j].len() + 1);
+            let mut dst = build_observed(SETUPS[j], k % 3 == 0);
+            for (s, &p) in walks[j][..at].iter().enumerate() {
+                step(&mut dst, s, p);
+            }
+            assert!(
+                eng.fork_into(&mut dst),
+                "{setup:?}: built-in observers fork"
+            );
+            let mut fork = eng.fork().expect("built-in observers fork");
+            let ctx = format!("{setup:?} at step {k} into {:?} at step {at}", SETUPS[j]);
+            assert_eq!(digest(&dst), digest(&fork), "{ctx}: copy differs");
+            assert_eq!(spans(&dst).is_some(), with_spans, "{ctx}: observer slots");
+            for (s, &p) in picks[k..].iter().enumerate() {
+                assert_eq!(
+                    step(&mut dst, k + s, p),
+                    step(&mut fork, k + s, p),
+                    "{ctx}: diverged at step {}",
+                    k + s
+                );
+            }
+            assert_eq!(digest(&dst), digest(&fork), "{ctx}: end state");
+            assert_eq!(spans(&dst), spans(&fork), "{ctx}: spans");
+            if k < picks.len() {
+                step(&mut eng, k, picks[k]);
+            }
+        }
+    }
+}
+
 /// The configurations exercise what they are named for.
 #[test]
 fn setups_reach_their_protocol_paths() {
@@ -217,6 +281,36 @@ fn user_observers_fork_or_decline() {
     eng.add_observer(Box::new(Unforkable));
     assert!(
         eng.fork().is_none(),
+        "an observer without fork must decline"
+    );
+}
+
+/// A user observer that implements only `fork` copies through the
+/// default `fork_into`, into an empty slot or over one of its own; one
+/// that implements neither makes `fork_into` decline.
+#[test]
+fn user_observers_fork_into_or_decline() {
+    let mut eng = build(Setup::MesiQueuing);
+    eng.add_observer(Box::new(Forkable::default()));
+    fire(&mut eng, 0);
+    let mut bare = build(Setup::Nack);
+    fire(&mut bare, 0);
+    let mut held = build(Setup::Dragon);
+    held.add_observer(Box::new(Forkable { accesses: 99 }));
+    for dst in [&mut bare, &mut held] {
+        assert!(eng.fork_into(dst), "every observer forks");
+        assert_eq!(dst.observer::<Forkable>().unwrap().accesses, 1);
+        fire(dst, 0);
+        assert_eq!(dst.observer::<Forkable>().unwrap().accesses, 2);
+    }
+    assert_eq!(
+        eng.observer::<Forkable>().unwrap().accesses,
+        1,
+        "the copy's observer is a copy, not an alias"
+    );
+    eng.add_observer(Box::new(Unforkable));
+    assert!(
+        !eng.fork_into(&mut bare),
         "an observer without fork must decline"
     );
 }

@@ -137,9 +137,12 @@ check_smoke() {
     # every (protocol, directory) pair, green and mutated.
     cargo test --release --offline -q -p cenju4-check --test dpor_soundness
     # The touched-block step oracles against the full-scan reference over
-    # the green scenarios and every mutant, and the step allocation pin,
-    # in the release profile the checker runs in.
+    # the green scenarios and every mutant, and the step and backtrack
+    # allocation pins, in the release profile the checker runs in.
     cargo test --release --offline -q -p cenju4-check --lib --test step_alloc
+    # Engine::fork_into against a plain fork (destinations of another
+    # configuration at another position), optimised like the explorer.
+    cargo test --release --offline -q -p cenju4-protocol --test engine_fork
 }
 
 fault_smoke() {
