@@ -532,9 +532,9 @@ impl OracleState {
 mod tests {
     use super::*;
     use crate::explore::guarded;
-    use cenju4_des::SplitMix64;
+    use cenju4_des::{SimTime, SplitMix64};
     use cenju4_directory::DirectoryId;
-    use cenju4_protocol::ProtocolKind;
+    use cenju4_protocol::{Observer, ProtoMsg, ProtocolKind, SystemConfig, BLOCK_BYTES};
 
     impl OracleState {
         /// The allocating `check_step` the counting one replaced, kept as
@@ -836,11 +836,12 @@ mod tests {
         }
     }
 
-    /// MESI queuing, nack, Dragon, lossy recovery dropping 100 messages
-    /// per 1,000, and node-down with recovery, over 3 nodes x 2 blocks:
-    /// all green under their own oracles.
-    fn green_scenarios() -> [CheckConfig; 5] {
-        let mesi = scenario(3, 2);
+    /// The three protocols under check, on `nodes` x `blocks` x `ops`.
+    fn each_protocol(nodes: u16, blocks: u16, ops: u32) -> [CheckConfig; 3] {
+        let mesi = CheckConfig {
+            ops_per_node: ops,
+            ..scenario(nodes, blocks)
+        };
         [
             mesi,
             CheckConfig {
@@ -851,6 +852,18 @@ mod tests {
                 coherence: ProtocolId::Dragon,
                 ..mesi
             },
+        ]
+    }
+
+    /// MESI queuing, nack, Dragon, lossy recovery dropping 100 messages
+    /// per 1,000, and node-down with recovery, over 3 nodes x 2 blocks:
+    /// all green under their own oracles.
+    fn green_scenarios() -> [CheckConfig; 5] {
+        let [mesi, nack, dragon] = each_protocol(3, 2, 2);
+        [
+            mesi,
+            nack,
+            dragon,
             CheckConfig {
                 recovery: true,
                 drop_permille: 100,
@@ -1082,9 +1095,7 @@ mod tests {
             ops_per_node: 4,
             ..scenario(3, 2)
         };
-        let mut sys = cfg.system_config().expect("scenario builds");
-        sys.proto.cache_bytes = 128;
-        sys.proto.cache_assoc = 1;
+        let sys = small_caches(&cfg, 1);
         let blocks = cfg.block_addrs();
         let home_view = |eng: &Engine, addr| {
             (
@@ -1128,6 +1139,170 @@ mod tests {
         );
         assert_eq!(violated, 0, "one-line caches break no oracle");
         assert!(quiet_writes > 0, "no writeback met a pending request");
+    }
+
+    /// The machine of `cfg` with caches of `lines` lines, direct-mapped:
+    /// a fill evicts whatever block shares its set.
+    fn small_caches(cfg: &CheckConfig, lines: u32) -> SystemConfig {
+        let mut sys = cfg.system_config().expect("scenario builds");
+        sys.proto.cache_bytes = lines * BLOCK_BYTES;
+        sys.proto.cache_assoc = 1;
+        sys
+    }
+
+    /// Counts two eviction races from the messages a walk's engine
+    /// delivers: writebacks reaching their home, and store acks that
+    /// find no copy to upgrade and install the line. Under MESI a store
+    /// ack finds none only when a fill evicted the copy while the store
+    /// was in flight; under Dragon every store miss writes through and
+    /// takes that path too.
+    #[derive(Default)]
+    struct EvictionRaces {
+        /// Writebacks delivered so far, and the block of the last one.
+        writebacks: (usize, Option<Addr>),
+        /// The store ack being handled, until the next message arrives.
+        ack: Option<(NodeId, Addr)>,
+        /// Store acks that installed an Invalid line.
+        acks_on_invalid: usize,
+    }
+
+    impl Observer for EvictionRaces {
+        fn on_receive(&mut self, _: SimTime, dst: NodeId, _: NodeId, msg: &ProtoMsg) {
+            self.ack = None;
+            match *msg {
+                ProtoMsg::WriteBack { addr, .. } => {
+                    self.writebacks = (self.writebacks.0 + 1, Some(addr));
+                }
+                ProtoMsg::AckReply { addr, .. } => self.ack = Some((dst, addr)),
+                _ => {}
+            }
+        }
+
+        fn on_cache_transition(
+            &mut self,
+            _: SimTime,
+            node: NodeId,
+            addr: Addr,
+            from: CacheState,
+            _: CacheState,
+        ) {
+            if from == CacheState::Invalid && self.ack == Some((node, addr)) {
+                self.acks_on_invalid += 1;
+            }
+        }
+    }
+
+    /// How often a set of walks reached each eviction race.
+    #[derive(Debug, Default)]
+    struct RacesReached {
+        /// Dirty victims written back.
+        dirty_writebacks: u64,
+        /// Writebacks that reached a home with a request for the block
+        /// pending there.
+        at_pending_home: usize,
+        /// Store acks that installed an Invalid line.
+        acks_on_invalid: usize,
+    }
+
+    /// Drives `walks` seeded walks of `cfg`'s workload over the machine
+    /// `sys`. At every step `note` and `check_step` must pass and
+    /// `check_step` must match the full scan; every walk must end
+    /// quiescent with `check_quiescent` green.
+    fn eviction_walks(cfg: &CheckConfig, sys: &SystemConfig, walks: u64) -> RacesReached {
+        let build = || {
+            let mut eng = cfg.engine_on(sys);
+            eng.add_observer(Box::new(EvictionRaces::default()));
+            eng
+        };
+        let mut reached = RacesReached::default();
+        let (mut delivered, mut quiescent) = (0, 0);
+        let violated = walk(build, cfg, 1, walks, true, OnPanic::Fail, |eng, oracle| {
+            let got = oracle.check_step(eng);
+            assert_eq!(got, oracle.check_step_reference(eng), "{cfg}");
+            if got.is_some() {
+                return true;
+            }
+            let races = eng.observer::<EvictionRaces>().expect("observer attached");
+            if eng.steps() == 1 {
+                delivered = 0;
+            }
+            if let (n, Some(addr)) = races.writebacks {
+                if n > delivered {
+                    delivered = n;
+                    reached.at_pending_home += usize::from(eng.memory_state(addr).is_pending());
+                }
+            }
+            if eng.pending_event_count() > 0 {
+                return false;
+            }
+            quiescent += 1;
+            reached.dirty_writebacks += eng.stats().writebacks.get();
+            reached.acks_on_invalid += races.acks_on_invalid;
+            oracle.check_quiescent(eng, cfg.issued_ops()).is_some()
+        });
+        assert_eq!(violated, 0, "{cfg} broke an oracle");
+        assert_eq!(quiescent, walks, "{cfg}: a walk hit the step cap");
+        reached
+    }
+
+    /// Seeded walks under MESI queuing, MESI nack and Dragon, every one
+    /// green under every oracle: 16 nodes x 5 blocks on the default
+    /// cache (wide sharing, no evictions), then 8 x 11 on four
+    /// direct-mapped lines and 3 x 3 on one, where dirty evictions race
+    /// other nodes' requests for the same blocks, the race the in-order
+    /// wire rule exists for. On the small caches every protocol reaches
+    /// a store ack on an Invalid line, and MESI reaches dirty writebacks
+    /// and writebacks at a pending home. Block counts are odd: with an
+    /// even count each block is only ever loaded or only ever stored, so
+    /// no MESI store upgrades a Shared copy that a fill could evict while
+    /// the upgrade is in flight.
+    #[test]
+    fn eviction_races_keep_every_oracle_green() {
+        for cfg in each_protocol(16, 5, 3) {
+            let sys = cfg.system_config().expect("scenario builds");
+            eviction_walks(&cfg, &sys, 20);
+        }
+        for (nodes, blocks, ops, lines) in [(8, 11, 14, 4), (3, 3, 6, 1)] {
+            for cfg in each_protocol(nodes, blocks, ops) {
+                let reached = eviction_walks(&cfg, &small_caches(&cfg, lines), 200);
+                assert!(reached.acks_on_invalid > 0, "{cfg}: {reached:?}");
+                if cfg.coherence == ProtocolId::Mesi {
+                    assert!(reached.dirty_writebacks > 0, "{cfg}: {reached:?}");
+                    assert!(reached.at_pending_home > 0, "{cfg}: {reached:?}");
+                }
+            }
+        }
+    }
+
+    /// A dirty victim's writeback leaves before the evicting node's next
+    /// request for the same block. This schedule, shrunk from a random
+    /// walk on one-line caches, dispatches that request at the instant
+    /// of the fill; when the writeback left at the end of the master's
+    /// service time instead, the request overtook it and the home served
+    /// node 2 stale memory.
+    #[test]
+    fn a_request_never_overtakes_its_own_writeback() {
+        let cfg = each_protocol(3, 3, 6)[0];
+        let mut eng = cfg.engine_on(&small_caches(&cfg, 1));
+        let mut oracle = OracleState::new(&cfg);
+        let picks = [2, 2, 2, 4, 0, 5, 5, 3, 5, 0, 4];
+        let (mut ready, mut notes) = (Vec::new(), Vec::new());
+        for step in 0.. {
+            eng.ready_choices(&mut ready);
+            if ready.is_empty() {
+                break;
+            }
+            let p = picks.get(step).copied().unwrap_or(0);
+            let pick = ready[p.min(ready.len() - 1)];
+            notes.clear();
+            assert!(eng.run_pending_into(pick, &mut notes));
+            let v = oracle
+                .note(&notes, &eng)
+                .or_else(|| oracle.check_step(&eng));
+            assert_eq!(v, None, "step {step}");
+        }
+        assert_eq!(oracle.check_quiescent(&eng, cfg.issued_ops()), None);
+        assert!(eng.stats().writebacks.get() > 0, "no dirty writeback");
     }
 
     /// `Engine::ready_choices` names exactly the `ready` positions of the

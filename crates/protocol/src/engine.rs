@@ -363,14 +363,6 @@ impl Engine {
         self.bus.recovery()
     }
 
-    /// Whether the link-level recovery layer is armed: recovery enabled
-    /// and the fabric carrying a non-trivial fault plan. Unarmed, the
-    /// layer adds no events, no sequence numbers, and no timers — golden
-    /// traces are bit-identical to a build without the layer.
-    pub fn recovery_armed(&self) -> bool {
-        self.bus.armed()
-    }
-
     /// Gathers currently open in the fabric. Zero at quiescence unless
     /// the fabric lost gather replies with recovery off.
     pub fn open_gathers(&self) -> usize {
@@ -381,7 +373,7 @@ impl Engine {
     /// parked instead of firing in time order, and the caller — a model
     /// checker — picks which ready event fires next via
     /// [`Engine::run_pending`]. Must be called before any access is
-    /// issued; mutually exclusive with timing jitter.
+    /// issued.
     pub fn enable_controlled_schedule(&mut self) {
         self.bus.enable_controlled();
         self.touched.on = true;
@@ -497,29 +489,6 @@ impl Engine {
             .find_map(|o| o.as_ref().as_any().downcast_ref::<T>())
     }
 
-    /// Mutable access to the first registered observer of type `T`.
-    pub fn observer_mut<T: Observer + 'static>(&mut self) -> Option<&mut T> {
-        self.observers
-            .user
-            .iter_mut()
-            .find_map(|o| o.as_mut().as_any_mut().downcast_mut::<T>())
-    }
-
-    /// Enables deterministic timing jitter: every network delivery's
-    /// in-flight delay is scaled by a factor drawn from
-    /// `[1 - pct%, 1 + pct%]` using a seeded generator. Two engines with
-    /// the same seed behave identically; different seeds explore
-    /// different message interleavings — the cheap equivalent of a model
-    /// checker's schedule exploration for the protocol's race windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pct > 90`.
-    pub fn enable_timing_jitter(&mut self, seed: u64, pct: u8) {
-        assert!(pct <= 90, "jitter percentage too large");
-        self.bus.enable_jitter(seed, pct);
-    }
-
     /// The machine size.
     pub fn system(&self) -> SystemSize {
         self.sys
@@ -574,11 +543,6 @@ impl Engine {
             .is_none_or(|e| e.state() == MemState::Clean && e.map().is_empty());
         assert!(fresh, "mark_update_block on a live block");
         self.update_blocks.insert(addr);
-    }
-
-    /// Whether `addr` uses the update protocol.
-    pub fn is_update_block(&self, addr: Addr) -> bool {
-        self.update_blocks.contains(&addr)
     }
 
     /// Whether `node`'s third-level cache holds a fresh copy of `addr`.
@@ -665,16 +629,6 @@ impl Engine {
             .unwrap_or(0)
     }
 
-    /// Retries performed by the given transaction's master so far
-    /// (nack baseline instrumentation).
-    pub fn txn_retries(&self, node: NodeId, txn: TxnId) -> Option<u32> {
-        self.shards[node.as_usize()]
-            .master
-            .outstanding
-            .get(&txn)
-            .map(|t| t.retries)
-    }
-
     // ------------------------------------------------------------------
     // Checker inspection
     // ------------------------------------------------------------------
@@ -711,16 +665,6 @@ impl Engine {
     /// and outstanding invalidation gathers).
     pub fn home_pending_count(&self, home: NodeId) -> usize {
         self.shards[home.as_usize()].home.pending.len()
-    }
-
-    /// Whether the reservation bit of `addr` is set at its home
-    /// (Section 3.3's queue-wakeup mark).
-    pub fn reservation_set(&self, addr: Addr) -> bool {
-        self.shards[addr.home().as_usize()]
-            .home
-            .directory
-            .get(&addr)
-            .is_some_and(|e| e.reservation())
     }
 
     /// The failure detector's view of `node` ([`NodeHealth::Up`] when

@@ -44,7 +44,7 @@ use crate::addr::Addr;
 use crate::engine::MemOp;
 use crate::messages::{ProtoMsg, TxnId};
 use crate::params::{RecoveryError, RecoveryParams};
-use cenju4_des::{Duration, EventQueue, FxHashMap, FxHashSet, FxHasher, SimTime, SplitMix64};
+use cenju4_des::{Duration, EventQueue, FxHashMap, FxHashSet, FxHasher, SimTime};
 use cenju4_directory::nodemap::DestSpec;
 use cenju4_directory::{NodeId, SystemSize};
 use cenju4_network::fabric::GatherId;
@@ -512,25 +512,14 @@ pub(crate) enum GatherTimerOutcome {
     GaveUp(RecoveryError),
 }
 
-/// The fabric plus the event queue, with optional deterministic delivery
-/// jitter and the optional link-level recovery layer. See the module
-/// docs.
+/// The fabric plus the event queue, with the optional link-level
+/// recovery layer. See the module docs.
 pub struct MessageBus {
     fabric: Fabric<ProtoMsg>,
     queue: EventQueue<BusMsg>,
     /// Number of nodes, the dense link-table dimension.
     nodes: usize,
-    /// Optional deterministic perturbation of message delivery times,
-    /// used by race-coverage tests to explore different interleavings.
-    jitter: Option<(SplitMix64, u8)>,
-    /// With jitter on: last delivery time (ns) per (src, dst), to
-    /// preserve the network's in-order guarantee (which the protocol
-    /// relies on — e.g. a writeback must reach the home before the
-    /// evictor's next request for the same block). Dense; zero-sized
-    /// until jitter is enabled.
-    jitter_order: LinkTable<u64>,
     /// Controlled-schedule mode (the checker picks the next event).
-    /// Mutually exclusive with jitter.
     held: Option<HeldQueue>,
     /// Recovery-layer configuration.
     recovery: RecoveryParams,
@@ -561,8 +550,6 @@ cenju4_des::clone_fields!(MessageBus {
     fabric,
     queue,
     nodes,
-    jitter,
-    jitter_order,
     held,
     recovery,
     armed,
@@ -585,8 +572,6 @@ impl MessageBus {
             fabric: Fabric::new(sys, net),
             queue: EventQueue::new(),
             nodes: sys.nodes() as usize,
-            jitter: None,
-            jitter_order: LinkTable::new(0),
             held: None,
             recovery,
             armed: false,
@@ -601,24 +586,11 @@ impl MessageBus {
         bus
     }
 
-    pub(crate) fn enable_jitter(&mut self, seed: u64, pct: u8) {
-        assert!(
-            self.held.is_none(),
-            "jitter and controlled scheduling are mutually exclusive"
-        );
-        self.jitter = Some((SplitMix64::new(seed), pct));
-        self.jitter_order = LinkTable::new(self.nodes);
-    }
-
     /// Switches the bus into controlled-schedule mode: newly scheduled
     /// events are parked in a held set instead of the time-ordered queue,
     /// and [`MessageBus::pop_held`] fires the one the caller picks. Must
     /// be enabled before any event is scheduled.
     pub(crate) fn enable_controlled(&mut self) {
-        assert!(
-            self.jitter.is_none(),
-            "jitter and controlled scheduling are mutually exclusive"
-        );
         assert!(
             self.queue.is_empty(),
             "controlled scheduling must be enabled before events are scheduled"
@@ -1364,8 +1336,8 @@ impl MessageBus {
         Ok(d)
     }
 
-    /// Sends a bulk (user-level) transfer; no jitter is applied and the
-    /// fabric never faults it (the MP library runs its own protocol).
+    /// Sends a bulk (user-level) transfer; the fabric never faults it
+    /// (the MP library runs its own protocol).
     pub(crate) fn send_bulk(
         &mut self,
         at: SimTime,
@@ -1377,28 +1349,11 @@ impl MessageBus {
         self.fabric.send_bulk(at, src, dst, bytes, msg)
     }
 
-    /// Turns a fabric delivery into a scheduled [`BusMsg::Recv`], applying
-    /// the deterministic jitter perturbation when enabled. `seq` is the
-    /// link-layer sequence number of sequenced unicast frames.
+    /// Turns a fabric delivery into a scheduled [`BusMsg::Recv`]. `seq`
+    /// is the link-layer sequence number of sequenced unicast frames.
     pub(crate) fn schedule_delivery(&mut self, d: Delivery<ProtoMsg>, seq: Option<u64>) {
-        let mut at = d.at;
-        if let Some((rng, pct)) = &mut self.jitter {
-            let now = self.queue.now();
-            let delay = at.since(now).as_ns();
-            let span = delay * (*pct as u64) / 100;
-            if span > 0 {
-                let offset = rng.next_below(2 * span + 1);
-                at = now + Duration::from_ns(delay - span + offset);
-            }
-            // Never reorder two messages between the same pair of nodes.
-            let floor = SimTime::from_ns(*self.jitter_order.get(d.src, d.node));
-            if at <= floor {
-                at = floor + Duration::from_ns(1);
-            }
-            *self.jitter_order.get_mut(d.src, d.node) = at.as_ns();
-        }
         self.enqueue(
-            at,
+            d.at,
             BusMsg::Recv {
                 dst: d.node,
                 src: d.src,
@@ -1414,6 +1369,7 @@ impl MessageBus {
 mod tests {
     use super::*;
     use crate::messages::ReqKind;
+    use cenju4_des::SplitMix64;
 
     /// The scheduler the sorted held queue replaced, kept as the
     /// reference it must match: events in insertion order, re-sorted on

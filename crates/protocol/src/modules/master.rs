@@ -124,7 +124,14 @@ impl MasterModule {
         ctx.touch(addr);
     }
 
-    /// Writes back a displaced dirty line to its home.
+    /// Writes back a displaced dirty line to its home, sending it at
+    /// `at`, the instant the fill displaced it. Every later request from
+    /// this node leaves at `at + issue` or after, so on the in-order
+    /// channel to the victim's home the writeback always goes first: a
+    /// request for the victim's block must never reach a home that still
+    /// records this node as its dirty owner, or the home serves the
+    /// block from stale memory. (Sent at the end of the master's service
+    /// time, it would let an access dispatched at the fill overtake it.)
     fn writeback_victim(&self, ctx: &mut Ctx, at: SimTime, victim: Option<Victim>) {
         if let Some(v) = victim {
             if v.dirty {
@@ -186,7 +193,7 @@ impl MasterModule {
             AccessDecision::Miss(ReqKind::ReadShared) if self.l3.contains_key(&addr) => {
                 let v = self.l3[&addr];
                 let victim = self.fill_cache(ctx, at, addr, CacheState::Shared, v);
-                self.writeback_victim(ctx, hit_done, victim);
+                self.writeback_victim(ctx, at, victim);
                 ctx.on_l3_fill(at, self.node, addr);
                 let done = at + params.l3_fill;
                 ctx.complete(self.node, txn, op, addr, at, done, false, true, v);
@@ -403,7 +410,7 @@ impl MasterModule {
                 } else {
                     self.fill_cache(ctx, at, addr, grant, observed)
                 };
-                self.writeback_victim(ctx, done, victim);
+                self.writeback_victim(ctx, at, victim);
                 ctx.complete(
                     self.node, txn, t.op, addr, t.issued, done, false, false, observed,
                 );
@@ -448,7 +455,7 @@ impl MasterModule {
                     }
                     other => unreachable!("store ack with {other} copy"),
                 };
-                self.writeback_victim(ctx, done, victim);
+                self.writeback_victim(ctx, at, victim);
                 ctx.complete(
                     self.node,
                     txn,

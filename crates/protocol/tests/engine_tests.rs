@@ -565,74 +565,6 @@ fn marker_notifications_fire() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Interleaving coverage: the same invariants must hold under deterministic
-// timing perturbation, which exercises the protocol's race windows
-// (writeback crossing a forward, ownership crossing an invalidation, …).
-// ---------------------------------------------------------------------
-
-#[test]
-fn random_stress_with_timing_jitter_stays_coherent() {
-    for seed in 0..12u64 {
-        let mut eng = engine(16);
-        eng.enable_timing_jitter(seed.wrapping_mul(0x9E37) + 1, 40);
-        let mut rng = SplitMix64::new(seed);
-        let blocks: Vec<Addr> = (0..5).map(|i| addr((i % 4) as u16, i)).collect();
-        for _ in 0..30 {
-            let t0 = eng.now();
-            for _ in 0..10 {
-                let n = node(rng.next_below(16) as u16);
-                let a = blocks[rng.next_below(blocks.len() as u64) as usize];
-                let op = if rng.chance(0.45) {
-                    MemOp::Store
-                } else {
-                    MemOp::Load
-                };
-                eng.issue(t0, n, op, a);
-            }
-            eng.run();
-            check_coherence_invariants(&eng, 16, &blocks);
-        }
-        assert_eq!(eng.net_stats().gather_concurrency.current(), 0);
-    }
-}
-
-#[test]
-fn jitter_with_tiny_caches_exercises_writeback_races() {
-    // Dirty evictions in flight while other nodes request the same blocks:
-    // the classic writeback/forward crossing, under many interleavings.
-    for seed in 0..8u64 {
-        let params = ProtoParams {
-            cache_bytes: 4 * 128,
-            cache_assoc: 1,
-            ..ProtoParams::default()
-        };
-        let mut eng = Engine::new(&SystemConfig::builder(8).proto(params).build().unwrap());
-        eng.enable_timing_jitter(seed + 77, 35);
-        let mut rng = SplitMix64::new(seed);
-        let blocks: Vec<Addr> = (0..12).map(|i| addr((i % 4) as u16, i)).collect();
-        for _ in 0..25 {
-            let t0 = eng.now();
-            for _ in 0..8 {
-                let n = node(rng.next_below(8) as u16);
-                let a = blocks[rng.next_below(blocks.len() as u64) as usize];
-                let op = if rng.chance(0.6) {
-                    MemOp::Store
-                } else {
-                    MemOp::Load
-                };
-                eng.issue(t0, n, op, a);
-            }
-            eng.run();
-            check_coherence_invariants(&eng, 8, &blocks);
-        }
-        assert!(
-            eng.stats().writebacks.get() > 0,
-            "seed {seed}: no evictions"
-        );
-    }
-}
-
 #[test]
 fn trace_records_a_transaction_timeline() {
     let mut eng = engine(16);

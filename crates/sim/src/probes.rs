@@ -1,6 +1,6 @@
 //! Latency microbenchmarks: Table 2 and Figure 10.
 
-use cenju4_des::{Duration, SimTime};
+use cenju4_des::Duration;
 use cenju4_directory::NodeId;
 use cenju4_protocol::{Addr, Engine, MemOp, Notification, SystemConfig};
 
@@ -118,20 +118,6 @@ pub fn store_latency(cfg: &SystemConfig, sharers: u16) -> Duration {
     }
     // Master = node 1 stores to its Shared copy.
     measure(&mut eng, NodeId::new(1), MemOp::Store, a)
-}
-
-/// A (sharers, latency) series for Figure 10.
-pub fn store_latency_sweep(cfg: &SystemConfig, sharer_counts: &[u16]) -> Vec<(u16, Duration)> {
-    sharer_counts
-        .iter()
-        .map(|&k| (k, store_latency(cfg, k)))
-        .collect()
-}
-
-/// Convenience: the simulated time at which a fresh engine would be after
-/// nothing has happened (zero) — used by examples to anchor reports.
-pub fn epoch() -> SimTime {
-    SimTime::ZERO
 }
 
 #[cfg(test)]

@@ -157,22 +157,6 @@ impl RunReport {
         }
     }
 
-    /// Mean miss latency over shared classes, ns.
-    pub fn mean_shared_latency(&self) -> f64 {
-        let (mut ns, mut n) = (0u64, 0u64);
-        for node in &self.nodes {
-            for c in [AccessClass::SharedLocal, AccessClass::SharedRemote] {
-                ns += node.latency_ns[c.idx()];
-                n += node.accesses[c.idx()];
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            ns as f64 / n as f64
-        }
-    }
-
     /// The average fraction of node time spent in barrier waits
     /// (Table 4's "sync." column).
     pub fn sync_fraction(&self) -> f64 {

@@ -143,6 +143,9 @@ check_smoke() {
     # Engine::fork_into against a plain fork (destinations of another
     # configuration at another position), optimised like the explorer.
     cargo test --release --offline -q -p cenju4-protocol --test engine_fork
+    # The value litmus tests: every load observes the last store, across
+    # forwards, writebacks, upgrades, update pushes and L3 refills.
+    cargo test --release --offline -q -p cenju4-protocol --test value_tests
 }
 
 fault_smoke() {
