@@ -256,14 +256,11 @@ impl Stepper {
         &self.ready
     }
 
-    /// The ready events' snapshot, in ready-position order: the content
-    /// digests and footprints sleep sets and lasso unrolling need.
-    pub(crate) fn ready_events(&self) -> Vec<PendingEvent> {
-        self.eng
-            .pending_events()
-            .into_iter()
-            .filter(|e| e.ready)
-            .collect()
+    /// Writes the ready events' snapshots into `out` (cleared first), in
+    /// ready-position order: the content digests and footprints sleep
+    /// sets and lasso unrolling need (see [`Engine::ready_events_into`]).
+    pub(crate) fn ready_events_into(&self, out: &mut Vec<PendingEvent>) {
+        self.eng.ready_events_into(out);
     }
 
     pub(crate) fn now(&self) -> SimTime {
@@ -323,10 +320,9 @@ impl Stepper {
     /// but the repeating events keep their content). Returns the ready
     /// position fired.
     pub(crate) fn fire_by_content(&mut self, content: u64) -> Option<usize> {
-        let pick = self
-            .ready_events()
-            .iter()
-            .position(|e| e.content == content)?;
+        let mut ready = Vec::new();
+        self.ready_events_into(&mut ready);
+        let pick = ready.iter().position(|e| e.content == content)?;
         self.fire(pick).ok()?;
         Some(pick)
     }

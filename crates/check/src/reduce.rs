@@ -67,7 +67,7 @@ use crate::explore::{
 };
 use crate::oracles::Violation;
 use crate::scenario::CheckConfig;
-use cenju4_des::{FxHashMap, FxHashSet, SimTime};
+use cenju4_des::{FxHashMap, SimTime};
 use cenju4_protocol::{PendingEvent, ProtocolKind};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,6 +79,12 @@ use std::time::Instant;
 /// for every `--threads` value; comfortably above any sane core count so
 /// work still spreads.
 const FRONTIER_JOBS: usize = 48;
+
+/// The search loops read the wall clock once every this many
+/// iterations (the first included), not on every one: read every
+/// iteration, the clock took about 5% of a reduced search's time, and a
+/// deadline overshot by 255 iterations is well under a millisecond.
+const CLOCK_STRIDE: u32 = 256;
 
 /// Schedules longer than this skip greedy shrinking (each greedy pass is
 /// quadratic in schedule length); trailing zeros are still stripped.
@@ -274,11 +280,54 @@ impl<'a> DfsParams<'a> {
         self.cfg
     }
 
+    /// A fresh view of the deadline for one search loop.
+    fn clock(&self) -> Clock {
+        Clock {
+            deadline: self.deadline,
+            calls: 0,
+        }
+    }
+
     /// Counts one more leaf against `max_schedules`; false once the
     /// budget is spent, so a binding cap reports exactly `max_schedules`
     /// leaves for any thread count.
     fn claim_leaf(&self) -> bool {
         self.leaves_claimed.fetch_add(1, Ordering::Relaxed) < self.limits.max_schedules
+    }
+}
+
+/// One search loop's view of the wall-clock deadline, read every
+/// [`CLOCK_STRIDE`] iterations.
+struct Clock {
+    deadline: Instant,
+    calls: u32,
+}
+
+impl Clock {
+    /// Whether the deadline has passed, as of the last clock read.
+    fn expired(&mut self) -> bool {
+        let read = self.calls.is_multiple_of(CLOCK_STRIDE);
+        self.calls = self.calls.wrapping_add(1);
+        read && Instant::now() >= self.deadline
+    }
+}
+
+/// Buffers of popped frames, handed to the frames pushed next: a search
+/// allocates a frame's buffers only while its depth first grows.
+struct Recycled<T>(Vec<Vec<T>>);
+
+impl<T> Recycled<T> {
+    /// An empty buffer, recycled when one is spare.
+    fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Returns a buffer for reuse.
+    fn give(&mut self, mut buf: Vec<T>) {
+        if buf.capacity() > 0 {
+            buf.clear();
+            self.0.push(buf);
+        }
     }
 }
 
@@ -351,11 +400,11 @@ struct Frame {
     /// Number of ready events (ready positions `0..arity`).
     arity: usize,
     /// With reduction armed, the ready events' snapshot (see
-    /// [`Stepper::ready_events`]); empty otherwise.
+    /// [`Stepper::ready_events_into`]); empty otherwise.
     events: Vec<PendingEvent>,
-    /// Content digests slept at this state: transitions covered by a
-    /// commuting sibling order (inherited) or already explored here.
-    sleep: FxHashSet<u64>,
+    /// Content digests slept at this state, sorted: transitions covered
+    /// by a commuting sibling order (inherited) or already explored here.
+    sleep: Vec<u64>,
     /// Next ready position to consider.
     next: usize,
     /// Virtual clock at this state, for the commute time condition.
@@ -375,7 +424,8 @@ struct Frame {
 /// position displaced when the last sibling takes its frame's snapshot
 /// over becomes the next spare. A fresh fork happens only when no spare
 /// is left, so the positions alive at once, spares included, never
-/// outnumber the snapshots held at the deepest point plus one.
+/// outnumber the snapshots held at the deepest point plus one. Frames'
+/// event snapshots and sleep sets are recycled the same way.
 fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
     let cfg = params.cfg();
     let mut out = DfsOutcome {
@@ -395,8 +445,13 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
     // Whether the engine has drifted off the top-of-stack state (after
     // any backtrack) and must be restored from its snapshot before firing.
     let mut dirty = false;
-    // Sleep set to attach to the state the engine currently sits on.
-    let mut incoming_sleep: FxHashSet<u64> = FxHashSet::default();
+    // Sleep set (sorted) to attach to the state the engine currently
+    // sits on.
+    let mut incoming_sleep: Vec<u64> = Vec::new();
+    // Buffers of popped frames.
+    let mut spare_events: Recycled<PendingEvent> = Recycled(Vec::new());
+    let mut spare_sleeps: Recycled<u64> = Recycled(Vec::new());
+    let mut clock = params.clock();
     // Whether the current engine state still needs its entry processing
     // (leaf/prune checks and frame creation).
     let mut entering = true;
@@ -416,7 +471,7 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
     }
 
     loop {
-        if Instant::now() >= params.deadline {
+        if clock.expired() {
             out.stats.budget_hit = true;
             return out;
         }
@@ -472,22 +527,20 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
                     dirty = true;
                     continue;
                 }
-                let mut sig: Vec<u64> = incoming_sleep.iter().copied().collect();
-                sig.sort_unstable();
-                let sig: Box<[u64]> = sig.into();
+                let sig = &incoming_sleep;
                 match table.get_mut(&fp) {
-                    Some(sigs) if sigs.iter().any(|old| subset(old, &sig)) => {
+                    Some(sigs) if sigs.iter().any(|old| subset(old, sig)) => {
                         out.stats.dedup_hits += 1;
                         path.pop();
                         dirty = true;
                         continue;
                     }
                     Some(sigs) => {
-                        sigs.retain(|old| !subset(&sig, old));
-                        sigs.push(sig);
+                        sigs.retain(|old| !subset(sig, old));
+                        sigs.push(sig.as_slice().into());
                     }
                     None => {
-                        table.insert(fp, vec![sig]);
+                        table.insert(fp, vec![sig.as_slice().into()]);
                         out.stats.unique_states += 1;
                     }
                 }
@@ -495,11 +548,10 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
             } else {
                 on_path.push(0);
             }
-            let events = if params.reduce {
-                st.ready_events()
-            } else {
-                Vec::new()
-            };
+            let mut events = spare_events.take();
+            if params.reduce {
+                st.ready_events_into(&mut events);
+            }
             stack.push(Frame {
                 arity: st.ready().len(),
                 events,
@@ -515,7 +567,7 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
         };
         let mut b = frame.next;
         let slept = |frame: &Frame, b: usize| {
-            params.reduce && frame.sleep.contains(&frame.events[b].content)
+            params.reduce && frame.sleep.binary_search(&frame.events[b].content).is_ok()
         };
         while b < frame.arity {
             if slept(frame, b) {
@@ -526,7 +578,10 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
             }
         }
         if b >= frame.arity {
-            spares.extend(stack.pop().and_then(|f| f.snap));
+            let done = stack.pop().expect("the top frame");
+            spares.extend(done.snap);
+            spare_events.give(done.events);
+            spare_sleeps.give(done.sleep);
             on_path.pop();
             if path.pop().is_some() {
                 dirty = true;
@@ -534,19 +589,25 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
             continue;
         }
         frame.next = b + 1;
-        let child_sleep: FxHashSet<u64> = if params.reduce {
+        let mut child_sleep = spare_sleeps.take();
+        if params.reduce {
             let chosen = &frame.events[b];
-            let child = frame
-                .events
-                .iter()
-                .filter(|e| frame.sleep.contains(&e.content) && e.commutes_with(chosen, frame.now))
-                .map(|e| e.content)
-                .collect();
-            frame.sleep.insert(chosen.content);
-            child
-        } else {
-            FxHashSet::default()
-        };
+            child_sleep.extend(
+                frame
+                    .events
+                    .iter()
+                    .filter(|e| {
+                        frame.sleep.binary_search(&e.content).is_ok()
+                            && e.commutes_with(chosen, frame.now)
+                    })
+                    .map(|e| e.content),
+            );
+            child_sleep.sort_unstable();
+            child_sleep.dedup();
+            if let Err(at) = frame.sleep.binary_search(&chosen.content) {
+                frame.sleep.insert(at, chosen.content);
+            }
+        }
         // Snapshot the state only while a later sibling will need it:
         // the last sibling to fire takes the snapshot over.
         let later = (b + 1..frame.arity).any(|c| !slept(frame, c));
@@ -574,10 +635,11 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
         out.stats.transitions += 1;
         match st.fire(b) {
             Ok(()) => {
-                incoming_sleep = child_sleep;
+                spare_sleeps.give(std::mem::replace(&mut incoming_sleep, child_sleep));
                 entering = true;
             }
             Err((v, trace)) => {
+                spare_sleeps.give(child_sleep);
                 record_violation!(v, trace);
                 path.pop();
                 // The engine may be poisoned after a panic; the dirty
@@ -610,8 +672,9 @@ fn unroll_lasso(
     // record what fired (the DFS only kept pick indices).
     let mut st = Stepper::replay_green(cfg, &picks);
     let mut cycle: Vec<u64> = Vec::new();
+    let mut ready = Vec::new();
     for &p in &path[entry..] {
-        let ready = st.ready_events();
+        st.ready_events_into(&mut ready);
         cycle.push(ready[p.min(ready.len() - 1)].content);
         if st.fire(p).is_err() {
             break;
@@ -692,11 +755,12 @@ fn expand_frontier(
         prefix: Vec::new(),
         st: Stepper::new(cfg),
     });
+    let mut clock = params.clock();
     while queue.len() < FRONTIER_JOBS {
         let Some(job) = queue.pop_front() else {
             break;
         };
-        if Instant::now() >= params.deadline {
+        if clock.expired() {
             stats.budget_hit = true;
             queue.push_front(job);
             break;

@@ -477,3 +477,33 @@ fn unreachable_fault_configs_are_rejected() {
     let err = oversized.validate().expect_err("2000 nodes passed");
     assert!(err.contains("2000"), "no node count in: {err}");
 }
+
+/// A zero-second budget ends a large exploration at once, reduced or
+/// not, with the budget flag set: the explorers read the wall clock only
+/// every few hundred iterations, but always on their first.
+#[test]
+fn a_zero_second_budget_ends_a_large_exploration_early() {
+    let cfg = CheckConfig {
+        nodes: 4,
+        blocks: 2,
+        ops_per_node: 2,
+        ..CheckConfig::default()
+    };
+    let zero = ExploreLimits {
+        max_seconds: 0,
+        ..limits()
+    };
+    for reduce in [true, false] {
+        let out = explore_reduced_with(&cfg, &zero, 2, reduce);
+        assert!(
+            matches!(out.exploration, Exploration::Budget { .. }),
+            "reduce={reduce}: {:?}",
+            out.exploration
+        );
+        assert!(
+            out.transitions < 256,
+            "reduce={reduce}: {} transitions under a zero-second budget",
+            out.transitions
+        );
+    }
+}

@@ -3,19 +3,20 @@
 //! (`Engine::run_pending_into`) hands the notifications over without a
 //! `Vec` of their own, and folding them into the oracle history (`note`)
 //! plus the step oracles (`check_step`) allocate nothing at any step.
-//! The engine's dispatch still grows its own containers (span event
-//! lists, cache chunks, link queues) the first time a walk needs them.
-//! The reduced explorer backtracks by copying positions into recycled
-//! ones: a copy into a position of the same shape allocates nothing, and
-//! a whole exploration allocates a fraction of what forking and dropping
-//! an engine per branch did. Counted by a global allocator, so the
-//! figures are the same on any host.
+//! The engine's dispatch still grows its own containers (the span event
+//! arena, cache chunks, link queues) the first time a walk needs them.
+//! A state fingerprint allocates nothing at any position. The reduced
+//! explorer backtracks by copying positions into recycled ones: a copy
+//! into a position of the same shape allocates nothing, and a whole
+//! exploration allocates a fraction of what forking and dropping an
+//! engine per branch did. Counted by a global allocator, so the figures
+//! are the same on any host.
 
 use cenju4_check::explore::fork_into_probe;
 use cenju4_check::{explore_reduced, CheckConfig, Exploration, ExploreLimits, OracleState};
 use cenju4_des::SplitMix64;
 use cenju4_obs::{CounterKey, MetricsRegistry};
-use cenju4_protocol::Notification;
+use cenju4_protocol::{Engine, Notification};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -226,9 +227,17 @@ fn forking_into_a_position_of_the_same_shape_allocates_nothing() {
 /// snapshot was a fresh fork and every backtrack dropped one.
 const FORKING_EXPLORATION_ALLOCS: u64 = 166_096;
 
+/// Allocations one reduced exploration of the scenario made once
+/// fingerprints stopped allocating and frames recycled their event
+/// snapshots and sleep sets (33,403 before). What is left is mostly
+/// the dedup table's own storage: a sleep signature per unique state.
+const RECYCLING_EXPLORATION_ALLOCS: u64 = 6_885;
+
 /// Recycling positions cuts one exploration's allocations to under a
-/// quarter of the forking explorer's (33,403 when pinned), with the
-/// counts of the search unchanged.
+/// quarter of the forking explorer's, and allocation-free fingerprints
+/// plus recycled frame buffers keep them under
+/// [`RECYCLING_EXPLORATION_ALLOCS`], with the counts of the search
+/// unchanged.
 #[test]
 fn a_reduced_exploration_recycles_its_positions() {
     let cfg = explore_scenario();
@@ -244,4 +253,47 @@ fn a_reduced_exploration_recycles_its_positions() {
         usage.allocs,
         usage.bytes
     );
+    assert!(
+        usage.allocs <= RECYCLING_EXPLORATION_ALLOCS,
+        "{} allocations, {} bytes",
+        usage.allocs,
+        usage.bytes
+    );
+}
+
+/// Visits every position of seeded walks of `cfg`: `walks` walks, each
+/// picking uniformly among the ready events until quiescence.
+fn visit_walk_positions(cfg: &CheckConfig, walks: u64, mut visit: impl FnMut(&Engine)) {
+    let (mut ready, mut notes) = (Vec::new(), Vec::new());
+    for walk in 0..walks {
+        let mut rng = SplitMix64::new(walk);
+        let mut eng = cfg.engine();
+        loop {
+            visit(&eng);
+            eng.ready_choices(&mut ready);
+            if ready.is_empty() {
+                break;
+            }
+            let pick = ready[rng.next_below(ready.len() as u64) as usize];
+            notes.clear();
+            assert!(eng.run_pending_into(pick, &mut notes));
+        }
+    }
+}
+
+/// At every position of seeded walks of the explore scenario and of the
+/// lossy check-walks scenario (timers parked, gathers open, duplicate
+/// replies filtered), the state fingerprint allocates nothing.
+#[test]
+fn a_state_fingerprint_allocates_nothing() {
+    for (cfg, walks) in [(explore_scenario(), 8), (walks_scenario(), 40)] {
+        let blocks = cfg.block_addrs();
+        let mut positions = 0;
+        visit_walk_positions(&cfg, walks, |eng| {
+            let (_, bytes) = bytes_of(|| eng.state_fingerprint(&blocks));
+            assert_eq!(bytes, 0, "{cfg}: position {positions}");
+            positions += 1;
+        });
+        assert!(positions > 100, "{cfg}: {positions} positions");
+    }
 }

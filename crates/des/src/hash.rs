@@ -28,7 +28,7 @@
 //! assert_eq!(m[&(3, 7)], 42);
 //! ```
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A `HashMap` keyed by the deterministic [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
@@ -104,6 +104,83 @@ impl Hasher for FxHasher {
     }
 }
 
+/// SplitMix64's output finaliser: a bijective avalanche of `z`, so
+/// every input bit moves about half the output bits. A raw [`FxHasher`]
+/// output is not mixed enough to be *summed*: it digests a one-word
+/// value `w` to `w·K`, so the sums for {1, 4} and {2, 3} would collide.
+/// One pass of this is.
+#[inline]
+pub const fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The [`FxHasher`] digest of one value.
+#[inline]
+pub fn fx_digest<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut h = FxHasher::default();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// An order-independent digest of a multiset: the item count and the
+/// wrapping sum of [`mix64`] over each item's (offset) digest. Folding the items
+/// of an unordered container (a hash map's entries, a set) in whatever
+/// order it iterates gives the same digest, so a fingerprint needs no
+/// sorted copy of the container — it allocates nothing. Equal multisets
+/// always agree; distinct ones collide with probability about 2⁻⁶⁴.
+///
+/// # Examples
+///
+/// ```
+/// use cenju4_des::hash::MultisetDigest;
+///
+/// let (mut a, mut b) = (MultisetDigest::default(), MultisetDigest::default());
+/// for x in [3u64, 1, 2] {
+///     a.insert(&x);
+/// }
+/// for x in [1u64, 2, 3] {
+///     b.insert(&x);
+/// }
+/// assert_eq!(a, b);
+/// b.insert(&3u64);
+/// assert_ne!(a, b);
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct MultisetDigest {
+    len: u64,
+    sum: u64,
+}
+
+impl MultisetDigest {
+    /// Adds one item, given as its digest.
+    #[inline]
+    pub fn add(&mut self, digest: u64) {
+        self.len += 1;
+        // Offset first, as SplitMix64 does: `mix64` fixes 0, and an
+        // all-zero item (node 0, block 0, txn 0) digests to 0 under Fx.
+        self.sum = self
+            .sum
+            .wrapping_add(mix64(digest.wrapping_add(0x9E37_79B9_7F4A_7C15)));
+    }
+
+    /// Adds one item, digested with [`fx_digest`].
+    #[inline]
+    pub fn insert<T: Hash + ?Sized>(&mut self, item: &T) {
+        self.add(fx_digest(item));
+    }
+
+    /// The digest of an unordered collection of items.
+    pub fn of<'a, T: Hash + 'a>(items: impl IntoIterator<Item = &'a T>) -> Self {
+        let mut m = MultisetDigest::default();
+        for item in items {
+            m.insert(item);
+        }
+        m
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,5 +219,37 @@ mod tests {
         let mut set: FxHashSet<u32> = FxHashSet::default();
         assert!(set.insert(7));
         assert!(!set.insert(7));
+    }
+
+    #[test]
+    fn multiset_digest_ignores_order_but_not_multiplicity() {
+        let items: Vec<(u16, u64)> = (0..64u16).map(|i| (i % 5, u64::from(i) * 7)).collect();
+        let forward = MultisetDigest::of(&items);
+        let backward = MultisetDigest::of(items.iter().rev());
+        assert_eq!(forward, backward);
+        let mut doubled = forward;
+        doubled.insert(&items[0]);
+        assert_ne!(doubled, forward);
+        // A repeated item is not an absent one: {a, a} differs from {}.
+        let mut twice = MultisetDigest::default();
+        twice.insert(&items[0]);
+        twice.insert(&items[0]);
+        assert_ne!(twice, MultisetDigest::default());
+        assert_ne!(twice.sum, 0);
+        // Raw Fx digests are linear in a one-word item; mixed ones not.
+        assert_eq!(
+            fx_digest(&1u64).wrapping_add(fx_digest(&4u64)),
+            fx_digest(&2u64).wrapping_add(fx_digest(&3u64))
+        );
+        assert_ne!(
+            MultisetDigest::of(&[1u64, 4]),
+            MultisetDigest::of(&[2u64, 3])
+        );
+    }
+
+    #[test]
+    fn mix64_is_splitmix64s_finaliser() {
+        let mut rng = crate::SplitMix64::new(0);
+        assert_eq!(rng.next_u64(), mix64(0x9E37_79B9_7F4A_7C15));
     }
 }

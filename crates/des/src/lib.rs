@@ -34,7 +34,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use hash::{FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxHashMap, FxHashSet, FxHasher, MultisetDigest};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use stats::{Histogram, HistogramSummary};

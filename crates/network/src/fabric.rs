@@ -7,9 +7,10 @@ use crate::params::{MulticastMode, NetParams};
 use crate::stats::NetStats;
 use crate::tables::port_index;
 use crate::topology::Topology;
-use cenju4_des::{Duration, FxHashMap, SimTime};
+use cenju4_des::{Duration, FxHashMap, FxHasher, MultisetDigest, SimTime};
 use cenju4_directory::nodemap::DestSpec;
 use cenju4_directory::{NodeId, SystemSize};
+use std::hash::{Hash, Hasher};
 
 /// A message payload that can be folded together by the gathering hardware.
 ///
@@ -241,19 +242,46 @@ impl<P: Payload> Fabric<P> {
         self.gathers.contains_key(&id)
     }
 
-    /// Folds the open-gather state — wait patterns and partially merged
-    /// payloads per switch — into a hasher in canonical (gather id,
-    /// switch key) order. Part of a model checker's state fingerprint:
-    /// two interleavings that delivered different subsets of a gather's
+    /// Folds the open-gather state — each gather's progress and, per
+    /// switch, its wait pattern and partially merged payload — into a
+    /// hasher. Part of a model checker's state fingerprint: two
+    /// interleavings that delivered different subsets of a gather's
     /// replies are different states even when their pending event sets
-    /// agree. Payloads are folded through `payload` since [`Payload`]
-    /// itself requires no hashing. Timestamps are excluded.
-    pub fn fold_gathers<H: std::hash::Hasher>(
-        &self,
-        h: &mut H,
-        mut payload: impl FnMut(&P, &mut H),
-    ) {
-        use std::hash::Hash;
+    /// agree. The gathers and the switch entries each fold as one
+    /// [`MultisetDigest`], so the result does not depend on map
+    /// iteration order and nothing is sorted or allocated. Payloads are
+    /// digested through `payload` since [`Payload`] itself requires no
+    /// hashing. Timestamps are excluded.
+    pub fn fold_gathers<H: Hasher>(&self, h: &mut H, mut payload: impl FnMut(&P, &mut FxHasher)) {
+        let mut merged = |m: &Option<P>, d: &mut FxHasher| match m {
+            Some(p) => {
+                true.hash(d);
+                payload(p, d);
+            }
+            None => false.hash(d),
+        };
+        let mut gathers = MultisetDigest::default();
+        for (id, g) in &self.gathers {
+            let mut d = FxHasher::default();
+            (id, g.home, g.expected, g.received).hash(&mut d);
+            merged(&g.merged, &mut d);
+            gathers.add(d.finish());
+        }
+        let mut switches = MultisetDigest::default();
+        for (key, sw) in &self.switch_gathers {
+            let mut d = FxHasher::default();
+            (key, sw.waiting).hash(&mut d);
+            merged(&sw.merged, &mut d);
+            switches.add(d.finish());
+        }
+        (gathers, switches).hash(h);
+    }
+
+    /// The sort-based fold [`Fabric::fold_gathers`] replaced, in
+    /// canonical (gather id, switch key) order: a test reference for the
+    /// fingerprint differential tests, not for library use.
+    #[doc(hidden)]
+    pub fn fold_gathers_sorted<H: Hasher>(&self, h: &mut H, mut payload: impl FnMut(&P, &mut H)) {
         let mut ids: Vec<GatherId> = self.gathers.keys().copied().collect();
         ids.sort_unstable();
         ids.len().hash(h);
@@ -1219,6 +1247,82 @@ mod tests {
         assert_eq!(f.open_gathers(), 0);
         assert_eq!(f.stats().gather_delivered.get(), 1);
         assert_eq!(f.stats().gather_absorbed.get() as usize, expected.len() - 1);
+    }
+
+    /// Over random gathers in both modes, each replied to in a random
+    /// order and in part, the multiset fold partitions fabric states
+    /// exactly as the sort-based fold does. Payloads are mostly 0, so
+    /// the reply counts, not the merged sums, tell progress apart.
+    #[test]
+    fn gather_folds_partition_like_the_sorted_fold() {
+        use cenju4_des::SplitMix64;
+        let digest = |f: &Fabric<u32>, sorted: bool| {
+            let mut h = FxHasher::default();
+            if sorted {
+                f.fold_gathers_sorted(&mut h, |p, h| p.hash(h));
+            } else {
+                f.fold_gathers(&mut h, |p, h| p.hash(h));
+            }
+            h.finish()
+        };
+        let mut by_fold: FxHashMap<u64, u64> = FxHashMap::default();
+        let mut by_sorted: FxHashMap<u64, u64> = FxHashMap::default();
+        let mut visits = 0;
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(seed);
+            let params = if seed % 2 == 0 {
+                NetParams::default()
+            } else {
+                NetParams::without_multicast()
+            };
+            let mut f: Fabric<u32> = Fabric::new(sys(16), params);
+            let mut replies = Vec::new();
+            for g in 0..1 + rng.next_below(3) {
+                let home = NodeId::new(g as u16);
+                let members: Vec<u16> = (4..16).filter(|_| rng.next_below(3) == 0).collect();
+                if members.is_empty() {
+                    continue;
+                }
+                let spec = spec_of(&members);
+                let id = f.open_gather(home, spec);
+                let dels = f.send_multicast(
+                    SimTime::ZERO,
+                    home,
+                    spec,
+                    false,
+                    0,
+                    Some(id),
+                    WireClass::Other,
+                );
+                replies.extend(dels.iter().map(|d| (d.at, d.node, id)));
+            }
+            // Replies in a random order; each state on the way is visited.
+            for i in (1..replies.len()).rev() {
+                replies.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let stop = rng.next_below(replies.len() as u64 + 1) as usize;
+            for &(at, node, id) in &replies[..stop] {
+                let payload = u32::from(rng.next_below(4) == 0);
+                let _ = f.send_gather_reply(at, node, id, payload);
+                let (fold, sorted) = (digest(&f, false), digest(&f, true));
+                assert_eq!(
+                    *by_fold.entry(fold).or_insert(sorted),
+                    sorted,
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    *by_sorted.entry(sorted).or_insert(fold),
+                    fold,
+                    "seed {seed}"
+                );
+                visits += 1;
+            }
+        }
+        assert!(
+            visits > by_sorted.len() && by_sorted.len() > 500,
+            "{visits} visits, {} states",
+            by_sorted.len()
+        );
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub fn chrome_trace_json(col: &SpanCollector) -> String {
             esc(&span.addr.to_string()),
             span.retries,
         ));
-        for ev in &span.events {
+        for ev in col.events(span) {
             let epid = ev.node.index();
             let etid = lane(event_module(ev.label));
             name_lane(&mut events, epid, etid);

@@ -53,4 +53,4 @@ pub use cenju4_des::{Histogram, HistogramSummary};
 pub use cenju4_protocol::{Observer, PhaseKind, TxnId};
 pub use export::chrome_trace_json;
 pub use metrics::{summary_to_json, CounterKey, MetricsRegistry};
-pub use span::{Span, SpanClass, SpanCollector, SpanEvent};
+pub use span::{Span, SpanClass, SpanCollector, SpanEvent, SpanEvents};

@@ -6,7 +6,6 @@ use cenju4_directory::{NodeId, SystemSize};
 use cenju4_network::Topology;
 use cenju4_protocol::observer::{ModuleKind, Observer, PhaseKind};
 use cenju4_protocol::{Addr, MemOp, ProtoMsg, RecoveryError, ReqKind, TxnId};
-use std::collections::VecDeque;
 
 /// The class a closed span lands in — one latency histogram per class.
 /// Declared in sorted label order, the order the metric dumps use.
@@ -92,8 +91,11 @@ pub(crate) fn event_module(label: &str) -> ModuleKind {
 }
 
 /// One coherence transaction's lifetime: open at the processor access,
-/// closed at graduation, with every phase milestone in between.
-#[derive(Debug)]
+/// closed at graduation, with every phase milestone in between. Plain
+/// data: the milestones live in the owning collector's event arena
+/// (read them with [`SpanCollector::events`]), so copying a span, or a
+/// whole collector, copies no per-span buffer.
+#[derive(Clone, Copy, Debug)]
 pub struct Span {
     /// Collector-local span id (stable within one run).
     pub id: u64,
@@ -113,30 +115,70 @@ pub struct Span {
     pub closed: Option<SimTime>,
     /// The class assigned at close.
     pub class: Option<SpanClass>,
-    /// Phase milestones, in firing order.
-    pub events: Vec<SpanEvent>,
     /// Nack/retry rounds this transaction suffered.
     pub retries: u32,
+    /// Arena index of the span's first and last phase milestones
+    /// ([`NO_EVENT`] while it has none).
+    first_event: u32,
+    last_event: u32,
 }
-
-cenju4_des::clone_fields!(Span {
-    id,
-    txn,
-    node,
-    addr,
-    op,
-    kind,
-    opened,
-    closed,
-    class,
-    events,
-    retries,
-});
 
 impl Span {
     /// The span latency, once closed.
     pub fn latency_ns(&self) -> Option<u64> {
         self.closed.map(|c| c.since(self.opened).as_ns())
+    }
+
+    /// A span opened at `at` with no milestones yet.
+    fn open(
+        id: u64,
+        txn: Option<TxnId>,
+        node: NodeId,
+        addr: Addr,
+        op: Option<MemOp>,
+        at: SimTime,
+    ) -> Self {
+        Span {
+            id,
+            txn,
+            node,
+            addr,
+            op,
+            kind: None,
+            opened: at,
+            closed: None,
+            class: None,
+            retries: 0,
+            first_event: NO_EVENT,
+            last_event: NO_EVENT,
+        }
+    }
+}
+
+/// The arena link that ends a span's milestone list.
+const NO_EVENT: u32 = u32::MAX;
+
+/// One slot of a collector's event arena: a milestone and the arena
+/// index of the next milestone of the same span.
+#[derive(Clone, Copy, Debug)]
+struct ArenaEvent {
+    event: SpanEvent,
+    next: u32,
+}
+
+/// The milestones of one span, in firing order ([`SpanCollector::events`]).
+pub struct SpanEvents<'a> {
+    arena: &'a [ArenaEvent],
+    next: u32,
+}
+
+impl<'a> Iterator for SpanEvents<'a> {
+    type Item = &'a SpanEvent;
+
+    fn next(&mut self) -> Option<&'a SpanEvent> {
+        let slot = self.arena.get(self.next as usize)?;
+        self.next = slot.next;
+        Some(&slot.event)
     }
 }
 
@@ -149,19 +191,28 @@ impl Span {
 /// by quiescence — [`SpanCollector::open_span_count`] doubles as a
 /// transaction-leak / starvation detector (the checker's quiescence
 /// oracle asserts it is zero).
+///
+/// Storage is flat, so a `clone_from` into a collector that has grown
+/// is a handful of slice copies: the spans are plain data, every span's
+/// milestones share one event arena (each span threads its own through
+/// arena indices), the open writebacks are one FIFO, and the
+/// per-node dispatch table is a dense `Vec`.
 pub struct SpanCollector {
     topo: Topology,
     spans: Vec<Span>,
+    /// Every span's phase milestones, in recording order; a span's own
+    /// are linked from its `first_event`.
+    events: Vec<ArenaEvent>,
     /// Open processor-access spans by transaction id.
     open: FxHashMap<TxnId, usize>,
-    /// Open writeback pseudo-spans by (evictor, block), FIFO per key —
-    /// the fabric delivers same-link messages in order, so the first
-    /// writeback sent is the first received.
-    open_writebacks: FxHashMap<(NodeId, Addr), VecDeque<usize>>,
+    /// Open writeback pseudo-spans as (evictor, block, span index), in
+    /// send order. The fabric delivers same-link messages in order, so
+    /// a receipt closes the first entry of its (evictor, block).
+    open_writebacks: Vec<(NodeId, Addr, usize)>,
     /// The transaction whose access/retry dispatch is currently running
-    /// at each node, so the txn-less `on_request_issued` callback can be
-    /// attributed to its span.
-    last_dispatch: FxHashMap<NodeId, TxnId>,
+    /// at each node, indexed by node, so the txn-less
+    /// `on_request_issued` callback can be attributed to its span.
+    last_dispatch: Vec<Option<TxnId>>,
     metrics: MetricsRegistry,
     next_id: u64,
 }
@@ -169,6 +220,7 @@ pub struct SpanCollector {
 cenju4_des::clone_fields!(SpanCollector {
     topo,
     spans,
+    events,
     open,
     open_writebacks,
     last_dispatch,
@@ -182,9 +234,10 @@ impl SpanCollector {
         SpanCollector {
             topo: Topology::new(sys),
             spans: Vec::new(),
+            events: Vec::new(),
             open: FxHashMap::default(),
-            open_writebacks: FxHashMap::default(),
-            last_dispatch: FxHashMap::default(),
+            open_writebacks: Vec::new(),
+            last_dispatch: vec![None; sys.nodes() as usize],
             metrics: MetricsRegistry::new(),
             next_id: 0,
         }
@@ -195,6 +248,15 @@ impl SpanCollector {
         &self.spans
     }
 
+    /// The phase milestones of `span`, one of this collector's
+    /// [`SpanCollector::spans`], in firing order.
+    pub fn events(&self, span: &Span) -> SpanEvents<'_> {
+        SpanEvents {
+            arena: &self.events,
+            next: span.first_event,
+        }
+    }
+
     /// The accumulated histograms and counters.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -203,12 +265,7 @@ impl SpanCollector {
     /// Spans still open — zero at quiescence, or the protocol leaked a
     /// transaction (the span-leak oracle).
     pub fn open_span_count(&self) -> usize {
-        self.open.len()
-            + self
-                .open_writebacks
-                .values()
-                .map(VecDeque::len)
-                .sum::<usize>()
+        self.open.len() + self.open_writebacks.len()
     }
 
     /// Spans that opened and closed.
@@ -231,7 +288,7 @@ impl SpanCollector {
                 s.closed.map(|c| c.as_ns()),
                 s.retries,
             ));
-            for e in &s.events {
+            for e in self.events(s) {
                 out.push_str(&format!(
                     "  {} @{} node={} detail={}\n",
                     e.label,
@@ -246,10 +303,10 @@ impl SpanCollector {
 
     /// Absorbs `other` — a collector that watched a *disjoint* slice of
     /// the same run (a node shard, a sweep slot) — into this one. Spans
-    /// are appended in `other`'s open order with ids and open-table
-    /// indices re-based, and the metrics registries merge bucket-wise,
-    /// so the union reports exactly what one collector watching both
-    /// slices would have.
+    /// are appended in `other`'s open order with ids, open-table indices
+    /// and event-arena links re-based, and the metrics registries merge
+    /// bucket-wise, so the union reports exactly what one collector
+    /// watching both slices would have.
     ///
     /// # Panics
     ///
@@ -258,21 +315,43 @@ impl SpanCollector {
     pub fn merge(&mut self, other: SpanCollector) {
         let base = self.spans.len();
         let id_base = self.next_id;
+        let event_base = self.events.len() as u32;
+        let rebase = |link: u32| {
+            if link == NO_EVENT {
+                NO_EVENT
+            } else {
+                link + event_base
+            }
+        };
         for mut span in other.spans {
             span.id += id_base;
+            span.first_event = rebase(span.first_event);
+            span.last_event = rebase(span.last_event);
             self.spans.push(span);
         }
+        self.events
+            .extend(other.events.into_iter().map(|e| ArenaEvent {
+                event: e.event,
+                next: rebase(e.next),
+            }));
         self.next_id += other.next_id;
         for (txn, idx) in other.open {
             let prev = self.open.insert(txn, base + idx);
             debug_assert!(prev.is_none(), "open span collision on txn {txn}");
         }
-        for ((node, addr), q) in other.open_writebacks {
-            let slot = self.open_writebacks.entry((node, addr)).or_default();
-            slot.extend(q.into_iter().map(|idx| base + idx));
+        self.open_writebacks.extend(
+            other
+                .open_writebacks
+                .into_iter()
+                .map(|(node, addr, idx)| (node, addr, base + idx)),
+        );
+        if self.last_dispatch.len() < other.last_dispatch.len() {
+            self.last_dispatch.resize(other.last_dispatch.len(), None);
         }
-        for (node, txn) in other.last_dispatch {
-            self.last_dispatch.insert(node, txn);
+        for (mine, theirs) in self.last_dispatch.iter_mut().zip(other.last_dispatch) {
+            if theirs.is_some() {
+                *mine = theirs;
+            }
         }
         self.metrics.merge(&other.metrics);
     }
@@ -281,6 +360,21 @@ impl SpanCollector {
         let idx = self.spans.len();
         self.spans.push(span);
         idx
+    }
+
+    /// Appends a milestone to span `idx`'s list.
+    fn push_event(&mut self, idx: usize, event: SpanEvent) {
+        let slot = self.events.len() as u32;
+        self.events.push(ArenaEvent {
+            event,
+            next: NO_EVENT,
+        });
+        let span = &mut self.spans[idx];
+        match span.last_event {
+            NO_EVENT => span.first_event = slot,
+            last => self.events[last as usize].next = slot,
+        }
+        span.last_event = slot;
     }
 
     fn close(&mut self, idx: usize, at: SimTime, class: SpanClass) {
@@ -328,40 +422,31 @@ impl Observer for SpanCollector {
     }
 
     fn on_access(&mut self, at: SimTime, node: NodeId, op: MemOp, addr: Addr, txn: TxnId) {
-        self.last_dispatch.insert(node, txn);
+        self.last_dispatch[node.as_usize()] = Some(txn);
         if let Some(&idx) = self.open.get(&txn) {
             // A backlogged access re-dispatching once a request slot
             // freed up: the span stays open from its first issue.
-            self.spans[idx].events.push(SpanEvent {
-                at,
-                node,
-                label: "backlog-drain",
-                detail: 0,
-            });
+            self.push_event(
+                idx,
+                SpanEvent {
+                    at,
+                    node,
+                    label: "backlog-drain",
+                    detail: 0,
+                },
+            );
             self.metrics.incr(CounterKey::PhaseBacklogDrain);
             return;
         }
         let id = self.next_id;
         self.next_id += 1;
-        let idx = self.push_span(Span {
-            id,
-            txn: Some(txn),
-            node,
-            addr,
-            op: Some(op),
-            kind: None,
-            opened: at,
-            closed: None,
-            class: None,
-            events: Vec::new(),
-            retries: 0,
-        });
+        let idx = self.push_span(Span::open(id, Some(txn), node, addr, Some(op), at));
         self.open.insert(txn, idx);
         self.metrics.incr(CounterKey::SpanOpened);
     }
 
     fn on_request_issued(&mut self, _at: SimTime, node: NodeId, kind: ReqKind, retry: bool) {
-        let Some(&txn) = self.last_dispatch.get(&node) else {
+        let Some(txn) = self.last_dispatch[node.as_usize()] else {
             return;
         };
         if let Some(&idx) = self.open.get(&txn) {
@@ -379,16 +464,20 @@ impl Observer for SpanCollector {
     }
 
     fn on_retry(&mut self, at: SimTime, node: NodeId, txn: TxnId) {
-        self.last_dispatch.insert(node, txn);
+        self.last_dispatch[node.as_usize()] = Some(txn);
         if let Some(&idx) = self.open.get(&txn) {
             let span = &mut self.spans[idx];
             span.retries += 1;
-            span.events.push(SpanEvent {
-                at,
-                node,
-                label: "retry",
-                detail: span.retries,
-            });
+            let detail = span.retries;
+            self.push_event(
+                idx,
+                SpanEvent {
+                    at,
+                    node,
+                    label: "retry",
+                    detail,
+                },
+            );
         }
         self.metrics.incr(CounterKey::PhaseRetry);
     }
@@ -402,12 +491,15 @@ impl Observer for SpanCollector {
             _ => 0,
         };
         if let Some(&idx) = self.open.get(&txn) {
-            self.spans[idx].events.push(SpanEvent {
-                at,
-                node,
-                label,
-                detail,
-            });
+            self.push_event(
+                idx,
+                SpanEvent {
+                    at,
+                    node,
+                    label,
+                    detail,
+                },
+            );
         }
         self.metrics.incr(match phase {
             PhaseKind::QueuedAtHome { .. } => CounterKey::PhaseQueuedAtHome,
@@ -434,23 +526,8 @@ impl Observer for SpanCollector {
         if let ProtoMsg::WriteBack { addr, from, .. } = *msg {
             let id = self.next_id;
             self.next_id += 1;
-            let idx = self.push_span(Span {
-                id,
-                txn: None,
-                node: from,
-                addr,
-                op: None,
-                kind: None,
-                opened: at,
-                closed: None,
-                class: None,
-                events: Vec::new(),
-                retries: 0,
-            });
-            self.open_writebacks
-                .entry((from, addr))
-                .or_default()
-                .push_back(idx);
+            let idx = self.push_span(Span::open(id, None, from, addr, None, at));
+            self.open_writebacks.push((from, addr, idx));
             self.metrics.incr(CounterKey::SpanOpened);
         }
     }
@@ -458,13 +535,13 @@ impl Observer for SpanCollector {
     fn on_receive(&mut self, at: SimTime, dst: NodeId, _src: NodeId, msg: &ProtoMsg) {
         if let ProtoMsg::WriteBack { addr, from, .. } = *msg {
             debug_assert_eq!(dst, addr.home());
-            if let Some(q) = self.open_writebacks.get_mut(&(from, addr)) {
-                if let Some(idx) = q.pop_front() {
-                    if q.is_empty() {
-                        self.open_writebacks.remove(&(from, addr));
-                    }
-                    self.close(idx, at, SpanClass::Writeback);
-                }
+            if let Some(pos) = self
+                .open_writebacks
+                .iter()
+                .position(|&(f, a, _)| (f, a) == (from, addr))
+            {
+                let (_, _, idx) = self.open_writebacks.remove(pos);
+                self.close(idx, at, SpanClass::Writeback);
             }
         }
     }
@@ -514,21 +591,17 @@ impl Observer for SpanCollector {
         // bound for a home on it — can never be delivered: the fabric
         // dropped it during the down window or will discard it at
         // admission. Close those pseudo-spans now so quarantine does not
-        // leak spans.
-        let mut keys: Vec<(NodeId, Addr)> = self
-            .open_writebacks
-            .keys()
-            .filter(|(from, addr)| *from == node || addr.home() == node)
-            .copied()
-            .collect();
-        keys.sort_unstable();
-        for key in keys {
-            if let Some(q) = self.open_writebacks.remove(&key) {
-                for idx in q {
-                    self.close(idx, at, SpanClass::Abandoned);
-                }
+        // leak spans (closing order is immaterial: a close only sets the
+        // span's own fields and bumps order-free metrics).
+        let mut open = std::mem::take(&mut self.open_writebacks);
+        open.retain(|&(from, addr, idx)| {
+            let lost = from == node || addr.home() == node;
+            if lost {
+                self.close(idx, at, SpanClass::Abandoned);
             }
-        }
+            !lost
+        });
+        self.open_writebacks = open;
     }
 
     fn on_gather_scrub(&mut self, _at: SimTime, _home: NodeId, _addr: Addr) {
@@ -587,12 +660,13 @@ mod tests {
         assert_eq!(c.open_span_count(), 0);
         let store = c.spans().last().unwrap();
         assert_eq!(store.class, Some(SpanClass::Upgrade));
-        let labels: Vec<_> = store.events.iter().map(|e| e.label).collect();
+        let events: Vec<&SpanEvent> = c.events(store).collect();
+        let labels: Vec<_> = events.iter().map(|e| e.label).collect();
         assert!(labels.contains(&"multicast-fanout"), "{labels:?}");
         assert!(labels.contains(&"gather-combine"), "{labels:?}");
         assert!(labels.contains(&"reply"), "{labels:?}");
         // Event timestamps are nondecreasing within the span.
-        assert!(store.events.windows(2).all(|w| w[0].at <= w[1].at));
+        assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]
@@ -663,6 +737,7 @@ mod tests {
     fn clone_collector(c: &SpanCollector) -> SpanCollector {
         let mut out = SpanCollector::new(SystemSize::new(16).unwrap());
         out.spans = c.spans.clone();
+        out.events = c.events.clone();
         out.open = c.open.clone();
         out.open_writebacks = c.open_writebacks.clone();
         out.last_dispatch = c.last_dispatch.clone();
@@ -699,6 +774,86 @@ mod tests {
             .count();
         assert!(wb > 0, "expected at least one writeback span");
         assert_eq!(wb as u64, eng.stats().writebacks.get());
+    }
+
+    /// Drives `c` through one round of callbacks on `nodes` nodes,
+    /// offset by `round`: accesses with phase milestones (some retried,
+    /// some completed), plus writebacks of which only the first is
+    /// received, so the round leaves spans and writebacks open.
+    fn drive(c: &mut SpanCollector, round: u64, nodes: u16) {
+        let at = SimTime::from_ns(round * 1_000);
+        for n in 0..nodes {
+            let node = NodeId::new(n);
+            let txn = round * 100 + u64::from(n);
+            let addr = Addr::new(NodeId::new((n + 1) % nodes), round as u32);
+            c.on_access(at, node, MemOp::Store, addr, txn);
+            c.on_request_issued(at, node, ReqKind::ReadExclusive, false);
+            c.on_phase(at, node, txn, PhaseKind::QueuedAtHome { depth: n.into() });
+            if n % 2 == 1 {
+                c.on_retry(at, node, txn);
+            }
+            c.on_phase(at, node, txn, PhaseKind::Reply);
+            if n % 3 != 2 {
+                c.on_complete(at, node, txn, MemOp::Store, addr, false, false);
+            }
+            let wb = ProtoMsg::WriteBack {
+                addr,
+                from: node,
+                value: txn,
+            };
+            c.on_send(at, node, addr.home(), &wb);
+            c.on_send(at, node, addr.home(), &wb);
+            c.on_receive(at, addr.home(), node, &wb);
+        }
+    }
+
+    fn collector(o: &mut Box<dyn Observer>) -> &mut SpanCollector {
+        (**o).as_any_mut().downcast_mut().expect("a span collector")
+    }
+
+    /// What two collectors must agree on.
+    fn view(c: &SpanCollector) -> (String, usize, usize, String, String) {
+        (
+            c.event_fingerprint(),
+            c.open_span_count(),
+            c.completed_span_count(),
+            c.metrics().to_text(),
+            c.metrics().to_json(),
+        )
+    }
+
+    /// A `fork_into` over a collector of another shape — more nodes,
+    /// more spans and events, open writebacks — equals a plain fork, and
+    /// the two stay equal when driven on (new milestones thread through
+    /// the copied arena, queued writebacks close in order, and a
+    /// quarantine abandons the same ones).
+    #[test]
+    fn fork_into_a_collector_of_another_shape_equals_a_fork() {
+        let mut src = SpanCollector::new(SystemSize::new(4).unwrap());
+        drive(&mut src, 1, 4);
+        let mut bigger = SpanCollector::new(SystemSize::new(16).unwrap());
+        for round in 0..6 {
+            drive(&mut bigger, round, 16);
+        }
+        assert!(bigger.spans().len() > src.spans().len());
+        assert!(bigger.open_writebacks.len() > src.open_writebacks.len());
+        let mut copied: Box<dyn Observer> = Box::new(bigger);
+        assert!(src.fork_into(&mut copied));
+        let mut forked = src.fork().expect("collectors fork");
+        assert_eq!(view(collector(&mut copied)), view(collector(&mut forked)));
+        assert_eq!(view(collector(&mut copied)), view(&src));
+        for c in [collector(&mut copied), collector(&mut forked)] {
+            drive(c, 7, 4);
+            let node = NodeId::new(2);
+            let wb = ProtoMsg::WriteBack {
+                addr: Addr::new(NodeId::new(3), 1),
+                from: node,
+                value: 0,
+            };
+            c.on_receive(SimTime::from_ns(9_000), NodeId::new(3), node, &wb);
+            c.on_node_quarantined(SimTime::from_ns(9_500), NodeId::new(1));
+        }
+        assert_eq!(view(collector(&mut copied)), view(collector(&mut forked)));
     }
 
     /// The static counter keys spell `phase.<label>`,

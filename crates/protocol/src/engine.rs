@@ -392,6 +392,15 @@ impl Engine {
         self.bus.pending()
     }
 
+    /// Writes the snapshots of the ready parked events of a controlled
+    /// engine into `out` (cleared first), in choice order: exactly the
+    /// `ready` entries of [`Engine::pending_events`], without building
+    /// the others. A checker that keeps one buffer per search frame
+    /// allocates nothing here once the buffer has grown.
+    pub fn ready_events_into(&self, out: &mut Vec<PendingEvent>) {
+        self.bus.ready_events_into(out);
+    }
+
     /// Writes the choice indices of the ready parked events of a
     /// controlled engine into `out` (cleared first), ascending: exactly
     /// the positions of the `ready` events in [`Engine::pending_events`],
@@ -698,6 +707,14 @@ impl Engine {
     /// tables and backlogs, plus the parked event set folded per ordering
     /// channel and the fabric's in-flight gather combining state.
     ///
+    /// Unordered state — outstanding-transaction tables, the lost-block
+    /// and ever-down sets, the parked events (see `MessageBus::fold_held`)
+    /// and open gathers — folds as order-independent multiset digests
+    /// ([`cenju4_des::MultisetDigest`]), and parked events contribute the
+    /// content digests cached when they were parked, so a call allocates
+    /// nothing and re-hashes no message. Fingerprint *values* carry no
+    /// meaning beyond equality.
+    ///
     /// Absolute timestamps (scheduled times, virtual clock, service-queue
     /// reservations) and LRU recency are deliberately excluded: the
     /// checker treats two states as equal when every future *protocol*
@@ -711,43 +728,35 @@ impl Engine {
     ///
     /// Panics when the engine is not in controlled-schedule mode.
     pub fn state_fingerprint(&self, blocks: &[Addr]) -> u64 {
+        use cenju4_des::{FxHasher, MultisetDigest};
+        use std::hash::{Hash, Hasher};
+        let mut h = FxHasher::default();
+        self.fold_ordered_state(blocks, &mut h);
+        for shard in &self.shards {
+            let mut outstanding = MultisetDigest::default();
+            for (txn, t) in &shard.master.outstanding {
+                outstanding.insert(&(txn, t.op, t.addr, t.retries, t.backoffs, t.store_value));
+            }
+            outstanding.hash(&mut h);
+        }
+        MultisetDigest::of(&self.lost_blocks).hash(&mut h);
+        MultisetDigest::of(&self.ever_down).hash(&mut h);
+        self.bus.fold_held(&mut h);
+        h.finish()
+    }
+
+    /// The sort-based fingerprint [`Engine::state_fingerprint`] replaced:
+    /// outstanding transactions, lost blocks and down nodes sorted into
+    /// fresh `Vec`s, parked events re-hashed in canonical channel order.
+    /// A test reference that partitions states exactly as the fingerprint
+    /// does, kept for the differential tests; not for library use.
+    #[doc(hidden)]
+    pub fn state_fingerprint_sorted(&self, blocks: &[Addr]) -> u64 {
         use cenju4_des::FxHasher;
         use std::hash::{Hash, Hasher};
         let mut h = FxHasher::default();
-        for &addr in blocks {
-            addr.hash(&mut h);
-            let home = &self.shards[addr.home().as_usize()].home;
-            match home.directory.get(&addr) {
-                Some(e) => {
-                    (true, e.state(), e.reservation()).hash(&mut h);
-                    e.map().fold_raw(&mut h);
-                }
-                None => false.hash(&mut h),
-            }
-            home.mem.get(&addr).hash(&mut h);
-            match home.pending.get(&addr) {
-                Some(p) => {
-                    (true, p.master, p.txn, p.kind).hash(&mut h);
-                    match &p.expect {
-                        crate::modules::home::Expect::SlaveReply => 0u8.hash(&mut h),
-                        crate::modules::home::Expect::InvAcks { remaining } => {
-                            (1u8, remaining).hash(&mut h)
-                        }
-                    }
-                }
-                None => false.hash(&mut h),
-            }
-            for shard in &self.shards {
-                shard.master.cache.state(addr).hash(&mut h);
-                shard.master.cache.value(addr).hash(&mut h);
-                shard.master.l3.get(&addr).hash(&mut h);
-            }
-        }
+        self.fold_ordered_state(blocks, &mut h);
         for shard in &self.shards {
-            shard.home.req_queue.len().hash(&mut h);
-            for q in &shard.home.req_queue {
-                (q.kind, q.addr, q.master, q.txn, q.value).hash(&mut h);
-            }
             let mut outstanding: Vec<(TxnId, &crate::modules::master::MasterTxn)> = shard
                 .master
                 .outstanding
@@ -759,10 +768,6 @@ impl Engine {
             for (txn, t) in outstanding {
                 (txn, t.op, t.addr, t.retries, t.backoffs, t.store_value).hash(&mut h);
             }
-            shard.master.backlog.len().hash(&mut h);
-            for (op, addr, txn, _issued) in &shard.master.backlog {
-                (op, addr, txn).hash(&mut h);
-            }
         }
         let mut lost: Vec<Addr> = self.lost_blocks.iter().copied().collect();
         lost.sort_unstable();
@@ -770,8 +775,54 @@ impl Engine {
         let mut down: Vec<NodeId> = self.ever_down.iter().copied().collect();
         down.sort_unstable();
         down.hash(&mut h);
-        self.bus.fold_held(&mut h);
+        self.bus.fold_held_sorted(&mut h);
         h.finish()
+    }
+
+    /// The ordered part of the state fingerprint, shared with its sorted
+    /// reference: per-block coherence state, then each node's home
+    /// request queue and master backlog in queue order.
+    fn fold_ordered_state(&self, blocks: &[Addr], h: &mut impl std::hash::Hasher) {
+        use std::hash::Hash;
+        for &addr in blocks {
+            addr.hash(h);
+            let home = &self.shards[addr.home().as_usize()].home;
+            match home.directory.get(&addr) {
+                Some(e) => {
+                    (true, e.state(), e.reservation()).hash(h);
+                    e.map().fold_raw(h);
+                }
+                None => false.hash(h),
+            }
+            home.mem.get(&addr).hash(h);
+            match home.pending.get(&addr) {
+                Some(p) => {
+                    (true, p.master, p.txn, p.kind).hash(h);
+                    match &p.expect {
+                        crate::modules::home::Expect::SlaveReply => 0u8.hash(h),
+                        crate::modules::home::Expect::InvAcks { remaining } => {
+                            (1u8, remaining).hash(h)
+                        }
+                    }
+                }
+                None => false.hash(h),
+            }
+            for shard in &self.shards {
+                shard.master.cache.state(addr).hash(h);
+                shard.master.cache.value(addr).hash(h);
+                shard.master.l3.get(&addr).hash(h);
+            }
+        }
+        for shard in &self.shards {
+            shard.home.req_queue.len().hash(h);
+            for q in &shard.home.req_queue {
+                (q.kind, q.addr, q.master, q.txn, q.value).hash(h);
+            }
+            shard.master.backlog.len().hash(h);
+            for (op, addr, txn, _issued) in &shard.master.backlog {
+                (op, addr, txn).hash(h);
+            }
+        }
     }
 
     // ------------------------------------------------------------------

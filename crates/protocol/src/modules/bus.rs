@@ -44,7 +44,7 @@ use crate::addr::Addr;
 use crate::engine::MemOp;
 use crate::messages::{ProtoMsg, TxnId};
 use crate::params::{RecoveryError, RecoveryParams};
-use cenju4_des::{Duration, EventQueue, FxHashMap, FxHashSet, FxHasher, SimTime};
+use cenju4_des::{Duration, EventQueue, FxHashMap, FxHashSet, FxHasher, MultisetDigest, SimTime};
 use cenju4_directory::nodemap::DestSpec;
 use cenju4_directory::{NodeId, SystemSize};
 use cenju4_network::fabric::GatherId;
@@ -412,6 +412,53 @@ struct Held {
     msg: BusMsg,
 }
 
+impl Held {
+    /// The event as the checker sees it ([`MessageBus::pending`]).
+    fn snapshot(&self, ready: bool) -> PendingEvent {
+        let msg = &self.msg;
+        let (node, src) = match msg {
+            BusMsg::Access { node, .. }
+            | BusMsg::Retry { node, .. }
+            | BusMsg::TxnTimer { node, .. }
+            | BusMsg::ProbeTimer { node }
+            | BusMsg::RejoinTimer { node } => (*node, None),
+            BusMsg::Recv { dst, src, .. } => (*dst, Some(*src)),
+            BusMsg::MpDeliver { to, from, .. } => (*to, Some(*from)),
+            BusMsg::LinkTimer { src, dst } => (*src, Some(*dst)),
+            BusMsg::GatherTimer { home, .. } => (*home, None),
+            BusMsg::Marker(_) => (NodeId::new(0), None),
+        };
+        let (addr, txn) = match msg {
+            BusMsg::Access { addr, txn, .. } => (Some(*addr), Some(*txn)),
+            BusMsg::Recv { msg, .. } => (Some(msg.addr()), msg.txn()),
+            BusMsg::Retry { txn, .. } | BusMsg::TxnTimer { txn, .. } => (None, Some(*txn)),
+            BusMsg::MpDeliver { .. }
+            | BusMsg::LinkTimer { .. }
+            | BusMsg::GatherTimer { .. }
+            | BusMsg::ProbeTimer { .. }
+            | BusMsg::RejoinTimer { .. }
+            | BusMsg::Marker(_) => (None, None),
+        };
+        let gather = match msg {
+            BusMsg::Recv { gather, .. } => *gather,
+            _ => None,
+        };
+        PendingEvent {
+            at: self.at,
+            ready,
+            node,
+            src,
+            label: msg.label(),
+            addr,
+            txn,
+            chan: self.chan,
+            timer: self.timer,
+            gather,
+            content: self.content,
+        }
+    }
+}
+
 /// The held event set of a bus in controlled-schedule mode. Events are
 /// parked here instead of the time-ordered queue; the checker picks which
 /// ready event fires next.
@@ -621,15 +668,31 @@ impl MessageBus {
     /// non-empty held set always has a ready event. Allocates nothing
     /// once `out` has grown to the ready count.
     pub(crate) fn ready_into(&self, out: &mut Vec<usize>) {
+        let events = &self
+            .held
+            .as_ref()
+            .expect("ready_into() requires controlled mode")
+            .events;
+        self.ready_pass(out, |&j| events[j].chan, |i, _| i);
+    }
+
+    /// The readiness pass behind [`MessageBus::ready_into`] and
+    /// [`MessageBus::ready_events_into`]: clears `out`, then pushes
+    /// `entry(i, event)` for each ready parked event in firing order.
+    /// `chan` reads the channel back from an entry already pushed.
+    fn ready_pass<T>(
+        &self,
+        out: &mut Vec<T>,
+        chan: impl Fn(&T) -> Option<Channel>,
+        entry: impl Fn(usize, &Held) -> T,
+    ) {
         let h = self
             .held
             .as_ref()
-            .expect("ready_into() requires controlled mode");
+            .expect("readiness requires controlled mode");
         out.clear();
         if h.untimed == 0 {
-            if !h.events.is_empty() {
-                out.push(0);
-            }
+            out.extend(h.events.first().map(|e| entry(0, e)));
             return;
         }
         for (i, e) in h.events.iter().enumerate() {
@@ -637,10 +700,10 @@ impl MessageBus {
                 None => !e.timer,
                 // In firing order a channel's first event is ready, so
                 // the channel was seen iff a ready event already holds it.
-                Some(ch) => !out.iter().any(|&j| h.events[j].chan == Some(ch)),
+                Some(ch) => !out.iter().any(|x| chan(x) == Some(ch)),
             };
             if ready {
-                out.push(i);
+                out.push(entry(i, e));
             }
         }
     }
@@ -661,51 +724,16 @@ impl MessageBus {
         h.events
             .iter()
             .enumerate()
-            .map(|(i, e)| {
-                let ready = ready.next_if_eq(&i).is_some();
-                let msg = &e.msg;
-                let (node, src) = match msg {
-                    BusMsg::Access { node, .. }
-                    | BusMsg::Retry { node, .. }
-                    | BusMsg::TxnTimer { node, .. }
-                    | BusMsg::ProbeTimer { node }
-                    | BusMsg::RejoinTimer { node } => (*node, None),
-                    BusMsg::Recv { dst, src, .. } => (*dst, Some(*src)),
-                    BusMsg::MpDeliver { to, from, .. } => (*to, Some(*from)),
-                    BusMsg::LinkTimer { src, dst } => (*src, Some(*dst)),
-                    BusMsg::GatherTimer { home, .. } => (*home, None),
-                    BusMsg::Marker(_) => (NodeId::new(0), None),
-                };
-                let (addr, txn) = match msg {
-                    BusMsg::Access { addr, txn, .. } => (Some(*addr), Some(*txn)),
-                    BusMsg::Recv { msg, .. } => (Some(msg.addr()), msg.txn()),
-                    BusMsg::Retry { txn, .. } | BusMsg::TxnTimer { txn, .. } => (None, Some(*txn)),
-                    BusMsg::MpDeliver { .. }
-                    | BusMsg::LinkTimer { .. }
-                    | BusMsg::GatherTimer { .. }
-                    | BusMsg::ProbeTimer { .. }
-                    | BusMsg::RejoinTimer { .. }
-                    | BusMsg::Marker(_) => (None, None),
-                };
-                let gather = match msg {
-                    BusMsg::Recv { gather, .. } => *gather,
-                    _ => None,
-                };
-                PendingEvent {
-                    at: e.at,
-                    ready,
-                    node,
-                    src,
-                    label: msg.label(),
-                    addr,
-                    txn,
-                    chan: e.chan,
-                    timer: e.timer,
-                    gather,
-                    content: e.content,
-                }
-            })
+            .map(|(i, e)| e.snapshot(ready.next_if_eq(&i).is_some()))
             .collect()
+    }
+
+    /// Writes the snapshots of the ready parked events into `out`
+    /// (cleared first), in choice order: the `ready` entries of
+    /// [`MessageBus::pending`], without building the others. Allocates
+    /// nothing once `out` has grown to the ready count.
+    pub(crate) fn ready_events_into(&self, out: &mut Vec<PendingEvent>) {
+        self.ready_pass(out, |p| p.chan, |_, e| e.snapshot(true));
     }
 
     /// Fires the parked event at sorted position `choice` (the index into
@@ -746,19 +774,77 @@ impl MessageBus {
         Some((fire, msg))
     }
 
-    /// Folds the held event set into a hasher in a canonical,
-    /// path-independent order: channels sorted by their kind and
-    /// endpoints, events within a channel in their forced delivery
-    /// order, unordered events sorted by content digest. Scheduled times
-    /// and insertion sequences are deliberately excluded — two schedules
-    /// that park the same messages in the same per-channel orders have
-    /// the same digest even when they got there at different virtual
-    /// times. Controlled mode only.
+    /// Folds the held event set into a hasher, path-independently and
+    /// without allocating: each channel event as its (channel sort key,
+    /// position within its channel, content digest) — the channel's
+    /// forced delivery order — and each always-ready event as its
+    /// content digest, both into order-independent [`MultisetDigest`]s;
+    /// timers as (firing rank, content digest), since they fire in
+    /// deadline order. The content digests are the ones cached when each
+    /// event was parked ([`PendingEvent::content`]). Scheduled times and
+    /// insertion sequences are deliberately excluded — two schedules that
+    /// park the same messages in the same per-channel orders have the
+    /// same digest even when they got there at different virtual times.
+    /// Controlled mode only.
     pub(crate) fn fold_held(&self, h: &mut impl Hasher) {
         let held = self
             .held
             .as_ref()
             .expect("fold_held() requires controlled mode");
+        let mut channels = MultisetDigest::default();
+        let mut unordered = MultisetDigest::default();
+        let mut timers = MultisetDigest::default();
+        let mut timer_rank = 0usize;
+        for (i, e) in held.events.iter().enumerate() {
+            match e.chan {
+                Some(ch) => {
+                    // The held set is in firing order, so the earlier
+                    // events of the channel are the ones delivered first.
+                    let pos = held.events[..i]
+                        .iter()
+                        .filter(|x| x.chan == Some(ch))
+                        .count();
+                    channels.insert(&(ch.sort_key(), pos, e.content));
+                }
+                // Timers fire in deadline order: their rank among the
+                // timers is behavior, keep it.
+                None if e.timer => {
+                    timers.insert(&(timer_rank, e.content));
+                    timer_rank += 1;
+                }
+                // Always-ready events (retries, markers) have no forced
+                // mutual order.
+                None => unordered.add(e.content),
+            }
+        }
+        (channels, unordered, timers).hash(h);
+        self.fold_recovery_state(h);
+    }
+
+    /// The in-network and recovery-layer part of [`MessageBus::fold_held`]:
+    /// in-flight gather combining progress lives in the fabric, not the
+    /// held set (replies already absorbed by a switch are state), and
+    /// the armed-mode duplicate filter's replied sets (empty on a
+    /// lossless fabric).
+    fn fold_recovery_state(&self, h: &mut impl Hasher) {
+        self.fabric.fold_gathers(h, |p, d| p.hash(d));
+        let mut replied = MultisetDigest::default();
+        for (id, nodes) in &self.gather_replied {
+            replied.insert(&(id, MultisetDigest::of(nodes)));
+        }
+        replied.hash(h);
+    }
+
+    /// The sort-based fold [`MessageBus::fold_held`] replaced: channels
+    /// sorted by kind and endpoints, events within a channel in delivery
+    /// order, unordered events sorted by a fresh content digest. A test
+    /// reference for the fingerprint differential tests, not for library
+    /// use; it partitions states exactly as `fold_held` does.
+    pub(crate) fn fold_held_sorted(&self, h: &mut impl Hasher) {
+        let held = self
+            .held
+            .as_ref()
+            .expect("fold_held_sorted() requires controlled mode");
         // (channel sort key, index): groups events by channel; the held
         // set is in firing order, so the index keeps each channel's
         // delivery order.
@@ -779,12 +865,8 @@ impl MessageBus {
                 let mut hh = FxHasher::default();
                 msg.fold_content(&mut hh);
                 if e.timer {
-                    // Timers fire in deadline order: their (at, seq) rank
-                    // is behavior, keep it.
                     timers.push(hh.finish());
                 } else {
-                    // Always-ready events (retries, markers) have no
-                    // forced mutual order; canonicalize by content.
                     unordered.push(hh.finish());
                 }
             } else {
@@ -799,10 +881,7 @@ impl MessageBus {
         for (rank, d) in timers.iter().enumerate() {
             (rank, d).hash(h);
         }
-        // In-flight gather combining progress lives in the fabric, not
-        // the held set: replies already absorbed by a switch are state.
-        self.fabric.fold_gathers(h, |p, h| p.hash(h));
-        // Armed-mode recovery bookkeeping (empty on a lossless fabric).
+        self.fabric.fold_gathers_sorted(h, |p, h| p.hash(h));
         let mut replied: Vec<(GatherId, Vec<NodeId>)> = self
             .gather_replied
             .iter()
@@ -1427,7 +1506,7 @@ mod tests {
             (fire, msg)
         }
 
-        /// The held-set part of `MessageBus::fold_held`, over the
+        /// The held-set part of `MessageBus::fold_held_sorted`, over the
         /// insertion-ordered events, followed by the same fabric and
         /// gather tail.
         fn fold_held(&self, bus: &MessageBus, h: &mut impl Hasher) {
@@ -1467,7 +1546,7 @@ mod tests {
             for (rank, d) in timers.iter().enumerate() {
                 (rank, d).hash(h);
             }
-            bus.fabric.fold_gathers(h, |p, h| p.hash(h));
+            bus.fabric.fold_gathers_sorted(h, |p, h| p.hash(h));
             Vec::<(GatherId, Vec<NodeId>)>::new().hash(h);
         }
     }
@@ -1568,6 +1647,14 @@ mod tests {
         bus.ready_into(&mut ready);
         let want_ready: Vec<usize> = (0..want.len()).filter(|&i| want[i].1).collect();
         assert_eq!(ready, want_ready);
+        let mut ready_events = Vec::new();
+        bus.ready_events_into(&mut ready_events);
+        let got_ready: Vec<(SimTime, bool, u64)> = ready_events
+            .iter()
+            .map(|e| (e.at, e.ready, e.content))
+            .collect();
+        let want_ready: Vec<(SimTime, bool, u64)> = want.iter().filter(|e| e.1).copied().collect();
+        assert_eq!(got_ready, want_ready);
         assert_eq!(
             bus.held.as_ref().expect("controlled").untimed,
             reference
@@ -1577,13 +1664,32 @@ mod tests {
                 .count()
         );
         assert_eq!(
-            fingerprint(|h| bus.fold_held(h)),
+            fingerprint(|h| bus.fold_held_sorted(h)),
             fingerprint(|h| reference.fold_held(bus, h))
         );
     }
 
+    /// Pairs each held set's multiset fold with its sorted fold, and
+    /// asserts the two partition held sets alike: equal folds on one side
+    /// exactly when equal on the other.
+    #[derive(Default)]
+    struct SamePartition {
+        by_fold: FxHashMap<u64, u64>,
+        by_sorted: FxHashMap<u64, u64>,
+    }
+
+    impl SamePartition {
+        fn visit(&mut self, bus: &MessageBus) {
+            let fold = fingerprint(|h| bus.fold_held(h));
+            let sorted = fingerprint(|h| bus.fold_held_sorted(h));
+            assert_eq!(*self.by_fold.entry(fold).or_insert(sorted), sorted);
+            assert_eq!(*self.by_sorted.entry(sorted).or_insert(fold), fold);
+        }
+    }
+
     #[test]
     fn sorted_held_queue_matches_the_all_pairs_reference() {
+        let mut partition = SamePartition::default();
         for seed in 0..64u64 {
             let mut rng = SplitMix64::new(seed);
             let mut bus = controlled_bus(3);
@@ -1613,11 +1719,133 @@ mod tests {
                     fired += 1;
                 }
                 assert_agree(&bus, &reference);
+                partition.visit(&bus);
             }
             assert!(reference.events.is_empty(), "seed {seed} did not drain");
             assert!(fired > 100, "seed {seed} fired only {fired} events");
             assert!(bus.pop_held(0).is_none());
         }
+    }
+
+    /// Held sets that differ only in scheduled times, or in how the
+    /// channels and the always-ready events interleave, fold alike under
+    /// both folds; swapping two events of one channel, or the firing
+    /// rank of two timers, changes both.
+    #[test]
+    fn held_folds_abstract_times_but_keep_channel_and_timer_order() {
+        let n = NodeId::new;
+        let access = |node: u16, txn| BusMsg::Access {
+            node: n(node),
+            op: MemOp::Load,
+            addr: Addr::new(n(0), 0),
+            txn,
+        };
+        let retry = |txn| BusMsg::Retry { node: n(2), txn };
+        let timer = |txn| BusMsg::TxnTimer { node: n(1), txn };
+        let park = |events: &[(u64, BusMsg)]| {
+            let mut bus = controlled_bus(3);
+            for (at, msg) in events {
+                bus.schedule(SimTime::from_ns(*at), msg.clone());
+            }
+            bus
+        };
+        let base = park(&[
+            (0, access(0, 1)),
+            (10, access(1, 2)),
+            (20, access(0, 3)),
+            (30, retry(4)),
+            (40, retry(5)),
+            (50, timer(6)),
+            (60, timer(7)),
+        ]);
+        let same = park(&[
+            (5, access(1, 2)),
+            (6, retry(5)),
+            (7, access(0, 1)),
+            (8, retry(4)),
+            (9, access(0, 3)),
+            (70, timer(6)),
+            (90, timer(7)),
+        ]);
+        let swapped_channel = park(&[
+            (0, access(0, 3)),
+            (10, access(1, 2)),
+            (20, access(0, 1)),
+            (30, retry(4)),
+            (40, retry(5)),
+            (50, timer(6)),
+            (60, timer(7)),
+        ]);
+        let swapped_timers = park(&[
+            (0, access(0, 1)),
+            (10, access(1, 2)),
+            (20, access(0, 3)),
+            (30, retry(4)),
+            (40, retry(5)),
+            (50, timer(7)),
+            (60, timer(6)),
+        ]);
+        for fold in [
+            (|b: &MessageBus| fingerprint(|h| b.fold_held(h))) as fn(&MessageBus) -> u64,
+            |b| fingerprint(|h| b.fold_held_sorted(h)),
+        ] {
+            assert_eq!(fold(&base), fold(&same));
+            assert_ne!(fold(&base), fold(&swapped_channel));
+            assert_ne!(fold(&base), fold(&swapped_timers));
+        }
+    }
+
+    /// With the recovery layer armed, the duplicate filter's replied
+    /// sets and the fabric's gathers enter both folds: over gathers
+    /// replied to by random members in random orders, the multiset fold
+    /// partitions buses exactly as the sorted fold does. Emulated
+    /// gathers combine at the home, so which members replied shows only
+    /// in the replied sets.
+    #[test]
+    fn replied_sets_fold_like_the_sorted_fold() {
+        use cenju4_directory::BitPattern;
+        let mut partition = SamePartition::default();
+        let mut replies = 0;
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut bus = MessageBus::new(
+                SystemSize::new(8).expect("valid size"),
+                NetParams::without_multicast(),
+                FaultPlan::random(seed, 100),
+                RecoveryParams::default(),
+            );
+            bus.enable_controlled();
+            assert!(bus.armed());
+            let mut pending = Vec::new();
+            for home in 0..2u16 {
+                let members: Vec<NodeId> = (2..8)
+                    .filter(|_| rng.next_below(2) == 0)
+                    .map(NodeId::new)
+                    .collect();
+                if members.is_empty() {
+                    continue;
+                }
+                let spec = DestSpec::Pattern(members.iter().copied().collect::<BitPattern>());
+                let id = bus.open_gather(NodeId::new(home), spec);
+                pending.extend(members.into_iter().map(|n| (n, id)));
+            }
+            for i in (1..pending.len()).rev() {
+                pending.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let stop = rng.next_below(pending.len() as u64 + 1) as usize;
+            for &(node, id) in &pending[..stop] {
+                let ack = ProtoMsg::InvAck {
+                    addr: Addr::new(NodeId::new(0), 0),
+                    txn: 0,
+                    acks: 1,
+                };
+                if bus.send_gather_reply(SimTime::ZERO, node, id, ack).is_ok() {
+                    replies += 1;
+                }
+                partition.visit(&bus);
+            }
+        }
+        assert!(replies > 200, "{replies} replies recorded");
     }
 
     #[test]

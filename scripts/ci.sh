@@ -140,6 +140,10 @@ check_smoke() {
     # the green scenarios and every mutant, and the step and backtrack
     # allocation pins, in the release profile the checker runs in.
     cargo test --release --offline -q -p cenju4-check --lib --test step_alloc
+    # The multiset state fingerprint against its sort-based reference:
+    # the same partition of every state reached (explored graphs, lossy
+    # recovery walks, node-down walks).
+    cargo test --release --offline -q -p cenju4-check --test fingerprint_diff
     # Engine::fork_into against a plain fork (destinations of another
     # configuration at another position), optimised like the explorer.
     cargo test --release --offline -q -p cenju4-protocol --test engine_fork
