@@ -183,8 +183,8 @@ impl Exploration {
 
 /// An engine position under the controlled scheduler: the engine, its
 /// oracles, and its ready set. [`run_one`] drives one from the initial
-/// state; the reduced explorer copies them into recycled positions to
-/// backtrack.
+/// state; campaigns (see [`Runner`]) and the reduced explorer copy them
+/// into recycled positions, to start each run and to backtrack.
 pub(crate) struct Stepper {
     cfg: CheckConfig,
     eng: Engine,
@@ -327,15 +327,12 @@ impl Stepper {
         Some(pick)
     }
 
-    /// Rebuilds the position a known-green pick prefix reaches from the
-    /// initial state.
-    pub(crate) fn replay_green(cfg: &CheckConfig, picks: &[usize]) -> Self {
-        let mut st = Stepper::new(cfg);
+    /// Fires a known-green pick sequence from this position.
+    pub(crate) fn fire_green(&mut self, picks: &[usize]) {
         for &p in picks {
-            st.fire(p)
+            self.fire(p)
                 .expect("a previously green prefix replayed with a violation");
         }
-        st
     }
 
     /// The quiescence oracles, with the trace on a violation.
@@ -352,8 +349,11 @@ impl Stepper {
 /// that copy).
 #[doc(hidden)]
 pub fn fork_into_probe(cfg: &CheckConfig, picks: &[usize]) -> impl FnMut() {
-    let src = Stepper::replay_green(cfg, picks);
-    let mut dst = Stepper::replay_green(cfg, picks);
+    let [src, mut dst] = [(); 2].map(|()| {
+        let mut st = Stepper::new(cfg);
+        st.fire_green(picks);
+        st
+    });
     move || src.fork_into(&mut dst)
 }
 
@@ -411,18 +411,19 @@ pub(crate) fn starved(max_steps: usize) -> Violation {
     }
 }
 
-/// Drives one schedule: `pick(arity)` chooses among the ready events at
-/// each step (clamped to the ready count). Panics inside the protocol are
-/// caught and reported as violations, so mutants that trip internal
-/// assertions still yield counterexamples instead of aborting the search.
-pub fn run_one(
-    cfg: &CheckConfig,
+/// The step loop every schedule runs: drives `st` until it quiesces,
+/// fails, or reaches `max_steps` steps. `pick(arity)` chooses among the
+/// ready events at each step (clamped to the ready count), and each
+/// decision is appended to `choices`. Returns the first violation and its
+/// trace, if any. Panics inside the protocol are caught and reported as
+/// violations (see [`guarded`]); `st` may then be poisoned.
+fn drive(
+    st: &mut Stepper,
     mut pick: impl FnMut(usize) -> usize,
     max_steps: usize,
-) -> RunOutcome {
-    let mut st = Stepper::new(cfg);
-    let mut choices: Vec<Choice> = Vec::new();
-    let failure = guarded(|| loop {
+    choices: &mut Vec<Choice>,
+) -> Option<(Violation, String)> {
+    guarded(|| loop {
         let arity = st.ready().len();
         if arity == 0 {
             return st.check_quiescent();
@@ -435,7 +436,11 @@ pub fn run_one(
         if let Some(failure) = st.step(picked) {
             return Some(failure);
         }
-    });
+    })
+}
+
+/// The outcome [`drive`] left `st` in.
+fn outcome(st: &Stepper, choices: Vec<Choice>, failure: Option<(Violation, String)>) -> RunOutcome {
     let (violation, trace) = failure.unzip();
     RunOutcome {
         steps: st.steps,
@@ -445,25 +450,165 @@ pub fn run_one(
     }
 }
 
+/// Picks the choices of `prefix`, then zeros.
+fn prefix_picks(prefix: &[usize]) -> impl FnMut(usize) -> usize + '_ {
+    let mut i = 0usize;
+    move |_arity| {
+        let c = prefix.get(i).copied().unwrap_or(0);
+        i += 1;
+        c
+    }
+}
+
+/// Picks uniformly among the ready events by walk `w`'s own generator,
+/// so walk `w` is the same schedule in a sequential or a parallel
+/// campaign.
+fn walk_picks(seed: u64, w: u64) -> impl FnMut(usize) -> usize {
+    let mut rng = SplitMix64::new(seed.wrapping_add(w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    move |arity| rng.next_below(arity as u64) as usize
+}
+
+/// Drives one schedule from a freshly built scenario, returning the
+/// position it ended on.
+fn run_fresh(
+    cfg: &CheckConfig,
+    pick: impl FnMut(usize) -> usize,
+    max_steps: usize,
+) -> (RunOutcome, Stepper) {
+    let mut st = Stepper::new(cfg);
+    let mut choices = Vec::new();
+    let failure = drive(&mut st, pick, max_steps, &mut choices);
+    (outcome(&st, choices, failure), st)
+}
+
+/// Drives one schedule: `pick(arity)` chooses among the ready events at
+/// each step (clamped to the ready count). Panics inside the protocol are
+/// caught and reported as violations, so mutants that trip internal
+/// assertions still yield counterexamples instead of aborting the search.
+pub fn run_one(
+    cfg: &CheckConfig,
+    pick: impl FnMut(usize) -> usize,
+    max_steps: usize,
+) -> RunOutcome {
+    run_fresh(cfg, pick, max_steps).0
+}
+
 /// Replays the schedule given by `prefix` (implicit zeros afterwards).
 /// Fully deterministic: two replays of the same config and prefix produce
 /// identical outcomes.
 pub fn replay(cfg: &CheckConfig, prefix: &[usize], max_steps: usize) -> RunOutcome {
-    let mut i = 0usize;
-    run_one(
-        cfg,
-        |_arity| {
-            let c = prefix.get(i).copied().unwrap_or(0);
-            i += 1;
-            c
-        },
-        max_steps,
-    )
+    run_one(cfg, prefix_picks(prefix), max_steps)
+}
+
+/// Where a campaign's schedules start: the scenario's initial position,
+/// built once, and one recycled position that every run starts from a
+/// copy of ([`Stepper::fork_into`]). A run rebuilds no machine, and its
+/// buffers (the position's ready set and notifications, the decision
+/// record) carry over from run to run. The copy overwrites every field,
+/// so a run after a caught panic starts from a clean position.
+pub(crate) struct Runner {
+    root: Stepper,
+    pos: Stepper,
+    choices: Vec<Choice>,
+}
+
+impl Runner {
+    pub(crate) fn new(cfg: &CheckConfig) -> Self {
+        let root = Stepper::new(cfg);
+        let pos = root.fork();
+        Runner {
+            root,
+            pos,
+            choices: Vec::new(),
+        }
+    }
+
+    /// [`drive`] from the initial state; the decisions are left in
+    /// `self.choices`.
+    fn run(
+        &mut self,
+        pick: impl FnMut(usize) -> usize,
+        max_steps: usize,
+    ) -> Option<(Violation, String)> {
+        self.root.fork_into(&mut self.pos);
+        self.choices.clear();
+        drive(&mut self.pos, pick, max_steps, &mut self.choices)
+    }
+
+    /// Drives walk `w` of the stream `seed` selects; returns its
+    /// violation, if any.
+    pub(crate) fn walk(
+        &mut self,
+        seed: u64,
+        w: u64,
+        max_steps: usize,
+    ) -> Option<(Violation, String)> {
+        self.run(walk_picks(seed, w), max_steps)
+    }
+
+    /// [`replay`] from the recycled position.
+    pub(crate) fn replay(&mut self, prefix: &[usize], max_steps: usize) -> RunOutcome {
+        let failure = self.run(prefix_picks(prefix), max_steps);
+        self.outcome(failure)
+    }
+
+    /// The outcome of the last run, which ended in `failure`.
+    fn outcome(&self, failure: Option<(Violation, String)>) -> RunOutcome {
+        outcome(&self.pos, self.choices.clone(), failure)
+    }
+
+    /// The picks of the last run.
+    pub(crate) fn picks(&self) -> Vec<usize> {
+        self.choices.iter().map(|c| c.picked).collect()
+    }
+
+    /// The position a known-green pick prefix reaches from the initial
+    /// state.
+    pub(crate) fn replay_green(&mut self, picks: &[usize]) -> &mut Stepper {
+        self.root.fork_into(&mut self.pos);
+        self.pos.fire_green(picks);
+        &mut self.pos
+    }
+}
+
+/// Test hook, not API: drives the walks of one seeded campaign both ways
+/// — from a freshly built scenario, as [`run_one`] does, and from a
+/// campaign's recycled position, as [`random_walks`] does — and hands
+/// out the engine each ended on.
+#[doc(hidden)]
+pub struct WalkProbe {
+    runner: Runner,
+    seed: u64,
+    max_steps: usize,
+}
+
+impl WalkProbe {
+    pub fn new(cfg: &CheckConfig, seed: u64, max_steps: usize) -> Self {
+        WalkProbe {
+            runner: Runner::new(cfg),
+            seed,
+            max_steps,
+        }
+    }
+
+    /// Walk `w` on a freshly built engine.
+    pub fn fresh(&self, w: u64) -> (RunOutcome, Engine) {
+        let cfg = self.runner.root.cfg;
+        let (out, st) = run_fresh(&cfg, walk_picks(self.seed, w), self.max_steps);
+        (out, st.eng)
+    }
+
+    /// Walk `w` from the campaign's recycled position.
+    pub fn recycled(&mut self, w: u64) -> (RunOutcome, &Engine) {
+        let failure = self.runner.walk(self.seed, w, self.max_steps);
+        (self.runner.outcome(failure), &self.runner.pos.eng)
+    }
 }
 
 /// Seeded random walks: `walks` independent schedules, each driven by its
-/// own deterministic stream derived from `seed`. Any failure is shrunk
-/// and reported with enough information to replay it exactly.
+/// own deterministic stream derived from `seed`, all from one recycled
+/// position (see [`Runner`]). Any failure is shrunk and reported with
+/// enough information to replay it exactly.
 pub fn random_walks(
     cfg: &CheckConfig,
     seed: u64,
@@ -471,40 +616,30 @@ pub fn random_walks(
     limits: &ExploreLimits,
 ) -> Exploration {
     let start = Instant::now();
+    let mut runner = Runner::new(cfg);
     for w in 0..walks {
         if start.elapsed().as_secs() >= limits.max_seconds {
             return Exploration::Budget { schedules: w };
         }
-        let out = walk(cfg, seed, w, limits);
-        if let Some(v) = out.violation {
-            let picked = out.choices.iter().map(|c| c.picked).collect();
-            return falsify(cfg, picked, v, out.trace, w + 1, limits);
+        if let Some((v, trace)) = runner.walk(seed, w, limits.max_steps) {
+            let picked = runner.picks();
+            return falsify(&mut runner, picked, v, trace, w + 1, limits);
         }
     }
     Exploration::AllGreen { schedules: walks }
 }
 
-/// Drives walk `w` of the stream `seed` selects: each walk draws its
-/// picks from its own generator, so walk `w` is the same schedule in a
-/// sequential or a parallel campaign.
-pub(crate) fn walk(cfg: &CheckConfig, seed: u64, w: u64, limits: &ExploreLimits) -> RunOutcome {
-    let mut rng = SplitMix64::new(seed.wrapping_add(w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    run_one(
-        cfg,
-        |arity| rng.next_below(arity as u64) as usize,
-        limits.max_steps,
-    )
-}
-
+/// Shrinks a violation found after `schedules` schedules, replaying on
+/// `runner`, and packages it as a counterexample.
 pub(crate) fn falsify(
-    cfg: &CheckConfig,
+    runner: &mut Runner,
     picked: Vec<usize>,
     violation: Violation,
     trace: String,
     schedules: u64,
     limits: &ExploreLimits,
 ) -> Exploration {
-    let (schedule, out) = shrink(cfg, picked, limits.max_steps);
+    let (schedule, out) = shrink_on(runner, picked, limits.max_steps);
     // Shrinking preserves *some* violation but may change which oracle
     // fires first; prefer the shrunk run's report since that is what the
     // replay command will show.
@@ -513,7 +648,7 @@ pub(crate) fn falsify(
         None => (violation, trace),
     };
     Exploration::Falsified(Box::new(Counterexample {
-        config: *cfg,
+        config: runner.root.cfg,
         schedule,
         violation,
         trace,
@@ -528,6 +663,15 @@ pub(crate) fn falsify(
 /// replay outcome (guaranteed failing).
 pub fn shrink(
     cfg: &CheckConfig,
+    schedule: Vec<usize>,
+    max_steps: usize,
+) -> (Vec<usize>, RunOutcome) {
+    shrink_on(&mut Runner::new(cfg), schedule, max_steps)
+}
+
+/// [`shrink`], replaying every candidate on `runner`.
+fn shrink_on(
+    runner: &mut Runner,
     mut schedule: Vec<usize>,
     max_steps: usize,
 ) -> (Vec<usize>, RunOutcome) {
@@ -537,8 +681,9 @@ pub fn shrink(
         }
     };
     strip(&mut schedule);
-    let mut best = replay(cfg, &schedule, max_steps);
+    let mut best = runner.replay(&schedule, max_steps);
     debug_assert!(!best.ok(), "shrink called on a passing schedule");
+    let mut candidate = Vec::new();
     let mut progress = true;
     while progress {
         progress = false;
@@ -548,13 +693,12 @@ pub fn shrink(
             if schedule[i] == 0 {
                 continue;
             }
-            let mut candidate = schedule.clone();
+            candidate.clone_from(&schedule);
             candidate[i] = 0;
             strip(&mut candidate);
-            let out = replay(cfg, &candidate, max_steps);
-            if !out.ok() {
-                schedule = candidate;
-                best = out;
+            if let Some(failure) = runner.run(prefix_picks(&candidate), max_steps) {
+                best = runner.outcome(Some(failure));
+                std::mem::swap(&mut schedule, &mut candidate);
                 progress = true;
                 // Accepting a stripped candidate can shorten the schedule
                 // past positions this pass has not visited yet; re-clamp

@@ -63,7 +63,7 @@
 //! they pay: unreduced exploration and seeded random campaigns.
 
 use crate::explore::{
-    falsify, replay, starved, walk, Counterexample, Exploration, ExploreLimits, Stepper,
+    falsify, starved, Counterexample, Exploration, ExploreLimits, Runner, Stepper,
 };
 use crate::oracles::Violation;
 use crate::scenario::CheckConfig;
@@ -670,7 +670,8 @@ fn unroll_lasso(
     picks.extend_from_slice(&path[..entry]);
     // The repeating transitions, by content: re-walk the cycle once to
     // record what fired (the DFS only kept pick indices).
-    let mut st = Stepper::replay_green(cfg, &picks);
+    let mut runner = Runner::new(cfg);
+    let st = runner.replay_green(&picks);
     let mut cycle: Vec<u64> = Vec::new();
     let mut ready = Vec::new();
     for &p in &path[entry..] {
@@ -697,7 +698,7 @@ fn unroll_lasso(
         }
     }
     // Prefer what the replayed schedule actually reports.
-    let out = replay(cfg, &picks, limits.max_steps);
+    let out = runner.replay(&picks, limits.max_steps);
     match out.violation {
         Some(v) => (picks, v, out.trace),
         None => (picks, violation, String::new()),
@@ -716,7 +717,8 @@ fn falsify_capped(
 ) -> Exploration {
     // Guard against a schedule whose plain replay no longer fails (a
     // diverged lasso unroll): shrinking asserts on a passing start.
-    if picks.len() > SHRINK_CAP || replay(cfg, &picks, limits.max_steps).ok() {
+    let mut runner = Runner::new(cfg);
+    if picks.len() > SHRINK_CAP || runner.replay(&picks, limits.max_steps).ok() {
         while picks.last() == Some(&0) {
             picks.pop();
         }
@@ -729,7 +731,7 @@ fn falsify_capped(
             max_steps: limits.max_steps,
         }));
     }
-    falsify(cfg, picks, violation, trace, schedules, limits)
+    falsify(&mut runner, picks, violation, trace, schedules, limits)
 }
 
 // ---------------------------------------------------------------------
@@ -869,27 +871,29 @@ pub fn random_walks_parallel(
     let timed_out = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(1, Ordering::Relaxed) * BATCH;
-                if start >= walks {
-                    break;
-                }
-                if start > best.load(Ordering::Relaxed) {
-                    continue;
-                }
-                for w in start..(start + BATCH).min(walks) {
-                    if w > best.load(Ordering::Relaxed) {
+            scope.spawn(|| {
+                let mut runner = Runner::new(cfg);
+                loop {
+                    let start = next.fetch_add(1, Ordering::Relaxed) * BATCH;
+                    if start >= walks {
                         break;
                     }
-                    if Instant::now() >= deadline {
-                        timed_out.store(true, Ordering::Relaxed);
-                        return;
+                    if start > best.load(Ordering::Relaxed) {
+                        continue;
                     }
-                    let out = walk(cfg, seed, w, limits);
-                    if out.violation.is_some() {
-                        best.fetch_min(w, Ordering::Relaxed);
-                    } else {
-                        green.fetch_add(1, Ordering::Relaxed);
+                    for w in start..(start + BATCH).min(walks) {
+                        if w > best.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        if Instant::now() >= deadline {
+                            timed_out.store(true, Ordering::Relaxed);
+                            return;
+                        }
+                        if runner.walk(seed, w, limits.max_steps).is_some() {
+                            best.fetch_min(w, Ordering::Relaxed);
+                        } else {
+                            green.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
             });
@@ -897,13 +901,12 @@ pub fn random_walks_parallel(
     });
     let b = best.load(Ordering::Relaxed);
     if b != u64::MAX {
-        let out = walk(cfg, seed, b, limits);
-        let v = out
-            .violation
-            .clone()
+        let mut runner = Runner::new(cfg);
+        let (v, trace) = runner
+            .walk(seed, b, limits.max_steps)
             .expect("winning walk failed to reproduce");
-        let picks = out.choices.iter().map(|c| c.picked).collect();
-        falsify(cfg, picks, v, out.trace, b + 1, limits)
+        let picks = runner.picks();
+        falsify(&mut runner, picks, v, trace, b + 1, limits)
     } else if timed_out.load(Ordering::Relaxed) {
         Exploration::Budget {
             schedules: green.load(Ordering::Relaxed),

@@ -3,8 +3,13 @@
 //! (`Engine::run_pending_into`) hands the notifications over without a
 //! `Vec` of their own, and folding them into the oracle history (`note`)
 //! plus the step oracles (`check_step`) allocate nothing at any step.
-//! The engine's dispatch still grows its own containers (the span event
-//! arena, cache chunks, link queues) the first time a walk needs them.
+//! A random-walk campaign builds its scenario once and starts every walk
+//! by copying that root position into one recycled position, so a walk
+//! keeps the buffers the walks before it grew; what a later walk still
+//! allocates regrows from the root's layout (the hash tables a copy
+//! resizes to its source's, to keep their iteration order) or is made
+//! afresh (each cache's per-set index at its first fill, a
+//! retransmission's frame copy).
 //! A state fingerprint allocates nothing at any position. The reduced
 //! explorer backtracks by copying positions into recycled ones: a copy
 //! into a position of the same shape allocates nothing, and a whole
@@ -13,7 +18,9 @@
 //! are the same on any host.
 
 use cenju4_check::explore::fork_into_probe;
-use cenju4_check::{explore_reduced, CheckConfig, Exploration, ExploreLimits, OracleState};
+use cenju4_check::{
+    explore_reduced, random_walks, CheckConfig, Exploration, ExploreLimits, OracleState,
+};
 use cenju4_des::SplitMix64;
 use cenju4_obs::{CounterKey, MetricsRegistry};
 use cenju4_protocol::{Engine, Notification};
@@ -167,6 +174,39 @@ fn a_checker_step_allocates_nothing_of_its_own() {
     assert!(
         steps > 1_000 && notifying > 100,
         "{steps} steps, {notifying} notifying"
+    );
+}
+
+/// Bytes one walk of the scenario asked for when every walk built its
+/// engine afresh: a new machine and a 4096-record trace ring (about
+/// 229 KB of it) for a walk of about 38 steps, in 71 allocations.
+const BUILDING_WALK_BYTES: u64 = 247_063;
+
+/// Allocations walks 1 to 1000 of one campaign of the scenario make in
+/// all (2,083,968 bytes), now that each starts by copying the campaign's
+/// root position into one recycled position: about 15 a walk.
+const RECYCLED_WALKS_ALLOCS: u64 = 15_400;
+
+/// A campaign builds its root position and first walk once; the 1000
+/// walks after them stay under [`RECYCLED_WALKS_ALLOCS`] and ask for
+/// under a hundredth of the bytes building an engine per walk did.
+#[test]
+fn campaign_walks_start_from_a_recycled_position() {
+    let cfg = walks_scenario();
+    let limits = ExploreLimits::default();
+    // Installs the checker's panic hook, which happens once a process.
+    random_walks(&cfg, 1, 1, &limits);
+    let (_, first) = usage_of(|| random_walks(&cfg, 1, 1, &limits));
+    let (out, all) = usage_of(|| random_walks(&cfg, 1, 1_001, &limits));
+    assert!(matches!(out, Exploration::AllGreen { schedules: 1_001 }));
+    let (allocs, bytes) = (all.allocs - first.allocs, all.bytes - first.bytes);
+    assert!(
+        allocs <= RECYCLED_WALKS_ALLOCS,
+        "{allocs} allocations, {bytes} bytes over 1000 walks"
+    );
+    assert!(
+        bytes * 100 <= BUILDING_WALK_BYTES * 1_000,
+        "{allocs} allocations, {bytes} bytes over 1000 walks"
     );
 }
 

@@ -194,6 +194,14 @@ impl Histogram {
         self.max = self.max.max(ns);
     }
 
+    /// Forgets every sample, keeping the bucket layout and its storage.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.total = 0;
+        self.sum = 0;
+        self.max = 0;
+    }
+
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.total
@@ -472,6 +480,18 @@ mod tests {
     fn histogram_merge_rejects_mismatched_layout() {
         let mut a = Histogram::new(100, 20);
         a.merge(&Histogram::new(250, 20));
+    }
+
+    #[test]
+    fn a_cleared_histogram_equals_a_new_one() {
+        let mut h = Histogram::new(10, 4);
+        for ns in [5, 15, 1_000] {
+            h.record(ns);
+        }
+        h.clear();
+        assert_eq!(h, Histogram::new(10, 4));
+        h.record(15);
+        assert_eq!((h.count(), h.bucket_count(1), h.max()), (1, 1, 15));
     }
 
     #[test]

@@ -121,9 +121,11 @@ counter_keys! {
 /// assert_eq!(m.latency_summary("load-miss").unwrap().count, 1);
 /// assert!(m.to_text().contains("load-miss"));
 /// ```
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    /// One slot per class, indexed by `SpanClass as usize`.
+    /// One slot per class, indexed by `SpanClass as usize`. A class has a
+    /// histogram once it has a sample; an empty one is a buffer a copy
+    /// kept for reuse, and reads as absent.
     histograms: [Option<Histogram>; SpanClass::ALL.len()],
     /// One value per counter, indexed by `CounterKey as usize`.
     counters: [u64; CounterKey::ALL.len()],
@@ -132,11 +134,41 @@ pub struct MetricsRegistry {
     touched: u32,
 }
 
-cenju4_des::clone_fields!(MetricsRegistry {
-    histograms,
-    counters,
-    touched
-});
+impl Clone for MetricsRegistry {
+    fn clone(&self) -> Self {
+        MetricsRegistry {
+            histograms: self.histograms.clone(),
+            counters: self.counters,
+            touched: self.touched,
+        }
+    }
+
+    /// Copies `src` in place. A class `src` has no sample of keeps this
+    /// registry's histogram, emptied, so the next sample does not
+    /// allocate one again.
+    fn clone_from(&mut self, src: &Self) {
+        for (mine, theirs) in self.histograms.iter_mut().zip(&src.histograms) {
+            match (mine.as_mut(), theirs) {
+                (Some(mine), None) => mine.clear(),
+                (_, theirs) => mine.clone_from(theirs),
+            }
+        }
+        self.counters = src.counters;
+        self.touched = src.touched;
+    }
+}
+
+impl PartialEq for MetricsRegistry {
+    /// Equal when every class holds the same samples and every counter
+    /// the same value; emptied histograms kept for reuse do not count.
+    fn eq(&self, other: &Self) -> bool {
+        self.counters == other.counters
+            && self.touched == other.touched
+            && self.histograms().eq(other.histograms())
+    }
+}
+
+impl Eq for MetricsRegistry {}
 
 const _: () = assert!(CounterKey::ALL.len() <= u32::BITS as usize);
 
@@ -176,7 +208,14 @@ impl MetricsRegistry {
     /// sample was recorded.
     pub fn latency(&self, class: &str) -> Option<&Histogram> {
         let class = SpanClass::ALL.into_iter().find(|c| c.label() == class)?;
-        self.histograms[class as usize].as_ref()
+        self.sampled(class)
+    }
+
+    /// The histogram of `class`, if it holds a sample.
+    fn sampled(&self, class: SpanClass) -> Option<&Histogram> {
+        self.histograms[class as usize]
+            .as_ref()
+            .filter(|h| h.count() > 0)
     }
 
     /// The count/p50/p90/p99/max summary for a class.
@@ -196,7 +235,7 @@ impl MetricsRegistry {
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         SpanClass::ALL
             .into_iter()
-            .filter_map(|c| Some((c.label(), self.histograms[c as usize].as_ref()?)))
+            .filter_map(|c| Some((c.label(), self.sampled(c)?)))
     }
 
     /// A flat, sorted, line-oriented text dump:
@@ -268,8 +307,8 @@ impl MetricsRegistry {
         for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
             match (mine.as_mut(), theirs) {
                 (Some(mine), Some(h)) => mine.merge(h),
-                (None, Some(h)) => *mine = Some(h.clone()),
-                (_, None) => {}
+                (None, Some(h)) if h.count() > 0 => *mine = Some(h.clone()),
+                _ => {}
             }
         }
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters) {
@@ -366,6 +405,44 @@ mod tests {
                 .as_u64(),
             Some(1)
         );
+    }
+
+    /// A copy from a registry with no sample of a class keeps the
+    /// destination's histogram for reuse, emptied: the copy reads, dumps
+    /// and compares like its source, and the next sample lands in the
+    /// kept buffer.
+    #[test]
+    fn a_copy_keeps_an_emptied_histogram_that_reads_as_absent() {
+        let mut dst = MetricsRegistry::new();
+        dst.record_latency(SpanClass::LoadMiss, 2_620);
+        dst.record_latency(SpanClass::StoreMiss, 3_135);
+        let mut src = MetricsRegistry::new();
+        src.record_latency(SpanClass::StoreMiss, 1_000);
+        src.incr(CounterKey::SpanOpened);
+        let kept = dst.histograms[SpanClass::LoadMiss as usize]
+            .as_ref()
+            .map(|h| h.buckets().as_ptr());
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(src, dst);
+        assert_eq!(dst, src.clone());
+        assert!(dst.latency("load-miss").is_none());
+        assert_eq!(dst.histograms().count(), 1);
+        assert_eq!(dst.to_text(), src.to_text());
+        assert_eq!(dst.to_json(), src.to_json());
+        assert_eq!(dst.bucket_fingerprint(), src.bucket_fingerprint());
+        let mut merged = MetricsRegistry::new();
+        merged.merge(&dst);
+        assert_eq!(merged, src);
+
+        dst.record_latency(SpanClass::LoadMiss, 500);
+        src.record_latency(SpanClass::LoadMiss, 500);
+        assert_eq!(dst, src);
+        assert_eq!(dst.latency_summary("load-miss").unwrap().count, 1);
+        let reused = dst.histograms[SpanClass::LoadMiss as usize]
+            .as_ref()
+            .map(|h| h.buckets().as_ptr());
+        assert_eq!(reused, kept, "the emptied histogram was reallocated");
     }
 
     #[test]

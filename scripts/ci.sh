@@ -137,9 +137,12 @@ check_smoke() {
     # every (protocol, directory) pair, green and mutated.
     cargo test --release --offline -q -p cenju4-check --test dpor_soundness
     # The touched-block step oracles against the full-scan reference over
-    # the green scenarios and every mutant, and the step and backtrack
-    # allocation pins, in the release profile the checker runs in.
-    cargo test --release --offline -q -p cenju4-check --lib --test step_alloc
+    # the green scenarios and every mutant, the step, backtrack and walk
+    # allocation pins, and walks from a campaign's recycled position
+    # against walks on fresh engines, in the release profile the checker
+    # runs in.
+    cargo test --release --offline -q -p cenju4-check --lib --test step_alloc \
+        --test recycled_walks
     # The multiset state fingerprint against its sort-based reference:
     # the same partition of every state reached (explored graphs, lossy
     # recovery walks, node-down walks).
