@@ -37,9 +37,6 @@ pub struct RunOutcome {
     pub choices: Vec<Choice>,
     /// The first falsified invariant, if any.
     pub violation: Option<Violation>,
-    /// Per-block protocol trace at the violation point (empty on green
-    /// runs); rendered by the engine's `Trace` observer.
-    pub trace: String,
 }
 
 impl RunOutcome {
@@ -82,7 +79,9 @@ pub struct Counterexample {
     pub schedule: Vec<usize>,
     /// The invariant it falsifies.
     pub violation: Violation,
-    /// The per-block protocol trace at the violation point.
+    /// The per-block protocol trace at the violation point, recorded by
+    /// replaying the schedule (see [`traced_replay`]); empty for a
+    /// `panic`.
     pub trace: String,
     /// Schedules explored before this one was found.
     pub schedules_explored: u64,
@@ -273,8 +272,9 @@ impl Stepper {
         self.eng.state_fingerprint(blocks)
     }
 
-    /// The per-block protocol trace at this position.
-    pub(crate) fn trace(&self) -> String {
+    /// The per-block protocol trace at this position; empty unless the
+    /// engine records one (see [`traced_replay`]).
+    fn trace(&self) -> String {
         let mut out = String::new();
         for addr in self.cfg.block_addrs() {
             let dump = self.eng.trace().dump_block(addr);
@@ -288,9 +288,9 @@ impl Stepper {
 
     /// Fires the ready event at ready-position `pick` (clamped to the
     /// last ready event), running the step oracles, and refreshes the
-    /// ready set; returns the violation and its trace, if any. A protocol
-    /// panic unwinds: run it under [`guarded`].
-    fn step(&mut self, pick: usize) -> Option<(Violation, String)> {
+    /// ready set; returns the violation, if any. A protocol panic
+    /// unwinds: run it under [`guarded`].
+    fn step(&mut self, pick: usize) -> Option<Violation> {
         let idx = self.ready[pick.min(self.ready.len() - 1)];
         self.notes.clear();
         let fired = self.eng.run_pending_into(idx, &mut self.notes);
@@ -300,18 +300,15 @@ impl Stepper {
             .oracle
             .note(&self.notes, &self.eng)
             .or_else(|| self.oracle.check_step(&self.eng));
-        match v {
-            Some(v) => Some((v, self.trace())),
-            None => {
-                self.eng.ready_choices(&mut self.ready);
-                None
-            }
+        if v.is_none() {
+            self.eng.ready_choices(&mut self.ready);
         }
+        v
     }
 
     /// [`Stepper::step`] under [`guarded`]. After an `Err` the position
     /// may be poisoned — restore or replay before reuse.
-    pub(crate) fn fire(&mut self, pick: usize) -> Result<(), (Violation, String)> {
+    pub(crate) fn fire(&mut self, pick: usize) -> Result<(), Violation> {
         guarded(|| self.step(pick)).map_or(Ok(()), Err)
     }
 
@@ -335,11 +332,10 @@ impl Stepper {
         }
     }
 
-    /// The quiescence oracles, with the trace on a violation.
-    pub(crate) fn check_quiescent(&self) -> Option<(Violation, String)> {
+    /// The quiescence oracles.
+    pub(crate) fn check_quiescent(&self) -> Option<Violation> {
         self.oracle
             .check_quiescent(&self.eng, self.cfg.issued_ops())
-            .map(|v| (v, self.trace()))
     }
 }
 
@@ -363,15 +359,15 @@ thread_local! {
     static GUARDED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f`, converting a protocol panic into a `panic` violation (with
-/// no trace: the engine is mid-dispatch), so mutants that trip internal
-/// assertions still yield counterexamples instead of aborting the search.
-/// Such a panic prints nothing: on first use this installs a panic hook
-/// that is silent inside `guarded` and defers to the previous hook
-/// everywhere else.
-pub(crate) fn guarded(
-    f: impl FnOnce() -> Option<(Violation, String)>,
-) -> Option<(Violation, String)> {
+/// The oracle name of a violation [`guarded`] made of a protocol panic.
+const PANIC: &str = "panic";
+
+/// Runs `f`, converting a protocol panic into a `panic` violation, so
+/// mutants that trip internal assertions still yield counterexamples
+/// instead of aborting the search. Such a panic prints nothing: on first
+/// use this installs a panic hook that is silent inside `guarded` and
+/// defers to the previous hook everywhere else.
+pub(crate) fn guarded(f: impl FnOnce() -> Option<Violation>) -> Option<Violation> {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
@@ -390,13 +386,10 @@ pub(crate) fn guarded(
             .map(String::as_str)
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("opaque panic payload");
-        Some((
-            Violation {
-                oracle: "panic",
-                detail: format!("protocol panicked: {msg}"),
-            },
-            String::new(),
-        ))
+        Some(Violation {
+            oracle: PANIC,
+            detail: format!("protocol panicked: {msg}"),
+        })
     })
 }
 
@@ -414,39 +407,37 @@ pub(crate) fn starved(max_steps: usize) -> Violation {
 /// The step loop every schedule runs: drives `st` until it quiesces,
 /// fails, or reaches `max_steps` steps. `pick(arity)` chooses among the
 /// ready events at each step (clamped to the ready count), and each
-/// decision is appended to `choices`. Returns the first violation and its
-/// trace, if any. Panics inside the protocol are caught and reported as
-/// violations (see [`guarded`]); `st` may then be poisoned.
+/// decision is appended to `choices`. Returns the first violation, if
+/// any. Panics inside the protocol are caught and reported as violations
+/// (see [`guarded`]); `st` may then be poisoned.
 fn drive(
     st: &mut Stepper,
     mut pick: impl FnMut(usize) -> usize,
     max_steps: usize,
     choices: &mut Vec<Choice>,
-) -> Option<(Violation, String)> {
+) -> Option<Violation> {
     guarded(|| loop {
         let arity = st.ready().len();
         if arity == 0 {
             return st.check_quiescent();
         }
         if st.steps >= max_steps {
-            return Some((starved(max_steps), st.trace()));
+            return Some(starved(max_steps));
         }
         let picked = pick(arity).min(arity - 1);
         choices.push(Choice { arity, picked });
-        if let Some(failure) = st.step(picked) {
-            return Some(failure);
+        if let Some(v) = st.step(picked) {
+            return Some(v);
         }
     })
 }
 
 /// The outcome [`drive`] left `st` in.
-fn outcome(st: &Stepper, choices: Vec<Choice>, failure: Option<(Violation, String)>) -> RunOutcome {
-    let (violation, trace) = failure.unzip();
+fn outcome(st: &Stepper, choices: Vec<Choice>, violation: Option<Violation>) -> RunOutcome {
     RunOutcome {
         steps: st.steps,
         choices,
         violation,
-        trace: trace.unwrap_or_default(),
     }
 }
 
@@ -500,6 +491,32 @@ pub fn replay(cfg: &CheckConfig, prefix: &[usize], max_steps: usize) -> RunOutco
     run_one(cfg, prefix_picks(prefix), max_steps)
 }
 
+/// Records kept by the trace a replay records.
+const TRACE_RECORDS: usize = 4096;
+
+/// [`replay`] on an engine that records a trace, with the per-block
+/// protocol trace at the violation point (the most recent
+/// `TRACE_RECORDS` records). The trace is empty on a green run and after
+/// a `panic`, where the engine is left mid-dispatch. Explored positions
+/// record no trace: a counterexample's is recorded here, once.
+pub fn traced_replay(
+    cfg: &CheckConfig,
+    prefix: &[usize],
+    max_steps: usize,
+) -> (RunOutcome, String) {
+    let mut st = Stepper::new(cfg);
+    // Issuing records nothing, so a trace enabled after the workload is
+    // issued misses no record.
+    st.eng.enable_trace(TRACE_RECORDS);
+    let mut choices = Vec::new();
+    let violation = drive(&mut st, prefix_picks(prefix), max_steps, &mut choices);
+    let trace = match &violation {
+        Some(v) if v.oracle != PANIC => st.trace(),
+        _ => String::new(),
+    };
+    (outcome(&st, choices, violation), trace)
+}
+
 /// Where a campaign's schedules start: the scenario's initial position,
 /// built once, and one recycled position that every run starts from a
 /// copy of ([`Stepper::fork_into`]). A run rebuilds no machine, and its
@@ -525,11 +542,7 @@ impl Runner {
 
     /// [`drive`] from the initial state; the decisions are left in
     /// `self.choices`.
-    fn run(
-        &mut self,
-        pick: impl FnMut(usize) -> usize,
-        max_steps: usize,
-    ) -> Option<(Violation, String)> {
+    fn run(&mut self, pick: impl FnMut(usize) -> usize, max_steps: usize) -> Option<Violation> {
         self.root.fork_into(&mut self.pos);
         self.choices.clear();
         drive(&mut self.pos, pick, max_steps, &mut self.choices)
@@ -537,24 +550,19 @@ impl Runner {
 
     /// Drives walk `w` of the stream `seed` selects; returns its
     /// violation, if any.
-    pub(crate) fn walk(
-        &mut self,
-        seed: u64,
-        w: u64,
-        max_steps: usize,
-    ) -> Option<(Violation, String)> {
+    pub(crate) fn walk(&mut self, seed: u64, w: u64, max_steps: usize) -> Option<Violation> {
         self.run(walk_picks(seed, w), max_steps)
     }
 
     /// [`replay`] from the recycled position.
     pub(crate) fn replay(&mut self, prefix: &[usize], max_steps: usize) -> RunOutcome {
-        let failure = self.run(prefix_picks(prefix), max_steps);
-        self.outcome(failure)
+        let violation = self.run(prefix_picks(prefix), max_steps);
+        self.outcome(violation)
     }
 
-    /// The outcome of the last run, which ended in `failure`.
-    fn outcome(&self, failure: Option<(Violation, String)>) -> RunOutcome {
-        outcome(&self.pos, self.choices.clone(), failure)
+    /// The outcome of the last run, which ended in `violation`.
+    fn outcome(&self, violation: Option<Violation>) -> RunOutcome {
+        outcome(&self.pos, self.choices.clone(), violation)
     }
 
     /// The picks of the last run.
@@ -600,8 +608,8 @@ impl WalkProbe {
 
     /// Walk `w` from the campaign's recycled position.
     pub fn recycled(&mut self, w: u64) -> (RunOutcome, &Engine) {
-        let failure = self.runner.walk(self.seed, w, self.max_steps);
-        (self.runner.outcome(failure), &self.runner.pos.eng)
+        let violation = self.runner.walk(self.seed, w, self.max_steps);
+        (self.runner.outcome(violation), &self.runner.pos.eng)
     }
 }
 
@@ -621,9 +629,9 @@ pub fn random_walks(
         if start.elapsed().as_secs() >= limits.max_seconds {
             return Exploration::Budget { schedules: w };
         }
-        if let Some((v, trace)) = runner.walk(seed, w, limits.max_steps) {
+        if let Some(v) = runner.walk(seed, w, limits.max_steps) {
             let picked = runner.picks();
-            return falsify(&mut runner, picked, v, trace, w + 1, limits);
+            return falsify(&mut runner, picked, v, w + 1, limits);
         }
     }
     Exploration::AllGreen { schedules: walks }
@@ -635,7 +643,6 @@ pub(crate) fn falsify(
     runner: &mut Runner,
     picked: Vec<usize>,
     violation: Violation,
-    trace: String,
     schedules: u64,
     limits: &ExploreLimits,
 ) -> Exploration {
@@ -643,12 +650,23 @@ pub(crate) fn falsify(
     // Shrinking preserves *some* violation but may change which oracle
     // fires first; prefer the shrunk run's report since that is what the
     // replay command will show.
-    let (violation, trace) = match out.violation {
-        Some(v) => (v, out.trace),
-        None => (violation, trace),
-    };
+    let violation = out.violation.unwrap_or(violation);
+    falsified(&runner.root.cfg, schedule, violation, schedules, limits)
+}
+
+/// Packages `violation`, found after `schedules` schedules, with the
+/// schedule that reports it and the trace [`traced_replay`] records for
+/// that schedule.
+pub(crate) fn falsified(
+    cfg: &CheckConfig,
+    schedule: Vec<usize>,
+    violation: Violation,
+    schedules: u64,
+    limits: &ExploreLimits,
+) -> Exploration {
+    let (_, trace) = traced_replay(cfg, &schedule, limits.max_steps);
     Exploration::Falsified(Box::new(Counterexample {
-        config: runner.root.cfg,
+        config: *cfg,
         schedule,
         violation,
         trace,
@@ -696,8 +714,8 @@ fn shrink_on(
             candidate.clone_from(&schedule);
             candidate[i] = 0;
             strip(&mut candidate);
-            if let Some(failure) = runner.run(prefix_picks(&candidate), max_steps) {
-                best = runner.outcome(Some(failure));
+            if let Some(v) = runner.run(prefix_picks(&candidate), max_steps) {
+                best = runner.outcome(Some(v));
                 std::mem::swap(&mut schedule, &mut candidate);
                 progress = true;
                 // Accepting a stripped candidate can shorten the schedule

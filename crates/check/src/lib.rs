@@ -8,6 +8,9 @@
 //!
 //! * [`scenario`] — tiny closed workloads (2–4 nodes hammering 1–2
 //!   blocks) where the controlled scheduler decides every race;
+//! * [`ledger`] — the open and completed span counts the quiescence
+//!   oracle's leak check reads, the only observer an explored engine
+//!   carries;
 //! * [`oracles`] — invariants evaluated after every step: single-writer/
 //!   multiple-reader, directory-vs-cache agreement, data-value coherence,
 //!   Figure-9 queue bounds, and global quiescence (no lost or starved
@@ -48,14 +51,16 @@
 //! ```
 
 pub mod explore;
+pub mod ledger;
 pub mod oracles;
 pub mod reduce;
 pub mod scenario;
 
 pub use explore::{
-    random_walks, replay, run_one, shrink, Choice, Counterexample, Exploration, ExploreLimits,
-    RunOutcome,
+    random_walks, replay, run_one, shrink, traced_replay, Choice, Counterexample, Exploration,
+    ExploreLimits, RunOutcome,
 };
+pub use ledger::SpanLedger;
 pub use oracles::{OracleState, Violation};
 pub use reduce::{
     default_check_threads, dpor_eligible, explore_reduced, explore_reduced_with,

@@ -34,8 +34,8 @@
 //! dragon --protocol nack`), not a fake counterexample.
 
 use cenju4_check::{
-    default_check_threads, explore_reduced, explore_reduced_with, random_walks_parallel, replay,
-    CheckConfig, Exploration, ExploreLimits,
+    default_check_threads, explore_reduced, explore_reduced_with, random_walks_parallel,
+    traced_replay, CheckConfig, Exploration, ExploreLimits,
 };
 use cenju4_directory::DirectoryId;
 use cenju4_protocol::{FaultInjection, ProtocolId, ProtocolKind};
@@ -297,7 +297,7 @@ fn main() -> ExitCode {
             report(&format!("random (seed {})", args.seed), &args.cfg, &r)
         }
         "replay" => {
-            let out = replay(&args.cfg, &args.schedule, args.limits.max_steps);
+            let (out, trace) = traced_replay(&args.cfg, &args.schedule, args.limits.max_steps);
             match &out.violation {
                 None => {
                     outln!(
@@ -311,10 +311,8 @@ fn main() -> ExitCode {
                 Some(v) => {
                     outln!("replay: {}: violation at step {}", args.cfg, out.steps);
                     outln!("  {v}");
-                    if !out.trace.is_empty() {
-                        for line in out.trace.lines() {
-                            outln!("    {line}");
-                        }
+                    for line in trace.lines() {
+                        outln!("    {line}");
                     }
                     ExitCode::FAILURE
                 }

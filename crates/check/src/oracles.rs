@@ -24,9 +24,9 @@
 //! * **recovery** — the armed recovery layer never exhausts its retry
 //!   budget under the bounded fault schedules the checker drives.
 
+use crate::ledger::SpanLedger;
 use crate::scenario::CheckConfig;
 use cenju4_directory::{MemState, NodeId};
-use cenju4_obs::SpanCollector;
 use cenju4_protocol::{
     Addr, CacheState, Engine, FaultInjection, MemOp, Notification, ProtocolId, RecoveryError,
 };
@@ -494,12 +494,12 @@ impl OracleState {
                 }
             }
         }
-        // Span-leak oracle: the scenario engine carries a SpanCollector,
+        // Span-leak oracle: the scenario engine carries a SpanLedger,
         // and a span left open at quiescence is a transaction that
         // started but never graduated — a leak or a starved request the
         // counters above could miss (e.g. a lost writeback).
-        if let Some(col) = eng.observer::<SpanCollector>() {
-            let leaked = col.open_span_count();
+        if let Some(ledger) = eng.observer::<SpanLedger>() {
+            let leaked = ledger.open_span_count();
             if leaked != 0 {
                 return Some(Violation {
                     oracle: "span-leak",
@@ -513,7 +513,7 @@ impl OracleState {
             // span, so the per-access floor only binds in fault-free
             // regimes. The leak check above stays exact regardless: an
             // abandonment *closes* its span (class `abandoned`).
-            let spans = col.completed_span_count();
+            let spans = ledger.completed_span_count();
             if !self.tolerate_node_down && spans < issued {
                 return Some(Violation {
                     oracle: "span-leak",

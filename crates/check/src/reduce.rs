@@ -62,9 +62,7 @@
 //! walk stays single-threaded and deterministic, and threads go where
 //! they pay: unreduced exploration and seeded random campaigns.
 
-use crate::explore::{
-    falsify, starved, Counterexample, Exploration, ExploreLimits, Runner, Stepper,
-};
+use crate::explore::{falsified, falsify, starved, Exploration, ExploreLimits, Runner, Stepper};
 use crate::oracles::Violation;
 use crate::scenario::CheckConfig;
 use cenju4_des::{FxHashMap, SimTime};
@@ -177,7 +175,7 @@ pub fn explore_reduced_with(
         frontier_oracles: Mutex::new(BTreeSet::new()),
     };
     let mut agg = DfsStats::default();
-    let mut first_violation: Option<(Vec<usize>, Violation, String)>;
+    let mut first_violation: Option<Found>;
     let job_count;
     if reduce {
         // Sequential: the reduced walk needs one global dedup table (see
@@ -203,7 +201,7 @@ pub fn explore_reduced_with(
         }
     }
     let exploration = match first_violation {
-        Some((picks, v, trace)) => falsify_capped(cfg, picks, v, trace, agg.leaves.max(1), limits),
+        Some((picks, v)) => falsify_capped(cfg, picks, v, agg.leaves.max(1), limits),
         None if agg.budget_hit => Exploration::Budget {
             schedules: agg.leaves,
         },
@@ -352,11 +350,13 @@ impl DfsStats {
     }
 }
 
+/// A violation, with the picks that reach it from the true root.
+type Found = (Vec<usize>, Violation);
+
 struct DfsOutcome {
     stats: DfsStats,
-    /// First violation in this subtree's DFS order: full pick sequence
-    /// from the true root, the violation, and the trace at that point.
-    violation: Option<(Vec<usize>, Violation, String)>,
+    /// First violation in this subtree's DFS order.
+    violation: Option<Found>,
     /// Collect-all verdicts.
     oracles: BTreeSet<&'static str>,
 }
@@ -457,14 +457,14 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
     let mut entering = true;
 
     macro_rules! record_violation {
-        ($v:expr, $trace:expr) => {{
-            let (v, trace): (Violation, String) = ($v, $trace);
+        ($v:expr) => {{
+            let v: Violation = $v;
             if params.collect_all {
                 out.oracles.insert(v.oracle);
             } else {
                 let mut picks = prefix.to_vec();
                 picks.extend_from_slice(&path);
-                out.violation = Some((picks, v, trace));
+                out.violation = Some((picks, v));
                 return out;
             }
         }};
@@ -483,15 +483,15 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
                     return out;
                 }
                 out.stats.leaves += 1;
-                if let Some((v, trace)) = st.check_quiescent() {
-                    record_violation!(v, trace);
+                if let Some(v) = st.check_quiescent() {
+                    record_violation!(v);
                 }
                 path.pop();
                 dirty = true;
                 continue;
             }
             if prefix.len() + path.len() >= params.limits.max_steps {
-                record_violation!(starved(params.limits.max_steps), String::new());
+                record_violation!(starved(params.limits.max_steps));
                 path.pop();
                 dirty = true;
                 continue;
@@ -638,9 +638,9 @@ fn dfs(params: &DfsParams, prefix: &[usize], mut st: Stepper) -> DfsOutcome {
                 spare_sleeps.give(std::mem::replace(&mut incoming_sleep, child_sleep));
                 entering = true;
             }
-            Err((v, trace)) => {
+            Err(v) => {
                 spare_sleeps.give(child_sleep);
-                record_violation!(v, trace);
+                record_violation!(v);
                 path.pop();
                 // The engine may be poisoned after a panic; the dirty
                 // restore overwrites it.
@@ -663,7 +663,7 @@ fn unroll_lasso(
     on_path: &[u64],
     fp: u64,
     violation: Violation,
-) -> (Vec<usize>, Violation, String) {
+) -> (Vec<usize>, Violation) {
     let entry = on_path.iter().position(|&f| f == fp).unwrap_or(0);
     // Picks from the true root to the cycle entry state.
     let mut picks: Vec<usize> = prefix.to_vec();
@@ -699,10 +699,7 @@ fn unroll_lasso(
     }
     // Prefer what the replayed schedule actually reports.
     let out = runner.replay(&picks, limits.max_steps);
-    match out.violation {
-        Some(v) => (picks, v, out.trace),
-        None => (picks, violation, String::new()),
-    }
+    (picks, out.violation.unwrap_or(violation))
 }
 
 /// Shrinks and packages a violation; skips the quadratic greedy pass for
@@ -711,7 +708,6 @@ fn falsify_capped(
     cfg: &CheckConfig,
     mut picks: Vec<usize>,
     violation: Violation,
-    trace: String,
     schedules: u64,
     limits: &ExploreLimits,
 ) -> Exploration {
@@ -722,16 +718,9 @@ fn falsify_capped(
         while picks.last() == Some(&0) {
             picks.pop();
         }
-        return Exploration::Falsified(Box::new(Counterexample {
-            config: *cfg,
-            schedule: picks,
-            violation,
-            trace,
-            schedules_explored: schedules,
-            max_steps: limits.max_steps,
-        }));
+        return falsified(cfg, picks, violation, schedules, limits);
     }
-    falsify(&mut runner, picks, violation, trace, schedules, limits)
+    falsify(&mut runner, picks, violation, schedules, limits)
 }
 
 // ---------------------------------------------------------------------
@@ -744,10 +733,7 @@ fn falsify_capped(
 /// found at shallow depth), the first violation if one was found during
 /// expansion, and the job list. Only used unreduced — the reduced walk
 /// is sequential (see the module docs).
-#[allow(clippy::type_complexity)]
-fn expand_frontier(
-    params: &DfsParams,
-) -> (DfsStats, Option<(Vec<usize>, Violation, String)>, Vec<Job>) {
+fn expand_frontier(params: &DfsParams) -> (DfsStats, Option<Found>, Vec<Job>) {
     let cfg = params.cfg();
     let mut stats = DfsStats::default();
     // Each queued job keeps its base position, so expanding it forks
@@ -773,11 +759,11 @@ fn expand_frontier(
                 return (stats, None, Vec::new());
             }
             stats.leaves += 1;
-            if let Some((v, trace)) = job.st.check_quiescent() {
+            if let Some(v) = job.st.check_quiescent() {
                 if params.collect_all {
                     params.frontier_oracles.lock().unwrap().insert(v.oracle);
                 } else {
-                    return (stats, Some((job.prefix, v, trace)), Vec::new());
+                    return (stats, Some((job.prefix, v)), Vec::new());
                 }
             }
             continue;
@@ -793,11 +779,11 @@ fn expand_frontier(
             prefix.push(b);
             match st.fire(b) {
                 Ok(()) => queue.push_back(Job { prefix, st }),
-                Err((v, trace)) => {
+                Err(v) => {
                     if params.collect_all {
                         params.frontier_oracles.lock().unwrap().insert(v.oracle);
                     } else {
-                        return (stats, Some((prefix, v, trace)), Vec::new());
+                        return (stats, Some((prefix, v)), Vec::new());
                     }
                 }
             }
@@ -902,11 +888,11 @@ pub fn random_walks_parallel(
     let b = best.load(Ordering::Relaxed);
     if b != u64::MAX {
         let mut runner = Runner::new(cfg);
-        let (v, trace) = runner
+        let v = runner
             .walk(seed, b, limits.max_steps)
             .expect("winning walk failed to reproduce");
         let picks = runner.picks();
-        falsify(&mut runner, picks, v, trace, b + 1, limits)
+        falsify(&mut runner, picks, v, b + 1, limits)
     } else if timed_out.load(Ordering::Relaxed) {
         Exploration::Budget {
             schedules: green.load(Ordering::Relaxed),

@@ -5,9 +5,9 @@
 //! with concurrency. Every node issues all its accesses at time zero, so
 //! the controlled scheduler (not timing) decides every race.
 
+use crate::ledger::SpanLedger;
 use cenju4_directory::{DirectoryId, NodeId};
 use cenju4_network::FaultPlan;
-use cenju4_obs::SpanCollector;
 use cenju4_protocol::{
     Addr, ConfigError, Engine, FaultInjection, MemOp, ProtocolId, ProtocolKind, RecoveryParams,
     SystemConfig,
@@ -189,15 +189,15 @@ impl CheckConfig {
     /// [`CheckConfig::engine`] on the machine `cfg`, which tests derive
     /// from [`CheckConfig::system_config`] to reach states the scenario's
     /// own machine does not (evictions from a one-line cache).
-    pub(crate) fn engine_on(&self, cfg: &SystemConfig) -> Engine {
+    ///
+    /// The engine records no trace and carries one observer, a
+    /// [`SpanLedger`]: the quiescence oracle's transaction-leak detector
+    /// (every opened span must have closed). Observers are pure
+    /// instrumentation, so the schedule space is unchanged.
+    pub fn engine_on(&self, cfg: &SystemConfig) -> Engine {
         let mut eng = Engine::new(cfg);
         eng.enable_controlled_schedule();
-        eng.enable_trace(4096);
-        // Span tracking rides along on every explored schedule: observers
-        // are pure instrumentation (the schedule space is unchanged), and
-        // the quiescence oracle uses the collector as a transaction-leak
-        // detector — every opened span must have closed.
-        eng.add_observer(Box::new(SpanCollector::new(cfg.sys)));
+        eng.add_observer(Box::new(SpanLedger::default()));
         // A fabric mutant's one-shot plan replaces the probabilistic one.
         eng.inject_fault(self.fault);
         let blocks = self.block_addrs();

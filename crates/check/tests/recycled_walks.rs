@@ -1,46 +1,42 @@
 //! Differential test of recycled walks: a campaign starts every walk by
 //! copying its root position into one recycled position, and each walk
 //! must be the walk `run_one` drives on a freshly built engine: the same
-//! decisions, steps, verdict and trace, and an engine that ends in the
-//! same state (fingerprint), with the same statistics and the same span
-//! metrics. A walk after one that died in a caught protocol panic must
-//! match too, since the copy overwrites the poisoned position whole.
+//! decisions, steps and verdict, and an engine that ends in the same
+//! state (fingerprint), with the same statistics and the same span
+//! ledger counts. A walk after one that died in a caught protocol panic
+//! must match too, since the copy overwrites the poisoned position whole.
 
 use cenju4_check::explore::WalkProbe;
-use cenju4_check::{run_one, CheckConfig, RunOutcome};
+use cenju4_check::{run_one, CheckConfig, RunOutcome, SpanLedger};
 use cenju4_des::SplitMix64;
-use cenju4_obs::SpanCollector;
 use cenju4_protocol::{Engine, FaultInjection, ProtocolId, ProtocolKind};
 
 const MAX_STEPS: usize = 10_000;
 
-/// What a walk ended with: its verdict, steps and trace, and what its
-/// engine holds.
+/// What a walk ended with: its verdict and steps, and what its engine
+/// holds.
 #[derive(Debug, PartialEq)]
 struct Ending {
     picks: Vec<(usize, usize)>,
     steps: usize,
     violation: Option<String>,
-    trace: String,
     fingerprint: u64,
     stats: String,
-    metrics: String,
-}
-
-fn spans(eng: &Engine) -> &SpanCollector {
-    eng.observer::<SpanCollector>()
-        .expect("checker engines carry a span collector")
+    /// The span ledger's open and completed counts.
+    spans: (usize, usize),
 }
 
 fn ending(cfg: &CheckConfig, out: &RunOutcome, eng: &Engine) -> Ending {
+    let ledger = eng
+        .observer::<SpanLedger>()
+        .expect("checker engines carry a span ledger");
     Ending {
         picks: out.choices.iter().map(|c| (c.arity, c.picked)).collect(),
         steps: out.steps,
         violation: out.violation.as_ref().map(ToString::to_string),
-        trace: out.trace.clone(),
         fingerprint: eng.state_fingerprint(&cfg.block_addrs()),
         stats: format!("{:?}", eng.stats()),
-        metrics: spans(eng).metrics().to_text(),
+        spans: (ledger.open_span_count(), ledger.completed_span_count()),
     }
 }
 
@@ -59,7 +55,6 @@ fn assert_recycled_walks_match(
         let (recycled_out, recycled_eng) = probe.recycled(w);
         let recycled = ending(cfg, &recycled_out, recycled_eng);
         assert_eq!(recycled, fresh, "{cfg}: walk {w} of seed {seed}");
-        assert!(spans(recycled_eng).metrics() == spans(&fresh_eng).metrics());
         // The fresh side is `run_one` itself.
         let mut rng = SplitMix64::new(seed.wrapping_add(w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let lib = run_one(

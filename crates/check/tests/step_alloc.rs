@@ -117,12 +117,13 @@ fn walks_scenario() -> CheckConfig {
 /// Steps taken before the notification buffer counts as grown.
 const WARM_UP: usize = 50;
 
-/// Over seeded walks of the scenario: once the shared buffer has grown,
-/// `run_pending_into` allocates no more than the same dispatch on a fork
-/// of the position into a buffer with room to spare (the engine's own
-/// growth), while `run_pending` on a third fork allocates more whenever
-/// the step notifies (its fresh `Vec`); `note` and `check_step` allocate
-/// nothing at any step.
+/// Over seeded walks of the scenario, each step fired on a fork of the
+/// position: once the shared buffer has grown, `run_pending_into`
+/// allocates no more than the same dispatch on a second fork into a
+/// buffer with room to spare (the engine's own growth), while
+/// `run_pending` on a third fork allocates more whenever the step
+/// notifies (its fresh `Vec`); `note` and `check_step` allocate nothing
+/// at any step.
 #[test]
 fn a_checker_step_allocates_nothing_of_its_own() {
     let cfg = walks_scenario();
@@ -142,6 +143,9 @@ fn a_checker_step_allocates_nothing_of_its_own() {
             let pick = ready[rng.next_below(ready.len() as u64) as usize];
             let mut twin = eng.fork().expect("checker engines fork");
             let mut owned = eng.fork().expect("checker engines fork");
+            // Step a fork as well: a fork's containers hold no spare room,
+            // so all three engines regrow theirs alike.
+            eng = eng.fork().expect("checker engines fork");
             notes.clear();
             let (fired, into) = bytes_of(|| eng.run_pending_into(pick, &mut notes));
             assert!(fired);
@@ -150,8 +154,7 @@ fn a_checker_step_allocates_nothing_of_its_own() {
             let (returned, taken) = bytes_of(|| owned.run_pending(pick).expect("fires"));
             assert_eq!(returned, notes);
             if steps >= WARM_UP {
-                // Forks regrow their containers alike, so the twin's
-                // figure is the dispatch's own.
+                // The twin's figure is the dispatch's own.
                 assert!(into <= dispatch, "walk {walk}: {into} > {dispatch} bytes");
                 if !notes.is_empty() {
                     assert!(taken > dispatch, "run_pending returned no fresh Vec");
@@ -183,9 +186,11 @@ fn a_checker_step_allocates_nothing_of_its_own() {
 const BUILDING_WALK_BYTES: u64 = 247_063;
 
 /// Allocations walks 1 to 1000 of one campaign of the scenario make in
-/// all (2,083,968 bytes), now that each starts by copying the campaign's
-/// root position into one recycled position: about 15 a walk.
-const RECYCLED_WALKS_ALLOCS: u64 = 15_400;
+/// all (1,853,440 bytes), now that each starts by copying the campaign's
+/// root position into one recycled position, and a position carries a
+/// span ledger instead of a span collector: about 13 a walk (15,400 and
+/// 2,083,968 bytes with the collector).
+const RECYCLED_WALKS_ALLOCS: u64 = 13_436;
 
 /// A campaign builds its root position and first walk once; the 1000
 /// walks after them stay under [`RECYCLED_WALKS_ALLOCS`] and ask for
@@ -267,11 +272,13 @@ fn forking_into_a_position_of_the_same_shape_allocates_nothing() {
 /// snapshot was a fresh fork and every backtrack dropped one.
 const FORKING_EXPLORATION_ALLOCS: u64 = 166_096;
 
-/// Allocations one reduced exploration of the scenario made once
-/// fingerprints stopped allocating and frames recycled their event
-/// snapshots and sleep sets (33,403 before). What is left is mostly
-/// the dedup table's own storage: a sleep signature per unique state.
-const RECYCLING_EXPLORATION_ALLOCS: u64 = 6_885;
+/// Allocations one reduced exploration of the scenario makes now that
+/// fingerprints allocate nothing, frames recycle their event snapshots
+/// and sleep sets, and positions carry a span ledger instead of a span
+/// collector (33,403 before the first two, 5,740 before the ledger).
+/// What is left is mostly the dedup table's own storage: a sleep
+/// signature per unique state.
+const RECYCLING_EXPLORATION_ALLOCS: u64 = 5_260;
 
 /// Recycling positions cuts one exploration's allocations to under a
 /// quarter of the forking explorer's, and allocation-free fingerprints

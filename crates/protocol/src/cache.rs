@@ -336,6 +336,12 @@ impl Cache {
         self.line(addr).map_or(0, |l| l.value)
     }
 
+    /// [`Cache::state`] and [`Cache::value`] from one lookup.
+    pub fn state_and_value(&self, addr: Addr) -> (CacheState, u64) {
+        self.line(addr)
+            .map_or((CacheState::Invalid, 0), |l| (l.state, l.value))
+    }
+
     /// Overwrites the data of a present line.
     ///
     /// # Panics
@@ -656,7 +662,11 @@ mod model_tests {
                 }
                 0..=2 => assert_eq!(cache.touch(addr), model.touch(addr), "{ctx}"),
                 3 => assert_eq!(cache.state(addr), model.state(addr), "{ctx}"),
-                4 => assert_eq!(cache.value(addr), model.value(addr), "{ctx}"),
+                4 => {
+                    assert_eq!(cache.value(addr), model.value(addr), "{ctx}");
+                    let both = (model.state(addr), model.value(addr));
+                    assert_eq!(cache.state_and_value(addr), both, "{ctx}");
+                }
                 5 if present => {
                     model.line_mut(addr).unwrap().state = state;
                     cache.set_state(addr, state);

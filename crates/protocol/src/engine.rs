@@ -808,8 +808,9 @@ impl Engine {
                 None => false.hash(h),
             }
             for shard in &self.shards {
-                shard.master.cache.state(addr).hash(h);
-                shard.master.cache.value(addr).hash(h);
+                // A tuple hashes its fields in order: the state's bytes,
+                // then the value's, which the pinned state counts rely on.
+                shard.master.cache.state_and_value(addr).hash(h);
                 shard.master.l3.get(&addr).hash(h);
             }
         }
@@ -931,7 +932,11 @@ impl Engine {
         };
         self.dispatch(at, ev);
         // Most steps notify nothing; skip `append`'s out-of-line copy.
-        if !self.notifications.is_empty() {
+        // A caller that drained its buffer takes the engine's whole: the
+        // buffers trade places, and the engine refills the caller's.
+        if notes.is_empty() {
+            std::mem::swap(notes, &mut self.notifications);
+        } else if !self.notifications.is_empty() {
             notes.append(&mut self.notifications);
         }
         true

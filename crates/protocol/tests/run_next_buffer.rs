@@ -1,8 +1,10 @@
 //! `Engine::run_next` appends each step's notifications to a buffer the
-//! caller owns. Twin engines — one drained by `run()`, one stepped with a
-//! single reused buffer cleared after every step — must report the same
+//! caller owns: into an empty buffer by trading buffers with the engine,
+//! into a non-empty one by appending. Three engines — one drained by
+//! `run()`, one stepped with a single reused buffer cleared after every
+//! step, one stepped with a buffer never cleared — must report the same
 //! notification sequence, so an overwriting or duplicating `run_next`
-//! fails here even where the statistics would agree.
+//! fails here on either path even where the statistics would agree.
 
 use cenju4_directory::NodeId;
 use cenju4_network::FaultPlan;
@@ -43,16 +45,18 @@ fn issue_round(eng: &mut Engine, round: u32) {
     }
 }
 
-/// Runs eight rounds through `run()` and, on the twin, through
-/// `run_next` with one reused buffer. Asserts both report the same
-/// notifications and every access completed; returns the `run()` twin.
+/// Runs eight rounds through `run()`, through `run_next` with one
+/// reused buffer cleared after every step, and through `run_next` into
+/// one buffer that is never cleared. Asserts all three report the same
+/// notifications and every access completed; returns the `run()` engine.
 fn assert_twins_agree(build: fn() -> Engine) -> Engine {
-    let (mut whole, mut stepped) = (build(), build());
+    let (mut whole, mut stepped, mut piled) = (build(), build(), build());
     let (mut by_run, mut by_step) = (Vec::new(), Vec::new());
-    let mut buf = Vec::new();
+    let (mut buf, mut pile) = (Vec::new(), Vec::new());
     for round in 0..8 {
         issue_round(&mut whole, round);
         issue_round(&mut stepped, round);
+        issue_round(&mut piled, round);
         by_run.extend(whole.run());
         while stepped.run_next(&mut buf) {
             by_step.extend_from_slice(&buf);
@@ -62,10 +66,19 @@ fn assert_twins_agree(build: fn() -> Engine) -> Engine {
             !stepped.run_next(&mut buf) && buf.is_empty(),
             "a quiescent step must leave the buffer alone"
         );
+        while piled.run_next(&mut pile) {}
+        let piled_len = pile.len();
+        assert!(
+            !piled.run_next(&mut pile) && pile.len() == piled_len,
+            "a quiescent step must leave the buffer alone"
+        );
     }
     assert_eq!(by_run, by_step, "run() and the reused buffer disagree");
-    assert_eq!(whole.steps(), stepped.steps());
-    assert_eq!(whole.now(), stepped.now());
+    assert_eq!(by_run, pile, "run() and the uncleared buffer disagree");
+    for eng in [&stepped, &piled] {
+        assert_eq!(whole.steps(), eng.steps());
+        assert_eq!(whole.now(), eng.now());
+    }
     assert!(
         !by_run
             .iter()

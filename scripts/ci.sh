@@ -138,11 +138,14 @@ check_smoke() {
     cargo test --release --offline -q -p cenju4-check --test dpor_soundness
     # The touched-block step oracles against the full-scan reference over
     # the green scenarios and every mutant, the step, backtrack and walk
-    # allocation pins, and walks from a campaign's recycled position
-    # against walks on fresh engines, in the release profile the checker
-    # runs in.
+    # allocation pins, walks from a campaign's recycled position against
+    # walks on fresh engines, the span ledger against the span collector
+    # at every step (every protocol, lossy recovery, quarantine, one-line
+    # caches, every mutant), and the printed random and reduced
+    # counterexamples and their replays against their goldens, in the
+    # release profile the checker runs in.
     cargo test --release --offline -q -p cenju4-check --lib --test step_alloc \
-        --test recycled_walks
+        --test recycled_walks --test span_ledger --test counterexample_golden
     # The multiset state fingerprint against its sort-based reference:
     # the same partition of every state reached (explored graphs, lossy
     # recovery walks, node-down walks).
