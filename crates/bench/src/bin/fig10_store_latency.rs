@@ -10,10 +10,10 @@
 
 use cenju4::prelude::*;
 use cenju4_bench::paper::{FIG10_MULTICAST_1024, FIG10_SINGLECAST_1024};
-use cenju4_bench::ObsArgs;
+use cenju4_bench::FigArgs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let obs = ObsArgs::parse();
+    let obs = FigArgs::from_env(None, true);
     let machine = |nodes, mode| SystemConfig::builder(nodes).multicast(mode).build();
     for nodes in [16u16, 128, 1024] {
         let with_mc = machine(nodes, MulticastMode::Hardware)?;

@@ -10,7 +10,7 @@ use cenju4::directory::precision::{group_pool, precision_curve, whole_machine_po
 use cenju4::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trials = cenju4_bench::scale_arg(200.0) as u32;
+    let trials = cenju4_bench::FigArgs::from_env(Some(200.0), false).scale as u32;
     let sys = SystemSize::new(1024)?;
     let schemes = [
         SchemeKind::CoarseVector32,

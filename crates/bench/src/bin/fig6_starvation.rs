@@ -53,7 +53,7 @@ fn contend(cfg: &SystemConfig, rounds: u32) -> Outcome {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rounds = cenju4_bench::scale_arg(20.0) as u32;
+    let rounds = cenju4_bench::FigArgs::from_env(Some(20.0), false).scale as u32;
     for nodes in [16u16, 64] {
         let queuing = SystemConfig::builder(nodes).build()?;
         let nack = SystemConfig::builder(nodes)

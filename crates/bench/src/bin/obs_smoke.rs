@@ -15,7 +15,7 @@
 use cenju4::obs::json::validate_chrome_trace;
 use cenju4::obs::{chrome_trace_json, json};
 use cenju4_bench::traced::{fig10_run, fig12_run, TracedRun};
-use cenju4_bench::ObsArgs;
+use cenju4_bench::FigArgs;
 
 fn check(name: &str, run: &TracedRun) {
     let col = run.collector();
@@ -57,7 +57,7 @@ fn check(name: &str, run: &TracedRun) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let obs = ObsArgs::parse();
+    let obs = FigArgs::from_env(None, true);
 
     let f10 = fig10_run();
     check("fig10", &f10);

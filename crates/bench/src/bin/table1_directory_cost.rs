@@ -6,6 +6,7 @@
 use cenju4::directory::cost::{table1, SchemeCost};
 
 fn main() {
+    cenju4_bench::FigArgs::from_env(None, false);
     println!("Table 1: characteristics of directory schemes");
     println!("(o = scalable, x = not scalable; derived from the cost model)\n");
     println!("{:<30} {:>14} {:>12}", "", "hardware cost", "access cost");

@@ -8,6 +8,7 @@ use cenju4::prelude::*;
 use cenju4_bench::paper::TABLE2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    cenju4_bench::FigArgs::from_env(None, false);
     println!("Table 2: load access latencies (ns), measured vs paper\n");
     println!(
         "{:<26} {:>22} {:>22} {:>22}",

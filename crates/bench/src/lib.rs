@@ -1,52 +1,98 @@
 //! Shared helpers for the table/figure regeneration binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! and prints the paper's own numbers next to the measured ones, so the
-//! comparison (EXPERIMENTS.md) can be refreshed with a single run.
+//! The figure binaries in `src/bin/` regenerate the paper's tables and
+//! figures and print the paper's own numbers next to the measured ones,
+//! so the comparison (EXPERIMENTS.md) can be refreshed with a single run.
 
 pub mod paper;
 pub mod traced;
 
-/// Flags shared by the figure binaries: `--trace-out PATH` writes a
-/// Chrome `trace_event` JSON of the figure's golden scenario,
-/// `--metrics-out PATH` writes the collected histograms and counters
-/// (JSON when the path ends in `.json`, flat text otherwise). Both
-/// accept `--flag VALUE` and `--flag=VALUE` forms and coexist with the
-/// positional scale argument.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ObsArgs {
+/// The command line of a figure binary: `[scale] [--trace-out PATH]
+/// [--metrics-out PATH]`, flags as `--flag VALUE` or `--flag=VALUE`.
+///
+/// `scale` is a positive problem-size multiplier (the trial or round
+/// count for some binaries). `--trace-out` writes a Chrome
+/// `trace_event` JSON of the binary's golden scenario; `--metrics-out`
+/// writes its histograms and counters (JSON when the path ends in
+/// `.json`, flat text otherwise). A binary takes the scale only if it
+/// has a default for it, and the two flags only if it has a traced
+/// scenario; anything else is a usage error.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FigArgs {
+    /// The problem-scale multiplier, or the binary's default (0 for a
+    /// binary that takes none).
+    pub scale: f64,
     /// Destination for the Chrome trace, if requested.
     pub trace_out: Option<String>,
     /// Destination for the metrics dump, if requested.
     pub metrics_out: Option<String>,
 }
 
-impl ObsArgs {
-    /// Parses the shared flags out of the process arguments.
+impl FigArgs {
+    /// Parses the process arguments; on a usage error prints it with the
+    /// binary's usage line to stderr and exits with status 2.
+    pub fn from_env(default_scale: Option<f64>, traced: bool) -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        Self::parse(&args[1..], default_scale, traced).unwrap_or_else(|e| {
+            let bin = args
+                .first()
+                .map_or("<binary>", |a| a.rsplit('/').next().unwrap_or(a));
+            let scale = default_scale.map_or("", |_| " [scale]");
+            let flags = if traced {
+                " [--trace-out PATH] [--metrics-out PATH]"
+            } else {
+                ""
+            };
+            eprintln!("{e}\nusage: {bin}{scale}{flags}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `args` (the program name excluded). `default_scale` is
+    /// `None` for a binary that takes no scale; `traced` says whether it
+    /// takes `--trace-out`/`--metrics-out`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on a flag without a value or an
-    /// unknown `--` flag.
-    pub fn parse() -> Self {
-        let mut out = ObsArgs::default();
-        let mut args = std::env::args().skip(1);
+    /// Describes the first argument the binary does not take: an unknown
+    /// flag, a flag without a value, a second positional, or a scale
+    /// that is not a positive finite number.
+    pub fn parse<S: AsRef<str>>(
+        args: &[S],
+        default_scale: Option<f64>,
+        traced: bool,
+    ) -> Result<Self, String> {
+        let mut out = FigArgs {
+            scale: default_scale.unwrap_or(0.0),
+            ..FigArgs::default()
+        };
+        let mut scale_given = false;
+        let mut args = args.iter().map(AsRef::as_ref);
         while let Some(arg) = args.next() {
-            let Some(flag) = arg.strip_prefix("--") else {
-                continue; // positional (scale) — scale_arg's business
-            };
-            let (name, value) = match flag.split_once('=') {
-                Some((n, v)) => (n.to_owned(), Some(v.to_owned())),
-                None => (flag.to_owned(), args.next()),
-            };
-            let value = value.unwrap_or_else(|| panic!("--{name} requires a value"));
-            match name.as_str() {
-                "trace-out" => out.trace_out = Some(value),
-                "metrics-out" => out.metrics_out = Some(value),
-                _ => panic!("unknown flag --{name}; known: --trace-out, --metrics-out"),
+            if let Some(flag) = arg.strip_prefix("--") {
+                let (name, value) = match flag.split_once('=') {
+                    Some((n, v)) => (n, Some(v)),
+                    None => (flag, args.next()),
+                };
+                let slot = match name {
+                    "trace-out" if traced => &mut out.trace_out,
+                    "metrics-out" if traced => &mut out.metrics_out,
+                    _ => return Err(format!("unknown flag --{name}")),
+                };
+                let value = value.ok_or_else(|| format!("--{name} requires a value"))?;
+                *slot = Some(value.to_owned());
+            } else if default_scale.is_some() && !scale_given {
+                out.scale = arg
+                    .parse()
+                    .ok()
+                    .filter(|v: &f64| v.is_finite() && *v > 0.0)
+                    .ok_or_else(|| format!("scale must be a positive number; got {arg:?}"))?;
+                scale_given = true;
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
             }
         }
-        out
+        Ok(out)
     }
 
     /// Whether any artifact was requested.
@@ -95,31 +141,6 @@ pub fn vs(measured: f64, paper: f64) -> String {
     format!("{measured:.1} (paper {paper:.1}, {err:+.1}%)")
 }
 
-/// Reads a problem-scale multiplier from the first *positional* CLI
-/// argument (default `default`), skipping over any `--flag`/`--flag=v`
-/// pairs so the scale coexists with [`ObsArgs`].
-///
-/// # Panics
-///
-/// Panics with a usage message if the argument is not a positive number.
-pub fn scale_arg(default: f64) -> f64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(s) = args.next() {
-        if let Some(flag) = s.strip_prefix("--") {
-            if !flag.contains('=') {
-                args.next(); // skip the flag's value
-            }
-            continue;
-        }
-        let v: f64 = s
-            .parse()
-            .unwrap_or_else(|_| panic!("usage: <binary> [scale]; got {s:?}"));
-        assert!(v > 0.0, "scale must be positive");
-        return v;
-    }
-    default
-}
-
 /// Prints a rule line of the given width.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -128,6 +149,51 @@ pub fn rule(width: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<FigArgs, String> {
+        FigArgs::parse(args, Some(2.0), true)
+    }
+
+    #[test]
+    fn scale_and_flags_parse_in_any_order() {
+        let want = FigArgs {
+            scale: 0.5,
+            trace_out: Some("t.json".into()),
+            metrics_out: Some("m.txt".into()),
+        };
+        for args in [
+            &["0.5", "--trace-out", "t.json", "--metrics-out", "m.txt"][..],
+            &["--trace-out=t.json", "0.5", "--metrics-out=m.txt"],
+            &["--metrics-out", "m.txt", "--trace-out", "t.json", "0.5"],
+        ] {
+            assert_eq!(parse(args), Ok(want.clone()), "{args:?}");
+        }
+        assert_eq!(parse(&[]).unwrap().scale, 2.0);
+        assert_eq!(parse(&["--trace-out", "t"]).unwrap().scale, 2.0);
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // `--bogus 0.05` must not run at the default scale with 0.05 eaten.
+        assert_eq!(
+            parse(&["--bogus", "0.05"]),
+            Err("unknown flag --bogus".into())
+        );
+        assert!(parse(&["0.05", "--bogus=1"]).is_err());
+        assert!(parse(&["--trace-out"]).is_err(), "flag without a value");
+        // A binary without a traced scenario takes neither flag.
+        assert!(FigArgs::parse(&["--trace-out", "t"], Some(2.0), false).is_err());
+    }
+
+    #[test]
+    fn bad_positionals_are_usage_errors() {
+        for args in [&["0"][..], &["-1"], &["x"], &["NaN"], &["inf"], &["1", "2"]] {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
+        // A binary that takes no scale takes no positional at all.
+        assert!(FigArgs::parse(&["1"], None, true).is_err());
+        assert_eq!(FigArgs::parse::<&str>(&[], None, false).unwrap().scale, 0.0);
+    }
 
     #[test]
     fn vs_formats_error() {

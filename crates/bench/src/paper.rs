@@ -29,172 +29,26 @@ pub const FIG11B_DSM1_EFFICIENCY: [(&str, f64); 4] =
     [("BT", 0.20), ("CG", 0.20), ("FT", 0.40), ("SP", 0.20)];
 
 /// Table 3 (per app at its node count): L2 miss ratio and the
-/// private/local/remote breakdown of misses for dsm(1)/dsm(2), with (m)
-/// and without (n) data mappings. Values in percent.
-#[derive(Clone, Copy, Debug)]
-pub struct Table3Row {
-    /// Application name.
-    pub app: &'static str,
-    /// Variant name (`dsm(1)` or `dsm(2)`).
-    pub variant: &'static str,
-    /// With data mappings?
-    pub mapped: bool,
-    /// Secondary-cache miss ratio, percent.
-    pub miss_ratio: f64,
-    /// Private share of misses, percent.
-    pub private: f64,
-    /// Shared-local share, percent.
-    pub local: f64,
-    /// Shared-remote share, percent.
-    pub remote: f64,
-}
-
-/// The sixteen rows of Table 3.
-pub const TABLE3: [Table3Row; 16] = [
-    Table3Row {
-        app: "BT",
-        variant: "dsm(1)",
-        mapped: false,
-        miss_ratio: 1.49,
-        private: 2.4,
-        local: 1.7,
-        remote: 95.9,
-    },
-    Table3Row {
-        app: "BT",
-        variant: "dsm(1)",
-        mapped: true,
-        miss_ratio: 1.47,
-        private: 2.2,
-        local: 63.7,
-        remote: 34.1,
-    },
-    Table3Row {
-        app: "BT",
-        variant: "dsm(2)",
-        mapped: false,
-        miss_ratio: 0.84,
-        private: 76.3,
-        local: 0.6,
-        remote: 23.0,
-    },
-    Table3Row {
-        app: "BT",
-        variant: "dsm(2)",
-        mapped: true,
-        miss_ratio: 0.85,
-        private: 76.1,
-        local: 12.7,
-        remote: 11.2,
-    },
-    Table3Row {
-        app: "CG",
-        variant: "dsm(1)",
-        mapped: false,
-        miss_ratio: 1.48,
-        private: 27.8,
-        local: 0.6,
-        remote: 71.6,
-    },
-    Table3Row {
-        app: "CG",
-        variant: "dsm(1)",
-        mapped: true,
-        miss_ratio: 1.48,
-        private: 26.7,
-        local: 0.7,
-        remote: 72.6,
-    },
-    Table3Row {
-        app: "CG",
-        variant: "dsm(2)",
-        mapped: false,
-        miss_ratio: 1.48,
-        private: 28.2,
-        local: 0.6,
-        remote: 71.1,
-    },
-    Table3Row {
-        app: "CG",
-        variant: "dsm(2)",
-        mapped: true,
-        miss_ratio: 1.44,
-        private: 25.9,
-        local: 0.7,
-        remote: 73.4,
-    },
-    Table3Row {
-        app: "FT",
-        variant: "dsm(1)",
-        mapped: false,
-        miss_ratio: 0.84,
-        private: 30.2,
-        local: 0.6,
-        remote: 69.2,
-    },
-    Table3Row {
-        app: "FT",
-        variant: "dsm(1)",
-        mapped: true,
-        miss_ratio: 0.81,
-        private: 30.8,
-        local: 50.9,
-        remote: 18.3,
-    },
-    Table3Row {
-        app: "FT",
-        variant: "dsm(2)",
-        mapped: false,
-        miss_ratio: 0.69,
-        private: 57.2,
-        local: 0.4,
-        remote: 42.4,
-    },
-    Table3Row {
-        app: "FT",
-        variant: "dsm(2)",
-        mapped: true,
-        miss_ratio: 0.77,
-        private: 59.2,
-        local: 23.0,
-        remote: 17.9,
-    },
-    Table3Row {
-        app: "SP",
-        variant: "dsm(1)",
-        mapped: false,
-        miss_ratio: 1.77,
-        private: 4.5,
-        local: 1.5,
-        remote: 93.9,
-    },
-    Table3Row {
-        app: "SP",
-        variant: "dsm(1)",
-        mapped: true,
-        miss_ratio: 1.84,
-        private: 4.3,
-        local: 36.0,
-        remote: 59.7,
-    },
-    Table3Row {
-        app: "SP",
-        variant: "dsm(2)",
-        mapped: false,
-        miss_ratio: 1.04,
-        private: 24.7,
-        local: 1.9,
-        remote: 73.3,
-    },
-    Table3Row {
-        app: "SP",
-        variant: "dsm(2)",
-        mapped: true,
-        miss_ratio: 1.02,
-        private: 24.5,
-        local: 36.9,
-        remote: 38.6,
-    },
+/// private/local/remote breakdown of misses for dsm(1)/dsm(2), with and
+/// without data mappings, in percent: (app, variant, mapped, miss ratio,
+/// private, local, remote).
+pub const TABLE3: [(&str, &str, bool, f64, f64, f64, f64); 16] = [
+    ("BT", "dsm(1)", false, 1.49, 2.4, 1.7, 95.9),
+    ("BT", "dsm(1)", true, 1.47, 2.2, 63.7, 34.1),
+    ("BT", "dsm(2)", false, 0.84, 76.3, 0.6, 23.0),
+    ("BT", "dsm(2)", true, 0.85, 76.1, 12.7, 11.2),
+    ("CG", "dsm(1)", false, 1.48, 27.8, 0.6, 71.6),
+    ("CG", "dsm(1)", true, 1.48, 26.7, 0.7, 72.6),
+    ("CG", "dsm(2)", false, 1.48, 28.2, 0.6, 71.1),
+    ("CG", "dsm(2)", true, 1.44, 25.9, 0.7, 73.4),
+    ("FT", "dsm(1)", false, 0.84, 30.2, 0.6, 69.2),
+    ("FT", "dsm(1)", true, 0.81, 30.8, 50.9, 18.3),
+    ("FT", "dsm(2)", false, 0.69, 57.2, 0.4, 42.4),
+    ("FT", "dsm(2)", true, 0.77, 59.2, 23.0, 17.9),
+    ("SP", "dsm(1)", false, 1.77, 4.5, 1.5, 93.9),
+    ("SP", "dsm(1)", true, 1.84, 4.3, 36.0, 59.7),
+    ("SP", "dsm(2)", false, 1.04, 24.7, 1.9, 73.3),
+    ("SP", "dsm(2)", true, 1.02, 24.5, 36.9, 38.6),
 ];
 
 /// Table 4: per-app characteristics at the small and large node counts:
@@ -229,14 +83,11 @@ mod tests {
 
     #[test]
     fn table3_breakdowns_sum_to_100() {
-        for r in TABLE3 {
-            let sum = r.private + r.local + r.remote;
+        for (app, variant, mapped, _, private, local, remote) in TABLE3 {
+            let sum = private + local + remote;
             assert!(
                 (sum - 100.0).abs() < 1.0,
-                "{} {} mapped={} sums to {sum}",
-                r.app,
-                r.variant,
-                r.mapped
+                "{app} {variant} mapped={mapped} sums to {sum}"
             );
         }
     }

@@ -568,7 +568,6 @@ fn class_name(c: AccessClass) -> &'static str {
 /// cache metadata, so cached and fresh responses cannot differ.
 fn result_json(q: &Query, report: &RunReport, seq_ns: u64) -> String {
     let total = report.total_time().as_ns();
-    let speedup = seq_ns as f64 / (total.max(1)) as f64;
     let mut out = format!(
         "{{\"fingerprint\":\"{}\",\"app\":\"{}\",\"variant\":\"{}\",\"mapping\":{},\"scale\":{},\
          \"nodes\":{},\"total_ns\":{},\"seq_ns\":{},\"speedup\":{:.4},\"miss_ratio\":{:.6},\
@@ -581,7 +580,7 @@ fn result_json(q: &Query, report: &RunReport, seq_ns: u64) -> String {
         q.cfg.sys.nodes(),
         total,
         seq_ns,
-        speedup,
+        report.speedup(seq_ns),
         report.miss_ratio(),
         report.sync_fraction(),
     );

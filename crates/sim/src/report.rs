@@ -114,6 +114,13 @@ impl RunReport {
             .unwrap_or(SimTime::ZERO)
     }
 
+    /// Speedup over a sequential run that took `seq_ns` simulated ns:
+    /// `T_seq / T_par` (Figure 12's y-axis; divided by the node count,
+    /// Figure 11(b)'s efficiency). A run that took no time counts as 1 ns.
+    pub fn speedup(&self, seq_ns: u64) -> f64 {
+        seq_ns as f64 / self.total_time().as_ns().max(1) as f64
+    }
+
     /// Machine-wide accesses per class.
     pub fn accesses(&self, class: AccessClass) -> u64 {
         self.nodes.iter().map(|n| n.accesses[class.idx()]).sum()
@@ -209,5 +216,16 @@ mod tests {
         assert_eq!(run.total_time(), SimTime::ZERO);
         assert_eq!(run.miss_ratio(), 0.0);
         assert_eq!(run.sync_fraction(), 0.0);
+        assert_eq!(run.speedup(10), 10.0);
+    }
+
+    #[test]
+    fn speedup_divides_the_sequential_time() {
+        let node = |ns| NodeReport {
+            finished: SimTime::from_ns(ns),
+            ..NodeReport::default()
+        };
+        let run = RunReport::new(vec![node(400), node(250)]);
+        assert_eq!(run.speedup(1000), 2.5);
     }
 }

@@ -1,4 +1,6 @@
-//! High-level experiment execution: run a workload, compute speedups.
+//! High-level experiment execution: run a workload, or its sequential
+//! baseline. A speedup is [`RunReport::speedup`] of a parallel run over
+//! [`sequential_time`].
 
 use crate::apps::{AppKind, Variant};
 use crate::program::KernelProgram;
@@ -65,17 +67,6 @@ pub fn run_cg_with_update(nodes: u16, scale: f64) -> Result<RunReport, ConfigErr
     Ok(driver.run())
 }
 
-/// CG speedup with the update-protocol extension enabled.
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn cg_update_speedup(nodes: u16, scale: f64) -> Result<f64, ConfigError> {
-    let t_seq = sequential_time(AppKind::Cg, scale)? as f64;
-    let t_par = run_cg_with_update(nodes, scale)?.total_time().as_ns() as f64;
-    Ok(t_seq / t_par)
-}
-
 /// The sequential execution time of `app` at `scale`, in simulated ns.
 ///
 /// # Errors
@@ -87,71 +78,19 @@ pub fn sequential_time(app: AppKind, scale: f64) -> Result<u64, ConfigError> {
     Ok(report.total_time().as_ns())
 }
 
-/// Speedup of a parallel run relative to the sequential program:
-/// `T_seq / T_par` (Figure 12's y-axis).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn speedup(
-    app: AppKind,
-    variant: Variant,
-    mapping: bool,
-    nodes: u16,
-    scale: f64,
-) -> Result<f64, ConfigError> {
-    let t_seq = sequential_time(app, scale)? as f64;
-    let t_par = run_workload(app, variant, mapping, nodes, scale)?
-        .total_time()
-        .as_ns() as f64;
-    Ok(t_seq / t_par)
-}
-
-/// Speedups at several machine sizes, computed in parallel: one
-/// [`cenju4_sim::sweep`] point per node count, each running its own
-/// engine. The sequential baseline is measured once, up front. Results
-/// are in `nodes` order and identical to calling [`speedup`] per count.
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn speedups(
-    app: AppKind,
-    variant: Variant,
-    mapping: bool,
-    nodes: &[u16],
-    scale: f64,
-) -> Result<Vec<f64>, ConfigError> {
-    let t_seq = sequential_time(app, scale)? as f64;
-    cenju4_sim::sweep(nodes, |&n| {
-        let t_par = run_workload(app, variant, mapping, n, scale)?;
-        Ok(t_seq / t_par.total_time().as_ns() as f64)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Parallel efficiency: `speedup / nodes` (Figure 11(b)'s y-axis).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn efficiency(
-    app: AppKind,
-    variant: Variant,
-    mapping: bool,
-    nodes: u16,
-    scale: f64,
-) -> Result<f64, ConfigError> {
-    Ok(speedup(app, variant, mapping, nodes, scale)? / nodes as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cenju4_sim::AccessClass;
 
     const SCALE: f64 = 0.5;
+
+    /// Parallel efficiency over a sequential run of `seq_ns`: speedup per
+    /// node (Figure 11(b)'s y-axis).
+    fn efficiency(seq_ns: u64, app: AppKind, variant: Variant, nodes: u16) -> f64 {
+        let r = run_workload(app, variant, true, nodes, SCALE).unwrap();
+        r.speedup(seq_ns) / nodes as f64
+    }
 
     #[test]
     fn seq_time_positive_and_deterministic() {
@@ -164,8 +103,13 @@ mod tests {
     #[test]
     fn dsm_programs_speed_up_with_nodes() {
         for app in [AppKind::Bt, AppKind::Ft] {
-            let s2 = speedup(app, Variant::Dsm2, true, 2, SCALE).unwrap();
-            let s8 = speedup(app, Variant::Dsm2, true, 8, SCALE).unwrap();
+            let seq = sequential_time(app, SCALE).unwrap();
+            let speedup = |n| {
+                run_workload(app, Variant::Dsm2, true, n, SCALE)
+                    .unwrap()
+                    .speedup(seq)
+            };
+            let (s2, s8) = (speedup(2), speedup(8));
             assert!(s8 > s2, "{app}: {s2:.2} !< {s8:.2}");
             assert!(s2 > 0.8, "{app}: 2-node speedup {s2:.2} implausible");
         }
@@ -174,8 +118,9 @@ mod tests {
     #[test]
     fn dsm2_beats_dsm1_on_grid_solvers() {
         for app in [AppKind::Bt, AppKind::Sp] {
-            let e1 = efficiency(app, Variant::Dsm1, true, 8, SCALE).unwrap();
-            let e2 = efficiency(app, Variant::Dsm2, true, 8, SCALE).unwrap();
+            let seq = sequential_time(app, SCALE).unwrap();
+            let e1 = efficiency(seq, app, Variant::Dsm1, 8);
+            let e2 = efficiency(seq, app, Variant::Dsm2, 8);
             assert!(e2 > e1, "{app}: dsm2 ({e2:.2}) must beat dsm1 ({e1:.2})");
         }
     }
@@ -195,8 +140,9 @@ mod tests {
 
     #[test]
     fn cg_is_insensitive_to_optimization() {
-        let e1 = efficiency(AppKind::Cg, Variant::Dsm1, true, 8, SCALE).unwrap();
-        let e2 = efficiency(AppKind::Cg, Variant::Dsm2, true, 8, SCALE).unwrap();
+        let seq = sequential_time(AppKind::Cg, SCALE).unwrap();
+        let e1 = efficiency(seq, AppKind::Cg, Variant::Dsm1, 8);
+        let e2 = efficiency(seq, AppKind::Cg, Variant::Dsm2, 8);
         assert!(
             (e1 - e2).abs() < 0.10,
             "CG dsm1 {e1:.2} vs dsm2 {e2:.2} should be close"
@@ -206,9 +152,11 @@ mod tests {
     #[test]
     fn cg_saturates_bt_does_not() {
         // CG's efficiency collapses as nodes grow; BT's dsm2 holds up.
-        let cg4 = efficiency(AppKind::Cg, Variant::Dsm2, true, 4, SCALE).unwrap();
-        let cg32 = efficiency(AppKind::Cg, Variant::Dsm2, true, 32, SCALE).unwrap();
-        let bt32 = efficiency(AppKind::Bt, Variant::Dsm2, true, 32, SCALE).unwrap();
+        let cg = sequential_time(AppKind::Cg, SCALE).unwrap();
+        let bt = sequential_time(AppKind::Bt, SCALE).unwrap();
+        let cg4 = efficiency(cg, AppKind::Cg, Variant::Dsm2, 4);
+        let cg32 = efficiency(cg, AppKind::Cg, Variant::Dsm2, 32);
+        let bt32 = efficiency(bt, AppKind::Bt, Variant::Dsm2, 32);
         assert!(cg32 < cg4 * 0.7, "CG must degrade: {cg4:.2} -> {cg32:.2}");
         assert!(
             bt32 > cg32,
@@ -228,7 +176,8 @@ mod tests {
 
     #[test]
     fn mpi_scales_well() {
-        let e = efficiency(AppKind::Bt, Variant::Mpi, true, 8, SCALE).unwrap();
+        let seq = sequential_time(AppKind::Bt, SCALE).unwrap();
+        let e = efficiency(seq, AppKind::Bt, Variant::Mpi, 8);
         assert!(e > 0.5, "mpi efficiency {e:.2} too low");
     }
 

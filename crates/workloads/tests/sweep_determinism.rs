@@ -87,17 +87,3 @@ fn fault_injection_is_deterministic_across_sweep_threads() {
         assert_eq!(completed, 3 * n as usize, "lost accesses at {n} nodes");
     }
 }
-
-#[test]
-fn speedups_match_pointwise_speedup() {
-    let nodes = [2u16, 4, 8];
-    let swept = runner::speedups(AppKind::Bt, Variant::Dsm2, true, &nodes, SCALE).unwrap();
-    for (&n, &s) in nodes.iter().zip(&swept) {
-        let single = runner::speedup(AppKind::Bt, Variant::Dsm2, true, n, SCALE).unwrap();
-        assert_eq!(
-            s.to_bits(),
-            single.to_bits(),
-            "speedup at {n} nodes diverged"
-        );
-    }
-}

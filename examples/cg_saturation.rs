@@ -12,9 +12,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = 0.5;
     println!("speedups of dsm(2) programs with data mappings (scale {scale})\n");
     println!("{:>6}  {:>10}  {:>10}", "nodes", "BT", "CG");
+    let bt_seq = runner::sequential_time(AppKind::Bt, scale)?;
+    let cg_seq = runner::sequential_time(AppKind::Cg, scale)?;
     for &n in &[2u16, 4, 8, 16, 32] {
-        let bt = runner::speedup(AppKind::Bt, Variant::Dsm2, true, n, scale)?;
-        let cg = runner::speedup(AppKind::Cg, Variant::Dsm2, true, n, scale)?;
+        let bt = runner::run_workload(AppKind::Bt, Variant::Dsm2, true, n, scale)?.speedup(bt_seq);
+        let cg = runner::run_workload(AppKind::Cg, Variant::Dsm2, true, n, scale)?.speedup(cg_seq);
         println!("{n:>6}  {bt:>10.2}  {cg:>10.2}");
     }
 

@@ -12,9 +12,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = 1.0;
     println!("CG speedup: invalidation protocol vs update + L3 (scale {scale})\n");
     println!("{:>6}  {:>12}  {:>12}", "nodes", "invalidate", "update+L3");
+    let seq = runner::sequential_time(AppKind::Cg, scale)?;
     for n in [4u16, 8, 16, 32, 64, 128] {
-        let inv = runner::speedup(AppKind::Cg, Variant::Dsm2, true, n, scale)?;
-        let upd = runner::cg_update_speedup(n, scale)?;
+        let inv = runner::run_workload(AppKind::Cg, Variant::Dsm2, true, n, scale)?.speedup(seq);
+        let upd = runner::run_cg_with_update(n, scale)?.speedup(seq);
         println!("{n:>6}  {inv:>11.1}x  {upd:>11.1}x");
     }
 

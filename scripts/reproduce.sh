@@ -11,8 +11,7 @@ cargo test --workspace --release
 
 echo "== tables and figures =="
 for b in table1_directory_cost fig4_nodemap_precision table2_load_latency \
-         fig6_starvation fig10_store_latency fig11_dsm_vs_mpi \
-         table3_miss_characteristics fig12_speedups table4_app_characteristics; do
+         fig6_starvation fig10_store_latency workload_figures; do
   echo; echo "---- $b ----"
   cargo run --release -q -p cenju4-bench --bin "$b"
 done
