@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --release -p cenju4-bench --bin chaos`
 
-use cenju4_check::{run_one, CheckConfig};
+use cenju4_check::{outln, run_one, CheckConfig};
 use cenju4_directory::DirectoryId;
 use cenju4_protocol::FaultInjection;
 use std::process::ExitCode;
@@ -56,6 +56,7 @@ const WALKS_PER_SEED: u64 = 3;
 const MAX_STEPS: usize = 20_000;
 
 fn main() -> ExitCode {
+    cenju4_bench::FigArgs::from_env(None, false);
     let formats = DirectoryId::ALL;
     let mut tallies: Vec<Tally> = formats.iter().map(|_| Tally::default()).collect();
     let mut violations = 0u64;
@@ -63,7 +64,7 @@ fn main() -> ExitCode {
     let mut min_steps = usize::MAX;
     let mut max_steps = 0usize;
 
-    println!(
+    outln!(
         "chaos soak: {SEEDS} seeds x {WALKS_PER_SEED} walks, 3 nodes, \
          node 1 dies at 1us, recovery armed"
     );
@@ -89,8 +90,8 @@ fn main() -> ExitCode {
             );
             if let Some(v) = &out.violation {
                 violations += 1;
-                println!("seed {seed} walk {walk}: VIOLATION under {cfg}");
-                println!("  {v}");
+                outln!("seed {seed} walk {walk}: VIOLATION under {cfg}");
+                outln!("  {v}");
             }
             tallies[fmt_idx].walks += 1;
             tallies[fmt_idx].steps += out.steps as u64;
@@ -102,9 +103,12 @@ fn main() -> ExitCode {
     }
 
     let total_walks = SEEDS * WALKS_PER_SEED;
-    println!(
+    outln!(
         "{:>16}  {:>6}  {:>11}  {:>9}",
-        "directory", "walks", "mean steps", "max steps"
+        "directory",
+        "walks",
+        "mean steps",
+        "max steps"
     );
     let mut json = String::from("{\n  \"bench\": \"chaos\",\n");
     json.push_str(&format!(
@@ -117,7 +121,7 @@ fn main() -> ExitCode {
     ));
     json.push_str("  \"formats\": [\n");
     for (i, (fmt, t)) in formats.iter().zip(&tallies).enumerate() {
-        println!(
+        outln!(
             "{:>16}  {:>6}  {:>11}  {:>9}",
             fmt.name(),
             t.walks,
@@ -139,11 +143,11 @@ fn main() -> ExitCode {
         eprintln!("error: cannot write BENCH_chaos.json: {e}");
         return ExitCode::FAILURE;
     }
-    println!("\nwrote BENCH_chaos.json");
+    outln!("\nwrote BENCH_chaos.json");
     if violations != 0 {
-        println!("chaos soak: {violations} of {total_walks} walks FALSIFIED an oracle");
+        outln!("chaos soak: {violations} of {total_walks} walks FALSIFIED an oracle");
         return ExitCode::FAILURE;
     }
-    println!("chaos soak: all {total_walks} walks green (containment held)");
+    outln!("chaos soak: all {total_walks} walks green (containment held)");
     ExitCode::SUCCESS
 }

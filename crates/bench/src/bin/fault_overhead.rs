@@ -17,6 +17,7 @@
 //! Run with: `cargo run --release -p cenju4-bench --bin fault_overhead`
 
 use cenju4::prelude::*;
+use cenju4_check::outln;
 
 /// One measured configuration.
 struct Point {
@@ -83,6 +84,7 @@ fn measure(nodes: u16, rounds: u32, drop_permille: u16) -> Point {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const NODES: u16 = 8;
     const ROUNDS: u32 = 16;
+    cenju4_bench::FigArgs::from_env(None, false);
     let rates = [0u16, 5, 20, 50];
 
     // Each point is an independent deterministic simulation.
@@ -92,10 +94,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // timeout parameters, not the protocol work.
     let base = points[0].mean_latency_ns.max(1);
 
-    println!("recovery-layer overhead, {NODES} nodes x {ROUNDS} rounds:");
-    println!(
+    outln!("recovery-layer overhead, {NODES} nodes x {ROUNDS} rounds:");
+    outln!(
         "{:>6}  {:>13}  {:>9}  {:>7}  {:>8}  {:>8}  {:>8}",
-        "drop", "latency (us)", "overhead", "faults", "retrans", "reissue", "discard"
+        "drop",
+        "latency (us)",
+        "overhead",
+        "faults",
+        "retrans",
+        "reissue",
+        "discard"
     );
     let mut json = String::from("{\n  \"bench\": \"fault_overhead\",\n");
     json.push_str(&format!(
@@ -103,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     for (i, p) in points.iter().enumerate() {
         let overhead = p.mean_latency_ns as f64 / base as f64 - 1.0;
-        println!(
+        outln!(
             "{:>4}\u{2030}  {:>13.2}  {:>8.1}%  {:>7}  {:>8}  {:>8}  {:>8}",
             p.drop_permille,
             p.mean_latency_ns as f64 / 1000.0,
@@ -130,9 +138,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     json.push_str("  ]\n}\n");
     std::fs::write("BENCH_fault_overhead.json", &json)?;
-    println!("\nwrote BENCH_fault_overhead.json");
-    println!("Expected shape: 0\u{2030} is the unarmed baseline (zero overhead by");
-    println!("construction); mean latency then grows with the loss rate as");
-    println!("retransmission and re-issue timeouts stretch faulted accesses.");
+    outln!("\nwrote BENCH_fault_overhead.json");
+    outln!("Expected shape: 0\u{2030} is the unarmed baseline (zero overhead by");
+    outln!("construction); mean latency then grows with the loss rate as");
+    outln!("retransmission and re-issue timeouts stretch faulted accesses.");
     Ok(())
 }

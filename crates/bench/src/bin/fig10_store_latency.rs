@@ -11,6 +11,7 @@
 use cenju4::prelude::*;
 use cenju4_bench::paper::{FIG10_MULTICAST_1024, FIG10_SINGLECAST_1024};
 use cenju4_bench::FigArgs;
+use cenju4_check::outln;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs = FigArgs::from_env(None, true);
@@ -18,13 +19,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for nodes in [16u16, 128, 1024] {
         let with_mc = machine(nodes, MulticastMode::Hardware)?;
         let without = machine(nodes, MulticastMode::SinglecastEmulation)?;
-        println!(
+        outln!(
             "store latency on {nodes} nodes ({} stages):",
             with_mc.sys.stages()
         );
-        println!(
+        outln!(
             "{:>8}  {:>16}  {:>16}  {:>6}",
-            "sharers", "multicast (us)", "singlecast (us)", "ratio"
+            "sharers",
+            "multicast (us)",
+            "singlecast (us)",
+            "ratio"
         );
         let mut ks: Vec<u16> = vec![2, 4, 8, 16];
         if nodes >= 128 {
@@ -42,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         });
         for (&k, &(a, b)) in ks.iter().zip(&pairs) {
-            println!(
+            outln!(
                 "{:>8}  {:>16.2}  {:>16.2}  {:>5.1}x",
                 k,
                 a.as_us_f64(),
@@ -50,25 +54,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 b.as_ns() as f64 / a.as_ns() as f64
             );
         }
-        println!();
+        outln!();
     }
 
     let big = machine(1024, MulticastMode::Hardware)?;
     let big_sc = machine(1024, MulticastMode::SinglecastEmulation)?;
     let a = probes::store_latency(&big, 1024).as_ns() as f64;
     let b = probes::store_latency(&big_sc, 1024).as_ns() as f64;
-    println!("paper's 1024-sharer estimates:");
-    println!(
+    outln!("paper's 1024-sharer estimates:");
+    outln!(
         "  multicast+gather : {} us",
         cenju4_bench::vs(a / 1000.0, FIG10_MULTICAST_1024 as f64 / 1000.0)
     );
-    println!(
+    outln!(
         "  singlecast storm : {} us",
         cenju4_bench::vs(b / 1000.0, FIG10_SINGLECAST_1024 as f64 / 1000.0)
     );
-    println!("\nExpected shape: with the hardware functions the latency grows with");
-    println!("the number of *network stages*, not with the sharer count; without");
-    println!("them it grows linearly with the sharers (NIC serialization).");
+    outln!("\nExpected shape: with the hardware functions the latency grows with");
+    outln!("the number of *network stages*, not with the sharer count; without");
+    outln!("them it grows linearly with the sharers (NIC serialization).");
 
     if obs.active() {
         let run = cenju4_bench::traced::fig10_run();

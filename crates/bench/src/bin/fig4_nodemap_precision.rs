@@ -8,6 +8,7 @@
 
 use cenju4::directory::precision::{group_pool, precision_curve, whole_machine_pool, SchemeKind};
 use cenju4::prelude::*;
+use cenju4_check::{out, outln};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trials = cenju4_bench::FigArgs::from_env(Some(200.0), false).scale as u32;
@@ -31,31 +32,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (title, pool, ks) in panels {
-        println!("Figure 4{title}  [{trials} trials per point]");
-        print!("{:>8}", "sharers");
+        outln!("Figure 4{title}  [{trials} trials per point]");
+        out!("{:>8}", "sharers");
         for s in schemes {
-            print!("  {:>22}", s.name());
+            out!("  {:>22}", s.name());
         }
-        println!();
+        outln!();
         cenju4_bench::rule(8 + 24 * schemes.len());
         // One sweep worker per scheme; curves come back in scheme order.
         let curves = sweep(&schemes, |&s| {
             precision_curve(s, sys, &pool, &ks, trials, 0xF16)
         });
         for (i, &k) in ks.iter().enumerate() {
-            print!("{k:>8}");
+            out!("{k:>8}");
             for c in &curves {
-                print!(
+                out!(
                     "  {:>14.1} ({:>4.1}x)",
-                    c[i].avg_represented, c[i].overcount
+                    c[i].avg_represented,
+                    c[i].overcount
                 );
             }
-            println!();
+            outln!();
         }
-        println!();
+        outln!();
     }
-    println!("Expected shape (paper): the bit-pattern curve lies well below the");
-    println!("coarse vector for small sharer counts in (a), and below both other");
-    println!("schemes across panel (b) — clustered sharers stay cheap.");
+    outln!("Expected shape (paper): the bit-pattern curve lies well below the");
+    outln!("coarse vector for small sharer counts in (a), and below both other");
+    outln!("schemes across panel (b) — clustered sharers stay cheap.");
     Ok(())
 }

@@ -10,6 +10,7 @@
 
 use cenju4::des::stats::OnlineStats;
 use cenju4::prelude::*;
+use cenju4_check::outln;
 
 struct Outcome {
     latency: OnlineStats,
@@ -61,42 +62,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         let q = contend(&queuing, rounds);
         let k = contend(&nack, rounds);
-        println!("{nodes} nodes, {rounds} rounds of all-store contention on one block");
-        println!("{:<24} {:>16} {:>16}", "", "queuing (6b)", "nack (6a)");
-        println!(
+        outln!("{nodes} nodes, {rounds} rounds of all-store contention on one block");
+        outln!("{:<24} {:>16} {:>16}", "", "queuing (6b)", "nack (6a)");
+        outln!(
             "{:<24} {:>16} {:>16}",
             "completions",
             q.latency.count(),
             k.latency.count()
         );
-        println!(
+        outln!(
             "{:<24} {:>16.1} {:>16.1}",
             "mean latency (us)",
             q.latency.mean() / 1000.0,
             k.latency.mean() / 1000.0
         );
-        println!(
+        outln!(
             "{:<24} {:>16.1} {:>16.1}",
             "p-max latency (us)",
             q.latency.max() / 1000.0,
             k.latency.max() / 1000.0
         );
-        println!("{:<24} {:>16} {:>16}", "nacks", q.nacks, k.nacks);
-        println!("{:<24} {:>16} {:>16}", "retries", q.retries, k.retries);
-        println!(
+        outln!("{:<24} {:>16} {:>16}", "nacks", q.nacks, k.nacks);
+        outln!("{:<24} {:>16} {:>16}", "retries", q.retries, k.retries);
+        outln!(
             "{:<24} {:>16} {:>16}",
-            "worst txn retries", q.worst_txn_retries, k.worst_txn_retries
+            "worst txn retries",
+            q.worst_txn_retries,
+            k.worst_txn_retries
         );
-        println!(
+        outln!(
             "{:<24} {:>16} {:>16}",
             "max queue depth",
             format!("{} (<= {})", q.max_queue, nodes as usize * 4),
             "-"
         );
-        println!();
+        outln!();
     }
-    println!("Expected shape: the queuing protocol never nacks and its worst-case");
-    println!("latency stays close to (sharers x service); the nack baseline");
-    println!("retries heavily and its worst case balloons.");
+    outln!("Expected shape: the queuing protocol never nacks and its worst-case");
+    outln!("latency stays close to (sharers x service); the nack baseline");
+    outln!("retries heavily and its worst case balloons.");
     Ok(())
 }

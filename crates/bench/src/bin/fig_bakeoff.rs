@@ -22,6 +22,7 @@
 //! the full run writes `BENCH_bakeoff.json`.
 
 use cenju4::prelude::*;
+use cenju4_check::outln;
 
 /// One measured access: simulated latency plus the network messages it
 /// caused (endpoint deliveries, the paper's own traffic unit).
@@ -85,14 +86,28 @@ fn bakeoff_point(coherence: ProtocolId, directory: DirectoryId, nodes: u16) -> P
     }
 }
 
+/// Whether the command line is `--smoke`; it takes that flag or nothing,
+/// and anything else is a usage error (exit 2).
+fn smoke_arg() -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--smoke" => true,
+        _ => {
+            eprintln!("unexpected arguments {args:?}\nusage: fig_bakeoff [--smoke]");
+            std::process::exit(2)
+        }
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_arg();
     let machines: &[u16] = if smoke { &[16] } else { &[16, 128, 1024] };
 
     let mut json = String::from("{\n  \"bench\": \"bakeoff\",\n  \"machines\": [\n");
     for (mi, &nodes) in machines.iter().enumerate() {
-        println!("bakeoff on {nodes} nodes (machine-wide sharing):");
-        println!(
+        outln!("bakeoff on {nodes} nodes (machine-wide sharing):");
+        outln!(
             "{:>8} {:>16}  {:>10} {:>5}  {:>10} {:>5}  {:>10} {:>5}",
             "protocol",
             "directory",
@@ -110,7 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for &coherence in &ProtocolId::ALL {
             for &directory in &DirectoryId::ALL {
                 let p = bakeoff_point(coherence, directory, nodes);
-                println!(
+                outln!(
                     "{:>8} {:>16}  {:>10} {:>5}  {:>10} {:>5}  {:>10} {:>5}",
                     coherence.name(),
                     directory.name(),
@@ -160,20 +175,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    ]}}{}\n",
             if mi + 1 == machines.len() { "" } else { "," }
         ));
-        println!();
+        outln!();
     }
     json.push_str("  ]\n}\n");
 
     if smoke {
-        println!("bakeoff-smoke: protocol signatures hold for every variant");
+        outln!("bakeoff-smoke: protocol signatures hold for every variant");
     } else {
         std::fs::write("BENCH_bakeoff.json", &json)?;
-        println!("wrote BENCH_bakeoff.json");
-        println!("\nExpected shape: MESI pays the invalidation fan-out once and then");
-        println!("writes locally; Dragon pays the update push on every store but");
-        println!("keeps every reader warm (zero-traffic rereads). Directory format");
-        println!("moves the fan-out set (imprecise formats over-multicast), not the");
-        println!("crossover.");
+        outln!("wrote BENCH_bakeoff.json");
+        outln!("\nExpected shape: MESI pays the invalidation fan-out once and then");
+        outln!("writes locally; Dragon pays the update push on every store but");
+        outln!("keeps every reader warm (zero-traffic rereads). Directory format");
+        outln!("moves the fan-out set (imprecise formats over-multicast), not the");
+        outln!("crossover.");
     }
     Ok(())
 }

@@ -16,6 +16,7 @@ use cenju4::obs::json::validate_chrome_trace;
 use cenju4::obs::{chrome_trace_json, json};
 use cenju4_bench::traced::{fig10_run, fig12_run, TracedRun};
 use cenju4_bench::FigArgs;
+use cenju4_check::outln;
 
 fn check(name: &str, run: &TracedRun) {
     let col = run.collector();
@@ -50,9 +51,12 @@ fn check(name: &str, run: &TracedRun) {
         closed, completed,
         "{name}: span.closed counter disagrees with the collector"
     );
-    println!(
+    outln!(
         "{name}: ok — {} spans, {} trace events ({} complete, {} instants)",
-        completed, shape.events, shape.complete_spans, shape.instants
+        completed,
+        shape.events,
+        shape.complete_spans,
+        shape.instants
     );
 }
 
@@ -74,9 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{class}: percentiles differ across identical runs"
         );
     }
-    println!("fig12 repeat: percentiles identical");
+    outln!("fig12 repeat: percentiles identical");
 
     obs.write(f12.collector())?;
-    println!("obs-smoke: all checks passed");
+    outln!("obs-smoke: all checks passed");
     Ok(())
 }

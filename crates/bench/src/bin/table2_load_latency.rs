@@ -6,13 +6,17 @@
 
 use cenju4::prelude::*;
 use cenju4_bench::paper::TABLE2;
+use cenju4_check::{out, outln};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     cenju4_bench::FigArgs::from_env(None, false);
-    println!("Table 2: load access latencies (ns), measured vs paper\n");
-    println!(
+    outln!("Table 2: load access latencies (ns), measured vs paper\n");
+    outln!(
         "{:<26} {:>22} {:>22} {:>22}",
-        "", "2 stages (16)", "4 stages (128)", "6 stages (1024)"
+        "",
+        "2 stages (16)",
+        "4 stages (128)",
+        "6 stages (1024)"
     );
     let rows = [
         "a) private",
@@ -37,16 +41,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]
     });
     for (i, name) in rows.iter().enumerate() {
-        print!("{name:<26}");
+        out!("{name:<26}");
         for (col, (_, paper)) in TABLE2.iter().enumerate() {
-            print!(
+            out!(
                 " {:>22}",
                 cenju4_bench::vs(measured[col][i] as f64, paper[i] as f64)
             );
         }
-        println!();
+        outln!();
     }
-    println!("\nEvery row is produced by the protocol's actual message sequence;");
-    println!("only the per-component service times are calibrated (DESIGN.md).");
+    outln!("\nEvery row is produced by the protocol's actual message sequence;");
+    outln!("only the per-component service times are calibrated (DESIGN.md).");
     Ok(())
 }

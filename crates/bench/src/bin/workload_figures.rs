@@ -20,6 +20,7 @@ use cenju4::workloads::rewrite::paper_rewriting_ratios;
 use cenju4::workloads::KernelProgram;
 use cenju4_bench::paper::{FIG11B_DSM1_EFFICIENCY, FIG11B_DSM2_EFFICIENCY, FIG12, TABLE3, TABLE4};
 use cenju4_bench::FigArgs;
+use cenju4_check::{out, outln};
 
 /// One simulator run: `(app, variant, mapping, nodes)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -132,11 +133,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn fig11(runs: &Runs, scale: f64) {
-    println!("Figure 11(a): program rewriting ratios (paper's measurements;");
-    println!("a human-effort metric on the Fortran sources — see DESIGN.md)\n");
-    println!(" app      mpi    dsm1-nm       dsm1    dsm2-nm       dsm2");
+    outln!("Figure 11(a): program rewriting ratios (paper's measurements;");
+    outln!("a human-effort metric on the Fortran sources — see DESIGN.md)\n");
+    outln!(" app      mpi    dsm1-nm       dsm1    dsm2-nm       dsm2");
     for r in paper_rewriting_ratios() {
-        println!(
+        outln!(
             "{:>4} {:>7.0}% {:>9.1}% {:>9.1}% {:>9.1}% {:>9.1}%",
             r.app.name(),
             r.mpi * 100.0,
@@ -147,33 +148,33 @@ fn fig11(runs: &Runs, scale: f64) {
         );
     }
 
-    println!("\nFigure 11(b): parallel efficiency, measured (scale {scale})\n");
-    println!(
+    outln!("\nFigure 11(b): parallel efficiency, measured (scale {scale})\n");
+    outln!(
         " app  nodes      mpi  dsm1-nm     dsm1  dsm2-nm     dsm2      paper dsm1     paper dsm2"
     );
     for app in AppKind::ALL {
         let n = app.paper_nodes();
-        print!("{:>4} {n:>6}", app.name());
+        out!("{:>4} {n:>6}", app.name());
         for (variant, mapping) in FIG11_PROGRAMS {
             let efficiency = runs.speedup(Point(app, variant, mapping, n)) / n as f64;
-            print!(" {:>7.0}%", efficiency * 100.0);
+            out!(" {:>7.0}%", efficiency * 100.0);
         }
         let p1 = FIG11B_DSM1_EFFICIENCY.iter().find(|r| r.0 == app.name());
         let p2 = FIG11B_DSM2_EFFICIENCY.iter().find(|r| r.0 == app.name());
-        println!(
+        outln!(
             "  {:>13.0}% {:>13.0}%",
             p1.map_or(0.0, |r| r.1) * 100.0,
             p2.map_or(0.0, |r| r.2) * 100.0
         );
     }
-    println!("\nExpected shape: dsm(2)+mapping approaches mpi on BT/FT; dsm(1)");
-    println!("stays low; CG is low for every shared-memory variant.");
+    outln!("\nExpected shape: dsm(2)+mapping approaches mpi on BT/FT; dsm(1)");
+    outln!("stays low; CG is low for every shared-memory variant.");
 }
 
 fn table3(runs: &Runs, scale: f64) {
-    println!("Table 3: secondary cache miss characteristics (scale {scale})");
-    println!("measured | paper, percentages\n");
-    println!(" app variant  mapped      miss ratio           private             local            remote");
+    outln!("Table 3: secondary cache miss characteristics (scale {scale})");
+    outln!("measured | paper, percentages\n");
+    outln!(" app variant  mapped      miss ratio           private             local            remote");
     for app in AppKind::ALL {
         for (variant, mapped) in TABLE3_PROGRAMS {
             let r = runs.get(Point(app, variant, mapped, app.paper_nodes()));
@@ -181,7 +182,7 @@ fn table3(runs: &Runs, scale: f64) {
                 .iter()
                 .find(|p| p.0 == app.name() && p.1 == variant.name() && p.2 == mapped)
                 .expect("paper row");
-            println!(
+            outln!(
                 "{:>4} {:>7} {:>7} {:>6.2} | {:>5.2} {:>7.1} | {:>6.1} {:>7.1} | {:>6.1} {:>7.1} | {:>6.1}",
                 app.name(),
                 variant.name(),
@@ -196,20 +197,20 @@ fn table3(runs: &Runs, scale: f64) {
                 remote,
             );
         }
-        println!();
+        outln!();
     }
-    println!("Expected shape: dsm(2) cuts the miss ratio and shifts misses to");
-    println!("private; mapping converts remote misses to local ones on BT/FT/SP;");
-    println!("CG is insensitive to both knobs.");
+    outln!("Expected shape: dsm(2) cuts the miss ratio and shifts misses to");
+    outln!("private; mapping converts remote misses to local ones on BT/FT/SP;");
+    outln!("CG is insensitive to both knobs.");
 }
 
 fn fig12(runs: &Runs, scale: f64) {
-    println!("Figure 12: speedups of dsm(2)+mapping programs (scale {scale})\n");
+    outln!("Figure 12: speedups of dsm(2)+mapping programs (scale {scale})\n");
     for app in AppKind::ALL {
-        print!("{:>4}:", app.name());
+        out!("{:>4}:", app.name());
         for n in fig12_nodes(app) {
             let s = runs.speedup(Point(app, Variant::Dsm2, true, n));
-            print!("  {n}n={s:.1}x");
+            out!("  {n}n={s:.1}x");
         }
         // Paper's digitized endpoints for reference.
         let refs: Vec<String> = FIG12
@@ -217,16 +218,16 @@ fn fig12(runs: &Runs, scale: f64) {
             .filter(|(a, _, _)| *a == app.name())
             .map(|(_, n, s)| format!("{n}n={s:.0}x"))
             .collect();
-        println!("   [paper: {}]", refs.join(", "));
+        outln!("   [paper: {}]", refs.join(", "));
     }
-    println!("\nExpected shape: near-linear for BT/FT/SP; CG flattens well below");
-    println!("its node count (the whole-vector re-read pattern of Section 4.2.3).");
+    outln!("\nExpected shape: near-linear for BT/FT/SP; CG flattens well below");
+    outln!("its node count (the whole-vector re-read pattern of Section 4.2.3).");
 }
 
 fn table4(runs: &Runs, scale: f64) -> Result<(), Box<dyn std::error::Error>> {
-    println!("Table 4: characteristics of dsm(2)+mapping runs (scale {scale})");
-    println!("measured | paper where the paper reports the column\n");
-    println!(" app  nodes    time (ms)  Minstr/node          sync %         accesses P/L/R %    miss ratio %     remote miss %");
+    outln!("Table 4: characteristics of dsm(2)+mapping runs (scale {scale})");
+    outln!("measured | paper where the paper reports the column\n");
+    outln!(" app  nodes    time (ms)  Minstr/node          sync %         accesses P/L/R %    miss ratio %     remote miss %");
     for app in AppKind::ALL {
         for nodes in [16u16, app.paper_nodes()] {
             let p = Point(app, Variant::Dsm2, true, nodes);
@@ -238,7 +239,7 @@ fn table4(runs: &Runs, scale: f64) -> Result<(), Box<dyn std::error::Error>> {
                 .expect("paper row");
             let total: u64 = AccessClass::ALL.iter().map(|&c| r.accesses(c)).sum();
             let frac = |c| 100.0 * r.accesses(c) as f64 / total.max(1) as f64;
-            println!(
+            outln!(
                 "{:>4} {:>6} {:>12.2} {:>12.2} {:>6.1} | {:>5.1} {:>7.0}/{:>4.0}/{:>4.0} {:>7} {:>5.2} | {:>5.2} {:>7.1} | {:>6.1}",
                 app.name(),
                 nodes,
@@ -256,12 +257,12 @@ fn table4(runs: &Runs, scale: f64) -> Result<(), Box<dyn std::error::Error>> {
                 premote,
             );
         }
-        println!();
+        outln!();
     }
-    println!("Expected shape: sync fraction grows with nodes; access breakdowns");
-    println!("barely move, but the REMOTE share of misses jumps — mildly for");
-    println!("BT/FT, dramatically for CG (9% -> 81% in the paper), which is what");
-    println!("saturates CG's speedup.");
+    outln!("Expected shape: sync fraction grows with nodes; access breakdowns");
+    outln!("barely move, but the REMOTE share of misses jumps — mildly for");
+    outln!("BT/FT, dramatically for CG (9% -> 81% in the paper), which is what");
+    outln!("saturates CG's speedup.");
     Ok(())
 }
 

@@ -4,6 +4,8 @@
 //! figures and print the paper's own numbers next to the measured ones,
 //! so the comparison (EXPERIMENTS.md) can be refreshed with a single run.
 
+use cenju4_check::outln;
+
 pub mod paper;
 pub mod traced;
 
@@ -109,7 +111,7 @@ impl FigArgs {
     pub fn write(&self, col: &cenju4::obs::SpanCollector) -> std::io::Result<()> {
         if let Some(path) = &self.trace_out {
             std::fs::write(path, cenju4::obs::chrome_trace_json(col))?;
-            println!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
+            outln!("wrote Chrome trace to {path} (open in chrome://tracing or Perfetto)");
         }
         if let Some(path) = &self.metrics_out {
             let m = col.metrics();
@@ -119,7 +121,7 @@ impl FigArgs {
                 m.to_text()
             };
             std::fs::write(path, dump)?;
-            println!("wrote metrics to {path}");
+            outln!("wrote metrics to {path}");
         }
         Ok(())
     }
@@ -143,7 +145,7 @@ pub fn vs(measured: f64, paper: f64) -> String {
 
 /// Prints a rule line of the given width.
 pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
+    outln!("{}", "-".repeat(width));
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@
 //!
 //! CENJU4_BLESS_GOLDEN=1 cargo test -p cenju4-bench --test workload_figures_golden
 
+mod common;
+
+use common::check_golden;
 use std::process::{Command, Output};
 
 fn workload_figures(args: &[&str]) -> Output {
@@ -14,19 +17,6 @@ fn workload_figures(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn workload_figures")
-}
-
-/// Compares `got` against `tests/golden/<name>.txt`, or rewrites the file
-/// when `CENJU4_BLESS_GOLDEN` is set.
-fn check_golden(name: &str, got: &str) {
-    let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("CENJU4_BLESS_GOLDEN").is_some() {
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path}: {e}; bless with CENJU4_BLESS_GOLDEN=1"));
-    assert_eq!(got, want, "{name} drifted from its golden");
 }
 
 #[test]

@@ -10,9 +10,9 @@
 //! | crate | paper section | contents |
 //! |---|---|---|
 //! | [`des`] | — | event queue, clock, RNG, statistics |
-//! | [`directory`] | §3.1 | pointer + bit-pattern node maps, 64-bit directory entries, baseline schemes, Figure-4 precision analytics |
+//! | [`directory`] | §3.1 | pointer + bit-pattern node maps, 64-bit directory entries, the engine's four sharer-set formats (`DirectoryId`), baseline schemes, the Table-1 cost model (`SchemeCost`), Figure-4 precision analytics |
 //! | [`network`] | §3.2 | 4×4-crossbar multistage network with in-switch multicast and reply gathering |
-//! | [`protocol`] | §2, §3.3–3.4 + appendix | coherence protocols behind the `CoherenceProtocol` seam (invalidate-based MESI and update-based Dragon per machine, the §4.2.3 update protocol with main-memory L3 per block), the starvation-free queuing protocol, deadlock-prevention buffers and the Figure-9 graph analysis, nack baseline, user-level message passing, event tracing |
+//! | [`protocol`] | §2, §3.3–3.4 + appendix | coherence protocols as one closed `Rules` table (invalidate-based MESI and update-based Dragon per machine, the §4.2.3 update protocol with main-memory L3 per block), the starvation-free queuing protocol, deadlock-prevention buffers and the Figure-9 graph analysis, nack baseline, user-level message passing, event tracing |
 //! | [`sim`] | §4.1 | latency probes (Table 2, Figure 10), processor driver, barriers, reports |
 //! | [`workloads`] | §4.2 | synthetic BT/CG/FT/SP in seq/mpi/dsm(1)/dsm(2) variants |
 //!
@@ -63,16 +63,15 @@ mod tests {
         let _ = SystemConfig::builder(16).build().unwrap();
     }
 
-    /// The protocol/directory seam types reach the facade prelude: the
-    /// selector enums, the trait objects behind them, and the builder
-    /// setters all resolve from `cenju4::prelude::*` alone.
+    /// The protocol and directory selectors reach the facade prelude: the
+    /// selector enums, the rules and sharer sets they select, and the
+    /// builder setters all resolve from `cenju4::prelude::*` alone.
     #[test]
     fn facade_reexports_the_seam_types() {
         use crate::prelude::*;
-        let proto: &'static dyn CoherenceProtocol = ProtocolId::Dragon.protocol();
-        assert_eq!(proto.name(), "dragon");
-        let fmt: &'static dyn DirectoryFormat = DirectoryId::CoarseVector.format();
-        assert_eq!(fmt.name(), "coarse-vector");
+        let rules: Rules = ProtocolId::Dragon.rules();
+        assert_eq!(ProtocolId::Dragon.name(), "dragon");
+        assert_eq!(DirectoryId::CoarseVector.name(), "coarse-vector");
         let _: SharerSet = DirectoryId::FullMap.instantiate(SystemSize::new(16).unwrap());
         let cfg = SystemConfig::builder(16)
             .protocol(ProtocolId::Dragon)
@@ -82,6 +81,6 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.coherence, ProtocolId::Dragon);
         assert_eq!(cfg.directory, DirectoryId::FullMap);
-        let _: AccessDecision = proto.classify(MemOp::Load, CacheState::Shared);
+        let _: AccessDecision = rules.classify(MemOp::Load, CacheState::Shared);
     }
 }

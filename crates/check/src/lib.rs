@@ -67,3 +67,36 @@ pub use reduce::{
     random_walks_parallel, violation_profile, ReducedOutcome,
 };
 pub use scenario::CheckConfig;
+
+/// `print!` through [`write_out`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_out(&format!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_out("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::write_out(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed stdout (a reader such as `head` that has
+/// seen enough) stops the program quietly, with the status a shell
+/// reports for a process killed by `SIGPIPE`, where `print!` would
+/// panic; any other write error is reported and stops it the same way.
+pub fn write_out(text: &str) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+        }
+        std::process::exit(141);
+    }
+}

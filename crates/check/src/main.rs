@@ -34,33 +34,12 @@
 //! dragon --protocol nack`), not a fake counterexample.
 
 use cenju4_check::{
-    default_check_threads, explore_reduced, explore_reduced_with, random_walks_parallel,
-    traced_replay, CheckConfig, Exploration, ExploreLimits,
+    default_check_threads, explore_reduced, explore_reduced_with, outln, random_walks_parallel,
+    traced_replay, write_out, CheckConfig, Exploration, ExploreLimits,
 };
 use cenju4_directory::DirectoryId;
 use cenju4_protocol::{FaultInjection, ProtocolId, ProtocolKind};
-use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
-
-/// `println!` through [`write_out`].
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        write_out(&format!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// Writes to stdout. A closed stdout (a reader such as `head` that has
-/// seen enough) stops the program quietly, with the status a shell
-/// reports for a process killed by `SIGPIPE`, where `print!` would
-/// panic; any other write error is reported and stops it the same way.
-fn write_out(text: &str) {
-    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
-        if e.kind() != ErrorKind::BrokenPipe {
-            eprintln!("error: writing to stdout: {e}");
-        }
-        std::process::exit(141);
-    }
-}
 
 struct Args {
     cfg: CheckConfig,

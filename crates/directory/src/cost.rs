@@ -14,19 +14,13 @@
 //! ([`SchemeCost::storage_bits_per_block`] and
 //! [`SchemeCost::accesses_to_enumerate`]) rather than hard-coded, so the
 //! table-1 harness actually recomputes the paper's verdicts.
-//!
-//! The quantitative functions themselves live on the
-//! [`DirectoryFormat`] implementations in [`crate::format`]; each
-//! [`SchemeCost`] row simply names a format, and the verdict derivations
-//! ([`hardware_verdict_of`], [`access_verdict_of`]) work on any
-//! `&dyn DirectoryFormat` — a new format gets a Table-1-style cost row
-//! for free.
 
-use crate::format::{
-    ChainedFormat, DirectoryFormat, DynamicPointerFormat, FullMapFormat, LimitLessFormat,
-    OriginFormat, PointerPatternFormat,
-};
 use core::fmt;
+
+/// Pointer width needed to name one node of an `n`-node machine.
+fn ptr_bits(n: u32) -> u32 {
+    32 - (n.max(2) - 1).leading_zeros()
+}
 
 /// The schemes of Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -86,66 +80,59 @@ impl SchemeCost {
         }
     }
 
-    /// The [`DirectoryFormat`] whose cost model backs this Table-1 row.
-    pub fn format(self) -> &'static dyn DirectoryFormat {
-        match self {
-            SchemeCost::FullMap => &FullMapFormat,
-            SchemeCost::Chained => &ChainedFormat,
-            SchemeCost::LimitLess => &LimitLessFormat,
-            SchemeCost::DynamicPointer => &DynamicPointerFormat,
-            SchemeCost::Origin => &OriginFormat,
-            SchemeCost::Cenju4 => &PointerPatternFormat,
-        }
-    }
-
     /// Directory storage per memory block, in bits, for an `n`-node
     /// machine. For chained/dynamic-pointer schemes this counts the
     /// *home-side* entry (the per-cache chain storage scales with caches,
     /// not blocks).
     pub fn storage_bits_per_block(self, n: u32) -> u32 {
-        self.format().storage_bits_per_block(n)
+        match self {
+            SchemeCost::FullMap => n,
+            // State + the chain's head pointer, or the list's head.
+            SchemeCost::Chained | SchemeCost::DynamicPointer => 2 + ptr_bits(n),
+            SchemeCost::LimitLess => 2 + 4 * ptr_bits(n), // state + 4 pointers
+            SchemeCost::Origin => 2 + 32,                 // state + 32-bit vector
+            SchemeCost::Cenju4 => 64,                     // the packed entry
+        }
     }
 
     /// The number of sequential directory/memory accesses the home needs
     /// before it knows *every* node to invalidate, when `sharers` nodes
     /// cache the block on an `n`-node machine.
     pub fn accesses_to_enumerate(self, n: u32, sharers: u32) -> u32 {
-        self.format().accesses_to_enumerate(n, sharers)
+        match self {
+            // O(n) bits read through a 64-bit directory memory.
+            SchemeCost::FullMap => n.div_ceil(64),
+            // Walk the chain (one round trip per cache) or the pointer
+            // list (one access per element).
+            SchemeCost::Chained | SchemeCost::DynamicPointer => sharers.max(1),
+            // Four pointers in hardware; beyond that, software traps.
+            SchemeCost::LimitLess => 1 + sharers.saturating_sub(4),
+            // A vector, or the Cenju-4 pointers or bit pattern: one access.
+            SchemeCost::Origin | SchemeCost::Cenju4 => 1,
+        }
     }
 
-    /// The hardware-cost verdict. See [`hardware_verdict_of`].
+    /// The hardware-cost verdict: scalable iff storage stays bounded
+    /// while the machine grows 64× (16 → 1024).
     pub fn hardware_verdict(self) -> Verdict {
-        hardware_verdict_of(self.format())
+        let small = self.storage_bits_per_block(16);
+        let large = self.storage_bits_per_block(1024);
+        // Allow the pointer width to grow a few bits; reject linear growth.
+        if large <= small + 24 {
+            Verdict::Scalable
+        } else {
+            Verdict::NotScalable
+        }
     }
 
-    /// The access-cost verdict. See [`access_verdict_of`].
+    /// The access-cost verdict: scalable iff enumerating a fully shared
+    /// block takes O(1) accesses.
     pub fn access_verdict(self) -> Verdict {
-        access_verdict_of(self.format())
-    }
-}
-
-/// The hardware-cost verdict of any format, derived from
-/// [`DirectoryFormat::storage_bits_per_block`]: scalable iff storage
-/// stays bounded while the machine grows 64× (16 → 1024).
-pub fn hardware_verdict_of(f: &dyn DirectoryFormat) -> Verdict {
-    let small = f.storage_bits_per_block(16);
-    let large = f.storage_bits_per_block(1024);
-    // Allow the pointer width to grow a few bits; reject linear growth.
-    if large <= small + 24 {
-        Verdict::Scalable
-    } else {
-        Verdict::NotScalable
-    }
-}
-
-/// The access-cost verdict of any format, derived from
-/// [`DirectoryFormat::accesses_to_enumerate`]: scalable iff enumerating
-/// a fully shared block takes O(1) accesses.
-pub fn access_verdict_of(f: &dyn DirectoryFormat) -> Verdict {
-    if f.accesses_to_enumerate(1024, 1024) <= 2 {
-        Verdict::Scalable
-    } else {
-        Verdict::NotScalable
+        if self.accesses_to_enumerate(1024, 1024) <= 2 {
+            Verdict::Scalable
+        } else {
+            Verdict::NotScalable
+        }
     }
 }
 
@@ -214,6 +201,14 @@ mod tests {
     fn chained_enumeration_walks_sharers() {
         assert_eq!(SchemeCost::Chained.accesses_to_enumerate(1024, 100), 100);
         assert_eq!(SchemeCost::Cenju4.accesses_to_enumerate(1024, 100), 1);
+    }
+
+    #[test]
+    fn limitless_traps_beyond_four_pointers() {
+        assert_eq!(SchemeCost::LimitLess.accesses_to_enumerate(1024, 4), 1);
+        assert_eq!(SchemeCost::LimitLess.accesses_to_enumerate(1024, 10), 7);
+        assert_eq!(SchemeCost::LimitLess.storage_bits_per_block(1024), 42);
+        assert_eq!(SchemeCost::Origin.storage_bits_per_block(1024), 34);
     }
 
     #[test]

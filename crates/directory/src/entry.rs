@@ -117,8 +117,7 @@ impl DirectoryEntry {
     }
 
     /// Creates a fresh entry whose sharer set uses the given directory
-    /// format (the [`DirectoryFormat`](crate::format::DirectoryFormat)
-    /// seam): clean, unreserved, no sharers.
+    /// format: clean, unreserved, no sharers.
     pub fn with_format(sys: SystemSize, format: DirectoryId) -> Self {
         DirectoryEntry {
             reservation: false,

@@ -1,21 +1,14 @@
-//! The [`DirectoryFormat`] seam: pluggable sharer-set representations.
+//! [`DirectoryId`] and [`SharerSet`]: the sharer-set representations
+//! the engine runs.
 //!
 //! The paper's pointer↔bit-pattern entry is one point in the directory
-//! design space surveyed by its own Table 1. This module makes that point
-//! swappable: a [`DirectoryFormat`] describes a scheme's cost model (the
-//! Table-1 axes) and — for the schemes the protocol engine can actually
-//! run — instantiates a [`SharerSet`], the node map a home module
-//! programs against without knowing the representation underneath.
-//!
-//! Two kinds of format exist:
-//!
-//! * **engine-backed** formats ([`DirectoryId`] names them) instantiate a
-//!   live [`SharerSet`]: the paper's pointer+bit-pattern entry, the full
-//!   map, the limited-pointer-broadcast `Dir₄B`, and the 32-bit coarse
-//!   vector;
-//! * **cost-only** formats (chained, LimitLESS, dynamic pointer, Origin)
-//!   exist for Table-1 rows — [`DirectoryFormat::instantiate`] returns
-//!   `None` because the engine has no wire realization for them.
+//! design space surveyed by its own Table 1. Four points run in the
+//! engine, each named by a [`DirectoryId`]: the paper's
+//! pointer+bit-pattern entry, the full map, the limited-pointer-broadcast
+//! `Dir₄B`, and the 32-bit coarse vector. A home module programs against
+//! a [`SharerSet`], one concrete type over all four. Table 1's cost rows,
+//! which also rate schemes the engine cannot run (chained, LimitLESS,
+//! dynamic pointer, Origin), are [`crate::cost::SchemeCost`].
 
 use crate::node::{NodeId, SystemSize};
 use crate::nodemap::{Cenju4NodeMap, DestSpec, NodeMap};
@@ -23,198 +16,9 @@ use crate::pointer::PointerSet;
 use crate::schemes::{CoarseVector, FullMap, LimitedPointerBroadcast};
 use core::fmt;
 
-/// Pointer width needed to name one node of an `n`-node machine.
-fn ptr_bits(n: u32) -> u32 {
-    32 - (n.max(2) - 1).leading_zeros()
-}
-
-/// A directory scheme: its Table-1 cost model plus (for engine-backed
-/// schemes) a live sharer-set factory.
-///
-/// The two cost functions are the axes of the paper's Table 1; the
-/// derived verdicts in [`crate::cost`] recompute the paper's ○/× marks
-/// from them, so any new format gets a cost row for free.
-pub trait DirectoryFormat: Sync {
-    /// A short stable name ("pointer-pattern", "full-map", …).
-    fn name(&self) -> &'static str;
-
-    /// Directory storage per memory block, in bits, on an `n`-node
-    /// machine.
-    fn storage_bits_per_block(&self, n: u32) -> u32;
-
-    /// Sequential directory/memory accesses the home needs before it
-    /// knows *every* node to invalidate, with `sharers` sharers on an
-    /// `n`-node machine.
-    fn accesses_to_enumerate(&self, n: u32, sharers: u32) -> u32;
-
-    /// A live sharer set for the engine, or `None` for cost-only formats
-    /// (chained directories and software-assisted schemes have no wire
-    /// realization here).
-    fn instantiate(&self, sys: SystemSize) -> Option<SharerSet>;
-}
-
-/// The paper's pointer↔bit-pattern entry: 64 bits, one access.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PointerPatternFormat;
-
-impl DirectoryFormat for PointerPatternFormat {
-    fn name(&self) -> &'static str {
-        "pointer-pattern"
-    }
-    fn storage_bits_per_block(&self, _n: u32) -> u32 {
-        64 // the packed entry
-    }
-    fn accesses_to_enumerate(&self, _n: u32, _sharers: u32) -> u32 {
-        1 // pointer or bit-pattern: single access either way
-    }
-    fn instantiate(&self, sys: SystemSize) -> Option<SharerSet> {
-        Some(SharerSet::cenju4(sys))
-    }
-}
-
-/// Censier & Feautrier full map: one presence bit per node.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FullMapFormat;
-
-impl DirectoryFormat for FullMapFormat {
-    fn name(&self) -> &'static str {
-        "full-map"
-    }
-    fn storage_bits_per_block(&self, n: u32) -> u32 {
-        n
-    }
-    fn accesses_to_enumerate(&self, n: u32, _sharers: u32) -> u32 {
-        // O(n) bits read through a 64-bit directory memory.
-        n.div_ceil(64)
-    }
-    fn instantiate(&self, sys: SystemSize) -> Option<SharerSet> {
-        Some(SharerSet::full_map(sys))
-    }
-}
-
-/// `Dir₄B`: four precise pointers, broadcast on overflow.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LimitedPointerFormat;
-
-impl DirectoryFormat for LimitedPointerFormat {
-    fn name(&self) -> &'static str {
-        "limited-pointer"
-    }
-    fn storage_bits_per_block(&self, _n: u32) -> u32 {
-        1 + 4 * 10 // broadcast bit + four 10-bit pointers
-    }
-    fn accesses_to_enumerate(&self, _n: u32, _sharers: u32) -> u32 {
-        1 // pointers or the broadcast bit: single access
-    }
-    fn instantiate(&self, sys: SystemSize) -> Option<SharerSet> {
-        Some(SharerSet::limited_pointer(sys))
-    }
-}
-
-/// Gupta et al. coarse vector, 32 bits (the Origin overflow format).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CoarseVectorFormat;
-
-impl DirectoryFormat for CoarseVectorFormat {
-    fn name(&self) -> &'static str {
-        "coarse-vector"
-    }
-    fn storage_bits_per_block(&self, _n: u32) -> u32 {
-        32
-    }
-    fn accesses_to_enumerate(&self, _n: u32, _sharers: u32) -> u32 {
-        1
-    }
-    fn instantiate(&self, sys: SystemSize) -> Option<SharerSet> {
-        Some(SharerSet::coarse_vector(sys))
-    }
-}
-
-/// SCI-style chained directory (cost-only).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChainedFormat;
-
-impl DirectoryFormat for ChainedFormat {
-    fn name(&self) -> &'static str {
-        "chained"
-    }
-    fn storage_bits_per_block(&self, n: u32) -> u32 {
-        2 + ptr_bits(n) // state + head pointer
-    }
-    fn accesses_to_enumerate(&self, _n: u32, sharers: u32) -> u32 {
-        sharers.max(1) // walk the chain, one round trip per cache
-    }
-    fn instantiate(&self, _sys: SystemSize) -> Option<SharerSet> {
-        None
-    }
-}
-
-/// LimitLESS: limited pointers + software-handled overflow (cost-only).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LimitLessFormat;
-
-impl DirectoryFormat for LimitLessFormat {
-    fn name(&self) -> &'static str {
-        "limitless"
-    }
-    fn storage_bits_per_block(&self, n: u32) -> u32 {
-        2 + 4 * ptr_bits(n) // state + 4 pointers
-    }
-    fn accesses_to_enumerate(&self, _n: u32, sharers: u32) -> u32 {
-        // Four pointers in hardware; beyond that, software traps.
-        if sharers <= 4 {
-            1
-        } else {
-            1 + (sharers - 4)
-        }
-    }
-    fn instantiate(&self, _sys: SystemSize) -> Option<SharerSet> {
-        None
-    }
-}
-
-/// Simoni & Horowitz dynamic pointer allocation (cost-only).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DynamicPointerFormat;
-
-impl DirectoryFormat for DynamicPointerFormat {
-    fn name(&self) -> &'static str {
-        "dynamic-pointer"
-    }
-    fn storage_bits_per_block(&self, n: u32) -> u32 {
-        2 + ptr_bits(n) // state + list head
-    }
-    fn accesses_to_enumerate(&self, _n: u32, sharers: u32) -> u32 {
-        sharers.max(1) // one access per pointer-list element
-    }
-    fn instantiate(&self, _sys: SystemSize) -> Option<SharerSet> {
-        None
-    }
-}
-
-/// SGI Origin: full map to 32 nodes, coarse vector beyond (cost-only —
-/// its steady-state overflow behaviour is the coarse vector above).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OriginFormat;
-
-impl DirectoryFormat for OriginFormat {
-    fn name(&self) -> &'static str {
-        "origin"
-    }
-    fn storage_bits_per_block(&self, _n: u32) -> u32 {
-        2 + 32 // state + 32-bit vector
-    }
-    fn accesses_to_enumerate(&self, _n: u32, _sharers: u32) -> u32 {
-        1
-    }
-    fn instantiate(&self, _sys: SystemSize) -> Option<SharerSet> {
-        None
-    }
-}
-
-/// Selector for the engine-backed directory formats, mirroring the
-/// protocol selector: stable names for CLI flags, a parser that can list
-/// its variants, and a [`DirectoryFormat`] handle per variant.
+/// Selector for the engine's directory formats, mirroring the protocol
+/// selector: stable names for CLI flags, a parser that can list its
+/// variants, and a fresh [`SharerSet`] per variant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DirectoryId {
     /// The paper's pointer↔bit-pattern entry (the default).
@@ -239,7 +43,12 @@ impl DirectoryId {
 
     /// The stable name used by CLI flags and reports.
     pub fn name(self) -> &'static str {
-        self.format().name()
+        match self {
+            DirectoryId::PointerPattern => "pointer-pattern",
+            DirectoryId::FullMap => "full-map",
+            DirectoryId::LimitedPointer => "limited-pointer",
+            DirectoryId::CoarseVector => "coarse-vector",
+        }
     }
 
     /// Parses a name produced by [`DirectoryId::name`].
@@ -247,21 +56,14 @@ impl DirectoryId {
         DirectoryId::ALL.into_iter().find(|d| d.name() == s)
     }
 
-    /// The format's cost model.
-    pub fn format(self) -> &'static dyn DirectoryFormat {
-        match self {
-            DirectoryId::PointerPattern => &PointerPatternFormat,
-            DirectoryId::FullMap => &FullMapFormat,
-            DirectoryId::LimitedPointer => &LimitedPointerFormat,
-            DirectoryId::CoarseVector => &CoarseVectorFormat,
-        }
-    }
-
     /// A fresh, empty sharer set of this format.
     pub fn instantiate(self, sys: SystemSize) -> SharerSet {
-        self.format()
-            .instantiate(sys)
-            .expect("engine-backed format must instantiate")
+        match self {
+            DirectoryId::PointerPattern => SharerSet::cenju4(sys),
+            DirectoryId::FullMap => SharerSet::full_map(sys),
+            DirectoryId::LimitedPointer => SharerSet::limited_pointer(sys),
+            DirectoryId::CoarseVector => SharerSet::coarse_vector(sys),
+        }
     }
 }
 
@@ -514,24 +316,6 @@ impl NodeMap for SharerSet {
         self.add(node);
         self.only = Some(node);
     }
-
-    fn scheme_name(&self) -> &'static str {
-        match &self.inner {
-            SharerInner::Cenju4(m) => m.scheme_name(),
-            SharerInner::FullMap(m) => m.scheme_name(),
-            SharerInner::Limited(m) => m.scheme_name(),
-            SharerInner::Coarse(m) => m.scheme_name(),
-        }
-    }
-
-    fn storage_bits(&self) -> u32 {
-        match &self.inner {
-            SharerInner::Cenju4(m) => m.storage_bits(),
-            SharerInner::FullMap(m) => m.storage_bits(),
-            SharerInner::Limited(m) => m.storage_bits(),
-            SharerInner::Coarse(m) => m.storage_bits(),
-        }
-    }
 }
 
 // The `only` hint is derived metadata (a cache of set_only history), so
@@ -580,18 +364,6 @@ mod tests {
             let s = id.instantiate(sys(64));
             assert!(s.is_empty(), "{id}");
             assert_eq!(s.format(), id);
-        }
-    }
-
-    #[test]
-    fn cost_only_formats_do_not_instantiate() {
-        for f in [
-            &ChainedFormat as &dyn DirectoryFormat,
-            &LimitLessFormat,
-            &DynamicPointerFormat,
-            &OriginFormat,
-        ] {
-            assert!(f.instantiate(sys(64)).is_none(), "{}", f.name());
         }
     }
 
@@ -757,17 +529,5 @@ mod tests {
             format!("{m:?}")
         };
         assert_eq!(format!("{s:?}"), direct);
-    }
-
-    #[test]
-    fn scheme_cost_axes_match_formats() {
-        assert_eq!(PointerPatternFormat.storage_bits_per_block(1024), 64);
-        assert_eq!(FullMapFormat.storage_bits_per_block(1024), 1024);
-        assert_eq!(FullMapFormat.accesses_to_enumerate(1024, 1024), 16);
-        assert_eq!(LimitedPointerFormat.storage_bits_per_block(1024), 41);
-        assert_eq!(CoarseVectorFormat.storage_bits_per_block(1024), 32);
-        assert_eq!(ChainedFormat.accesses_to_enumerate(1024, 100), 100);
-        assert_eq!(LimitLessFormat.accesses_to_enumerate(1024, 10), 7);
-        assert_eq!(OriginFormat.storage_bits_per_block(1024), 34);
     }
 }

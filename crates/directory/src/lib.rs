@@ -20,8 +20,11 @@
 //!   directory entry ([`DirectoryEntry`]),
 //! * every baseline scheme the paper compares against in Table 1 and
 //!   Figure 4 ([`schemes`]),
+//! * the four formats the protocol engine runs, selected by
+//!   [`DirectoryId`] and held behind one [`SharerSet`] type ([`mod@format`]),
 //! * the precision analytics that regenerate Figure 4 ([`precision`]), and
-//! * the hardware/access cost model behind Table 1 ([`cost`]).
+//! * the hardware/access cost model behind Table 1, one
+//!   [`cost::SchemeCost`] row per scheme ([`cost`]).
 //!
 //! # Examples
 //!
@@ -55,7 +58,7 @@ pub mod schemes;
 
 pub use bitpattern::BitPattern;
 pub use entry::{DirectoryEntry, MemState};
-pub use format::{DirectoryFormat, DirectoryId, SharerSet};
+pub use format::{DirectoryId, SharerSet};
 pub use node::{NodeId, SystemSize, SystemSizeError};
 pub use nodemap::{Cenju4NodeMap, NodeMap};
 pub use pointer::PointerSet;

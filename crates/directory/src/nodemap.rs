@@ -50,12 +50,6 @@ pub trait NodeMap: fmt::Debug {
     fn is_empty(&self) -> bool {
         self.count() == 0
     }
-
-    /// A short name for reports ("bit-pattern", "coarse-vector", …).
-    fn scheme_name(&self) -> &'static str;
-
-    /// Directory storage consumed per block, in bits.
-    fn storage_bits(&self) -> u32;
 }
 
 /// The representation a [`Cenju4NodeMap`] currently uses.
@@ -249,15 +243,6 @@ impl NodeMap for Cenju4NodeMap {
             Inner::Pointers(p) => p.iter().min(),
             Inner::Pattern(p) => p.iter().next().filter(|n| self.sys.contains(*n)),
         }
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "pointer+bit-pattern"
-    }
-
-    fn storage_bits(&self) -> u32 {
-        // 1 format bit + max(pointer encoding, 42-bit pattern).
-        1 + 43.max(crate::bitpattern::BITS)
     }
 }
 
@@ -602,15 +587,5 @@ mod tests {
                 assert_eq!(spec.intersects_masked_existing(mask, v, s), expected);
             }
         }
-    }
-
-    #[test]
-    fn scheme_metadata() {
-        let m = Cenju4NodeMap::new(sys(1024));
-        assert_eq!(m.scheme_name(), "pointer+bit-pattern");
-        assert!(
-            m.storage_bits() <= 59,
-            "node map must fit the 59-bit budget"
-        );
     }
 }

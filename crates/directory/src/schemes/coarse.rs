@@ -117,14 +117,6 @@ impl NodeMap for CoarseVector {
     fn lowest(&self) -> Option<NodeId> {
         self.iter().next()
     }
-
-    fn scheme_name(&self) -> &'static str {
-        "coarse-vector"
-    }
-
-    fn storage_bits(&self) -> u32 {
-        self.width
-    }
 }
 
 #[cfg(test)]
@@ -183,11 +175,5 @@ mod tests {
             m.add(NodeId::new(n));
             assert!(m.contains(NodeId::new(n)));
         }
-    }
-
-    #[test]
-    fn storage_is_constant() {
-        assert_eq!(CoarseVector::new(sys(1024), 32).storage_bits(), 32);
-        assert_eq!(CoarseVector::new(sys(16), 32).storage_bits(), 32);
     }
 }

@@ -79,14 +79,6 @@ impl NodeMap for FullMap {
     fn lowest(&self) -> Option<NodeId> {
         self.iter().next()
     }
-
-    fn scheme_name(&self) -> &'static str {
-        "full-map"
-    }
-
-    fn storage_bits(&self) -> u32 {
-        self.sys.nodes() as u32
-    }
 }
 
 #[cfg(test)]
@@ -125,11 +117,5 @@ mod tests {
         m.add(NodeId::new(2));
         m.set_only(NodeId::new(3));
         assert_eq!(m.represented(), vec![NodeId::new(3)]);
-    }
-
-    #[test]
-    fn storage_scales_with_size() {
-        assert_eq!(FullMap::new(sys(64)).storage_bits(), 64);
-        assert_eq!(FullMap::new(sys(1024)).storage_bits(), 1024);
     }
 }

@@ -93,14 +93,6 @@ impl NodeMap for HierarchicalBitMap {
     fn represented(&self) -> Vec<NodeId> {
         self.sys.iter().filter(|&n| self.contains(n)).collect()
     }
-
-    fn scheme_name(&self) -> &'static str {
-        "hierarchical-bitmap"
-    }
-
-    fn storage_bits(&self) -> u32 {
-        4 * self.fields.len() as u32
-    }
 }
 
 #[cfg(test)]
@@ -114,8 +106,7 @@ mod tests {
     #[test]
     fn twenty_four_bits_on_1024_nodes() {
         let m = HierarchicalBitMap::new(sys(1024));
-        assert_eq!(m.storage_bits(), 24);
-        assert_eq!(m.levels(), 6);
+        assert_eq!(m.levels(), 6); // six 4-bit fields
     }
 
     #[test]

@@ -100,14 +100,6 @@ impl NodeMap for LimitedPointerBroadcast {
             self.pointers.iter().min()
         }
     }
-
-    fn scheme_name(&self) -> &'static str {
-        "limited-pointer-broadcast"
-    }
-
-    fn storage_bits(&self) -> u32 {
-        1 + 4 * 10
-    }
 }
 
 #[cfg(test)]

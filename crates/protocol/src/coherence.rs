@@ -1,27 +1,28 @@
-//! The [`CoherenceProtocol`] seam: pluggable line-state machines.
+//! The coherence protocols' processor-side decisions, as one closed table.
 //!
-//! The paper's protocol is queuing MESI. This module makes the *decision
-//! logic* of the processor side swappable: a [`CoherenceProtocol`]
-//! classifies each access against the cached state ([`AccessDecision`]),
-//! names the request a miss issues, and names the state a completed
-//! write-through grants. Three protocols implement the seam:
+//! The paper's protocol is queuing MESI. Three protocols run here, and
+//! [`Rules`] holds what differs between them: how an access is
+//! classified against the cached state ([`AccessDecision`]), the request
+//! a miss issues, the state a completed write-through grants, and
+//! whether readers subscribe. Everything else — the home's directory
+//! walk, the wire messages, the slave reactions — is shared machinery
+//! keyed off the request kind on the wire.
 //!
-//! * [`MesiProtocol`] — the paper's invalidation-based default; its
-//!   decisions reproduce the hard-coded MESI logic bit for bit;
-//! * [`DragonProtocol`] — a four-state *update-based* protocol
+//! * [`Rules::Mesi`] — the paper's invalidation-based default;
+//! * [`Rules::Dragon`] — a four-state *update-based* protocol
 //!   (M / E / S / Sm). Stores to shared or invalid lines write through
 //!   the home, which pushes the fresh value to every sharer over the
 //!   existing gathered-multicast update wires (Section 4.2.3's hardware)
 //!   instead of invalidating them; the writer's copy lands in
 //!   [`CacheState::SharedModified`];
-//! * [`UpdateBlockProtocol`] — Section 4.2.3's update protocol with main
+//! * [`Rules::UpdateBlock`] — Section 4.2.3's update protocol with main
 //!   memory as a third-level cache. It runs per block, not per machine:
 //!   blocks marked with `Engine::mark_update_block` use it whatever the
 //!   machine's protocol, and every other block uses the machine's.
 //!
-//! The home side stays request-kind-driven: it routes each request by
-//! its [`ReqKind`] and consults the protocol only for a lone reader's
-//! grant ([`CoherenceProtocol::readers_subscribe`]).
+//! A machine's protocol is a [`ProtocolId`] (MESI or Dragon). The home
+//! side routes each request by its [`ReqKind`] and consults the rules
+//! only for a lone reader's grant ([`Rules::readers_subscribe`]).
 
 use crate::cache::CacheState;
 use crate::engine::MemOp;
@@ -41,27 +42,45 @@ pub enum AccessDecision {
     Miss(ReqKind),
 }
 
-/// A coherence protocol's decision logic, as seen from the master.
-///
-/// The seam covers exactly the three points where MESI was hard-coded:
-/// hit/upgrade/miss classification, the request kind a miss (or nack
-/// retry) issues, and the state granted when a write-through is
-/// acknowledged. Everything else — the home's directory walk, the wire
-/// messages, the slave reactions — is shared machinery keyed off the
-/// request kind on the wire.
-pub trait CoherenceProtocol: Sync {
-    /// A short stable name ("mesi", "dragon") for CLI flags and reports.
-    fn name(&self) -> &'static str;
+/// The decisions of one coherence protocol, as seen from the master.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rules {
+    /// The paper's queuing MESI.
+    Mesi,
+    /// A four-state update protocol in the Dragon family. Loads behave
+    /// exactly as under MESI (a lone reader is still granted Exclusive,
+    /// so Modified remains reachable through silent upgrades). Stores
+    /// that miss — or hit a merely-shared copy — write through the home
+    /// as [`ReqKind::Update`]: the home writes memory, pushes the fresh
+    /// line to every sharer, gathers their acks, and acknowledges the
+    /// writer, whose copy becomes [`CacheState::SharedModified`].
+    Dragon,
+    /// Section 4.2.3's update protocol, selected per block by
+    /// `Engine::mark_update_block`; no [`ProtocolId`] names it. Requests
+    /// are Dragon's, but readers subscribe: a lone reader is granted
+    /// Shared, never Exclusive, and the writer keeps a Shared copy — so
+    /// the block is never Dirty and never held Modified or Exclusive.
+    /// Each subscriber also keeps the line in its main memory, and an L2
+    /// miss refills from there at local cost.
+    UpdateBlock,
+}
 
+impl Rules {
     /// The request a master issues for `op` when `state` cannot satisfy
     /// it locally.
-    fn request_kind(&self, op: MemOp, state: CacheState) -> ReqKind;
+    pub fn request_kind(self, op: MemOp, state: CacheState) -> ReqKind {
+        match (self, op, state) {
+            (_, MemOp::Load, _) => ReqKind::ReadShared,
+            (Rules::Mesi, MemOp::Store, CacheState::Shared) => ReqKind::Ownership,
+            (Rules::Mesi, MemOp::Store, _) => ReqKind::ReadExclusive,
+            (Rules::Dragon | Rules::UpdateBlock, MemOp::Store, _) => ReqKind::Update,
+        }
+    }
 
-    /// Classifies a processor access. The default covers both protocols
-    /// here: loads hit any readable copy, stores hit Modified and
-    /// silently upgrade Exclusive, everything else misses with
-    /// [`CoherenceProtocol::request_kind`].
-    fn classify(&self, op: MemOp, state: CacheState) -> AccessDecision {
+    /// Classifies a processor access: loads hit any readable copy,
+    /// stores hit Modified and silently upgrade Exclusive, everything
+    /// else misses with [`Rules::request_kind`].
+    pub fn classify(self, op: MemOp, state: CacheState) -> AccessDecision {
         match (op, state) {
             (MemOp::Load, s) if s.readable() => AccessDecision::Hit,
             (MemOp::Store, CacheState::Modified) => AccessDecision::Hit,
@@ -73,104 +92,26 @@ pub trait CoherenceProtocol: Sync {
     /// The cache state granted to the writer when the home acknowledges
     /// a store that went through it (an ownership upgrade under MESI, a
     /// write-through push under Dragon and on update blocks).
-    fn store_ack_state(&self) -> CacheState;
+    pub fn store_ack_state(self) -> CacheState {
+        match self {
+            Rules::Mesi => CacheState::Modified,
+            Rules::Dragon => CacheState::SharedModified,
+            Rules::UpdateBlock => CacheState::Shared,
+        }
+    }
 
     /// Whether readers *subscribe* to the block: the home never grants a
     /// lone reader Exclusive, and every node keeps the line in its
     /// main-memory third-level cache on data replies, store acks and
     /// update pushes, refilling L2 misses from there.
-    fn readers_subscribe(&self) -> bool {
-        false
+    pub fn readers_subscribe(self) -> bool {
+        self == Rules::UpdateBlock
     }
 }
 
-/// The paper's queuing MESI protocol (the default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MesiProtocol;
-
-impl CoherenceProtocol for MesiProtocol {
-    fn name(&self) -> &'static str {
-        "mesi"
-    }
-
-    fn request_kind(&self, op: MemOp, state: CacheState) -> ReqKind {
-        match (op, state) {
-            (MemOp::Load, _) => ReqKind::ReadShared,
-            (MemOp::Store, CacheState::Shared) => ReqKind::Ownership,
-            (MemOp::Store, _) => ReqKind::ReadExclusive,
-        }
-    }
-
-    fn store_ack_state(&self) -> CacheState {
-        CacheState::Modified
-    }
-}
-
-/// A four-state update-based protocol in the Dragon family.
-///
-/// Loads behave exactly as under MESI (a lone reader is still granted
-/// Exclusive, so Modified remains reachable through silent upgrades).
-/// Stores that miss — or hit a merely-shared copy — write through the
-/// home as [`ReqKind::Update`]: the home writes memory, pushes the fresh
-/// line to every sharer, gathers their acks, and acknowledges the
-/// writer, whose copy becomes [`CacheState::SharedModified`]. Sharers
-/// keep their (updated) copies instead of being invalidated.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DragonProtocol;
-
-impl CoherenceProtocol for DragonProtocol {
-    fn name(&self) -> &'static str {
-        "dragon"
-    }
-
-    fn request_kind(&self, op: MemOp, _state: CacheState) -> ReqKind {
-        match op {
-            MemOp::Load => ReqKind::ReadShared,
-            MemOp::Store => ReqKind::Update,
-        }
-    }
-
-    fn store_ack_state(&self) -> CacheState {
-        CacheState::SharedModified
-    }
-}
-
-/// Section 4.2.3's update protocol, selected per block by
-/// `Engine::mark_update_block`.
-///
-/// Requests are Dragon's: loads read shared, stores write through the
-/// home as [`ReqKind::Update`], which pushes the fresh line to every
-/// subscriber. Unlike Dragon, readers subscribe: a lone reader is granted
-/// Shared, never Exclusive, and the writer keeps a Shared copy — so the
-/// block is never Dirty and never held Modified or Exclusive. Each
-/// subscriber also keeps the line in its main memory, and an L2 miss
-/// refills from there at local cost.
-///
-/// Not a [`ProtocolId`]: a machine cannot run it as its protocol.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UpdateBlockProtocol;
-
-impl CoherenceProtocol for UpdateBlockProtocol {
-    fn name(&self) -> &'static str {
-        "update-block"
-    }
-
-    fn request_kind(&self, op: MemOp, state: CacheState) -> ReqKind {
-        DragonProtocol.request_kind(op, state)
-    }
-
-    fn store_ack_state(&self) -> CacheState {
-        CacheState::Shared
-    }
-
-    fn readers_subscribe(&self) -> bool {
-        true
-    }
-}
-
-/// Selector for the available coherence protocols: stable names for CLI
-/// flags, a parser that can list its variants, and a
-/// [`CoherenceProtocol`] handle per variant.
+/// Selector for a machine's coherence protocol: stable names for CLI
+/// flags, a parser that can list its variants, and the [`Rules`] each
+/// variant runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ProtocolId {
     /// The paper's queuing MESI (the default).
@@ -186,7 +127,10 @@ impl ProtocolId {
 
     /// The stable name used by CLI flags and reports.
     pub fn name(self) -> &'static str {
-        self.protocol().name()
+        match self {
+            ProtocolId::Mesi => "mesi",
+            ProtocolId::Dragon => "dragon",
+        }
     }
 
     /// Parses a name produced by [`ProtocolId::name`].
@@ -195,10 +139,10 @@ impl ProtocolId {
     }
 
     /// The protocol's decision logic.
-    pub fn protocol(self) -> &'static dyn CoherenceProtocol {
+    pub fn rules(self) -> Rules {
         match self {
-            ProtocolId::Mesi => &MesiProtocol,
-            ProtocolId::Dragon => &DragonProtocol,
+            ProtocolId::Mesi => Rules::Mesi,
+            ProtocolId::Dragon => Rules::Dragon,
         }
     }
 }
@@ -225,7 +169,7 @@ mod tests {
 
     #[test]
     fn mesi_matches_the_hard_coded_logic() {
-        let p = MesiProtocol;
+        let p = Rules::Mesi;
         use AccessDecision::*;
         use CacheState::*;
         assert_eq!(p.classify(MemOp::Load, Modified), Hit);
@@ -243,7 +187,7 @@ mod tests {
 
     #[test]
     fn dragon_stores_write_through() {
-        let p = DragonProtocol;
+        let p = Rules::Dragon;
         use AccessDecision::*;
         use CacheState::*;
         // Loads and writable stores behave exactly as under MESI.
@@ -257,12 +201,12 @@ mod tests {
         assert_eq!(p.classify(MemOp::Load, Invalid), Miss(ReqKind::ReadShared));
         assert_eq!(p.store_ack_state(), SharedModified);
         assert!(!p.readers_subscribe());
-        assert!(!MesiProtocol.readers_subscribe());
+        assert!(!Rules::Mesi.readers_subscribe());
     }
 
     #[test]
     fn update_blocks_subscribe_and_write_through() {
-        let p = UpdateBlockProtocol;
+        let p = Rules::UpdateBlock;
         use AccessDecision::*;
         use CacheState::*;
         // An update block only ever holds Shared or Invalid.
@@ -274,7 +218,6 @@ mod tests {
         assert_eq!(p.store_ack_state(), Shared);
         assert!(p.readers_subscribe());
         // Selected per block only: no machine-wide id exposes it.
-        assert!(ProtocolId::ALL.iter().all(|id| id.name() != p.name()));
-        assert_eq!(ProtocolId::parse(p.name()), None);
+        assert!(ProtocolId::ALL.iter().all(|id| id.rules() != p));
     }
 }

@@ -532,7 +532,7 @@ impl Engine {
     /// Switches `addr` to the **update protocol** with main-memory
     /// third-level caching — the extension Section 4.2.3 of the paper
     /// proposes for CG-like access patterns. The block then runs
-    /// [`UpdateBlockProtocol`](crate::coherence::UpdateBlockProtocol)
+    /// [`Rules::UpdateBlock`](crate::coherence::Rules::UpdateBlock)
     /// through the same master/home/slave handlers as every other block,
     /// whatever the machine's protocol: stores write through to the
     /// home, which pushes the fresh data to every subscriber instead of
@@ -1110,7 +1110,7 @@ impl Engine {
             obs: &mut self.observers,
             notes: &mut self.notifications,
             touched: &mut self.touched,
-            protocol: self.coherence.protocol(),
+            protocol: self.coherence.rules(),
             marked: &self.update_blocks,
             fault: self.fault,
         };
@@ -1262,7 +1262,7 @@ impl Engine {
                 obs: &mut self.observers,
                 notes: &mut self.notifications,
                 touched: &mut self.touched,
-                protocol: self.coherence.protocol(),
+                protocol: self.coherence.rules(),
                 marked: &self.update_blocks,
                 fault: self.fault,
             };
@@ -1298,7 +1298,7 @@ impl Engine {
                     obs: &mut self.observers,
                     notes: &mut self.notifications,
                     touched: &mut self.touched,
-                    protocol: self.coherence.protocol(),
+                    protocol: self.coherence.rules(),
                     marked: &self.update_blocks,
                     fault: self.fault,
                 };

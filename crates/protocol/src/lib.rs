@@ -76,10 +76,7 @@ pub mod trace;
 
 pub use addr::{Addr, BLOCK_BYTES};
 pub use cache::{Cache, CacheState, Victim};
-pub use coherence::{
-    AccessDecision, CoherenceProtocol, DragonProtocol, MesiProtocol, ProtocolId,
-    UpdateBlockProtocol,
-};
+pub use coherence::{AccessDecision, ProtocolId, Rules};
 pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use engine::{Engine, IssueError, MemOp, Notification};
 pub use messages::{ProtoMsg, ReqKind, TxnId};

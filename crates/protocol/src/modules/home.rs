@@ -65,8 +65,7 @@ pub(crate) struct QueuedReq {
 /// The memory-side protocol module of one node.
 pub struct HomeModule {
     pub(crate) node: NodeId,
-    /// The directory format fresh entries are created in (the
-    /// [`DirectoryFormat`](cenju4_directory::DirectoryFormat) seam).
+    /// The directory format fresh entries are created in.
     pub(crate) format: DirectoryId,
     pub(crate) directory: FxHashMap<Addr, DirectoryEntry>,
     /// This node's main memory contents (as home), by block.

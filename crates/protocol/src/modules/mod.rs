@@ -33,7 +33,7 @@ pub use slave::SlaveModule;
 
 use crate::addr::Addr;
 use crate::cache::CacheState;
-use crate::coherence::{CoherenceProtocol, UpdateBlockProtocol};
+use crate::coherence::Rules;
 use crate::engine::{MemOp, Notification};
 use crate::messages::{ProtoMsg, ReqKind, TxnId};
 use crate::observer::{ModuleKind, ObserverSet, PhaseKind};
@@ -117,9 +117,9 @@ pub(crate) struct Ctx<'a> {
     /// The dispatch's write record; handlers call [`Ctx::touch`] at
     /// every coherence-state write.
     pub touched: &'a mut TouchLog,
-    /// The machine's coherence protocol (the [`CoherenceProtocol`]
-    /// seam); read it per block through [`Ctx::protocol_for`].
-    pub protocol: &'static dyn CoherenceProtocol,
+    /// The machine's coherence protocol; read it per block through
+    /// [`Ctx::protocol_for`].
+    pub protocol: Rules,
     /// Blocks marked for the Section 4.2.3 update protocol.
     pub marked: &'a FxHashSet<Addr>,
     /// Test-only protocol mutation in force (checker mutant runs);
@@ -128,11 +128,11 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// The protocol `addr` runs: [`UpdateBlockProtocol`] for marked
+    /// The protocol `addr` runs: [`Rules::UpdateBlock`] for marked
     /// blocks, the machine's protocol for every other block.
-    pub(crate) fn protocol_for(&self, addr: Addr) -> &'static dyn CoherenceProtocol {
+    pub(crate) fn protocol_for(&self, addr: Addr) -> Rules {
         if self.marked.contains(&addr) {
-            &UpdateBlockProtocol
+            Rules::UpdateBlock
         } else {
             self.protocol
         }

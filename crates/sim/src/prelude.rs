@@ -20,9 +20,7 @@
 //! ```
 
 pub use cenju4_des::{Duration, SimTime, SplitMix64};
-pub use cenju4_directory::{
-    DirectoryFormat, DirectoryId, MemState, NodeId, SharerSet, SystemSize, SystemSizeError,
-};
+pub use cenju4_directory::{DirectoryId, MemState, NodeId, SharerSet, SystemSize, SystemSizeError};
 pub use cenju4_network::{
     FaultEvent, FaultKind, FaultPlan, LinkDown, MulticastMode, NetParams, NetStats, OneShotFault,
     WireClass,
@@ -30,10 +28,9 @@ pub use cenju4_network::{
 pub use cenju4_obs::{chrome_trace_json, MetricsRegistry, SpanClass, SpanCollector};
 pub use cenju4_protocol::observer::{Observer, StarvationProbe};
 pub use cenju4_protocol::{
-    AccessDecision, Addr, CacheState, CoherenceProtocol, ConfigError, Engine, EngineStats,
-    FaultInjection, IssueError, MemOp, Notification, PendingEvent, ProtoMsg, ProtoParams,
-    ProtocolId, ProtocolKind, RecoveryError, RecoveryParams, ReqKind, SystemConfig,
-    SystemConfigBuilder, TxnId,
+    AccessDecision, Addr, CacheState, ConfigError, Engine, EngineStats, FaultInjection, IssueError,
+    MemOp, Notification, PendingEvent, ProtoMsg, ProtoParams, ProtocolId, ProtocolKind,
+    RecoveryError, RecoveryParams, ReqKind, Rules, SystemConfig, SystemConfigBuilder, TxnId,
 };
 
 pub use crate::driver::{Driver, Program, Step, Target};

@@ -225,9 +225,18 @@ bakeoff_smoke() {
     # zero-traffic local hits) instead of writing the JSON artifact.
     cargo build --release --offline -p cenju4-bench --bin fig_bakeoff
     timeout 120 target/release/fig_bakeoff --smoke
-    # The third CoherenceProtocol, selected per block: the update-block
-    # tests and traces (on MESI, Dragon and nack machines), and the CG
-    # update-protocol run pinned by its work counts.
+    # The whole protocol x directory x machine matrix (16/128/1024
+    # nodes): the full run's BENCH_bakeoff.json must equal the committed
+    # one byte for byte.
+    local bin out
+    bin="$PWD/target/release/fig_bakeoff"
+    out=$(mktemp -d)
+    trap 'rm -rf "$out"' RETURN
+    (cd "$out" && timeout 120 "$bin" >/dev/null)
+    cmp "$out/BENCH_bakeoff.json" BENCH_bakeoff.json
+    # The third set of rules, Rules::UpdateBlock, selected per block: the
+    # update-block tests and traces (on MESI, Dragon and nack machines),
+    # and the CG update-protocol run pinned by its work counts.
     cargo test -q --release --offline -p cenju4-protocol --test update_tests --test golden_trace
     cargo test -q --release --offline --test golden_hotpath cg_update_work_counts_pinned
 }
