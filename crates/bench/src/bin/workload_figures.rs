@@ -5,8 +5,9 @@
 //! 3** (miss ratio and private/local/remote miss breakdown of those dsm
 //! runs), **Figure 12** (dsm(2)+mapping speedups as the machine grows) and
 //! **Table 4** (characteristics of those runs at 16 nodes and at the
-//! paper's size). [`points`] lists each distinct run once, each app's
-//! sequential baseline among them, and one [`sweep`] runs them all.
+//! paper's size). [`points`] lists each distinct parallel run once, and
+//! one [`sweep`] runs them all; every speedup divides
+//! [`runner::sequential_time`], each app's sequential baseline.
 //!
 //! Run with:
 //! `cargo run --release -p cenju4-bench --bin workload_figures [scale]`
@@ -17,7 +18,7 @@
 
 use cenju4::prelude::*;
 use cenju4::workloads::rewrite::paper_rewriting_ratios;
-use cenju4::workloads::KernelProgram;
+use cenju4::workloads::{runner, KernelProgram};
 use cenju4_bench::paper::{FIG11B_DSM1_EFFICIENCY, FIG11B_DSM2_EFFICIENCY, FIG12, TABLE3, TABLE4};
 use cenju4_bench::FigArgs;
 use cenju4_check::{out, outln};
@@ -27,12 +28,6 @@ use cenju4_check::{out, outln};
 struct Point(AppKind, Variant, bool, u16);
 
 impl Point {
-    /// The sequential baseline every speedup divides: the whole problem
-    /// on node 0 (the machine needs two nodes).
-    fn seq(app: AppKind) -> Self {
-        Point(app, Variant::Seq, true, 2)
-    }
-
     fn program(self, scale: f64) -> Result<(SystemConfig, KernelProgram), ConfigError> {
         let Point(app, variant, mapping, nodes) = self;
         let cfg = SystemConfig::builder(nodes).build()?;
@@ -65,9 +60,8 @@ fn fig12_nodes(app: AppKind) -> impl Iterator<Item = u16> {
         .filter(move |&n| n <= app.paper_nodes())
 }
 
-/// Every run the four tables read, each once: per app the sequential
-/// baseline, then the union of Figure 11's, Table 3's, Figure 12's and
-/// Table 4's parallel points.
+/// Every run the four tables read, each once: per app the union of
+/// Figure 11's, Table 3's, Figure 12's and Table 4's parallel points.
 fn points() -> Vec<Point> {
     let mut points = Vec::new();
     let mut add = |p: Point| {
@@ -77,7 +71,6 @@ fn points() -> Vec<Point> {
     };
     for app in AppKind::ALL {
         let paper = app.paper_nodes();
-        add(Point::seq(app));
         for (variant, mapping) in FIG11_PROGRAMS.into_iter().chain(TABLE3_PROGRAMS) {
             add(Point(app, variant, mapping, paper));
         }
@@ -88,10 +81,12 @@ fn points() -> Vec<Point> {
     points
 }
 
-/// The reports of one regeneration, looked up by point.
+/// The reports of one regeneration, looked up by point, and each app's
+/// sequential baseline in [`AppKind::ALL`] order, simulated ns.
 struct Runs {
     points: Vec<Point>,
     reports: Vec<RunReport>,
+    seq_ns: Vec<u64>,
 }
 
 impl Runs {
@@ -101,8 +96,9 @@ impl Runs {
     }
 
     fn speedup(&self, p: Point) -> f64 {
-        let seq_ns = self.get(Point::seq(p.0)).total_time().as_ns();
-        self.get(p).speedup(seq_ns)
+        let app = AppKind::ALL.iter().position(|&a| a == p.0);
+        self.get(p)
+            .speedup(self.seq_ns[app.expect("every app is in AppKind::ALL")])
     }
 }
 
@@ -122,6 +118,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runs = Runs {
         reports: reports.into_iter().collect::<Result<_, _>>()?,
         points,
+        seq_ns: AppKind::ALL
+            .into_iter()
+            .map(|app| runner::sequential_time(app, scale))
+            .collect::<Result<_, _>>()?,
     };
     fig11(&runs, scale);
     table3(&runs, scale);
@@ -270,15 +270,14 @@ fn table4(runs: &Runs, scale: f64) -> Result<(), Box<dyn std::error::Error>> {
 mod tests {
     use super::*;
 
-    /// One regeneration runs 46 distinct points where the four separate
-    /// tables ran 94: 4 sequential baselines, Figure 11's 20 points
-    /// (Table 3's 16 among them) and Figure 12's 22 others (Table 4's 8
-    /// among Figure 12's 26).
+    /// One regeneration runs 42 distinct points where the four separate
+    /// tables ran 94: Figure 11's 20 points (Table 3's 16 among them)
+    /// and Figure 12's 22 others (Table 4's 8 among Figure 12's 26). The
+    /// four sequential baselines are no simulator runs.
     #[test]
-    fn the_four_tables_share_46_runs() {
+    fn the_four_tables_share_42_runs() {
         let points = points();
-        assert_eq!(points.len(), 46);
-        let seqs = points.iter().filter(|p| p.1 == Variant::Seq).count();
-        assert_eq!(seqs, AppKind::ALL.len());
+        assert_eq!(points.len(), 42);
+        assert!(points.iter().all(|p| p.1 != Variant::Seq));
     }
 }

@@ -24,7 +24,7 @@ use crate::pool::ThreadPool;
 use crate::proto::{self, Cmd, Query};
 use cenju4_obs::summary_to_json;
 use cenju4_sim::{AccessClass, Driver, RunReport};
-use cenju4_workloads::{runner, AppKind, KernelProgram};
+use cenju4_workloads::{runner, KernelProgram};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,20 +34,12 @@ use std::sync::{Arc, Mutex};
 /// The longest request line a session reads, newline excluded.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-/// Sequential baselines memoized before the memo is cleared. One entry
-/// per distinct (app, scale), so a stream of fresh scales would
-/// otherwise grow it without bound; a cleared entry is recomputed to the
-/// same value.
-const SEQ_MEMO_ENTRIES: usize = 4096;
-
 /// Shared (Sync) server state: what the stateless commands touch, plus
 /// the live runs and stored snapshots of the `run_*` commands.
 pub struct State {
     cache: ResultCache,
     /// Service counters (see [`Counters`] for which are exact).
     pub counters: Counters,
-    /// Sequential-baseline memo: (app, scale bits) → simulated ns.
-    seq_ns: Mutex<HashMap<(AppKind, u64), u64>>,
     /// Live runs by id, each behind its own lock.
     runs: Mutex<HashMap<u64, Arc<Mutex<LiveRun>>>>,
     /// Stored checkpoints by id.
@@ -86,7 +78,6 @@ impl Server {
         let state = Arc::new(State {
             cache: ResultCache::default(),
             counters: Counters::default(),
-            seq_ns: Mutex::new(HashMap::new()),
             runs: Mutex::new(HashMap::new()),
             snaps: Mutex::new(HashMap::new()),
             next_run: AtomicU64::new(1),
@@ -281,22 +272,12 @@ impl Server {
     }
 }
 
-impl State {
-    /// The sequential baseline for the query's app/scale, memoized.
-    fn seq_time(&self, q: &Query) -> Result<u64, String> {
-        let key = (q.workload.app, q.workload.scale.to_bits());
-        if let Some(&ns) = self.seq_ns.lock().unwrap().get(&key) {
-            return Ok(ns);
-        }
-        let ns = runner::sequential_time(q.workload.app, q.workload.scale)
-            .map_err(|e| format!("sequential baseline failed: {e}"))?;
-        let mut memo = self.seq_ns.lock().unwrap();
-        if memo.len() >= SEQ_MEMO_ENTRIES {
-            memo.clear();
-        }
-        memo.insert(key, ns);
-        Ok(ns)
-    }
+/// The sequential baseline for the query's app/scale. Not memoized: a
+/// memo by (app, scale) saved under 2% of a CG batch's time at scale 2.0
+/// (EXPERIMENTS.md, "Sequential baseline without an engine").
+fn seq_time(q: &Query) -> Result<u64, String> {
+    runner::sequential_time(q.workload.app, q.workload.scale)
+        .map_err(|e| format!("sequential baseline failed: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -459,7 +440,7 @@ impl State {
         // untouched) and the client can simply step again to retry.
         // Consuming first would strand the run on an unrecoverable empty
         // report.
-        let t_seq = self.seq_time(&live.query)?;
+        let t_seq = seq_time(&live.query)?;
         let placeholder = RunState::Done {
             steps: at,
             result: String::new(),
@@ -534,7 +515,7 @@ fn simulate(state: &Arc<State>, q: &Query) -> Result<Arc<String>, String> {
                 q.workload.scale,
             )
             .map_err(|e| format!("simulation failed: {e}"))
-            .and_then(|report| Ok((report, state.seq_time(q)?)));
+            .and_then(|report| Ok((report, seq_time(q)?)));
             guard.disarm();
             match outcome {
                 Ok((report, t_seq)) => {

@@ -155,6 +155,8 @@ pub struct Driver<P: Program> {
     cfg: SystemConfig,
     state: Vec<NodeRun>,
     reports: Vec<NodeReport>,
+    /// Nodes whose program has not finished: the barrier's quorum.
+    alive: usize,
     barrier_arrived: usize,
     /// reuse count of the access each node is blocked on.
     pending_reuse: Vec<u32>,
@@ -173,6 +175,7 @@ impl<P: Program> Driver<P> {
             cfg: cfg.clone(),
             state: vec![NodeRun::Ready; n],
             reports: vec![NodeReport::default(); n],
+            alive: n,
             barrier_arrived: 0,
             pending_reuse: vec![1; n],
             hist: crate::report::AccessClass::ALL
@@ -253,12 +256,7 @@ impl<P: Program> Driver<P> {
                     r.record(class, !hit, finished.since(issued));
                     // The remaining accesses of the visit hit in cache.
                     let extra = self.pending_reuse[node.as_usize()] - 1;
-                    let hit_cost = self.cfg.proto.hit;
-                    let mut t = finished;
-                    for _ in 0..extra {
-                        r.record(class, false, hit_cost);
-                        t += hit_cost;
-                    }
+                    let t = finished + r.record_hits(class, extra.into(), self.cfg.proto.hit);
                     self.advance(node, t);
                 }
                 Notification::Marker { token, at } => {
@@ -295,7 +293,7 @@ impl<P: Program> Driver<P> {
     /// Whether every node's program has finished (the engine may still
     /// owe a final pump to drain to quiescence).
     pub fn finished(&self) -> bool {
-        self.state.iter().all(|s| matches!(s, NodeRun::Finished))
+        self.alive == 0
     }
 
     /// Rebuilds a driver at a checkpoint by deterministic replay: a
@@ -329,67 +327,50 @@ impl<P: Program> Driver<P> {
             let Some(step) = self.program.next_step(node) else {
                 self.state[node.as_usize()] = NodeRun::Finished;
                 self.reports[node.as_usize()].finished = t;
+                self.alive -= 1;
                 // A finishing node may have been the last straggler a
                 // barrier was waiting for.
-                if self.barrier_arrived > 0 && self.barrier_arrived == self.alive_count() {
+                if self.barrier_arrived > 0 && self.barrier_arrived == self.alive {
                     self.release_barrier();
                 }
                 return;
             };
             match step {
-                Step::Think(d) => {
-                    if d == Duration::ZERO {
-                        continue;
-                    }
-                    self.reports[node.as_usize()].think += d;
+                Step::Access {
+                    op,
+                    target: Target::Shared(addr),
+                    reuse,
+                } => {
                     self.state[node.as_usize()] = NodeRun::Waiting;
-                    self.eng.schedule_marker(t + d, node.index() as u64);
+                    self.pending_reuse[node.as_usize()] = reuse.max(1);
+                    self.eng
+                        .try_issue(t, node, op, addr)
+                        .unwrap_or_else(|e| panic!("program step rejected: {e}"));
                     return;
                 }
-                Step::Access { op, target, reuse } => match target {
-                    Target::Shared(addr) => {
-                        self.state[node.as_usize()] = NodeRun::Waiting;
-                        self.pending_reuse[node.as_usize()] = reuse.max(1);
-                        self.eng
-                            .try_issue(t, node, op, addr)
-                            .unwrap_or_else(|e| panic!("program step rejected: {e}"));
-                        return;
-                    }
-                    Target::PrivateHit => {
-                        let d = self.cfg.proto.hit;
-                        let r = &mut self.reports[node.as_usize()];
-                        for _ in 0..reuse.max(1) {
-                            r.record(AccessClass::Private, false, d);
-                            t += d;
-                        }
-                    }
-                    Target::PrivateMiss => {
-                        let r = &mut self.reports[node.as_usize()];
-                        r.record(AccessClass::Private, true, self.cfg.proto.private_miss);
-                        t += self.cfg.proto.private_miss;
-                        for _ in 1..reuse.max(1) {
-                            r.record(AccessClass::Private, false, self.cfg.proto.hit);
-                            t += self.cfg.proto.hit;
-                        }
-                    }
-                },
                 Step::Barrier => {
                     self.state[node.as_usize()] = NodeRun::AtBarrier(t);
                     self.barrier_arrived += 1;
-                    if self.barrier_arrived == self.alive_count() {
+                    if self.barrier_arrived == self.alive {
                         self.release_barrier();
                     }
                     return;
                 }
+                Step::Think(_) | Step::Access { .. } => {
+                    let d = self.reports[node.as_usize()]
+                        .record_local(step, &self.cfg.proto)
+                        .expect("think and private steps involve their node alone");
+                    // Other nodes run during think time: the node waits
+                    // for a marker at its end.
+                    if matches!(step, Step::Think(_)) && d != Duration::ZERO {
+                        self.state[node.as_usize()] = NodeRun::Waiting;
+                        self.eng.schedule_marker(t + d, node.index() as u64);
+                        return;
+                    }
+                    t += d;
+                }
             }
         }
-    }
-
-    fn alive_count(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| !matches!(s, NodeRun::Finished))
-            .count()
     }
 
     fn release_barrier(&mut self) {

@@ -1,6 +1,8 @@
 //! Run statistics in the shape of the paper's Tables 3 and 4.
 
+use crate::driver::{Step, Target};
 use cenju4_des::{Duration, SimTime};
+use cenju4_protocol::ProtoParams;
 
 /// The paper's three memory-access classes (Table 3 / Table 4 columns).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -59,6 +61,54 @@ impl NodeReport {
             self.misses[i] += 1;
         }
         self.latency_ns[i] += latency.as_ns();
+    }
+
+    /// Records `n` cache hits of cost `hit` each, and returns the time
+    /// they take together, `n · hit`.
+    pub fn record_hits(&mut self, class: AccessClass, n: u64, hit: Duration) -> Duration {
+        let i = class.idx();
+        let total = hit * n;
+        self.accesses[i] += n;
+        self.latency_ns[i] += total.as_ns();
+        total
+    }
+
+    /// Accounts a step that involves its node alone — think time or a
+    /// private access — and returns how long it takes. A shared access
+    /// or a barrier involves the machine: for those nothing is recorded
+    /// and the result is `None`.
+    ///
+    /// The driver accounts every such step through here, and so does the
+    /// engine-free sequential baseline, so the two cannot drift apart.
+    pub fn record_local(&mut self, step: Step, proto: &ProtoParams) -> Option<Duration> {
+        match step {
+            Step::Think(d) => {
+                self.think += d;
+                Some(d)
+            }
+            Step::Access {
+                target: Target::PrivateHit,
+                reuse,
+                ..
+            } => {
+                let hits = u64::from(reuse.max(1));
+                Some(self.record_hits(AccessClass::Private, hits, proto.hit))
+            }
+            Step::Access {
+                target: Target::PrivateMiss,
+                reuse,
+                ..
+            } => {
+                self.record(AccessClass::Private, true, proto.private_miss);
+                let hits = u64::from(reuse.max(1)) - 1;
+                Some(proto.private_miss + self.record_hits(AccessClass::Private, hits, proto.hit))
+            }
+            Step::Access {
+                target: Target::Shared(_),
+                ..
+            }
+            | Step::Barrier => None,
+        }
     }
 
     /// Total accesses.

@@ -4,7 +4,9 @@
 
 use crate::apps::{AppKind, Variant};
 use crate::program::KernelProgram;
-use cenju4_sim::{ConfigError, Driver, RunReport, SystemConfig};
+use cenju4_des::Duration;
+use cenju4_directory::NodeId;
+use cenju4_sim::{ConfigError, Driver, NodeReport, Program, RunReport, SystemConfig};
 
 /// Runs `(app, variant, mapping)` on `nodes` nodes at problem-size
 /// multiplier `scale` and returns the run report.
@@ -67,15 +69,31 @@ pub fn run_cg_with_update(nodes: u16, scale: f64) -> Result<RunReport, ConfigErr
     Ok(driver.run())
 }
 
-/// The sequential execution time of `app` at `scale`, in simulated ns.
+/// The sequential execution time of `app` at `scale`, in simulated ns:
+/// the [`Variant::Seq`] program, the whole problem on node 0's private
+/// memory, exactly as a [`Driver`] would time it on a 2-node machine.
+///
+/// A sequential program has only think and private steps, which involve
+/// no other node, so it needs no engine: the time is the sum of its
+/// steps' costs, each accounted by [`NodeReport::record_local`] as the
+/// driver accounts it.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
 pub fn sequential_time(app: AppKind, scale: f64) -> Result<u64, ConfigError> {
     // The machine needs ≥ 2 nodes; the seq program only uses node 0.
-    let report = run_workload(app, Variant::Seq, true, 2, scale)?;
-    Ok(report.total_time().as_ns())
+    let cfg = SystemConfig::builder(2).build()?;
+    let mut prog = KernelProgram::try_build(app, Variant::Seq, true, &cfg, scale)?;
+    let node = NodeId::new(0);
+    let mut report = NodeReport::default();
+    let mut t = Duration::ZERO;
+    while let Some(step) = prog.next_step(node) {
+        t += report
+            .record_local(step, &cfg.proto)
+            .unwrap_or_else(|| unreachable!("a sequential program ran {step:?}"));
+    }
+    Ok(t.as_ns())
 }
 
 #[cfg(test)]

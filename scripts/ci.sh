@@ -330,13 +330,16 @@ bench_smoke() {
     # Every BENCHMARK.json workload at about 1/20 size with every
     # correctness gate: the dsm result digests and the checker's count
     # pins must match benchmark/pins.json. Exits non-zero on any drift.
-    # First the event queue's, the workload programs' and the protocol
-    # library's own tests, optimised: the differential tests against the
-    # whole-event reference heap, the materialising step builder and the
-    # cache's per-set model, the causality assert and the program's
-    # allocation pin all run in the release profile the benchmark uses.
+    # First the event queue's, the workload programs', the driver's and
+    # the protocol library's own tests, optimised: the differential tests
+    # against the whole-event reference heap, the materialising step
+    # builder, the per-hit accounting reference and the cache's per-set
+    # model, the causality assert, the program's allocation pin and the
+    # engine-free sequential baseline all run in the release profile the
+    # benchmark uses.
     cargo test --release --offline -q -p cenju4-des
     cargo test --release --offline -q -p cenju4-workloads
+    cargo test --release --offline -q -p cenju4-sim
     cargo test --release --offline -q -p cenju4-protocol --lib
     timeout 600 cargo run --release --offline --quiet \
         --manifest-path benchmark/Cargo.toml -- --smoke
