@@ -1,6 +1,7 @@
-//! Schedule stepping, seeded random walks, deterministic replay, and
-//! counterexample shrinking. The bounded-exhaustive search over the same
-//! steps is [`explore_reduced`](crate::reduce::explore_reduced).
+//! Schedule stepping, seeded random-walk campaigns on any number of
+//! threads, deterministic replay, and counterexample shrinking. The
+//! bounded-exhaustive search over the same steps is
+//! [`explore_reduced`](crate::reduce::explore_reduced).
 //!
 //! A *schedule* is the sequence of choices the checker makes: at each
 //! step it looks at the engine's ready events (those whose in-order
@@ -16,8 +17,9 @@ use cenju4_des::{SimTime, SplitMix64};
 use cenju4_protocol::{Addr, Engine, Notification, PendingEvent};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One schedule decision: how many events were ready, which was fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -613,28 +615,138 @@ impl WalkProbe {
     }
 }
 
+/// Worker threads for campaigns and parallel exploration:
+/// `CENJU4_CHECK_THREADS` if set to a positive count, else the machine's
+/// available parallelism.
+pub fn default_check_threads() -> usize {
+    std::env::var("CENJU4_CHECK_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
 /// Seeded random walks: `walks` independent schedules, each driven by its
-/// own deterministic stream derived from `seed`, all from one recycled
-/// position (see [`Runner`]). Any failure is shrunk and reported with
-/// enough information to replay it exactly.
+/// own deterministic stream derived from `seed`, on
+/// [`default_check_threads`] workers (see [`random_walks_parallel`]). Any
+/// failure is shrunk and reported with enough information to replay it
+/// exactly.
 pub fn random_walks(
     cfg: &CheckConfig,
     seed: u64,
     walks: u64,
     limits: &ExploreLimits,
 ) -> Exploration {
-    let start = Instant::now();
+    random_walks_parallel(cfg, seed, walks, limits, default_check_threads())
+}
+
+/// Walks a campaign worker claims at a time.
+const WALK_BATCH: u64 = 32;
+
+/// [`random_walks`] on `threads` workers (0 counts as 1), each starting
+/// every walk from a copy of the scenario's initial position, built once
+/// per worker. Workers claim the walks in batches of 32. The calling
+/// thread is one of them, and a campaign starts no more workers than it
+/// has batches, so a campaign of up to 32 walks starts no thread.
+///
+/// The outcome is the same for every thread count: every walk green is
+/// `AllGreen`, and otherwise the *lowest* failing walk `w` is run again on
+/// the calling thread, shrunk, and reported after `w + 1` schedules. A
+/// worker skips the walks above the lowest failure found so far, since
+/// they cannot lower it. Reaching the wall-clock cap with every walk run
+/// so far green ends the campaign with `Budget` and the number of green
+/// walks; a failure found before the cap is still reported.
+pub fn random_walks_parallel(
+    cfg: &CheckConfig,
+    seed: u64,
+    walks: u64,
+    limits: &ExploreLimits,
+    threads: usize,
+) -> Exploration {
+    let batches = usize::try_from(walks.div_ceil(WALK_BATCH)).unwrap_or(usize::MAX);
+    let workers = threads.min(batches).max(1);
+    let campaign = Campaign {
+        seed,
+        walks,
+        max_steps: limits.max_steps,
+        deadline: Instant::now() + Duration::from_secs(limits.max_seconds),
+        next_batch: AtomicU64::new(0),
+        lowest_failure: AtomicU64::new(u64::MAX),
+        green: AtomicU64::new(0),
+        timed_out: AtomicBool::new(false),
+    };
     let mut runner = Runner::new(cfg);
-    for w in 0..walks {
-        if start.elapsed().as_secs() >= limits.max_seconds {
-            return Exploration::Budget { schedules: w };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(|| campaign.work(&mut Runner::new(cfg)));
         }
-        if let Some(v) = runner.walk(seed, w, limits.max_steps) {
-            let picked = runner.picks();
-            return falsify(&mut runner, picked, v, w + 1, limits);
+        campaign.work(&mut runner);
+    });
+    let w = campaign.lowest_failure.into_inner();
+    if w != u64::MAX {
+        let violation = runner
+            .walk(seed, w, limits.max_steps)
+            .expect("a failing walk fails again");
+        let picks = runner.picks();
+        falsify(&mut runner, picks, violation, w + 1, limits)
+    } else if campaign.timed_out.into_inner() {
+        Exploration::Budget {
+            schedules: campaign.green.into_inner(),
         }
+    } else {
+        Exploration::AllGreen { schedules: walks }
     }
-    Exploration::AllGreen { schedules: walks }
+}
+
+/// What the workers of one campaign share.
+struct Campaign {
+    seed: u64,
+    walks: u64,
+    max_steps: usize,
+    deadline: Instant,
+    /// The next batch of walks to hand out.
+    next_batch: AtomicU64,
+    /// The lowest failing walk found so far, `u64::MAX` while none.
+    lowest_failure: AtomicU64,
+    /// Walks run green.
+    green: AtomicU64,
+    /// Whether a worker stopped at the deadline.
+    timed_out: AtomicBool,
+}
+
+impl Campaign {
+    /// Claims batches of walks in order and drives them on `runner` until
+    /// the walks run out, a lower walk has failed, or the clock does.
+    fn work(&self, runner: &mut Runner) {
+        let mut green = 0;
+        'batches: loop {
+            let start = self.next_batch.fetch_add(1, Ordering::Relaxed) * WALK_BATCH;
+            // Batches are handed out in order, so every later one starts
+            // above a failure this one starts above.
+            if start >= self.walks || start > self.lowest_failure.load(Ordering::Relaxed) {
+                break;
+            }
+            for w in start..(start + WALK_BATCH).min(self.walks) {
+                if w > self.lowest_failure.load(Ordering::Relaxed) {
+                    break 'batches;
+                }
+                if Instant::now() >= self.deadline {
+                    self.timed_out.store(true, Ordering::Relaxed);
+                    break 'batches;
+                }
+                if runner.walk(self.seed, w, self.max_steps).is_some() {
+                    self.lowest_failure.fetch_min(w, Ordering::Relaxed);
+                } else {
+                    green += 1;
+                }
+            }
+        }
+        self.green.fetch_add(green, Ordering::Relaxed);
+    }
 }
 
 /// Shrinks a violation found after `schedules` schedules, replaying on

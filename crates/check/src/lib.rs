@@ -15,16 +15,17 @@
 //!   multiple-reader, directory-vs-cache agreement, data-value coherence,
 //!   Figure-9 queue bounds, and global quiescence (no lost or starved
 //!   transaction);
-//! * [`explore`] — the step loop every explorer drives, seeded random
-//!   walks, counterexample shrinking, and deterministic replay from a
-//!   printed choice prefix;
+//! * [`explore`] — the step loop every explorer drives, seeded
+//!   random-walk campaigns fanned across the machine's cores with the
+//!   same outcome at every thread count, counterexample shrinking, and
+//!   deterministic replay from a printed choice prefix;
 //! * [`reduce`] — the bounded-exhaustive search: a DFS that forks
 //!   engines to backtrack, with dynamic partial-order reduction (sleep
 //!   sets over event footprints) and state-fingerprint deduplication with
 //!   livelock detection where they are sound, and a deterministic
 //!   parallel frontier where they are not — bounded-exhaustive at 4–5
 //!   nodes, with reduction proven to preserve every falsifiable oracle
-//!   (`tests/dpor_soundness.rs`); plus parallel random-walk campaigns.
+//!   (`tests/dpor_soundness.rs`).
 //!
 //! The engine hook is `Engine::enable_controlled_schedule`: events park
 //! in a held set instead of firing in time order, and the checker picks
@@ -57,14 +58,13 @@ pub mod reduce;
 pub mod scenario;
 
 pub use explore::{
-    random_walks, replay, run_one, shrink, traced_replay, Choice, Counterexample, Exploration,
-    ExploreLimits, RunOutcome,
+    default_check_threads, random_walks, random_walks_parallel, replay, run_one, shrink,
+    traced_replay, Choice, Counterexample, Exploration, ExploreLimits, RunOutcome,
 };
 pub use ledger::SpanLedger;
 pub use oracles::{OracleState, Violation};
 pub use reduce::{
-    default_check_threads, dpor_eligible, explore_reduced, explore_reduced_with,
-    random_walks_parallel, violation_profile, ReducedOutcome,
+    dpor_eligible, explore_reduced, explore_reduced_with, violation_profile, ReducedOutcome,
 };
 pub use scenario::CheckConfig;
 

@@ -60,7 +60,8 @@
 //! counts. Since reduction itself shrinks the search by orders of
 //! magnitude (9298 schedules to 4 at the pinned config), the reduced
 //! walk stays single-threaded and deterministic, and threads go where
-//! they pay: unreduced exploration and seeded random campaigns.
+//! they pay: unreduced exploration here, and seeded random campaigns
+//! ([`random_walks`](crate::explore::random_walks)).
 
 use crate::explore::{falsified, falsify, starved, Exploration, ExploreLimits, Runner, Stepper};
 use crate::oracles::Violation;
@@ -68,7 +69,7 @@ use crate::scenario::CheckConfig;
 use cenju4_des::{FxHashMap, SimTime};
 use cenju4_protocol::{PendingEvent, ProtocolKind};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -103,20 +104,6 @@ pub fn dpor_eligible(cfg: &CheckConfig) -> bool {
         && !cfg.recovery
         && cfg.drop_permille == 0
         && cfg.fault.fabric_plan().is_none()
-}
-
-/// Worker threads for parallel exploration: `CENJU4_CHECK_THREADS` if
-/// set, else the machine's available parallelism.
-pub fn default_check_threads() -> usize {
-    std::env::var("CENJU4_CHECK_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
 }
 
 /// The outcome of a reduced exploration, with the reduction statistics
@@ -825,79 +812,4 @@ fn fan_jobs(params: &DfsParams, jobs: Vec<Job>, threads: usize) -> Vec<DfsOutcom
         .into_iter()
         .map(|s| s.into_inner().unwrap().expect("job slot unfilled"))
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Parallel random walks
-// ---------------------------------------------------------------------
-
-/// Seeded random walks fanned across threads. Walk `w` uses the same
-/// per-walk stream as [`random_walks`](crate::explore::random_walks), so
-/// for any thread count the outcome is the sequential outcome: workers
-/// race batches but only the *lowest* failing walk index is reported
-/// (batches above the current best are skipped — they can never lower
-/// the minimum), and the winning walk is re-run to rebuild its schedule.
-/// Under a wall-clock timeout the result degrades to `Budget`.
-pub fn random_walks_parallel(
-    cfg: &CheckConfig,
-    seed: u64,
-    walks: u64,
-    limits: &ExploreLimits,
-    threads: usize,
-) -> Exploration {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return crate::explore::random_walks(cfg, seed, walks, limits);
-    }
-    const BATCH: u64 = 32;
-    let deadline = Instant::now() + std::time::Duration::from_secs(limits.max_seconds);
-    let best = AtomicU64::new(u64::MAX);
-    let next = AtomicU64::new(0);
-    let green = AtomicU64::new(0);
-    let timed_out = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut runner = Runner::new(cfg);
-                loop {
-                    let start = next.fetch_add(1, Ordering::Relaxed) * BATCH;
-                    if start >= walks {
-                        break;
-                    }
-                    if start > best.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    for w in start..(start + BATCH).min(walks) {
-                        if w > best.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if Instant::now() >= deadline {
-                            timed_out.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        if runner.walk(seed, w, limits.max_steps).is_some() {
-                            best.fetch_min(w, Ordering::Relaxed);
-                        } else {
-                            green.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let b = best.load(Ordering::Relaxed);
-    if b != u64::MAX {
-        let mut runner = Runner::new(cfg);
-        let v = runner
-            .walk(seed, b, limits.max_steps)
-            .expect("winning walk failed to reproduce");
-        let picks = runner.picks();
-        falsify(&mut runner, picks, v, b + 1, limits)
-    } else if timed_out.load(Ordering::Relaxed) {
-        Exploration::Budget {
-            schedules: green.load(Ordering::Relaxed),
-        }
-    } else {
-        Exploration::AllGreen { schedules: walks }
-    }
 }

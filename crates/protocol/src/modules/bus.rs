@@ -1228,17 +1228,20 @@ impl MessageBus {
             return LinkTimerOutcome::GaveUp(RecoveryError::LinkRetransmitBudget { src, dst, seq });
         }
         let attempt = link.attempts;
-        let frames: Vec<Frame> = link.unacked.iter().cloned().collect();
-        for f in &frames {
-            let class = wire_class(&f.msg);
+        let frames = link.unacked.len();
+        // Sending leaves the window as it is, so each frame is sent from
+        // its place in it.
+        for i in 0..frames {
+            let f = &self.links.get(src, dst).unacked[i];
+            let (seq, data, gather, class) = (f.seq, f.data, f.gather, wire_class(&f.msg));
             let dels = self
                 .fabric
-                .send_unicast(now, src, dst, f.data, f.msg.clone(), class);
+                .send_unicast(now, src, dst, data, f.msg.clone(), class);
             for mut d in dels {
                 // A retransmitted multicast copy must still contribute to
                 // its gather when it finally lands.
-                d.gather = f.gather;
-                self.schedule_delivery(d, Some(f.seq));
+                d.gather = gather;
+                self.schedule_delivery(d, Some(seq));
             }
         }
         self.enqueue(
@@ -1246,7 +1249,7 @@ impl MessageBus {
             BusMsg::LinkTimer { src, dst },
         );
         LinkTimerOutcome::Retransmitted {
-            frames: frames.len() as u32,
+            frames: frames as u32,
             attempt,
         }
     }

@@ -57,13 +57,22 @@ check_smoke() {
     "$check" random --nodes 3 --blocks 2 --ops 2 --seed 1 --walks 200 \
         --max-seconds 30
     # The check-walks benchmark scenario: seeded walks over the lossy
-    # recovery configuration, timers and retransmissions included.
-    local walks_out
+    # recovery configuration, timers and retransmissions included. One
+    # worker and two must print the same bytes.
+    local walks_out walks_out2
     walks_out="$("$check" random --nodes 3 --blocks 2 --ops 2 --recovery on \
-        --drop-rate 100 --fault-seed 1 --seed 1 --walks 4000 --max-seconds 120)"
+        --drop-rate 100 --fault-seed 1 --seed 1 --walks 4000 --max-seconds 120 \
+        --threads 1)"
     echo "$walks_out"
     echo "$walks_out" | grep -q "all oracles green over 4000 schedules" || {
         echo "FAIL: lossy recovery walks not green over 4000 schedules"
+        exit 1
+    }
+    walks_out2="$("$check" random --nodes 3 --blocks 2 --ops 2 --recovery on \
+        --drop-rate 100 --fault-seed 1 --seed 1 --walks 4000 --max-seconds 120 \
+        --threads 2)"
+    diff -u <(printf '%s\n' "$walks_out") <(printf '%s\n' "$walks_out2") || {
+        echo "FAIL: lossy recovery walks printed differently on 1 and 2 threads"
         exit 1
     }
     # Every fault-injection mutant must be killed (counterexample found),
@@ -141,11 +150,13 @@ check_smoke() {
     # allocation pins, walks from a campaign's recycled position against
     # walks on fresh engines, the span ledger against the span collector
     # at every step (every protocol, lossy recovery, quarantine, one-line
-    # caches, every mutant), and the printed random and reduced
-    # counterexamples and their replays against their goldens, in the
-    # release profile the checker runs in.
+    # caches, every mutant), the printed random and reduced
+    # counterexamples and their replays against their goldens, and the
+    # same explorations and walk campaigns on 1, 2, 4 and 8 threads, in
+    # the release profile the checker runs in.
     cargo test --release --offline -q -p cenju4-check --lib --test step_alloc \
-        --test recycled_walks --test span_ledger --test counterexample_golden
+        --test recycled_walks --test span_ledger --test counterexample_golden \
+        --test parallel_explore
     # The multiset state fingerprint against its sort-based reference:
     # the same partition of every state reached (explored graphs, lossy
     # recovery walks, node-down walks).
